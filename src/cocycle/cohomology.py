@@ -12,7 +12,8 @@ Convention, centralized here and used everywhere else in the package:
 These three formulas are mutually consistent: the transform preserves the
 law for every (also nonabelian) acting group, equivalence is an honest
 equivalence relation, and descent maps ``g -> b^-1 * b^g`` are cocycles.
-Class enumeration asserts internally that coboundary orbits stay inside the
+:func:`h1` runs the crossed-hom engine of :mod:`cocycle.groups` on these
+formulas. It raises MatchFailure when a coboundary orbit leaves the
 enumerated cocycle set, so any convention drift fails loudly.
 """
 
@@ -22,16 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_CANDIDATES, NotStable, SizeLimit, check_buffer
-from .groups import FiniteGroup, GroupHom, Subgroup, homs_up_to_conjugacy, subgroup_as_group
+from .errors import DEFAULT_MAX_CANDIDATES, MatchFailure, NotStable
+from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_as_group
+from .groups import coboundary_classes, crossed_homs
 
 
 class GammaGroup:
     """A base group together with an action of ``gamma`` by automorphisms.
 
     ``action[g, a]`` is a^g. Validated on construction: the identity acts
-    trivially, every row is an automorphism of the base, and rows compose
-    compatibly with gamma's multiplication table.
+    trivially, every row is a bijection, and each generator s of
+    ``gamma.short_generators()`` has a multiplicative row with
+    ``action[d*s] = action[d][action[s]]`` for all d; by induction on word
+    length every row is an automorphism and all rows compose.
     """
 
     __slots__ = ("gamma", "base", "action")
@@ -51,16 +55,13 @@ class GammaGroup:
         if not np.all(np.sort(arr, axis=1) == idx[None, :]):
             raise ValueError("some action row is not a bijection")
         tbl = base.table
-        for g in range(gamma.order):
-            row = arr[g]
+        for s in gamma.short_generators():
+            row = arr[s]
             if not np.array_equal(row[tbl], tbl[np.ix_(row, row)]):
-                raise ValueError(f"action of gamma element {g} is not multiplicative")
-        for d in range(gamma.order):
-            for g in range(gamma.order):
-                if not np.array_equal(arr[int(gamma.table[d, g])], arr[d][arr[g]]):
-                    raise ValueError(
-                        f"action rows do not compose: gamma pair ({d}, {g})"
-                    )
+                raise ValueError(f"action of gamma element {s} is not multiplicative")
+            bad = np.flatnonzero(np.any(arr[gamma.table[:, s]] != arr[:, row], axis=1))
+            if bad.size:
+                raise ValueError(f"action rows do not compose: gamma pair ({bad[0]}, {s})")
         arr.setflags(write=False)
         self.gamma = gamma
         self.base = base
@@ -99,10 +100,9 @@ def conjugation_action(gamma: FiniteGroup, base: FiniteGroup, hom: GroupHom) -> 
     """gamma acts on base through a hom c: gamma -> base, by a^g = c(g) a c(g)^-1."""
     if hom.source is not gamma or hom.target is not base:
         raise ValueError("hom must map gamma into base")
-    action = np.empty((gamma.order, base.order), dtype=np.int64)
-    for g in range(gamma.order):
-        c = hom(g)
-        action[g] = [base.conj(c, a) for a in range(base.order)]
+    c = np.asarray(hom.image)
+    c_inv = np.array([base.inv(x) for x in hom.image])
+    action = base.table[base.table[c], c_inv[:, None]]
     return GammaGroup(gamma, base, action)
 
 
@@ -194,10 +194,11 @@ class H1Set:
 
     ``classes`` holds the lexicographically least cocycle of each class, in
     lexicographic order; ``class_of`` maps every enumerated cocycle's value
-    tuple to its class index; ``distinguished`` is the trivial class.
+    tuple to its class index; ``distinguished`` is the trivial class;
+    ``members[i]`` lists the value tuples of class i in lexicographic order.
     """
 
-    __slots__ = ("parent", "classes", "class_of", "distinguished")
+    __slots__ = ("parent", "classes", "class_of", "distinguished", "_members")
 
     def __init__(
         self,
@@ -210,6 +211,16 @@ class H1Set:
         self.classes = classes
         self.class_of = class_of
         self.distinguished = distinguished
+        self._members: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+
+    @property
+    def members(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        if self._members is None:
+            groups: list[list[tuple[int, ...]]] = [[] for _ in self.classes]
+            for key, c in self.class_of.items():
+                groups[c].append(key)
+            self._members = tuple(tuple(sorted(g)) for g in groups)
+        return self._members
 
     @property
     def order(self) -> int:
@@ -229,90 +240,30 @@ class H1Set:
         return f"H1Set({self.order} classes, {self.n_cocycles} cocycles)"
 
 
-def _partition_into_classes(
-    parent: GammaGroup, survivor_keys: set[tuple[int, ...]]
-) -> H1Set:
-    base = parent.base
-    table = base.table
-    inv_arr = np.array([base.inv(a) for a in range(base.order)])
-    act_t = parent.action.T  # [a, g] = a^g
-    classes: list[Cocycle] = []
-    class_of: dict[tuple[int, ...], int] = {}
-    for key in sorted(survivor_keys):
-        if key in class_of:
-            continue
-        rep_arr = np.asarray(key)
-        orbit = table[table[inv_arr[:, None], rep_arr[None, :]], act_t]
-        ci = len(classes)
-        for row in orbit:
-            k2 = tuple(int(v) for v in row)
-            assert k2 in survivor_keys, (
-                "coboundary transform left the cocycle set; action convention bug"
-            )
-            class_of.setdefault(k2, ci)
-        classes.append(Cocycle(parent, key))
-    trivial_key = (base.identity,) * parent.gamma.order
-    distinguished = class_of[trivial_key]
-    return H1Set(parent, tuple(classes), class_of, distinguished)
-
-
 def h1(parent: GammaGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> H1Set:
     """Enumerate all 1-cocycles and partition them into classes.
 
-    Candidates choose values on a greedy generating set of gamma, extend
-    along the BFS word decomposition via the cocycle law, and survive a
-    full check of the law on all pairs.
+    Candidates choose values on ``gamma.short_generators()``, extend along
+    its word tree via the cocycle law, and survive the law on every pair
+    (x, s) with s a generator, which implies it on all pairs; classes are
+    coboundary orbits keyed by the values on those generators (see
+    :func:`~cocycle.groups.crossed_homs`). ``max_candidates`` bounds |base|^k.
     """
     gamma, base = parent.gamma, parent.base
-    ng, na = gamma.order, base.order
-    if ng == 1:
-        triv = trivial_cocycle(parent)
-        return H1Set(parent, (triv,), {triv.values: 0}, 0)
-    gens = gamma.generators()
-    k = len(gens)
-    n_cand = na**k
-    if n_cand > max_candidates:
-        raise SizeLimit(
-            f"{na}^{k} = {n_cand} cocycle candidates exceed bound {max_candidates}"
-        )
-    check_buffer(n_cand * ng, 8, "cocycle candidate table")
-    vals = np.empty((n_cand, ng), dtype=np.int64)
-    vals[:, gamma.identity] = base.identity
-    idx = np.arange(n_cand)
-    for j, g in enumerate(gens):
-        vals[:, g] = (idx // na ** (k - 1 - j)) % na
-    table = base.table
-    act = parent.action
-    for new, prev, gen in gamma.word_tree():
-        vals[:, new] = table[vals[:, prev], act[prev][vals[:, gen]]]
-    ok = np.ones(n_cand, dtype=bool)
-    for h in range(ng):
-        act_h = act[h]
-        for g in range(ng):
-            hg = gamma.mul(h, g)
-            ok &= vals[:, hg] == table[vals[:, h], act_h[vals[:, g]]]
-    survivors = {tuple(int(v) for v in row) for row in vals[ok]}
-    return _partition_into_classes(parent, survivors)
+    vals = crossed_homs(gamma, base, parent.action, max_candidates=max_candidates)
+    reps, class_index = coboundary_classes(gamma, base, parent.action, vals)
+    keys = list(map(tuple, vals.tolist()))
+    class_of = dict(zip(keys, class_index.tolist()))
+    classes = tuple(Cocycle(parent, keys[r]) for r in reps.tolist())
+    return H1Set(parent, classes, class_of, class_of[(base.identity,) * gamma.order])
 
 
 def h1_trivial_action(
     gamma: FiniteGroup, base: FiniteGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> H1Set:
-    """H1 for the trivial action, computed as homs modulo target conjugacy.
-
-    Produces the identical H1Set the generic enumeration would: with a
-    trivial action the cocycle law is the homomorphism law and equivalence
-    is conjugation.
-    """
-    parent = trivial_action(gamma, base)
-    reps = homs_up_to_conjugacy(gamma, base, max_candidates)
-    survivors = set()
-    for rep in reps:
-        for s in range(base.order):
-            survivors.add(tuple(base.conj(s, x) for x in rep.image))
-    result = _partition_into_classes(parent, survivors)
-    assert tuple(c.values for c in result.classes) == tuple(r.image for r in reps)
-    return result
+    """H1 for the trivial action: homs gamma -> base modulo conjugation in base,
+    which are the cocycles and coboundary classes :func:`h1` finds."""
+    return h1(trivial_action(gamma, base), max_candidates)
 
 
 @dataclass(frozen=True)
@@ -366,8 +317,8 @@ def restrict_to_subgroup(
 def induced_map(f: EquivariantHom, h1_source: H1Set, h1_target: H1Set) -> tuple[int, ...]:
     """Class map [alpha] -> [f o alpha]; index i gives the target class of source class i.
 
-    Well-definedness is re-asserted by pushing a second representative
-    through whenever the source class has one.
+    Well-definedness is re-checked by pushing a second member of each class
+    through; a mismatch raises MatchFailure.
     """
     if h1_source.parent is not f.source or h1_target.parent is not f.target:
         raise ValueError("H1 sets must belong to the hom's source and target")
@@ -377,14 +328,10 @@ def induced_map(f: EquivariantHom, h1_source: H1Set, h1_target: H1Set) -> tuple[
         return h1_target.class_of[mapped]
 
     result = []
-    for i, rep in enumerate(h1_source.classes):
-        target_class = push(rep.values)
-        second = next(
-            (k for k, c in h1_source.class_of.items() if c == i and k != rep.values),
-            None,
-        )
-        if second is not None and push(second) != target_class:
-            raise AssertionError("induced map not constant on a class (convention bug)")
+    for members in h1_source.members:
+        target_class = push(members[0])
+        if len(members) > 1 and push(members[1]) != target_class:
+            raise MatchFailure("induced map not constant on a class (convention bug)")
         result.append(target_class)
     return tuple(result)
 

@@ -3,20 +3,22 @@
 Construction validates the group axioms: exhaustively for order <= 64,
 by a fixed-seed sample of 10**5 triples above that. Named constructions
 (cyclic, symmetric, dihedral) emit elements in a documented deterministic
-order so downstream fixtures are stable.
+order so downstream fixtures are stable. Hom, automorphism and isomorphism
+search and :func:`cocycle.cohomology.h1` run on one engine, :func:`crossed_homs`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_GROUP_ORDER,
+    MatchFailure,
     NoIdentity,
     NoInverse,
     NotAssociative,
@@ -28,6 +30,9 @@ from .errors import (
 ASSOCIATIVITY_EXHAUSTIVE_LIMIT = 64
 ASSOCIATIVITY_SAMPLES = 100_000
 _ASSOCIATIVITY_SEED = 917
+
+#: Array entries held by one chunk of the crossed-hom engine or S_m table build.
+ENGINE_CHUNK = 1 << 20
 
 Perm = tuple[int, ...]
 
@@ -48,7 +53,7 @@ class FiniteGroup:
     permutation array per element (populated for symmetric groups).
     """
 
-    __slots__ = ("order", "table", "identity", "labels", "perms", "_inv", "_gens")
+    __slots__ = ("order", "table", "identity", "labels", "perms", "_inv", "_gens", "_short")
 
     def __init__(
         self,
@@ -65,6 +70,7 @@ class FiniteGroup:
         self.perms = perms
         self._inv = inverses
         self._gens: tuple[int, ...] | None = None
+        self._short: tuple[int, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -133,30 +139,53 @@ class FiniteGroup:
         self._gens = tuple(gens)
         return self._gens
 
+    def short_generators(self) -> tuple[int, ...]:
+        """Generating set of the crossed-hom engine, whose candidates number |A|^k.
+
+        Max-span greedy: each step adds the element whose join with the set so
+        far is largest (smallest index on ties). S4, S5, Q8 and S3 x Z/2 get
+        k = 2, where :meth:`generators` has 3 to 4.
+        """
+        if self._short is None:
+            gens: list[int] = []
+            span: tuple[int, ...] = (self.identity,)
+            while len(span) < self.order:
+                inside = set(span)
+                outside = (x for x in self.elements() if x not in inside)
+                joins = {x: self.generated_subgroup(gens + [x]) for x in outside}
+                gens.append(max(joins, key=lambda x: len(joins[x])))  # first is least
+                span = joins[gens[-1]]
+            self._short = tuple(gens)
+        return self._short
+
     def word_tree(self) -> list[tuple[int, int, int]]:
         """BFS decomposition: triples (new, prev, gen) with new = prev * gen.
 
         Every non-identity element appears exactly once as ``new``; ``prev``
         always appears earlier (or is the identity). Deterministic.
         """
-        gens = self.generators()
-        seen = {self.identity}
-        tree: list[tuple[int, int, int]] = []
-        frontier = [self.identity]
-        while frontier:
-            nxt: list[int] = []
-            for prev in frontier:
-                for g in gens:
-                    new = self.mul(prev, g)
-                    if new not in seen:
-                        seen.add(new)
-                        tree.append((new, prev, g))
-                        nxt.append(new)
-            frontier = nxt
-        return tree
+        return _word_tree(self, self.generators())
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
+
+
+def _word_tree(group: FiniteGroup, gens) -> list[tuple[int, int, int]]:
+    """BFS decomposition of ``group`` over ``gens``; see :meth:`FiniteGroup.word_tree`."""
+    seen = {group.identity}
+    tree: list[tuple[int, int, int]] = []
+    frontier = [group.identity]
+    while frontier:
+        nxt: list[int] = []
+        for prev in frontier:
+            for g in gens:
+                new = group.mul(prev, g)
+                if new not in seen:
+                    seen.add(new)
+                    tree.append((new, prev, g))
+                    nxt.append(new)
+        frontier = nxt
+    return tree
 
 
 def _find_identity(table: np.ndarray) -> int:
@@ -231,11 +260,6 @@ def cyclic_group(n: int) -> FiniteGroup:
     return make_group(table, labels)
 
 
-def perm_mul(p: Perm, q: Perm) -> Perm:
-    """Composite permutation: apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 def perm_sign(p: Perm) -> int:
     sign = 1
     seen = [False] * len(p)
@@ -291,15 +315,20 @@ def symmetric_group(m: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteG
     """S_m with elements in lexicographic permutation order (identity first)."""
     if m < 1:
         raise ValueError("symmetric group degree must be >= 1")
-    fact = reduce(lambda a, b: a * b, range(1, m + 1), 1)
+    fact = math.factorial(m)
     if fact > max_order:
         raise SizeLimit(f"|S_{m}| = {fact} exceeds bound {max_order}")
+    check_buffer(fact * fact, _table_dtype(fact).itemsize, "group multiplication table")
     perms = tuple(itertools.permutations(range(m)))
-    index = {p: i for i, p in enumerate(perms)}
+    arr = np.array(perms, dtype=np.uint8).reshape(fact, m)
+    # base-m codes increase in lexicographic order, so a code's rank is its index
+    weights = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    codes = arr @ weights
     table = np.empty((fact, fact), dtype=_table_dtype(fact))
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[perm_mul(p, q)]
+    rows = max(1, ENGINE_CHUNK // (fact * m))
+    for lo in range(0, fact, rows):
+        # block[i, j, k] = p_i[p_j[k]]: the product p_i * p_j applies p_j first
+        table[lo : lo + rows] = np.searchsorted(codes, arr[lo : lo + rows][:, arr] @ weights)
     labels = tuple(_perm_label(p) for p in perms)
     return make_group(table, labels, perms)
 
@@ -493,6 +522,109 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
     return GroupHom(g, g, tuple(range(g.order)))
 
 
+def crossed_homs(
+    gamma: FiniteGroup,
+    base: FiniteGroup,
+    action=None,
+    pools=None,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+) -> np.ndarray:
+    """Every crossed hom gamma -> base, as value rows in lexicographic order.
+
+    The law is ``alpha(hg) = alpha(h) * alpha(g)^h`` with ``a^g = action[g, a]``
+    (see :mod:`cocycle.cohomology`); with no action the rows are the homs.
+    Candidates give each of ``gamma.short_generators()`` a value (from
+    ``pools[j]``, default all of base) and extend along its word tree. The
+    survivors of the law on every other pair (x, s), s a generator, satisfy
+    it on all pairs, by induction on word length under ``(a^g)^h = a^(hg)``.
+    Chunks hold ``ENGINE_CHUNK`` values; each check compresses its chunk.
+    """
+    gens = gamma.short_generators()
+    ng, k = gamma.order, len(gens)
+    if pools is None:
+        pools = [np.arange(base.order)] * k
+    pools = [np.asarray(p, dtype=np.intp) for p in pools]
+    n_cand = math.prod(len(p) for p in pools)
+    if n_cand > max_candidates:
+        raise SizeLimit(f"{n_cand} candidates on {k} generators exceed bound {max_candidates}")
+    table = base.table.astype(np.intp)
+    trivial = action is None or np.all(action == np.arange(base.order))
+    act = None if trivial else np.asarray(action, dtype=np.intp)
+
+    def law_rhs(cols, x, g):  # alpha(x) * alpha(g)^x
+        moved = cols[g] if act is None else act[x][cols[g]]
+        return table[cols[x], moved]
+
+    tree = _word_tree(gamma, gens)
+    steps = [t for t in tree if t[1] != gamma.identity]  # level one holds the generators
+    ready = dict.fromkeys((gamma.identity, *gens), 0)
+    ready.update((new, i + 1) for i, (new, _, _) in enumerate(steps))
+    edges = {(prev, gen) for _, prev, gen in tree}
+    # each check runs once its three columns exist, so later columns see survivors only
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(len(steps) + 1)]
+    for x, s in itertools.product(gamma.elements(), gens):
+        if (x, s) not in edges:
+            xs = gamma.mul(x, s)
+            checks[max(ready[x], ready[xs])].append((x, s, xs))
+
+    rows = max(1, ENGINE_CHUNK // ng)
+    found = [np.empty((0, ng), dtype=np.intp)]
+    for start in range(0, n_cand, rows):
+        idx = np.arange(start, min(start + rows, n_cand))
+        check_buffer(idx.size * ng, 8, "crossed-hom candidate chunk")
+        cols = {gamma.identity: np.full(idx.size, base.identity, dtype=np.intp)}
+        for s, pool in zip(gens[::-1], pools[::-1]):
+            idx, digit = np.divmod(idx, len(pool))
+            cols[s] = pool[digit]
+        for i in range(len(steps) + 1):
+            if i:
+                new, prev, gen = steps[i - 1]
+                cols[new] = law_rhs(cols, prev, gen)
+            for x, s, xs in checks[i]:
+                keep = cols[xs] == law_rhs(cols, x, s)
+                if not keep.all():
+                    cols = {g: c[keep] for g, c in cols.items()}
+        found.append(np.stack([cols[g] for g in gamma.elements()], axis=1))
+    vals = np.concatenate(found)
+    return vals[np.lexsort(vals.T[::-1])]
+
+
+def coboundary_classes(
+    gamma: FiniteGroup, base: FiniteGroup, action, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the rows of :func:`crossed_homs` under ``alpha(g) -> a^-1 alpha(g) a^g``.
+
+    Rows are keyed by ``sum_j alpha(s_j) |base|^j`` over the short generators,
+    so an orbit is one gather. Returns each class's least row, increasing,
+    and the class of every row. An orbit leaving the rows (a convention bug)
+    raises MatchFailure.
+    """
+    gens = list(gamma.short_generators())
+    n, na = len(vals), base.order
+    weights = na ** np.arange(len(gens), dtype=np.int64)
+    gen_vals = vals[:, gens]
+    keys = gen_vals @ weights
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    table = base.table.astype(np.intp)
+    shift = np.arange(na)[:, None] if action is None else np.asarray(action, dtype=np.intp)[gens].T
+    a_inv = base._inv.astype(np.intp)[:, None]
+    class_index = np.full(n, -1, dtype=np.intp)
+    # orbits of a doubling batch of unassigned rows: few passes when classes
+    # are many, little wasted work when a few large orbits cover every row
+    batch, max_batch = 1, max(1, ENGINE_CHUNK // (na * max(len(gens), 1)))
+    while (todo := np.flatnonzero(class_index < 0)[:batch]).size:  # least rows first
+        batch = min(2 * batch, max_batch)
+        orbit = table[table[a_inv, gen_vals[todo][:, None, :]], shift] @ weights
+        pos = np.minimum(np.searchsorted(sorted_keys, orbit), n - 1)
+        if not np.array_equal(sorted_keys[pos], orbit):
+            raise MatchFailure("coboundary transform left the cocycle set; action convention bug")
+        members = by_key[pos]
+        class_index[members] = members.min(axis=1)[:, None]
+    reps, class_index = np.unique(class_index, return_inverse=True)
+    return reps, class_index
+
+
 def enumerate_homs(
     source: FiniteGroup,
     target: FiniteGroup,
@@ -500,37 +632,11 @@ def enumerate_homs(
 ) -> list[GroupHom]:
     """All homomorphisms source -> target, ordered by image tuple.
 
-    Candidates assign target elements to a greedy generating set of the
-    source, extend along the BFS word tree, then verify the homomorphism
-    law on every pair.
+    These are the crossed homs for the trivial action (:func:`crossed_homs`);
+    ``max_candidates`` bounds |target|^k over ``source.short_generators()``.
     """
-    gens = source.generators()
-    k = len(gens)
-    n_candidates = target.order**k
-    if n_candidates > max_candidates:
-        raise SizeLimit(
-            f"{target.order}^{k} = {n_candidates} hom candidates exceed bound {max_candidates}"
-        )
-    tree = source.word_tree()
-    homs: list[GroupHom] = []
-    for assignment in itertools.product(range(target.order), repeat=k):
-        image = [0] * source.order
-        image[source.identity] = target.identity
-        gen_img = dict(zip(gens, assignment))
-        for new, prev, gen in tree:
-            image[new] = target.mul(image[prev], gen_img[gen])
-        ok = True
-        for a in source.elements():
-            for b in source.elements():
-                if image[source.mul(a, b)] != target.mul(image[a], image[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            homs.append(GroupHom(source, target, tuple(image)))
-    homs.sort(key=lambda h: h.image)
-    return homs
+    rows = crossed_homs(source, target, max_candidates=max_candidates)
+    return [GroupHom(source, target, image) for image in map(tuple, rows.tolist())]
 
 
 def conjugate_hom(hom: GroupHom, s: int) -> GroupHom:
@@ -545,21 +651,9 @@ def homs_up_to_conjugacy(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> list[GroupHom]:
     """One lexicographically-least representative per target-conjugacy orbit."""
-    homs = enumerate_homs(source, target, max_candidates)
-    hom_keys = {h.image for h in homs}
-    reps: list[GroupHom] = []
-    assigned: set[tuple[int, ...]] = set()
-    for hom in homs:  # already sorted, so first hit per orbit is the least
-        if hom.image in assigned:
-            continue
-        orbit = set()
-        for s in target.elements():
-            conj = conjugate_hom(hom, s)
-            assert conj.image in hom_keys, "conjugate of a hom must be a hom"
-            orbit.add(conj.image)
-        assigned |= orbit
-        reps.append(hom)
-    return reps
+    rows = crossed_homs(source, target, max_candidates=max_candidates)
+    reps, _ = coboundary_classes(source, target, None, rows)
+    return [GroupHom(source, target, tuple(rows[r].tolist())) for r in reps]
 
 
 def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -591,70 +685,28 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     return quot, proj
 
 
-def automorphism_group(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms as permutations of element indices, sorted.
+def _isomorphisms(g: FiniteGroup, h: FiniteGroup) -> np.ndarray:
+    """Image rows of the bijective homs g -> h, found among order-preserving
+    generator images."""
+    g_orders = np.array([g.element_order(a) for a in g.elements()])
+    h_orders = np.array([h.element_order(b) for b in h.elements()])
+    if g.order != h.order or not np.array_equal(np.sort(g_orders), np.sort(h_orders)):
+        return np.empty((0, g.order), dtype=np.intp)
+    pools = [np.flatnonzero(h_orders == g_orders[s]) for s in g.short_generators()]
+    rows = crossed_homs(g, h, pools=pools)
+    return rows[np.all(np.sort(rows, axis=1) == np.arange(h.order), axis=1)]
 
-    Brute force over generator images with order filtering; meant for the
-    small groups of the verification corpora.
-    """
-    gens = g.generators()
-    tree = g.word_tree()
-    by_order: dict[int, list[int]] = {}
-    for b in g.elements():
-        by_order.setdefault(g.element_order(b), []).append(b)
-    pools = [by_order[g.element_order(x)] for x in gens]
-    autos = []
-    for assignment in itertools.product(*pools):
-        image = [0] * g.order
-        image[g.identity] = g.identity
-        gen_img = dict(zip(gens, assignment))
-        for new, prev, gen in tree:
-            image[new] = g.mul(image[prev], gen_img[gen])
-        if len(set(image)) != g.order:
-            continue
-        ok = True
-        for a in g.elements():
-            for b in g.elements():
-                if image[g.mul(a, b)] != g.mul(image[a], image[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            autos.append(tuple(image))
-    return sorted(autos)
+
+def automorphism_group(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """All automorphisms as permutations of element indices, sorted."""
+    return list(map(tuple, _isomorphisms(g, g).tolist()))
 
 
 def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupHom | None:
-    """Search for an isomorphism by assigning images to generators."""
-    if g.order != h.order:
+    """The isomorphism g -> h with lexicographically least images of
+    ``g.generators()``, or None."""
+    rows = _isomorphisms(g, h)
+    if not len(rows):
         return None
-    if sorted(g.element_order(a) for a in g.elements()) != sorted(
-        h.element_order(b) for b in h.elements()
-    ):
-        return None
-    gens = g.generators()
-    tree = g.word_tree()
-    by_order: dict[int, list[int]] = {}
-    for b in h.elements():
-        by_order.setdefault(h.element_order(b), []).append(b)
-    pools = [by_order.get(g.element_order(x), []) for x in gens]
-    for assignment in itertools.product(*pools):
-        image = [0] * g.order
-        image[g.identity] = h.identity
-        gen_img = dict(zip(gens, assignment))
-        for new, prev, gen in tree:
-            image[new] = h.mul(image[prev], gen_img[gen])
-        if len(set(image)) != g.order:
-            continue
-        ok = True
-        for a in g.elements():
-            for b in g.elements():
-                if image[g.mul(a, b)] != h.mul(image[a], image[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return GroupHom(g, h, tuple(image))
-    return None
+    first = np.lexsort(rows[:, list(g.generators())[::-1]].T)[0]
+    return GroupHom(g, h, tuple(rows[first].tolist()))

@@ -32,6 +32,7 @@ from .cohomology import (
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
     BijectionFailure,
+    MatchFailure,
     SizeLimit,
     check_buffer,
 )
@@ -290,12 +291,9 @@ def classify_phs(
                 raise BijectionFailure(
                     f"spaces of distinct classes {i} and {j} are isomorphic"
                 )
-    for i, rep in enumerate(h1_set.classes):
-        second = next(
-            (k for k, c in h1_set.class_of.items() if c == i and k != rep.values), None
-        )
-        if second is not None:
-            other = twisted_space(twist_of_cocycle(Cocycle(parent, second)))
+    for i, members in enumerate(h1_set.members):
+        if len(members) > 1:
+            other = twisted_space(twist_of_cocycle(Cocycle(parent, members[1])))
             if phs_isomorphism(spaces[i], other) is None:
                 raise BijectionFailure(
                     f"cohomologous cocycles of class {i} gave non-isomorphic spaces"
@@ -381,7 +379,7 @@ def shapiro_induce(
         enc = arr @ radix
         pos = np.searchsorted(encodings, enc)
         if np.any(pos >= len(encodings)) or np.any(encodings[pos] != enc):
-            raise AssertionError("operation left the induced map set")
+            raise MatchFailure("operation left the induced map set")
         return pos
 
     table = np.empty((n_maps, n_maps), dtype=np.int64)
@@ -431,14 +429,11 @@ def shapiro_verify(
         return tuple(induced.maps[values[m]][gamma.identity] for m in h_elements)
 
     class_map = []
-    for i, rep in enumerate(h1_big.classes):
-        restricted = make_cocycle(g_action, restrict(rep.values))
+    for members in h1_big.members:
+        restricted = make_cocycle(g_action, restrict(members[0]))
         target = h1_small.class_index(restricted)
-        second = next(
-            (k for k, c in h1_big.class_of.items() if c == i and k != rep.values), None
-        )
-        if second is not None:
-            other = make_cocycle(g_action, restrict(second))
+        if len(members) > 1:
+            other = make_cocycle(g_action, restrict(members[1]))
             if h1_small.class_index(other) != target:
                 raise BijectionFailure("restriction is not constant on a class")
         class_map.append(target)
