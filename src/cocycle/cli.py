@@ -19,6 +19,7 @@ from .errors import (
     CounterexampleFound,
     DEFAULT_MAX_FIELD,
     DEFAULT_MAX_GROUP_ORDER,
+    DimensionFailure,
     MatchFailure,
     SizeLimit,
 )
@@ -230,7 +231,7 @@ def main(argv=None) -> int:
     except SizeLimit as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except (BijectionFailure, CounterexampleFound, MatchFailure) as exc:
+    except (BijectionFailure, CounterexampleFound, DimensionFailure, MatchFailure) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except (OSError, ValueError, KeyError, CocycleError) as exc:

@@ -95,7 +95,7 @@ class BijectionFailure(CocycleError):
 
 
 class DimensionFailure(CocycleError):
-    """A fixed-point space has the wrong dimension (bug or invalid input)."""
+    """A fixed-point space or field has the wrong dimension (bug indicator)."""
 
 
 class MatchFailure(CocycleError):

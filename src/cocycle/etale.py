@@ -16,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_CANDIDATES, NotAField
-from .fields import FqTower
+from .errors import (
+    DEFAULT_MAX_CANDIDATES,
+    CounterexampleFound,
+    DimensionFailure,
+    MatchFailure,
+    NotAField,
+)
+from .fields import FqTower, mat_det, mat_rank, mat_solve
 from .galois import SemilinearAction, invariant_basis
 from .groups import (
     FiniteGroup,
@@ -84,7 +90,8 @@ def factor_structure(cls: EtaleClass) -> tuple[int, ...]:
 def fixing_kernel(cls: EtaleClass) -> Subgroup:
     """ker(psi), cross-checked against the intersected point stabilizers."""
     kernel = cls.psi.kernel()
-    assert kernel.is_normal()
+    if not kernel.is_normal():
+        raise CounterexampleFound("kernel of a hom is not normal")
     if is_field(cls):
         sym = cls.psi.target
         stab_preimage = {
@@ -94,9 +101,10 @@ def fixing_kernel(cls: EtaleClass) -> Subgroup:
         for s in cls.gamma.elements():
             conj = {cls.gamma.mul(cls.gamma.mul(s, h), cls.gamma.inv(s)) for h in stab_preimage}
             intersection &= conj
-        assert intersection == set(kernel.members), (
-            "kernel does not match the intersection of stabilizer conjugates"
-        )
+        if intersection != set(kernel.members):
+            raise MatchFailure(
+                "kernel does not match the intersection of stabilizer conjugates"
+            )
     return kernel
 
 
@@ -133,7 +141,8 @@ def discriminant(cls: EtaleClass) -> GroupHom:
     if is_field(cls):
         galois, _ = is_galois(cls)
         if galois and cls.m % 2 == 1:
-            assert all(v == 0 for v in image), "odd Galois class with odd permutation"
+            if any(v != 0 for v in image):
+                raise CounterexampleFound("odd Galois class with odd permutation")
     return hom
 
 
@@ -182,35 +191,6 @@ class EtaleAlgebra:
         return itertools.product(self.tower.k_elements, repeat=self.m)
 
 
-def _field_solve(tower: FqTower, columns: list[Vector], rhs: Vector) -> Vector | None:
-    """Solve sum_t c_t columns[t] = rhs over the base field, by RREF."""
-    n_rows = len(rhs)
-    n_cols = len(columns)
-    aug = [[columns[c][r] for c in range(n_cols)] + [rhs[r]] for r in range(n_rows)]
-    rank = 0
-    pivots = []
-    for c in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if aug[r][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        pinv = tower.inv(aug[rank][c])
-        aug[rank] = [tower.mul(x, pinv) for x in aug[rank]]
-        for r in range(n_rows):
-            if r != rank and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [tower.sub(x, tower.mul(f, y)) for x, y in zip(aug[r], aug[rank])]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, n_rows):
-        if aug[r][n_cols] != 0:
-            return None
-    out = [0] * n_cols
-    for r, c in enumerate(pivots):
-        out[c] = aug[r][n_cols]
-    return tuple(out)
-
-
 def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
     """Fixed points of the coordinate-permuting twisted action, as an algebra.
 
@@ -233,12 +213,12 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
     action = SemilinearAction.make(tower, m, mats)
     basis = invariant_basis(action)  # DimensionFailure on wrong dimension
 
+    flat_cols = [[coord for x in b for coord in tower.k_coords(x)] for b in basis]
+    flat_rows = [list(row) for row in zip(*flat_cols)]
+
     def coords_of(vec: Vector) -> Vector | None:
-        flat_cols = [
-            tuple(coord for x in b for coord in tower.k_coords(x)) for b in basis
-        ]
-        flat_rhs = tuple(coord for x in vec for coord in tower.k_coords(x))
-        return _field_solve(tower, flat_cols, flat_rhs)
+        flat_rhs = [coord for x in vec for coord in tower.k_coords(x)]
+        return mat_solve(tower, flat_rows, flat_rhs)
 
     structure = []
     for bi in basis:
@@ -246,17 +226,20 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
         for bj in basis:
             product = tuple(tower.mul(x, y) for x, y in zip(bi, bj))
             coords = coords_of(product)
-            assert coords is not None, "fixed space is not closed under multiplication"
+            if coords is None:
+                raise CounterexampleFound("fixed space is not closed under multiplication")
             row.append(coords)
         structure.append(tuple(row))
     one = coords_of((1,) * m)
-    assert one is not None, "the unit vector is not in the fixed space"
+    if one is None:
+        raise CounterexampleFound("the unit vector is not in the fixed space")
     algebra = _with_validation(
         EtaleAlgebra(tower, m, tuple(structure), one, tuple(basis), ())
     )
-    assert algebra.factor_degrees == factor_structure(cls), (
-        f"idempotent factors {algebra.factor_degrees} != orbit sizes {factor_structure(cls)}"
-    )
+    if algebra.factor_degrees != factor_structure(cls):
+        raise MatchFailure(
+            f"idempotent factors {algebra.factor_degrees} != orbit sizes {factor_structure(cls)}"
+        )
     return algebra
 
 
@@ -267,7 +250,8 @@ def _with_validation(algebra: EtaleAlgebra) -> EtaleAlgebra:
     unit_basis = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]
     for i in range(m):
         for j in range(m):
-            assert algebra.structure[i][j] == algebra.structure[j][i], "not commutative"
+            if algebra.structure[i][j] != algebra.structure[j][i]:
+                raise CounterexampleFound("not commutative")
     for i in range(m):
         for j in range(m):
             for s in range(m):
@@ -277,16 +261,16 @@ def _with_validation(algebra: EtaleAlgebra) -> EtaleAlgebra:
                 rhs = algebra.multiply(
                     unit_basis[i], algebra.multiply(unit_basis[j], unit_basis[s])
                 )
-                assert lhs == rhs, "not associative"
+                if lhs != rhs:
+                    raise CounterexampleFound("not associative")
     for i in range(m):
-        assert algebra.multiply(algebra.one_coords, unit_basis[i]) == unit_basis[i], (
-            "unit fails"
-        )
+        if algebra.multiply(algebra.one_coords, unit_basis[i]) != unit_basis[i]:
+            raise CounterexampleFound("unit fails")
     idempotents = []
     for x in coords:
         sq = algebra.multiply(x, x)
-        if sq == zero:
-            assert x == zero, f"nonzero nilpotent {x}"
+        if sq == zero and x != zero:
+            raise CounterexampleFound(f"nonzero nilpotent {x}")
         if sq == x and x != zero:
             idempotents.append(x)
     primitive = []
@@ -299,8 +283,9 @@ def _with_validation(algebra: EtaleAlgebra) -> EtaleAlgebra:
     degrees = []
     for e in primitive:
         images = [algebra.multiply(e, b) for b in unit_basis]
-        degrees.append(_rank_over_base(t, images))
-    assert sum(degrees) == m, "primitive idempotent blocks do not fill the algebra"
+        degrees.append(mat_rank(t, images))
+    if sum(degrees) != m:
+        raise DimensionFailure("primitive idempotent blocks do not fill the algebra")
     return EtaleAlgebra(
         t,
         m,
@@ -309,26 +294,6 @@ def _with_validation(algebra: EtaleAlgebra) -> EtaleAlgebra:
         algebra.basis,
         tuple(sorted(degrees, reverse=True)),
     )
-
-
-def _rank_over_base(tower: FqTower, vectors: list[Vector]) -> int:
-    mat = [list(v) for v in vectors]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    rank = 0
-    for c in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if mat[r][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pinv = tower.inv(mat[rank][c])
-        mat[rank] = [tower.mul(x, pinv) for x in mat[rank]]
-        for r in range(n_rows):
-            if r != rank and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [tower.sub(x, tower.mul(f, y)) for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def trace_form_determinant(algebra: EtaleAlgebra) -> int:
@@ -346,29 +311,7 @@ def trace_form_determinant(algebra: EtaleAlgebra) -> int:
                 trace = t.add(trace, image[s])
             row.append(trace)
         gram.append(tuple(row))
-    return _det_over_base(t, gram)
-
-
-def _det_over_base(tower: FqTower, mat) -> int:
-    m = len(mat)
-    work = [list(row) for row in mat]
-    det = 1
-    for c in range(m):
-        pivot = next((r for r in range(c, m) if work[r][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = tower.neg(det)
-        det = tower.mul(det, work[c][c])
-        pinv = tower.inv(work[c][c])
-        for r in range(c + 1, m):
-            if work[r][c] != 0:
-                f = tower.mul(work[r][c], pinv)
-                work[r] = [
-                    tower.sub(x, tower.mul(f, y)) for x, y in zip(work[r], work[c])
-                ]
-    return det
+    return mat_det(t, gram)
 
 
 def is_square_in_base(tower: FqTower, x: int) -> bool:
@@ -386,5 +329,6 @@ def trace_discriminant_matches_sign(tower: FqTower, cls: EtaleClass) -> bool:
         raise ValueError("square-class comparison needs an odd base field")
     algebra = realize_over_fq(tower, cls)
     det = trace_form_determinant(algebra)
-    assert det != 0, "trace form of a semisimple algebra must be nondegenerate"
+    if det == 0:
+        raise CounterexampleFound("trace form of a semisimple algebra must be nondegenerate")
     return is_square_in_base(tower, det) == discriminant_is_trivial(cls)

@@ -5,8 +5,15 @@ vectors base p (digit i is the coefficient of x^i) modulo a canonical
 irreducible: the one with the smallest integer encoding, i.e. the
 lexicographically least coefficient vector read from the constant term up.
 Small fields get dense lookup tables; larger towers fall back to on-demand
-polynomial arithmetic. The base field of the tower is the fixed field of
+polynomial arithmetic. The tower alone knows which: its array operations
+(``vadd``, ``vmul``, ...) are table gathers or element-by-element calls of
+the scalar ones. The base field of the tower is the fixed field of
 x -> x^(p^d), verified at construction through the Frobenius matrix.
+
+Matrices over the tower have one elimination routine, ``rref``, behind
+rank, kernel, solve, determinant and inverse, and one enumeration of
+GL_m/SL_m, ``general_linear``: entry-major (m, m, N) arrays in lexicographic
+order with Leibniz determinants, inverted in bulk by ``batch_inv``.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from .errors import (
     DEFAULT_MAX_FIELD,
     DEFAULT_MAX_MATRICES,
     FIELD_TABLE_LIMIT,
+    CounterexampleFound,
+    DimensionFailure,
     NoIrreducible,
     NotPrime,
     SizeLimit,
@@ -126,8 +135,8 @@ class FqTower:
         self.modulus = least_irreducible(p, self.degree)
         self._reductions = self._power_reductions()
         self.frobenius_matrix = self._frobenius_matrix()
-        self._validate_frobenius()
         self._tables_built = False
+        self._validate_frobenius()
         self._k_elements: tuple[int, ...] | None = None
         self._k_basis: tuple[int, ...] | None = None
         self._k_coords: dict[int, tuple[int, ...]] | None = None
@@ -193,16 +202,18 @@ class FqTower:
         for _ in range(self.n):
             power = (self.frobenius_matrix @ power) % p
         if not np.array_equal(power % p, eye):
-            raise AssertionError("frobenius does not have order dividing n")
+            raise CounterexampleFound("frobenius does not have order dividing n")
         for ell in {f for f in range(2, self.n + 1) if self.n % f == 0 and is_prime(f)}:
             power = eye.copy()
             for _ in range(self.n // ell):
                 power = (self.frobenius_matrix @ power) % p
             if np.array_equal(power % p, eye):
-                raise AssertionError("frobenius has order smaller than n")
-        nullity = deg - _fp_rank((self.frobenius_matrix - eye) % p, p)
+                raise CounterexampleFound("frobenius has order smaller than n")
+        # F_p entries are the tower's constants, so the tower's own
+        # elimination computes the rank over F_p
+        nullity = deg - mat_rank(self, ((self.frobenius_matrix - eye) % p).tolist())
         if p**nullity != self.q:
-            raise AssertionError("fixed field of frobenius is not the base field")
+            raise DimensionFailure("fixed field of frobenius is not the base field")
 
     # -- dense tables ----------------------------------------------------
 
@@ -227,25 +238,14 @@ class FqTower:
         self.mul_table = mul
         frob = ((digits @ self.frobenius_matrix.T) % p) @ powers
         self.frob_table = frob.astype(np.int64)
-        inv = np.zeros(size, dtype=np.int64)
-        for a in range(1, size):
-            inv[a] = self._pow_table_free(a, size - 2)
-        self.inv_table = inv
+        # the unique b with a * b = 1; row 0 has no 1, so inv_table[0] = 0
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(np.int64)
         self._tables_built = True
         self._k_elements = tuple(
             int(a) for a in range(size) if int(self.frob_table[a]) == a
         )
-        assert len(self._k_elements) == self.q
-
-    def _pow_table_free(self, a: int, e: int) -> int:
-        result = 1
-        cur = a
-        while e:
-            if e & 1:
-                result = int(self.mul_table[result, cur])
-            cur = int(self.mul_table[cur, cur])
-            e >>= 1
-        return result
+        if len(self._k_elements) != self.q:
+            raise DimensionFailure("fixed points of the frobenius table are not the base field")
 
     # -- element operations ----------------------------------------------
 
@@ -301,6 +301,41 @@ class FqTower:
             a = self.pow(a, self.q)
         return a
 
+    # -- array operations: table gathers, or the scalar op per element ---
+
+    def _elementwise(self, op, *arrays) -> np.ndarray:
+        return np.asarray(np.frompyfunc(op, len(arrays), 1)(*arrays), dtype=np.int64)
+
+    def vadd(self, a, b) -> np.ndarray:
+        """Array counterpart of add, broadcasting like numpy."""
+        if self._tables_built:
+            return self.add_table[a, b]
+        return self._elementwise(self.add, a, b)
+
+    def vneg(self, a) -> np.ndarray:
+        if self._tables_built:
+            return self.neg_table[a]
+        return self._elementwise(self.neg, a)
+
+    def vmul(self, a, b) -> np.ndarray:
+        if self._tables_built:
+            return self.mul_table[a, b]
+        return self._elementwise(self.mul, a, b)
+
+    def vinv(self, a) -> np.ndarray:
+        """Array counterpart of inv; every entry must be nonzero."""
+        if self._tables_built:
+            return self.inv_table[a]
+        return self._elementwise(self.inv, a)
+
+    def vfrob(self, a, j: int = 1) -> np.ndarray:
+        if self._tables_built:
+            a = np.asarray(a)
+            for _ in range(j % self.n):
+                a = self.frob_table[a]
+            return a
+        return self._elementwise(lambda x: self.frob(x, j), a)
+
     def norm_to_base(self, a: int) -> int:
         out = 1
         for j in range(self.n):
@@ -332,14 +367,16 @@ class FqTower:
                 continue
             basis.append(e)
             span = {self.add(s, self.mul(c, e)) for s in span for c in self.k_elements}
-        assert len(basis) == self.n
+        if len(basis) != self.n:
+            raise DimensionFailure(f"base-field basis has {len(basis)} elements, expected {self.n}")
         coords: dict[int, tuple[int, ...]] = {}
         for combo in itertools.product(self.k_elements, repeat=self.n):
             val = 0
             for c, b in zip(combo, basis):
                 val = self.add(val, self.mul(c, b))
             coords[val] = combo
-        assert len(coords) == self.size
+        if len(coords) != self.size:
+            raise DimensionFailure("base-field coordinates do not cover the field")
         self._k_basis = tuple(basis)
         self._k_coords = coords
 
@@ -364,29 +401,6 @@ class FqTower:
         return f"FqTower(F_{self.p}^{self.degree} over F_{self.q})"
 
 
-def _fp_rank(mat: np.ndarray, p: int) -> int:
-    m = mat % p
-    m = m.copy()
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, c] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, c]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] = (m[r] - m[r, c] * m[rank]) % p
-        rank += 1
-    return rank
-
-
 _TOWER_CACHE: dict[tuple[int, int, int], FqTower] = {}
 
 
@@ -409,6 +423,174 @@ def make_tower(p: int, d: int, n: int, max_field: int = DEFAULT_MAX_FIELD) -> Fq
 # -- matrices over a tower ----------------------------------------------------
 
 
+def rref(tower: FqTower, rows) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form over the tower by Gauss-Jordan elimination.
+
+    Returns the reduced rows, the pivot columns and the determinant factor:
+    the product of the pivots met, negated once per row swap. A square
+    matrix has determinant equal to the factor when every column has a
+    pivot, and 0 otherwise.
+    """
+    mat = [[int(x) for x in row] for row in rows]
+    n_rows, n_cols = len(mat), (len(mat[0]) if mat else 0)
+    pivots: list[int] = []
+    factor = 1
+    for c in range(n_cols):
+        top = len(pivots)
+        pivot = next((r for r in range(top, n_rows) if mat[r][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            mat[top], mat[pivot] = mat[pivot], mat[top]
+            factor = tower.neg(factor)
+        factor = tower.mul(factor, mat[top][c])
+        pinv = tower.inv(mat[top][c])
+        mat[top] = [tower.mul(x, pinv) for x in mat[top]]
+        for r in range(n_rows):
+            if r != top and mat[r][c] != 0:
+                f = mat[r][c]
+                mat[r] = [tower.sub(x, tower.mul(f, y)) for x, y in zip(mat[r], mat[top])]
+        pivots.append(c)
+    return mat, pivots, factor
+
+
+def mat_rank(tower: FqTower, rows) -> int:
+    return len(rref(tower, rows)[1])
+
+
+def mat_kernel(tower: FqTower, rows) -> list[list[int]]:
+    """Kernel basis: one vector per free column, with 1 in that column."""
+    reduced, pivots, _ = rref(tower, rows)
+    n_cols = len(rows[0]) if len(rows) else 0
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        vec = [0] * n_cols
+        vec[free] = 1
+        for r, c in enumerate(pivots):
+            vec[c] = tower.neg(reduced[r][free])
+        basis.append(vec)
+    return basis
+
+
+def mat_solve(tower: FqTower, rows, rhs) -> tuple[int, ...] | None:
+    """A solution x of rows . x = rhs (free coordinates 0), or None."""
+    n_cols = len(rows[0])
+    reduced, pivots, _ = rref(tower, [list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n_cols:
+        return None
+    out = [0] * n_cols
+    for r, c in enumerate(pivots):
+        out[c] = reduced[r][n_cols]
+    return tuple(out)
+
+
+def mat_det(tower: FqTower, a: Matrix) -> int:
+    _, pivots, factor = rref(tower, a)
+    return factor if len(pivots) == len(a) else 0
+
+
+def mat_inv(tower: FqTower, a: Matrix) -> Matrix | None:
+    m = len(a)
+    augmented = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
+    reduced, pivots, _ = rref(tower, augmented)
+    if pivots[:m] != list(range(m)):
+        return None
+    return tuple(tuple(row[m:]) for row in reduced)
+
+
+# -- batched matrices: entry-major (rows, cols, *batch) int arrays ---------------
+
+
+def as_matrix(a: np.ndarray) -> Matrix:
+    """One (rows, cols) slice of a batch as a tuple matrix."""
+    return tuple(tuple(int(x) for x in row) for row in a)
+
+
+def matrices_over(values: np.ndarray, m: int) -> np.ndarray:
+    """Every m x m matrix with entries in values, in row-major lexicographic order."""
+    values = np.asarray(values, dtype=np.int64)
+    idx = np.arange(len(values) ** (m * m), dtype=np.int64)
+    flat = np.empty((m * m, len(idx)), dtype=np.int64)
+    for t in range(m * m - 1, -1, -1):
+        flat[t] = values[idx % len(values)]
+        idx //= len(values)
+    return flat.reshape(m, m, -1)
+
+
+def batch_key(tower: FqTower, a: np.ndarray) -> np.ndarray:
+    """Base-|K| encoding of each matrix, row-major: its lexicographic rank."""
+    key = np.zeros(a.shape[2:], dtype=np.int64)
+    for row in a:
+        for x in row:
+            key = key * tower.size + x
+    return key
+
+
+def batch_mul(tower: FqTower, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix products a . b, broadcasting the batch axes."""
+    batch = np.broadcast_shapes(a.shape[2:], b.shape[2:])
+    out = np.empty((a.shape[0], b.shape[1], *batch), dtype=np.int64)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = tower.vmul(a[i, 0], b[0, j])
+            for t in range(1, b.shape[0]):
+                acc = tower.vadd(acc, tower.vmul(a[i, t], b[t, j]))
+            out[i, j] = acc
+    return out
+
+
+def batch_det(tower: FqTower, a) -> np.ndarray:
+    """Leibniz determinants of a batch, or of a nested list of entry arrays.
+
+    m! terms of m - 1 products each.
+    """
+    m = len(a)
+    det = None
+    for perm in itertools.permutations(range(m)):
+        term = a[0][perm[0]]
+        for i in range(1, m):
+            term = tower.vmul(term, a[i][perm[i]])
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        if inversions % 2:
+            term = tower.vneg(term)
+        det = term if det is None else tower.vadd(det, term)
+    return np.asarray(det, dtype=np.int64)
+
+
+def batch_inv(tower: FqTower, a: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverses as adjugate / det, for matrices with nonzero determinant det."""
+    m = a.shape[0]
+    det_inv = tower.vinv(det)
+    out = np.empty_like(a)
+    if m == 1:
+        out[0, 0] = det_inv
+        return out
+    for i in range(m):
+        for j in range(m):
+            minor = [[a[r, c] for c in range(m) if c != j] for r in range(m) if r != i]
+            cofactor = batch_det(tower, minor)
+            if (i + j) % 2:
+                cofactor = tower.vneg(cofactor)
+            out[j, i] = tower.vmul(cofactor, det_inv)
+    return out
+
+
+def general_linear(
+    tower: FqTower, m: int, special: bool = False, max_matrices: int = DEFAULT_MAX_MATRICES
+) -> tuple[np.ndarray, np.ndarray]:
+    """GL_m(K), or SL_m(K) when special, with determinants, in lexicographic order.
+
+    The bound applies to the |K|^(m^2) matrices scanned, before allocation.
+    """
+    total = tower.size ** (m * m)
+    if total > max_matrices:
+        raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")
+    mats = matrices_over(np.arange(tower.size), m)
+    det = batch_det(tower, mats)
+    keep = det == 1 if special else det != 0
+    return mats[:, :, keep], det[keep]
+
+
 def mat_identity(tower: FqTower, m: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
 
@@ -428,16 +610,7 @@ def mat_mul(tower: FqTower, a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_vec(tower: FqTower, a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(
-        _dot(tower, row, v) for row in a
-    )
-
-
-def _dot(tower: FqTower, row, v) -> int:
-    acc = 0
-    for x, y in zip(row, v):
-        acc = tower.add(acc, tower.mul(x, y))
-    return acc
+    return tuple(row[0] for row in mat_mul(tower, a, tuple((x,) for x in v)))
 
 
 def mat_frob(tower: FqTower, a: Matrix, j: int = 1) -> Matrix:
@@ -448,75 +621,15 @@ def vec_frob(tower: FqTower, v, j: int = 1) -> tuple[int, ...]:
     return tuple(tower.frob(x, j) for x in v)
 
 
-def mat_det(tower: FqTower, a: Matrix) -> int:
-    m = len(a)
-    if m == 1:
-        return a[0][0]
-    if m == 2:
-        return tower.sub(tower.mul(a[0][0], a[1][1]), tower.mul(a[0][1], a[1][0]))
-    # cofactor expansion along the first row
-    det = 0
-    for j in range(m):
-        if a[0][j] == 0:
-            continue
-        minor = tuple(
-            tuple(row[t] for t in range(m) if t != j) for row in a[1:]
-        )
-        term = tower.mul(a[0][j], mat_det(tower, minor))
-        det = tower.add(det, term if j % 2 == 0 else tower.neg(term))
-    return det
-
-
-def mat_inv(tower: FqTower, a: Matrix) -> Matrix | None:
-    m = len(a)
-    det = mat_det(tower, a)
-    if det == 0:
-        return None
-    if m == 1:
-        return ((tower.inv(det),),)
-    if m == 2:
-        dinv = tower.inv(det)
-        return (
-            (tower.mul(a[1][1], dinv), tower.mul(tower.neg(a[0][1]), dinv)),
-            (tower.mul(tower.neg(a[1][0]), dinv), tower.mul(a[0][0], dinv)),
-        )
-    # Gauss-Jordan for larger sizes
-    aug = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(a)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pinv = tower.inv(aug[col][col])
-        aug[col] = [tower.mul(x, pinv) for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [
-                    tower.sub(x, tower.mul(factor, y)) for x, y in zip(aug[r], aug[col])
-                ]
-    return tuple(tuple(row[m:]) for row in aug)
-
-
-def enumerate_matrices(tower: FqTower, m: int):
-    """All m x m matrices over K, in row-major lexicographic order."""
-    for flat in itertools.product(range(tower.size), repeat=m * m):
-        yield tuple(tuple(flat[i * m + j] for j in range(m)) for i in range(m))
-
-
 def enumerate_gl(
     tower: FqTower, m: int, max_matrices: int = DEFAULT_MAX_MATRICES
 ) -> list[Matrix]:
-    total = tower.size ** (m * m)
-    if total > max_matrices:
-        raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")
-    return [a for a in enumerate_matrices(tower, m) if mat_det(tower, a) != 0]
+    mats, _ = general_linear(tower, m, False, max_matrices)
+    return [as_matrix(mats[:, :, i]) for i in range(mats.shape[2])]
 
 
 def enumerate_sl(
     tower: FqTower, m: int, max_matrices: int = DEFAULT_MAX_MATRICES
 ) -> list[Matrix]:
-    total = tower.size ** (m * m)
-    if total > max_matrices:
-        raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")
-    return [a for a in enumerate_matrices(tower, m) if mat_det(tower, a) == 1]
+    mats, _ = general_linear(tower, m, True, max_matrices)
+    return [as_matrix(mats[:, :, i]) for i in range(mats.shape[2])]

@@ -3,7 +3,9 @@
 Semilinear actions v -> A_j . v^(frob^j) of the cyclic Galois group, bases
 of invariant vectors by base-field linear algebra (no averaging map, which
 can vanish in characteristic p), exhaustive Hilbert-90 style cocycle scans
-for GL_m and SL_m, and two-route classification of tensor forms.
+for GL_m and SL_m, and two-route classification of tensor forms. Scans and
+forms run on the batched GL_m/SL_m enumeration of ``fields``, one code
+path for every m and for towers with or without dense tables.
 
 Cyclic cocycles are stored through their generator matrix A: the value at
 frob^j is A * A^frob * ... * A^(frob^(j-1)), the norm condition
@@ -30,14 +32,20 @@ from .errors import (
 from .fields import (
     FqTower,
     Matrix,
-    enumerate_gl,
-    enumerate_sl,
-    mat_det,
+    as_matrix,
+    batch_det,
+    batch_inv,
+    batch_key,
+    batch_mul,
+    general_linear,
     mat_frob,
     mat_identity,
     mat_inv,
+    mat_kernel,
     mat_mul,
+    mat_rank,
     mat_vec,
+    matrices_over,
     vec_frob,
 )
 from .groups import cyclic_group, make_group
@@ -53,7 +61,7 @@ def automorphism_independence_check(tower: FqTower, exhaustive_limit: int = 10_0
     n = tower.n
     spanning = [tower.p**i for i in range(tower.degree)]  # encodings of x^i
     rows = [[tower.frob(b, j) for j in range(n)] for b in spanning]
-    rank = _field_rank(tower, rows)
+    rank = mat_rank(tower, rows)
     independent = rank == n
     if tower.size**n <= exhaustive_limit:
         brute = True
@@ -65,7 +73,8 @@ def automorphism_independence_check(tower: FqTower, exhaustive_limit: int = 10_0
             ):
                 brute = False
                 break
-        assert brute == independent, "rank and exhaustive independence checks disagree"
+        if brute != independent:
+            raise MatchFailure("rank and exhaustive independence checks disagree")
     return independent
 
 
@@ -74,25 +83,6 @@ def _combo_vanishes(tower: FqTower, coeffs, x: int) -> bool:
     for j, c in enumerate(coeffs):
         acc = tower.add(acc, tower.mul(c, tower.frob(x, j)))
     return acc == 0
-
-
-def _field_rank(tower: FqTower, rows: list[list[int]]) -> int:
-    mat = [row[:] for row in rows]
-    n_rows, n_cols = len(mat), len(mat[0]) if mat else 0
-    rank = 0
-    for c in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if mat[r][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pinv = tower.inv(mat[rank][c])
-        mat[rank] = [tower.mul(x, pinv) for x in mat[rank]]
-        for r in range(n_rows):
-            if r != rank and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [tower.sub(x, tower.mul(f, y)) for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -147,75 +137,32 @@ def invariant_basis(action: SemilinearAction) -> tuple[tuple[int, ...], ...]:
     fixed space must have k-dimension m (DimensionFailure otherwise), and
     every returned vector is re-checked against the definition.
     """
-    tower, m = action.tower, action.dim
-    basis_k = tower.k_basis
-    n = tower.n
-    dim_total = m * n
-    rows: list[list[int]] = [[0] * dim_total for _ in range(dim_total)]
+    tower, m, n = action.tower, action.dim, action.tower.n
+    # column i*n + j: k-coordinates of A_1 (b_j e_i)^frob - b_j e_i
+    columns = []
     for i in range(m):
-        for j in range(n):
-            w = [0] * m
-            w[i] = basis_k[j]
-            image = action.apply(1, tuple(w))
-            for r in range(m):
-                coords = tower.k_coords(image[r])
-                for jj in range(n):
-                    col = i * n + j
-                    rows[r * n + jj][col] = coords[jj]
-    for t in range(dim_total):
+        for b in tower.k_basis:
+            image = action.apply(1, tuple(b if r == i else 0 for r in range(m)))
+            columns.append([c for x in image for c in tower.k_coords(x)])
+    rows = [list(row) for row in zip(*columns)]
+    for t in range(m * n):
         rows[t][t] = tower.sub(rows[t][t], 1)
-    kernel = _field_kernel(tower, rows)
+    kernel = mat_kernel(tower, rows)
     if len(kernel) != m:
         raise DimensionFailure(
             f"fixed space has k-dimension {len(kernel)}, expected {m}"
         )
-    vectors = []
-    for coords in kernel:
-        v = []
-        for i in range(m):
-            acc = 0
-            for j in range(n):
-                acc = tower.add(acc, tower.mul(coords[i * n + j], basis_k[j]))
-            v.append(acc)
-        vectors.append(tuple(v))
+    vectors = [
+        tuple(tower.from_k_coords(coords[i * n : (i + 1) * n]) for i in range(m))
+        for coords in kernel
+    ]
     for v in vectors:
         for j in range(n):
-            assert action.apply(j, v) == v, "returned vector is not invariant"
-    columns = tuple(tuple(v[i] for v in vectors) for i in range(m))
-    if mat_det(tower, columns) == 0:
+            if action.apply(j, v) != v:
+                raise MatchFailure("returned vector is not invariant")
+    if mat_rank(tower, vectors) != m:
         raise DimensionFailure("invariant vectors are not K-linearly independent")
     return tuple(vectors)
-
-
-def _field_kernel(tower: FqTower, rows: list[list[int]]) -> list[list[int]]:
-    """Kernel basis of a matrix over the base field (entries are k-elements)."""
-    mat = [row[:] for row in rows]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    rank = 0
-    for c in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if mat[r][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pinv = tower.inv(mat[rank][c])
-        mat[rank] = [tower.mul(x, pinv) for x in mat[rank]]
-        for r in range(n_rows):
-            if r != rank and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [tower.sub(x, tower.mul(f, y)) for x, y in zip(mat[r], mat[rank])]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(n_cols) if c not in set(pivots)]
-    basis = []
-    for fc in free:
-        vec = [0] * n_cols
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = tower.neg(mat[r][fc])
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +184,21 @@ class CocycleScanReport:
 _WITNESS_SAMPLE_SIZE = 8
 
 
-def _norm_accumulate(tower: FqTower, a: Matrix) -> Matrix:
-    acc = a
-    for j in range(1, tower.n):
-        acc = mat_mul(tower, acc, mat_frob(tower, a, j))
-    return acc
+def _coboundary_index(
+    tower: FqTower, group: np.ndarray, group_inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys of the coboundaries B^-1 B^frob, each with its first witness B.
+
+    Witness positions index the batch in its (lexicographic) order.
+    """
+    cob = batch_mul(tower, group_inv, tower.vfrob(group))
+    return np.unique(batch_key(tower, cob), return_index=True)
+
+
+def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the nonempty sorted_keys, or -1 when absent."""
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return np.where(sorted_keys[at] == keys, at, -1)
 
 
 def hilbert90_verify(
@@ -252,154 +209,43 @@ def hilbert90_verify(
 ) -> CocycleScanReport:
     """Scan GL_m (or SL_m) for norm-one matrices and trivialize each one.
 
-    A norm-one matrix with no coboundary witness raises CounterexampleFound;
-    by the classification theorems this indicates an implementation bug.
+    One batched pass for every m: the coboundaries B^-1 B^frob of the whole
+    group are indexed first, then every matrix with norm
+    A A^frob ... A^(frob^(n-1)) = I is looked up there. A norm-one matrix
+    with no coboundary witness raises CounterexampleFound; by the
+    classification theorems this indicates an implementation bug.
     """
-    total = tower.size ** (m * m)
-    if total > max_matrices:
-        raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")
-    if tower._tables_built and m in (1, 2):
-        return _scan_vectorized(tower, m, special)
-    return _scan_scalar(tower, m, special, max_matrices)
-
-
-def _scan_scalar(
-    tower: FqTower, m: int, special: bool, max_matrices: int
-) -> CocycleScanReport:
-    group = (enumerate_sl if special else enumerate_gl)(tower, m, max_matrices)
-    ident = mat_identity(tower, m)
-    witnesses_by_cocycle: dict[Matrix, Matrix] = {}
-    for b in group:
-        b_inv = mat_inv(tower, b)
-        cocycle = mat_mul(tower, b_inv, mat_frob(tower, b, 1))
-        witnesses_by_cocycle.setdefault(cocycle, b)
-    n_cocycles = 0
-    sample = []
-    for a in group:
-        if _norm_accumulate(tower, a) != ident:
-            continue
-        n_cocycles += 1
-        witness = witnesses_by_cocycle.get(a)
-        if witness is None:
-            raise CounterexampleFound(
-                f"norm-one matrix {a} over {tower!r} is not a coboundary"
-            )
-        if len(sample) < _WITNESS_SAMPLE_SIZE:
-            sample.append((a, witness))
-    assert len(witnesses_by_cocycle) == n_cocycles, (
-        "coboundaries produced a non-cocycle (norm condition bug)"
+    group, det = general_linear(tower, m, special, max_matrices)
+    cob_keys, witness_of = _coboundary_index(tower, group, batch_inv(tower, group, det))
+    norm = group
+    for j in range(1, tower.n):
+        norm = batch_mul(tower, norm, tower.vfrob(group, j))
+    ident = np.eye(m, dtype=np.int64)[:, :, None]
+    cocycles = np.flatnonzero((norm == ident).all(axis=(0, 1)))
+    hits = _lookup(cob_keys, batch_key(tower, group[:, :, cocycles]))
+    if (hits < 0).any():
+        a = as_matrix(group[:, :, cocycles[np.argmax(hits < 0)]])
+        raise CounterexampleFound(f"norm-one matrix {a} over {tower!r} is not a coboundary")
+    if len(cob_keys) != len(cocycles):
+        raise CounterexampleFound("coboundaries produced a non-cocycle (norm condition bug)")
+    sample = tuple(
+        (as_matrix(group[:, :, a]), as_matrix(group[:, :, witness_of[h]]))
+        for a, h in zip(cocycles[:_WITNESS_SAMPLE_SIZE], hits[:_WITNESS_SAMPLE_SIZE])
     )
-    return CocycleScanReport(tower, m, special, len(group), n_cocycles, tuple(sample))
-
-
-def _scan_vectorized(tower: FqTower, m: int, special: bool) -> CocycleScanReport:
-    """Table-gather implementation of the scan for m = 1 or 2."""
-    size, n = tower.size, tower.n
-    mul, add, neg, inv = tower.mul_table, tower.add_table, tower.neg_table, tower.inv_table
-    frob = tower.frob_table
-
-    def frob_j(x, j):
-        for _ in range(j % n):
-            x = frob[x]
-        return x
-
-    if m == 1:
-        a = np.arange(1, size)
-        norm = a.copy()
-        for j in range(1, n):
-            norm = mul[norm, frob_j(a, j)]
-        if special:
-            keep = a[a == 1]
-        else:
-            keep = a
-        cocycles = keep[norm[keep - 1] == 1] if not special else keep
-        cobs = mul[inv[keep], frob_j(keep, 1)]
-        cob_set = set(int(x) for x in cobs)
-        sample = []
-        for value in cocycles:
-            if int(value) not in cob_set:
-                raise CounterexampleFound(
-                    f"norm-one scalar {int(value)} over {tower!r} is not a coboundary"
-                )
-            if len(sample) < _WITNESS_SAMPLE_SIZE:
-                b = int(keep[int(np.flatnonzero(cobs == value)[0])])
-                sample.append((((int(value),),), ((b,),)))
-        assert len(cob_set) == len(cocycles)
-        return CocycleScanReport(
-            tower, 1, special, len(keep), len(cocycles), tuple(sample)
-        )
-
-    idx = np.arange(size**4, dtype=np.int64)
-    e00 = idx // size**3 % size
-    e01 = idx // size**2 % size
-    e10 = idx // size % size
-    e11 = idx % size
-    det = add[mul[e00, e11], neg[mul[e01, e10]]]
-    keep = det == 1 if special else det != 0
-    e00, e01, e10, e11 = e00[keep], e01[keep], e10[keep], e11[keep]
-    det = det[keep]
-    group_size = len(e00)
-
-    def mat2_mul(a, b):
-        return (
-            add[mul[a[0], b[0]], mul[a[1], b[2]]],
-            add[mul[a[0], b[1]], mul[a[1], b[3]]],
-            add[mul[a[2], b[0]], mul[a[3], b[2]]],
-            add[mul[a[2], b[1]], mul[a[3], b[3]]],
-        )
-
-    a_mat = (e00, e01, e10, e11)
-    norm = a_mat
-    for j in range(1, n):
-        norm = mat2_mul(norm, tuple(frob_j(c, j) for c in a_mat))
-    is_cocycle = (norm[0] == 1) & (norm[1] == 0) & (norm[2] == 0) & (norm[3] == 1)
-
-    dinv = inv[det]
-    b_inv = (mul[e11, dinv], mul[neg[e01], dinv], mul[neg[e10], dinv], mul[e00, dinv])
-    b_frob = tuple(frob_j(c, 1) for c in a_mat)
-    cob = mat2_mul(b_inv, b_frob)
-    encode = ((cob[0] * size + cob[1]) * size + cob[2]) * size + cob[3]
-    cob_index: dict[int, int] = {}
-    for i, key in enumerate(encode.tolist()):
-        cob_index.setdefault(key, i)
-    cocycle_pos = np.flatnonzero(is_cocycle)
-    sample = []
-    for pos in cocycle_pos.tolist():
-        key = ((int(e00[pos]) * size + int(e01[pos])) * size + int(e10[pos])) * size + int(
-            e11[pos]
-        )
-        hit = cob_index.get(key)
-        if hit is None:
-            raise CounterexampleFound(
-                f"norm-one matrix encoded {key} over {tower!r} is not a coboundary"
-            )
-        if len(sample) < _WITNESS_SAMPLE_SIZE:
-            a = ((int(e00[pos]), int(e01[pos])), (int(e10[pos]), int(e11[pos])))
-            b = ((int(e00[hit]), int(e01[hit])), (int(e10[hit]), int(e11[hit])))
-            sample.append((a, b))
-    assert len(cob_index) == len(cocycle_pos), (
-        "coboundaries produced a non-cocycle (norm condition bug)"
-    )
-    return CocycleScanReport(
-        tower, 2, special, group_size, len(cocycle_pos), tuple(sample)
-    )
+    return CocycleScanReport(tower, m, special, group.shape[2], len(cocycles), sample)
 
 
 def det_image_on_rational_points(
     tower: FqTower, m: int, max_matrices: int = DEFAULT_MAX_MATRICES
 ) -> set[int]:
     """Image of det: GL_m(k) -> k*, for the surjectivity half of SL triviality."""
-    k_set = set(tower.k_elements)
     total = tower.size ** (m * m)
     if total > max_matrices:
         raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")
-    image = set()
-    for flat in itertools.product(tower.k_elements, repeat=m * m):
-        a = tuple(tuple(flat[i * m + j] for j in range(m)) for i in range(m))
-        det = mat_det(tower, a)
-        if det != 0:
-            assert det in k_set
-            image.add(det)
+    det = batch_det(tower, matrices_over(tower.k_elements, m))
+    image = set(det[det != 0].tolist())
+    if not image <= set(tower.k_elements):
+        raise CounterexampleFound("det of a rational matrix is not in the base field")
     return image
 
 
@@ -471,22 +317,26 @@ def quadratic_form_tensor(tower: FqTower, gram: Matrix) -> TensorOnV:
     return TensorOnV.make(tower, m, 2, 0, (row,))
 
 
-def kron_power(tower: FqTower, a: Matrix, t: int) -> Matrix:
-    out = ((1,),)
-    for _ in range(t):
-        out = _kron(tower, out, a)
-    return out
+def _transport(tensor: TensorOnV, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """Coefficients of g(tau) for a batch of g with inverses g_inv, one flat row each.
 
-
-def _kron(tower: FqTower, a: Matrix, b: Matrix) -> Matrix:
-    ra, ca = len(a), len(a[0])
-    rb, cb = len(b), len(b[0])
-    return tuple(
-        tuple(
-            tower.mul(a[i // rb][j // cb], b[i % rb][j % cb]) for j in range(ca * cb)
-        )
-        for i in range(ra * rb)
-    )
+    g(tau) = g^(x r) o tau o (g^(x l))^-1, applied one tensor factor at a
+    time: g on each of the r output indices, g^-1 on each of the l inputs.
+    """
+    tower, m, l, r = tensor.tower, tensor.dim, tensor.l, tensor.r
+    coeffs = np.array(tensor.coeffs, dtype=np.int64).reshape((m,) * (r + l) + (1,))
+    for axis in range(r + l):
+        front = np.moveaxis(coeffs, axis, 0)
+        out = []
+        for i in range(m):
+            acc = None
+            for k in range(m):
+                term = tower.vmul(g[i, k] if axis < r else g_inv[k, i], front[k])
+                acc = term if acc is None else tower.vadd(acc, term)
+            out.append(acc)
+        coeffs = np.moveaxis(np.array(out), 0, axis)
+    coeffs = np.broadcast_to(coeffs, (m,) * (r + l) + (g.shape[2],))
+    return coeffs.reshape(m ** (r + l), -1).T
 
 
 def apply_to_tensor(g: Matrix, tensor: TensorOnV) -> TensorOnV:
@@ -495,9 +345,8 @@ def apply_to_tensor(g: Matrix, tensor: TensorOnV) -> TensorOnV:
     g_inv = mat_inv(tower, g)
     if g_inv is None:
         raise ValueError("tensor transport requires an invertible matrix")
-    left = kron_power(tower, g, tensor.r)
-    right = kron_power(tower, g_inv, tensor.l)
-    coeffs = mat_mul(tower, mat_mul(tower, left, tensor.coeffs), right)
+    flat = _transport(tensor, np.array(g)[:, :, None], np.array(g_inv)[:, :, None])[0]
+    coeffs = as_matrix(np.reshape(flat, (-1, tensor.dim**tensor.l)))
     return TensorOnV(tower, tensor.dim, tensor.l, tensor.r, coeffs)
 
 
@@ -526,86 +375,80 @@ def classify_forms(
 
     Direct route: Galois-invariant tensors in the GL_m(K)-orbit, partitioned
     into GL_m(k)-orbits. Cohomological route: classes of stabilizer-valued
-    cocycles (their images in GL are all coboundaries; asserted). The
+    cocycles (their images in GL are all coboundaries; checked). The
     transport map orbit -> class must be a bijection, else MatchFailure.
     """
     if not tensor.defined_over_base():
         raise ValueError("reference tensor must be defined over the base field")
-    m = tensor.dim
-    gl = enumerate_gl(tower, m, max_matrices)
-    ident = mat_identity(tower, m)
-    stabilizer = [g for g in gl if apply_to_tensor(g, tensor).coeffs == tensor.coeffs]
-    if len(stabilizer) > max_stabilizer:
+    m, n, cols = tensor.dim, tower.n, tensor.dim**tensor.l
+    gl, det = general_linear(tower, m, False, max_matrices)
+    gl_inv = batch_inv(tower, gl, det)
+    moved = _transport(tensor, gl, gl_inv)
+    stab_pos = np.flatnonzero((moved == np.ravel(tensor.coeffs)).all(axis=1))
+    if len(stab_pos) > max_stabilizer:
         raise SizeLimit(
-            f"stabilizer of size {len(stabilizer)} exceeds bound {max_stabilizer}"
+            f"stabilizer of size {len(stab_pos)} exceeds bound {max_stabilizer}"
         )
-    orbit: dict[Matrix, Matrix] = {}
-    for g in gl:
-        moved = apply_to_tensor(g, tensor).coeffs
-        orbit.setdefault(moved, g)
-    invariants = [
-        t for t in orbit if mat_frob(tower, t, 1) == t
-    ]
-    k_rational = [g for g in gl if all(tower.in_base(x) for row in g for x in row)]
-    remaining = set(invariants)
-    direct_orbits: list[tuple[Matrix, ...]] = []
+    # orbit: each tensor in the GL_m(K)-orbit with its first transporter
+    orbit_rows, first = np.unique(moved, axis=0, return_index=True)
+    del moved
+    orbit = dict(zip(map(tuple, orbit_rows.tolist()), first.tolist()))
+    invariants = orbit_rows[(tower.vfrob(orbit_rows) == orbit_rows).all(axis=1)]
+    rational = np.flatnonzero((tower.vfrob(gl) == gl).all(axis=(0, 1)))
+    k_gl, k_gl_inv = gl[:, :, rational], gl_inv[:, :, rational]
+    remaining = set(map(tuple, invariants.tolist()))
+    orbits_flat: list[list[tuple[int, ...]]] = []
     while remaining:
-        seed = min(remaining)
-        seed_tensor = TensorOnV(tower, m, tensor.l, tensor.r, seed)
-        members = set()
-        for g in k_rational:
-            moved = apply_to_tensor(g, seed_tensor).coeffs
-            assert moved in orbit, "rational transport left the orbit"
-            members.add(moved)
-        assert members <= remaining, "rational orbits do not partition the invariants"
-        direct_orbits.append(tuple(sorted(members)))
+        seed_coeffs = as_matrix(np.reshape(min(remaining), (-1, cols)))
+        seed = TensorOnV(tower, m, tensor.l, tensor.r, seed_coeffs)
+        members = set(map(tuple, _transport(seed, k_gl, k_gl_inv).tolist()))
+        if not members <= orbit.keys():
+            raise MatchFailure("rational transport left the orbit")
+        if not members <= remaining:
+            raise MatchFailure("rational orbits do not partition the invariants")
+        orbits_flat.append(sorted(members))
         remaining -= members
 
-    # stabilizer as a finite group with the Frobenius action
-    stab_index = {g: i for i, g in enumerate(stabilizer)}
-    table = [
-        [stab_index[mat_mul(tower, a, b)] for b in stabilizer] for a in stabilizer
-    ]
-    stab_group = make_group(table)
-    gamma = cyclic_group(tower.n)
-    action = []
-    for j in range(tower.n):
-        row = []
-        for g in stabilizer:
-            moved = mat_frob(tower, g, j)
-            assert moved in stab_index, "stabilizer is not Frobenius-stable"
-            row.append(stab_index[moved])
-        action.append(row)
-    stab_gamma = GammaGroup(gamma, stab_group, action)
-    h1_stab = h1(stab_gamma)
+    # stabilizer as a finite group with the Frobenius action; its keys are
+    # sorted because GL is enumerated in lexicographic order
+    stab = gl[:, :, stab_pos]
+    stab_keys = batch_key(tower, stab)
+
+    def stab_index(mats: np.ndarray, failure: str) -> np.ndarray:
+        at = _lookup(stab_keys, batch_key(tower, mats))
+        if (at < 0).any():
+            raise CounterexampleFound(failure)
+        return at
+
+    products = batch_mul(tower, stab[:, :, :, None], stab[:, :, None, :])
+    table = stab_index(products, "stabilizer is not closed under multiplication")
+    frobs = np.stack([tower.vfrob(stab, j) for j in range(n)], axis=2)
+    action = stab_index(frobs, "stabilizer is not Frobenius-stable")
+    gamma = cyclic_group(n)
+    h1_stab = h1(GammaGroup(gamma, make_group(table), action.tolist()))
 
     # Hilbert 90 on the ambient group: every class dies in GL
-    for rep in h1_stab.classes:
-        gen_matrix = stabilizer[rep.values[1 % gamma.order]] if gamma.order > 1 else ident
-        trivializer = None
-        for b in gl:
-            b_inv = mat_inv(tower, b)
-            if mat_mul(tower, b_inv, mat_frob(tower, b, 1)) == gen_matrix:
-                trivializer = b
-                break
-        if gamma.order > 1 and trivializer is None:
+    if n > 1:
+        cob_keys, _ = _coboundary_index(tower, gl, gl_inv)
+        gens = [rep.values[1] for rep in h1_stab.classes]
+        if (_lookup(cob_keys, stab_keys[gens]) < 0).any():
             raise CounterexampleFound(
                 "stabilizer cocycle is not a GL coboundary (Hilbert 90 violation)"
             )
 
+    # transport cocycles j -> g^-1 g^(frob^j) of every invariant tensor
+    transporters = np.array([orbit[t] for members in orbits_flat for t in members])
+    g = gl[:, :, transporters]
+    g_frobs = np.stack([tower.vfrob(g, j) for j in range(n)], axis=2)
+    cocycles = batch_mul(tower, gl_inv[:, :, None, transporters], g_frobs)
+    values = stab_index(cocycles, "transport cocycle left the stabilizer").T
     matching = []
     used: dict[int, int] = {}
-    for oi, members in enumerate(direct_orbits):
-        classes = set()
-        for t in members:
-            g = orbit[t]
-            g_inv = mat_inv(tower, g)
-            values = []
-            for j in range(gamma.order):
-                c = mat_mul(tower, g_inv, mat_frob(tower, g, j))
-                assert c in stab_index, "transport cocycle left the stabilizer"
-                values.append(stab_index[c])
-            classes.add(h1_stab.class_of[tuple(values)])
+    start = 0
+    for oi, members in enumerate(orbits_flat):
+        rows = values[start : start + len(members)].tolist()
+        start += len(members)
+        classes = {h1_stab.class_of[tuple(row)] for row in rows}
         if len(classes) != 1:
             raise MatchFailure(f"one rational orbit hit several classes {sorted(classes)}")
         cls = classes.pop()
@@ -613,10 +456,13 @@ def classify_forms(
             raise MatchFailure(f"orbits {used[cls]} and {oi} both map to class {cls}")
         used[cls] = oi
         matching.append((oi, cls))
-    if len(direct_orbits) != h1_stab.order:
+    if len(orbits_flat) != h1_stab.order:
         raise MatchFailure(
-            f"direct count {len(direct_orbits)} != cohomological count {h1_stab.order}"
+            f"direct count {len(orbits_flat)} != cohomological count {h1_stab.order}"
         )
+    direct_orbits = [
+        tuple(as_matrix(np.reshape(t, (-1, cols))) for t in members) for members in orbits_flat
+    ]
     return FormsReport(
-        tensor, len(stabilizer), tuple(direct_orbits), h1_stab, tuple(matching)
+        tensor, len(stab_pos), tuple(direct_orbits), h1_stab, tuple(matching)
     )

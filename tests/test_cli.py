@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from cocycle.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, name, obj):
@@ -124,6 +130,32 @@ class TestEtaleCommand:
         assert main(["etale", "--format", "tsv", "--input", path, "--dim", "2"]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("discriminant_trivial\t")
+
+
+DROPPED_VECTOR = """
+import json, sys
+import cocycle.galois as G
+from cocycle import cli
+
+mat_kernel = G.mat_kernel
+# a kernel routine that loses one basis vector: descent must fail loudly
+G.mat_kernel = lambda tower, rows: mat_kernel(tower, rows)[:-1]
+code = cli.main(["etale", "--input", sys.argv[1], "--dim", "2", "--tower", "3x1x2"])
+print(json.dumps({"optimize": sys.flags.optimize, "exit": code}))
+"""
+
+
+def test_descent_dimension_failure_exits_3_under_python_O(tmp_path):
+    path = write(tmp_path, "z2.json", {"family": "cyclic", "n": 2})
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_VECTOR, path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"optimize": 1, "exit": 3}
+    assert "verification failure: fixed space has k-dimension 1, expected 2" in proc.stderr
 
 
 class TestHilbert90Command:

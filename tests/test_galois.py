@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -185,6 +186,22 @@ class TestHilbert90:
             t = make_tower(p, 1, n)
             gamma_group, _ = units_gamma_group(t)
             assert h1(gamma_group).order == 1
+
+    def test_gl3_over_f4(self):
+        # |GL_3(F_4)| = 181440; cocycles number |GL_3(F_4)| / |GL_3(F_2)| = 1080
+        t = make_tower(2, 1, 2)
+        start = time.perf_counter()
+        report = hilbert90_verify(t, 3)
+        assert time.perf_counter() - start < 2.0
+        assert (report.group_size, report.n_cocycles) == (181440, 1080)
+
+    def test_sl3_over_f4(self):
+        # |SL_3(F_4)| = 60480; cocycles number |SL_3(F_4)| / |SL_3(F_2)| = 360
+        t = make_tower(2, 1, 2)
+        start = time.perf_counter()
+        report = sl_h1_verify(t, 3)
+        assert time.perf_counter() - start < 2.0
+        assert (report.group_size, report.n_cocycles) == (60480, 360)
 
     def test_sl_cases(self):
         t = make_tower(2, 1, 2)
