@@ -17,14 +17,15 @@ turns a quotient 1-cocycle gamma into
 
 which lands in ker d2: expanding u(g) u(h)^g u(k)^{gh} in the two bracketed
 orders gives c(gh,k) + c(g,h) = g.c(h,k) + c(g,hk) since A is central. The
-delta class is lift-independent (asserted per call with a second section)
-and exact at H1(B/A) (asserted in the verification suites).
+delta class is lift-independent (checked per call with a second section)
+and exact at H1(B/A) (checked in the verification suites).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,10 +45,13 @@ from .errors import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_SNF_ENTRIES,
     BijectionFailure,
+    CounterexampleFound,
+    DimensionFailure,
+    MatchFailure,
     SizeLimit,
 )
 from .groups import FiniteGroup, Subgroup, quotient_group
-from .snf import IntegerSolver, cokernel_invariant_factors, kernel_basis, solve_integer
+from .snf import cokernel_invariant_factors, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +105,8 @@ def fixed_cosets(parent: GammaGroup, sub: Subgroup) -> CosetSpace:
         orbit = set()
         for c in invariants:
             j = coset_of[b.mul(c, cosets[i][0])]
-            assert j in fixed_set, "translation by an invariant left the fixed cosets"
+            if j not in fixed_set:
+                raise CounterexampleFound("translation by an invariant left the fixed cosets")
             orbit.add(j)
         orbits.append(tuple(sorted(orbit)))
         assigned |= orbit
@@ -130,7 +135,8 @@ def coset_to_cocycle(space: CosetSpace, coset_index: int) -> Cocycle:
     values = []
     for g in range(parent.gamma.order):
         val = b.mul(rep_inv, parent.act(g, rep))
-        assert val in pos, "descent value escaped the subgroup (stability bug)"
+        if val not in pos:
+            raise CounterexampleFound("descent value escaped the subgroup (stability bug)")
         values.append(pos[val])
     return make_cocycle(space.restricted, tuple(values))
 
@@ -303,23 +309,19 @@ class AbelianPresentation:
         for g, mat in enumerate(self.matrices):
             if len(mat) != k or any(len(row) != k for row in mat):
                 raise ValueError(f"action matrix of gamma element {g} has wrong shape")
-            for s in range(k):
-                for t in range(k):
-                    if (self.factors[t] * mat[s][t]) % self.factors[s] != 0:
-                        raise ValueError(
-                            f"matrix of gamma element {g} does not respect orders at ({s},{t})"
-                        )
-        ident = self.matrices[self.gamma.identity]
-        for s in range(k):
-            for t in range(k):
-                if (ident[s][t] - (1 if s == t else 0)) % self.factors[s] != 0:
-                    raise ValueError("identity of gamma must act as the identity matrix")
-        for d in range(self.gamma.order):
-            for g in range(self.gamma.order):
-                comp = _mat_mod_mul(self.matrices[d], self.matrices[g], self.factors)
-                expect = _mat_mod(self.matrices[int(self.gamma.table[d, g])], self.factors)
-                if comp != expect:
-                    raise ValueError(f"matrices do not compose at gamma pair ({d},{g})")
+        mats = np.array(self.matrices, dtype=np.int64).reshape(self.gamma.order, k, k)
+        orders = np.array(self.factors, dtype=np.int64)
+        row_orders = orders[:, None]
+        bad = np.argwhere((mats * orders) % row_orders)
+        if len(bad):
+            g, s, t = bad[0]
+            raise ValueError(f"matrix of gamma element {g} does not respect orders at ({s},{t})")
+        if np.any((mats[self.gamma.identity] - np.eye(k, dtype=np.int64)) % row_orders):
+            raise ValueError("identity of gamma must act as the identity matrix")
+        products = np.einsum("dst,gtu->dgsu", mats, mats) % row_orders
+        bad = np.argwhere(np.any(products != mats[self.gamma.table] % row_orders, axis=(2, 3)))
+        if len(bad):
+            raise ValueError(f"matrices do not compose at gamma pair ({bad[0][0]},{bad[0][1]})")
 
     @property
     def rank(self) -> int:
@@ -338,20 +340,6 @@ class AbelianPresentation:
             sum(mat[s][t] * vec[t] for t in range(self.rank)) % self.factors[s]
             for s in range(self.rank)
         )
-
-
-def _mat_mod(m, factors) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(m[s][t] % factors[s] for t in range(len(factors))) for s in range(len(factors))
-    )
-
-
-def _mat_mod_mul(a, b, factors) -> tuple[tuple[int, ...], ...]:
-    k = len(factors)
-    return tuple(
-        tuple(sum(a[s][i] * b[i][t] for i in range(k)) % factors[s] for t in range(k))
-        for s in range(k)
-    )
 
 
 def trivial_module(gamma: FiniteGroup, factors: tuple[int, ...]) -> AbelianPresentation:
@@ -388,7 +376,7 @@ def _decompose_abelian(group: FiniteGroup) -> tuple[tuple[int, ...], list[int]]:
         if any(exps) and image_of(exps) == group.identity:
             relations.append(list(exps))
     rel_matrix = [[rel[i] for rel in relations] for i in range(r)]
-    factors, lifts = cokernel_invariant_factors(rel_matrix, r)
+    factors, lifts, _ = cokernel_invariant_factors(rel_matrix, r)
     gen_elements = [image_of(lift) for lift in lifts]
     return tuple(factors), gen_elements
 
@@ -415,7 +403,7 @@ def presentation_of_subgroup(parent: GammaGroup, sub: Subgroup) -> ModuleBridge:
             x = group.mul(x, group.power(g, e))
         from_local[tuple(vec)] = x
     if len(from_local) != group.order:
-        raise AssertionError("invariant-factor coordinates do not enumerate the module")
+        raise DimensionFailure("invariant-factor coordinates do not enumerate the module")
     to_local = {x: vec for vec, x in from_local.items()}
     matrices = []
     for g in range(parent.gamma.order):
@@ -433,13 +421,19 @@ class H2Group:
     """H2 as an abelian group: invariant factors plus generating 2-cocycles.
 
     Generators are normalized 2-cochains, stored as flat integer vectors in
-    the (pair, factor) coordinate order of :func:`_normalized_d_matrices`.
+    the (pair, factor) coordinate order of :func:`_normalized_differential`.
+    :meth:`class_of` reads a 2-cocycle's class through the 2-cocycle lattice
+    basis V S of :func:`h2_central`: ``v_inv`` and ``scale`` give its lattice
+    coordinates S^-1 V^-1 c, and ``coords`` maps those to the cyclic factors.
     """
 
     gamma: FiniteGroup
     presentation: AbelianPresentation
     invariant_factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
+    v_inv: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    scale: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    coords: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -448,64 +442,82 @@ class H2Group:
             total *= f
         return total
 
+    def class_of(self, cochain) -> tuple[int, ...]:
+        """Coordinates in the sum of Z/f_i of a normalized 2-cocycle's class.
+
+        Generator i maps to the i-th unit vector; the coordinates are all
+        zero exactly when the cochain is a coboundary. Raises ValueError on
+        a cochain that is not a 2-cocycle.
+        """
+        if len(cochain) != len(self.scale):
+            raise ValueError(f"expected a 2-cochain of length {len(self.scale)}")
+        y = _lattice_coords(self.v_inv, self.scale, cochain)
+        if y is None:
+            raise ValueError("cochain is not a 2-cocycle")
+        return tuple(
+            sum(c * x for c, x in zip(row, y)) % f
+            for row, f in zip(self.coords, self.invariant_factors)
+        )
+
+
+def _lattice_coords(v_inv, scale, vec) -> list[int] | None:
+    """S^-1 V^-1 vec, or None when vec is off the lattice V S Z^n."""
+    out = []
+    for row, s in zip(v_inv, scale):
+        t = sum(c * x for c, x in zip(row, vec))
+        if t % s:
+            return None
+        out.append(t // s)
+    return out
+
 
 def _nonidentity(gamma: FiniteGroup) -> list[int]:
     return [g for g in range(gamma.order) if g != gamma.identity]
 
 
-def _normalized_d_sparse(gamma: FiniteGroup, pres: AbelianPresentation):
-    """d1 (dense columns) and d2 (sparse rows) on normalized cochains.
+def _normalized_differential(gamma: FiniteGroup, pres: AbelianPresentation, n: int):
+    """d_n on normalized cochains: dense integer rows, C^n -> C^(n+1).
 
-    C1 coordinates: (x, t) for x != e; C2: (g, h, t) with g, h != e;
-    C3: (g, h, k, t), all != e. Row-major over the listed index order; a
-    d2 row has at most rank + 3 nonzero entries, which the cocycle-lattice
-    sweep exploits.
+    C^n coordinates are (g_1, ..., g_n, t) with every g_i != e, row-major;
+    coordinate t has modulus factors[t], for rows and columns alike. Terms
+    with an identity argument vanish in
+
+        (d f)(g_1, ..., g_{n+1}) = g_1.f(g_2, ..., g_{n+1})
+            + sum_i (-1)^i f(..., g_i g_{i+1}, ...) + (-1)^(n+1) f(g_1, ..., g_n).
     """
-    k = pres.rank
+    k, e = pres.rank, gamma.identity
     g1 = _nonidentity(gamma)
-    pos1 = {x: i for i, x in enumerate(g1)}
-    pairs = [(g, h) for g in g1 for h in g1]
-    pos2 = {p: i for i, p in enumerate(pairs)}
-    d1 = [[0] * (len(g1) * k) for _ in range(len(pairs) * k)]
-    for (g, h) in pairs:
-        row0 = pos2[(g, h)] * k
-        mat = pres.matrices[g]
+    index = {x: i for i, x in enumerate(g1)}
+
+    def column(args) -> int | None:
+        """First coordinate of f(args); None when f(args) vanishes."""
+        if e in args:
+            return None
+        pos = 0
+        for a in args:
+            pos = pos * len(g1) + index[a]
+        return pos * k
+
+    rows = []
+    for args in itertools.product(g1, repeat=n + 1):
+        block = [[0] * (len(g1) ** n * k) for _ in range(k)]
+        col, mat = column(args[1:]), pres.matrices[args[0]]
         for s in range(k):
             for t in range(k):
-                d1[row0 + s][pos1[h] * k + t] += mat[s][t]
-        gh = gamma.mul(g, h)
-        if gh != gamma.identity:
-            for s in range(k):
-                d1[row0 + s][pos1[gh] * k + s] -= 1
-        for s in range(k):
-            d1[row0 + s][pos1[g] * k + s] += 1
-    d2_rows: list[list[tuple[int, int]]] = []
-    moduli3: list[int] = []
-    for g in g1:
-        mat = pres.matrices[g]
-        for h in g1:
-            gh = gamma.mul(g, h)
-            for x in g1:
-                hx = gamma.mul(h, x)
+                block[s][col + t] += mat[s][t]
+        faces = [args[:i] + (gamma.mul(args[i], args[i + 1]),) + args[i + 2 :] for i in range(n)]
+        for i, face in enumerate(faces + [args[:n]]):
+            col = column(face)
+            if col is not None:
                 for s in range(k):
-                    entries: dict[int, int] = {}
-                    for t in range(k):
-                        if mat[s][t]:
-                            col = pos2[(h, x)] * k + t
-                            entries[col] = entries.get(col, 0) + mat[s][t]
-                    if gh != gamma.identity:
-                        col = pos2[(gh, x)] * k + s
-                        entries[col] = entries.get(col, 0) - 1
-                    if hx != gamma.identity:
-                        col = pos2[(g, hx)] * k + s
-                        entries[col] = entries.get(col, 0) + 1
-                    col = pos2[(g, h)] * k + s
-                    entries[col] = entries.get(col, 0) - 1
-                    d2_rows.append(sorted(entries.items()))
-                    moduli3.append(pres.factors[s])
-    moduli1 = [pres.factors[t] for _ in g1 for t in range(k)]
-    moduli2 = [pres.factors[t] for _ in pairs for t in range(k)]
-    return d1, d2_rows, moduli1, moduli2, moduli3, pairs
+                    block[s][col + s] += (-1) ** (i + 1)
+        rows.extend(block)
+    return rows
+
+
+def _moduli(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> list[int]:
+    """The modulus of each normalized n-cochain coordinate."""
+    return list(pres.factors) * (gamma.order - 1) ** n
 
 
 def h2_central(
@@ -515,10 +527,12 @@ def h2_central(
 ) -> H2Group:
     """H2 of the abelian module, by integer linear algebra on normalized cochains.
 
-    The 2-cocycle lattice {c : d2 c = 0 mod orders} is built one congruence
-    at a time (d2 rows are sparse: at most rank + 3 entries), then the
-    coboundary-plus-orders sublattice is expressed in that basis and the
-    quotient read off a Smith form.
+    With N the module exponent, scaling each d2 row by N over its modulus
+    turns the cocycle congruences d2 c = 0 mod orders into E c = 0 mod N.
+    One Smith form U E V = D then gives the 2-cocycle lattice as V S Z^d2,
+    S = diag(N / gcd(D_ii, N)). The columns of d1 and orders * Z^d2, in
+    that basis, are the relations of H2; a second, small Smith form reads
+    off the invariant factors, the generator lifts and the class map.
     """
     k = pres.rank
     n1 = gamma.order - 1
@@ -529,44 +543,33 @@ def h2_central(
         raise SizeLimit(
             f"H2 matrix of {d3_dim}x{d2_dim + d3_dim} entries exceeds bound {max_entries}"
         )
-    d1, d2_rows, _, moduli2, moduli3, _ = _normalized_d_sparse(gamma, pres)
-    # lattice of 2-cocycles L = {c : d2 c = 0 mod orders}, as the projection
-    # of the integer kernel of [d2 | -diag(orders)]
-    stacked = []
-    for i, row in enumerate(d2_rows):
-        dense = [0] * (d2_dim + d3_dim)
-        for idx, coef in row:
-            dense[idx] = coef
-        dense[d2_dim + i] = -moduli3[i]
-        stacked.append(dense)
-    l_cols = [col[:d2_dim] for col in kernel_basis(stacked)]
-    l_mat = [[col[i] for col in l_cols] for i in range(d2_dim)]
-    solver = IntegerSolver(l_mat)
-    # subgroup M = im(d1) + orders * Z^d2, expressed in L-spanning coordinates
-    m_cols = [[d1[i][j] for i in range(d2_dim)] for j in range(len(d1[0]) if d1 else 0)]
-    m_cols += [
-        [moduli2[i] if i == j else 0 for i in range(d2_dim)] for j in range(d2_dim)
-    ]
+    d1, d2 = _normalized_differential(gamma, pres, 1), _normalized_differential(gamma, pres, 2)
+    moduli2, moduli3 = _moduli(gamma, pres, 2), _moduli(gamma, pres, 3)
+    exponent = pres.factors[-1]
+    dec = smith_normal_form([[c * (exponent // n) for c in row] for row, n in zip(d2, moduli3)])
+    scale = [exponent // math.gcd(x, exponent) for x in dec.diagonal()]
+    columns = [list(col) for col in zip(*d1)]
+    columns += [[m if i == j else 0 for i, m in enumerate(moduli2)] for j in range(d2_dim)]
     relation_cols = []
-    for col in m_cols:
-        y = solver.solve(col)
-        assert y is not None, "im(d1) escaped the 2-cocycle lattice (differential bug)"
+    for col in columns:
+        y = _lattice_coords(dec.v_inv, scale, col)
+        if y is None:
+            raise CounterexampleFound("im(d1) escaped the 2-cocycle lattice (differential bug)")
         relation_cols.append(y)
-    relation_cols += kernel_basis(l_mat)
-    s = len(l_cols)
-    relations = [[col[i] for col in relation_cols] for i in range(s)]
-    factors, lifts = cokernel_invariant_factors(relations, s)
+    relations = [list(row) for row in zip(*relation_cols)]
+    factors, lifts, coords = cokernel_invariant_factors(relations, d2_dim)
     generators = []
     for lift in lifts:
         vec = [
-            sum(l_mat[i][j] * lift[j] for j in range(s)) % moduli2[i]
+            sum(v * s * y for v, s, y in zip(dec.v[i], scale, lift)) % moduli2[i]
             for i in range(d2_dim)
         ]
-        for row, n in zip(d2_rows, moduli3):
-            defect = sum(coef * vec[idx] for idx, coef in row) % n
-            assert defect == 0, "reported H2 generator fails the 2-cocycle identity"
+        for row, n in zip(d2, moduli3):
+            if sum(c * x for c, x in zip(row, vec)) % n:
+                raise CounterexampleFound("reported H2 generator fails the 2-cocycle identity")
         generators.append(tuple(vec))
-    return H2Group(gamma, pres, tuple(factors), tuple(generators))
+    v_inv, coords = tuple(map(tuple, dec.v_inv)), tuple(map(tuple, coords))
+    return H2Group(gamma, pres, tuple(factors), tuple(generators), v_inv, tuple(scale), coords)
 
 
 def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation, limit: int = 1 << 16) -> int:
@@ -618,7 +621,8 @@ def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation, limit: i
     fs = np.array(list(itertools.product(*ranges1)), dtype=np.int64)
     images = (fs @ d1.T) % moduli_flat[None, :]
     coboundary_count = len({tuple(map(int, row)) for row in images})
-    assert cocycle_count % coboundary_count == 0
+    if cocycle_count % coboundary_count:
+        raise CounterexampleFound("coboundary count does not divide the cocycle count")
     return cocycle_count // coboundary_count
 
 
@@ -668,17 +672,9 @@ def _cochain_vector(
         for h in g1:
             coords = bridge.to_coords[factor_set[(g, h)]]
             vec.extend(coords)
-    assert len(vec) == len(g1) * len(g1) * k
+    if len(vec) != len(g1) * len(g1) * k:
+        raise DimensionFailure("coordinates do not cover the 2-cochain")
     return vec
-
-
-def _is_coboundary(gamma: FiniteGroup, pres: AbelianPresentation, vec: list[int]) -> bool:
-    d1, _, _, moduli2, _, _ = _normalized_d_sparse(gamma, pres)
-    dim2 = len(moduli2)
-    if dim2 == 0:
-        return True
-    aug = [d1[i][:] + [moduli2[i] if i == j else 0 for j in range(dim2)] for i in range(dim2)]
-    return solve_integer(aug, list(vec)) is not None
 
 
 def connecting_delta(
@@ -711,10 +707,11 @@ def connecting_delta(
     section = _section(parent, proj, values, greatest=False)
     fset = _factor_set(parent, section)
     for (h, g), val in fset.items():
-        assert val in a_set, "factor set escaped the central subgroup"
+        if val not in a_set:
+            raise CounterexampleFound("factor set escaped the central subgroup")
         e = parent.gamma.identity
-        if h == e or g == e:
-            assert val == b.identity, "factor set is not normalized"
+        if (h == e or g == e) and val != b.identity:
+            raise CounterexampleFound("factor set is not normalized")
     # 2-cocycle identity, checked directly in the group
     for g in range(parent.gamma.order):
         for h in range(parent.gamma.order):
@@ -723,13 +720,16 @@ def connecting_delta(
                 hx = parent.gamma.mul(h, x)
                 lhs = b.mul(fset[(gh, x)], fset[(g, h)])
                 rhs = b.mul(parent.act(g, fset[(h, x)]), fset[(g, hx)])
-                assert lhs == rhs, "factor set fails the 2-cocycle identity"
+                if lhs != rhs:
+                    raise CounterexampleFound("factor set fails the 2-cocycle identity")
     vec = _cochain_vector(parent.gamma, bridge, fset)
     second = _factor_set(parent, _section(parent, proj, values, greatest=True))
     vec2 = _cochain_vector(parent.gamma, bridge, second)
-    diff = [x - y for x, y in zip(vec, vec2)]
-    assert _is_coboundary(parent.gamma, bridge.presentation, diff), (
-        "delta class depends on the choice of section"
-    )
-    trivial = _is_coboundary(parent.gamma, bridge.presentation, vec)
-    return DeltaResult(bridge, tuple(vec), trivial)
+    h2 = h2_central(parent.gamma, bridge.presentation)
+    try:
+        cls, cls2 = h2.class_of(vec), h2.class_of(vec2)
+    except ValueError as exc:
+        raise MatchFailure(f"factor set off the H2 cocycle lattice: {exc}") from exc
+    if cls2 != cls:
+        raise CounterexampleFound("delta class depends on the choice of section")
+    return DeltaResult(bridge, tuple(vec), not any(cls))

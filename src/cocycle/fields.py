@@ -241,11 +241,6 @@ class FqTower:
         # the unique b with a * b = 1; row 0 has no 1, so inv_table[0] = 0
         self.inv_table = np.argmax(mul == 1, axis=1).astype(np.int64)
         self._tables_built = True
-        self._k_elements = tuple(
-            int(a) for a in range(size) if int(self.frob_table[a]) == a
-        )
-        if len(self._k_elements) != self.q:
-            raise DimensionFailure("fixed points of the frobenius table are not the base field")
 
     # -- element operations ----------------------------------------------
 
@@ -349,8 +344,13 @@ class FqTower:
 
     @property
     def k_elements(self) -> tuple[int, ...]:
+        """The base field k as the fixed points of Frobenius, found on first use."""
         if self._k_elements is None:
-            raise SizeLimit("tower too large for base-field element enumeration")
+            every = np.arange(self.size, dtype=np.int64)
+            fixed = tuple(int(a) for a in every[self.vfrob(every) == every])
+            if len(fixed) != self.q:
+                raise DimensionFailure("fixed points of the frobenius are not the base field")
+            self._k_elements = fixed
         return self._k_elements
 
     def _ensure_coords(self) -> None:

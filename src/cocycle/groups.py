@@ -453,21 +453,26 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     return make_group(table, labels), members
 
 
-def all_subgroups(g: FiniteGroup, max_gens: int = 3) -> list[Subgroup]:
-    """All subgroups generated by up to ``max_gens`` elements.
+def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup, sorted by (order, members).
 
-    Complete for every group of order <= 24 used in the test corpus (their
-    subgroups are all at most 3-generated).
+    Every subgroup is generated by its elements, so the closure of the
+    trivial subgroup under joining one more element -- that is, the closure
+    of the cyclic subgroups under joins -- reaches all of them.
     """
-    found: dict[tuple[int, ...], Subgroup] = {}
-    ident = (g.identity,)
-    found[ident] = Subgroup(g, ident)
-    for size in range(1, max_gens + 1):
-        for seeds in itertools.combinations(range(g.order), size):
-            members = g.generated_subgroup(seeds)
-            if members not in found:
-                found[members] = Subgroup(g, members)
-    return sorted(found.values(), key=lambda s: (s.order, s.members))
+    found = {(g.identity,): ()}  # members -> the seeds that generated them
+    frontier = list(found)
+    while frontier:
+        grown = []
+        for members in frontier:
+            for x in set(range(g.order)) - set(members):
+                seeds = found[members] + (x,)
+                joined = g.generated_subgroup(seeds)
+                if joined not in found:
+                    found[joined] = seeds
+                    grown.append(joined)
+        frontier = grown
+    return sorted((Subgroup(g, m) for m in found), key=lambda s: (s.order, s.members))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact integer matrix routines: Smith normal form, solving, kernels.
+"""Exact integer matrix routines: Smith normal form and cokernels.
 
 Everything runs over arbitrary-precision Python ints. Each decomposition
 returns the transforms and is self-checked: U*M*V == D and both transforms
@@ -9,6 +9,8 @@ unimodularity without determinant computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .errors import MatchFailure
 
 IntMatrix = list[list[int]]
 
@@ -34,10 +36,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                 for j in range(cols):
                     oi[j] += v * bt[j]
     return out
-
-
-def mat_vec(a: IntMatrix, x: list[int]) -> list[int]:
-    return [sum(row[j] * x[j] for j in range(len(x))) for row in a]
 
 
 def is_identity(m: IntMatrix) -> bool:
@@ -163,81 +161,34 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
 
 def _self_check(m: IntMatrix, r: SmithDecomposition) -> None:
-    assert mat_mul(mat_mul(r.u, m), r.v) == r.d, "SNF self-check failed: U*M*V != D"
-    assert is_identity(mat_mul(r.u, r.u_inv)), "SNF self-check failed: U not unimodular"
-    assert is_identity(mat_mul(r.v, r.v_inv)), "SNF self-check failed: V not unimodular"
+    if mat_mul(mat_mul(r.u, m), r.v) != r.d:
+        raise MatchFailure("SNF self-check failed: U*M*V != D")
+    if not is_identity(mat_mul(r.u, r.u_inv)):
+        raise MatchFailure("SNF self-check failed: U not unimodular")
+    if not is_identity(mat_mul(r.v, r.v_inv)):
+        raise MatchFailure("SNF self-check failed: V not unimodular")
 
 
-class IntegerSolver:
-    """Factor a matrix once, then answer many M x = b queries."""
+def cokernel_invariant_factors(
+    relations: IntMatrix, ambient_rank: int
+) -> tuple[list[int], IntMatrix, IntMatrix]:
+    """Invariant factors > 1 of Z^ambient_rank / col(relations), lifts and coordinates.
 
-    def __init__(self, m: IntMatrix):
-        self.rows = len(m)
-        self.cols = len(m[0]) if self.rows else 0
-        self.dec = smith_normal_form(m) if self.rows and self.cols else None
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        if self.rows == 0:
-            return [0] * self.cols
-        if self.cols == 0:
-            return [] if all(v == 0 for v in b) else None
-        dec = self.dec
-        ub = mat_vec(dec.u, list(b))
-        y = [0] * self.cols
-        rank = min(self.rows, self.cols)
-        for i in range(self.rows):
-            di = dec.d[i][i] if i < rank else 0
-            if di == 0:
-                if ub[i] != 0:
-                    return None
-            else:
-                if ub[i] % di != 0:
-                    return None
-                y[i] = ub[i] // di
-        return mat_vec(dec.v, y)
-
-
-def solve_integer(m: IntMatrix, b: list[int]) -> list[int] | None:
-    """Some integer solution x of M x = b, or None when none exists."""
-    return IntegerSolver(m).solve(b)
-
-
-def kernel_basis(m: IntMatrix) -> list[list[int]]:
-    """Columns spanning the integer kernel lattice of M."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    dec = smith_normal_form(m)
-    rank = min(rows, cols)
-    basis = []
-    for j in range(cols):
-        if j >= rank or dec.d[j][j] == 0:
-            basis.append([dec.v[i][j] for i in range(cols)])
-    return basis
-
-
-def cokernel_invariant_factors(relations: IntMatrix, ambient_rank: int) -> tuple[list[int], IntMatrix]:
-    """Invariant factors > 1 of Z^ambient_rank / col(relations), plus lifts.
-
-    Returns (factors, generators) where generators[i] is an ambient vector
-    whose class generates the i-th cyclic factor. Raises if the quotient is
-    infinite (relations not of full row rank).
+    Returns (factors, generators, coords): generators[i] is an ambient
+    vector whose class generates the i-th cyclic factor, and an ambient
+    vector y has class (coords[i] . y mod factors[i])_i, so generators[i]
+    maps to the i-th unit vector. Raises if the quotient is infinite
+    (relations not of full row rank).
     """
     if ambient_rank == 0:
-        return [], []
+        return [], [], []
     if not relations or not relations[0]:
         raise ValueError("infinite quotient: no relations for positive rank")
     dec = smith_normal_form(relations)
     diag = dec.diagonal()
     if len(diag) < ambient_rank or any(x == 0 for x in diag[:ambient_rank]):
         raise ValueError("infinite quotient: relation matrix not of full row rank")
-    factors = []
-    gens = []
-    for i in range(ambient_rank):
-        if diag[i] > 1:
-            factors.append(diag[i])
-            gens.append([dec.u_inv[r][i] for r in range(ambient_rank)])
-    return factors, gens
+    kept = [i for i in range(ambient_rank) if diag[i] > 1]
+    factors = [diag[i] for i in kept]
+    gens = [[dec.u_inv[r][i] for r in range(ambient_rank)] for i in kept]
+    return factors, gens, [dec.u[i][:] for i in kept]

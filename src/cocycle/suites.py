@@ -21,7 +21,7 @@ from .cohomology import (
     inversion_action,
     trivial_action,
 )
-from .errors import CocycleError
+from .errors import CocycleError, CounterexampleFound, MatchFailure
 from .exactness import (
     connecting_delta,
     h2_brute_force_order,
@@ -208,7 +208,8 @@ def suite_hilbert90() -> SuiteResult:
         for q, n in [(2, 2), (3, 2), (2, 3), (5, 2)]:
             gamma_group, _ = units_gamma_group(make_tower(q, 1, n))
             res = h1(gamma_group)
-            assert res.order == 1, f"H1 of units over q={q}, n={n} is not trivial"
+            if res.order != 1:
+                raise CounterexampleFound(f"H1 of units over q={q}, n={n} is not trivial")
             counts[f"q={q},n={n}"] = res.order
         return counts
 
@@ -232,12 +233,14 @@ def suite_kernel_bijection() -> SuiteResult:
                 }
                 if sub.is_normal():
                     st = six_term_check(parent, sub)
-                    assert st.exact, f"six-term exactness fails at {st.first_failure}"
+                    if not st.exact:
+                        raise CounterexampleFound(f"six-term exactness fails at {st.first_failure}")
                     details["six_term"] = "exact"
                 return details
 
             _run_case(result, label, case)
-    assert n_triples >= 25, f"bijection corpus has only {n_triples} triples"
+    if n_triples < 25:
+        raise MatchFailure(f"bijection corpus has only {n_triples} triples")
     return result
 
 
@@ -303,8 +306,10 @@ def suite_twisted() -> SuiteResult:
             corr = cocycle_twist_correspondence(parent)
             phs = classify_phs(parent)
             n_actions = len(enumerate_twisted_actions(parent))
-            assert phs.n_classes == phs.h1.order
-            assert n_actions == corr.h1.n_cocycles
+            if phs.n_classes != phs.h1.order:
+                raise MatchFailure(f"{phs.n_classes} PHS classes vs {phs.h1.order} H1 classes")
+            if n_actions != corr.h1.n_cocycles:
+                raise MatchFailure(f"{n_actions} twisted actions vs {corr.h1.n_cocycles} cocycles")
             # cohomologous cocycles <=> isomorphic twisted spaces, all pairs
             spaces = [twisted_space(t) for t, _ in corr.pairs]
             for i in range(len(corr.pairs)):
@@ -313,7 +318,8 @@ def suite_twisted() -> SuiteResult:
                         corr.h1.class_of[corr.pairs[j][1].values]
                     )
                     iso = phs_isomorphism(spaces[i], spaces[j]) is not None
-                    assert iso == same_class, "iso/cohomologous equivalence broke"
+                    if iso != same_class:
+                        raise MatchFailure("iso/cohomologous equivalence broke")
             return {
                 "twisted_actions": n_actions,
                 "h1_classes": phs.h1.order,
@@ -393,7 +399,8 @@ def suite_shapiro() -> SuiteResult:
         def case(gamma=gamma, g=g):
             induced = map_group(gamma, g)
             res = h1(induced.gamma_group)
-            assert res.order == 1, "H1 of the full map group is not trivial"
+            if res.order != 1:
+                raise CounterexampleFound("H1 of the full map group is not trivial")
             return {"map_group_order": induced.gamma_group.base.order}
 
         _run_case(result, f"map group, gamma={label}, |G|={g.order}", case)
@@ -406,9 +413,12 @@ def suite_units() -> SuiteResult:
 
         def case(d=d):
             report = verify_units_iso(make_ring(d))
-            assert report.h1.order == report.quotient.order
-            if d in (1, 5):
-                assert report.h1.order == 2
+            if report.h1.order != report.quotient.order:
+                raise MatchFailure(
+                    f"H1 order {report.h1.order} vs quotient order {report.quotient.order}"
+                )
+            if d in (1, 5) and report.h1.order != 2:
+                raise MatchFailure(f"H1 of the units for d={d} has order {report.h1.order}, not 2")
             return {
                 "h1_order": report.h1.order,
                 "quotient_order": report.quotient.order,
@@ -425,7 +435,8 @@ def suite_forms() -> SuiteResult:
     def sum_of_squares():
         tower = make_tower(3, 1, 2)
         report = classify_forms(tower, quadratic_form_tensor(tower, ((1, 0), (0, 1))))
-        assert report.n_classes == 2
+        if report.n_classes != 2:
+            raise MatchFailure(f"x^2 + y^2 over F3 has {report.n_classes} classes, not 2")
         return {
             "direct_classes": report.n_classes,
             "cohomology_classes": report.h1_stabilizer.order,
@@ -435,7 +446,8 @@ def suite_forms() -> SuiteResult:
     def zero_tensor():
         tower = make_tower(2, 1, 2)
         report = classify_forms(tower, TensorOnV.make(tower, 2, 2, 0, ((0, 0, 0, 0),)))
-        assert report.n_classes == 1
+        if report.n_classes != 1:
+            raise MatchFailure(f"the zero tensor has {report.n_classes} classes, not 1")
         return {"direct_classes": 1, "stabilizer": report.stabilizer_size}
 
     def scalar_form():
@@ -480,7 +492,8 @@ def suite_h2() -> SuiteResult:
         def case(gamma=gamma, pres=pres):
             engine = h2_central(gamma, pres)
             oracle = h2_brute_force_order(gamma, pres)
-            assert engine.order == oracle, f"engine {engine.order} != oracle {oracle}"
+            if engine.order != oracle:
+                raise MatchFailure(f"engine {engine.order} != oracle {oracle}")
             return {"order": engine.order, "factors": list(engine.invariant_factors)}
 
         _run_case(result, name, case)
@@ -495,9 +508,8 @@ def suite_h2() -> SuiteResult:
             n_trivial = 0
             for i, cls in enumerate(h1_c.classes):
                 res = connecting_delta(parent, central, cls)
-                assert res.trivial == (i in image), (
-                    f"exactness at H1(B/A) fails for class {i}"
-                )
+                if res.trivial != (i in image):
+                    raise CounterexampleFound(f"exactness at H1(B/A) fails for class {i}")
                 n_trivial += res.trivial
             return {"quotient_classes": h1_c.order, "delta_trivial": n_trivial}
 

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 from cocycle.cli import main
+from cocycle.fields import make_tower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -158,6 +159,35 @@ def test_descent_dimension_failure_exits_3_under_python_O(tmp_path):
     assert "verification failure: fixed space has k-dimension 1, expected 2" in proc.stderr
 
 
+WRONG_ORACLE = """
+import json, sys
+import cocycle.suites as S
+from cocycle import cli
+
+oracle = S.h2_brute_force_order
+# an H2 oracle that is off by one: the engine comparison must fail the case
+S.h2_brute_force_order = lambda gamma, pres: oracle(gamma, pres) + 1
+code = cli.main(["verify", "--suite", "h2"])
+print(json.dumps({"optimize": sys.flags.optimize, "exit": code}))
+"""
+
+
+def test_suite_check_fails_under_python_O():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WRONG_ORACLE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *machine, last = proc.stdout.strip().splitlines()
+    assert json.loads(last) == {"optimize": 1, "exit": 3}
+    rows = json.loads("\n".join(machine))["rows"]
+    failed = [r for r in rows if not r["passed"]]
+    assert failed and failed[0]["case"] == "H2(Z/2, Z/2)"
+    assert failed[0]["details"] == {"error": "engine 2 != oracle 3"}
+    assert "[h2] FAIL H2(Z/2, Z/2)" in proc.stderr
+
+
 class TestHilbert90Command:
     def test_gl(self, capsys):
         assert main(["hilbert90", "--tower", "3x1x2", "--dim", "1"]) == 0
@@ -169,6 +199,16 @@ class TestHilbert90Command:
         assert main(["hilbert90", "--tower", "2x1x2", "--dim", "2", "--sl"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["group_size"] == 60
+
+    def test_sl_on_tableless_tower(self, capsys):
+        # 37^2 = 1369 is above the dense-table limit and 31^2 = 961 below it
+        assert not make_tower(37, 1, 2)._tables_built and make_tower(31, 1, 2)._tables_built
+        counts = []
+        for spec in ("37x1x2", "31x1x2"):
+            assert main(["hilbert90", "--tower", spec, "--dim", "1", "--sl"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            counts.append((payload["group_size"], payload["cocycles"]))
+        assert counts == [(1, 1), (1, 1)]
 
     def test_bad_tower_spec(self, capsys):
         assert main(["hilbert90", "--tower", "nonsense"]) == 1

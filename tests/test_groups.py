@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,34 @@ class TestSubgroups:
         subs = all_subgroups(q8)
         assert sorted(s.order for s in subs) == [1, 2, 4, 4, 4, 8]
         assert all(s.is_normal() for s in subs)
+
+    def test_all_subgroups_needs_four_generators(self):
+        # (Z/2)^4 has 1 + 15 + 35 + 15 + 1 subgroups; the whole group needs 4 generators
+        z2 = cyclic_group(2)
+        e4 = direct_product(direct_product(z2, z2), direct_product(z2, z2))
+        subs = all_subgroups(e4)
+        assert len(subs) == 67
+        assert [sum(1 for s in subs if s.order == 2**r) for r in range(5)] == [1, 15, 35, 15, 1]
+
+    def test_all_subgroups_s4(self):
+        subs = all_subgroups(symmetric_group(4))
+        assert len(subs) == 30
+        assert sum(1 for s in subs if s.is_normal()) == 4  # 1, V4, A4, S4
+
+    def test_all_subgroups_unchanged_on_kernel_bijection_corpus(self):
+        from cocycle.suites import kernel_bijection_corpus
+
+        def seed_combinations(g):
+            # the search all_subgroups used to run: every set of at most 3 seeds
+            found = {}
+            for size in range(4):
+                for seeds in itertools.combinations(range(g.order), size):
+                    members = g.generated_subgroup(seeds)
+                    found.setdefault(members, Subgroup(g, members))
+            return sorted(found.values(), key=lambda s: (s.order, s.members))
+
+        for _, parent in kernel_bijection_corpus():
+            assert all_subgroups(parent.base) == seed_combinations(parent.base)
 
     def test_subgroup_as_group(self):
         g = symmetric_group(3)

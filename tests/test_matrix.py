@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import matrix_oracle as oracle
-from cocycle import etale, galois
+from cocycle import etale, fields, galois
 from cocycle.etale import classify_etale, realize_over_fq, trace_form_determinant
 from cocycle.fields import (
     enumerate_gl,
@@ -23,6 +23,7 @@ from cocycle.galois import (
     classify_forms,
     det_image_on_rational_points,
     hilbert90_verify,
+    sl_h1_verify,
 )
 from cocycle.groups import cyclic_group
 from test_acceptance import HILBERT_CORPUS
@@ -57,15 +58,29 @@ def test_tableless_tower_runs_the_same_scan():
     assert (report.group_size, report.n_cocycles) == (1368, 38)
 
 
+@pytest.mark.parametrize("spec,m", [((2, 1, 2), 2), ((3, 1, 2), 1), ((2, 2, 2), 1), ((5, 1, 2), 1)])
+def test_sl_scan_on_a_tableless_copy(spec, m, monkeypatch):
+    tabled = make_tower(*spec)
+    monkeypatch.setattr(fields, "FIELD_TABLE_LIMIT", 0)
+    bare = fields.FqTower(*spec)
+    assert tabled._tables_built and not bare._tables_built
+    assert bare.k_elements == tabled.k_elements
+    got, want = sl_h1_verify(bare, m), sl_h1_verify(tabled, m)
+    assert (got.group_size, got.n_cocycles, got.witness_sample) == (
+        want.group_size,
+        want.n_cocycles,
+        want.witness_sample,
+    )
+
+
 @pytest.mark.parametrize("spec,m", [((2, 1, 2), 2), ((3, 1, 2), 2), ((2, 1, 1), 3), ((37, 1, 2), 1)])
 def test_enumeration_order_and_det_image(spec, m):
     tower = make_tower(*spec)
     assert enumerate_gl(tower, m) == oracle.enumerate_gl(tower, m)
     assert enumerate_sl(tower, m) == oracle.enumerate_sl(tower, m)
-    if tower._tables_built:
-        assert det_image_on_rational_points(tower, m) == oracle.det_image_on_rational_points(
-            tower, m
-        )
+    assert det_image_on_rational_points(tower, m) == oracle.det_image_on_rational_points(
+        tower, m
+    )
 
 
 # -- rref against the eight eliminations ----------------------------------------
