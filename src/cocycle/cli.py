@@ -101,7 +101,7 @@ def cmd_hilbert90(args) -> int:
         "special": bool(args.sl),
         "group_size": report.group_size,
         "cocycles": report.n_cocycles,
-        "all_coboundaries": True,
+        "all_coboundaries": report.n_coboundaries == report.n_cocycles,
         "seed": args.seed,
     }
     _emit(payload, args)

@@ -50,7 +50,7 @@ from .errors import (
     MatchFailure,
     SizeLimit,
 )
-from .groups import FiniteGroup, Subgroup, quotient_group
+from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, quotient_group
 from .snf import cokernel_invariant_factors, smith_normal_form
 
 
@@ -572,55 +572,55 @@ def h2_central(
     return H2Group(gamma, pres, tuple(factors), tuple(generators), v_inv, tuple(scale), coords)
 
 
+def _digit_rows(moduli: np.ndarray, width: int):
+    """Every vector with entries below moduli, in itertools.product order, in
+    row chunks of ``ENGINE_CHUNK >> 4`` entries of a width-wide array each."""
+    total, rows = math.prod(moduli.tolist()), max(1, (ENGINE_CHUNK >> 4) // width)
+    for start in range(0, total, rows):
+        index = np.arange(start, min(start + rows, total))
+        yield np.stack(np.unravel_index(index, moduli), axis=1)
+
+
+def _raw_differential(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> np.ndarray:
+    """Dense d_n on raw cochains (every argument tuple, row-major) by the face formula."""
+    ng, k = gamma.order, pres.rank
+    d = np.zeros((ng ** (n + 1) * k, ng**n * k), dtype=np.int64)
+    eye = np.eye(k, dtype=np.int64)
+    for r, args in enumerate(itertools.product(range(ng), repeat=n + 1)):
+        faces = [(args[1:], np.array(pres.matrices[args[0]], dtype=np.int64))]
+        for i in range(1, n + 1):
+            merged = args[: i - 1] + (gamma.mul(args[i - 1], args[i]),) + args[i + 1 :]
+            faces.append((merged, (-1) ** i * eye))
+        faces.append((args[:-1], (-1) ** (n + 1) * eye))
+        for face, coef in faces:
+            c = int(np.ravel_multi_index(face, (ng,) * n))
+            d[r * k : r * k + k, c * k : c * k + k] += coef
+    return d
+
+
 def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation, limit: int = 1 << 16) -> int:
-    """Oracle: |ker d2| / |im d1| over all raw (non-normalized) 2-cochains."""
+    """Oracle: |ker d2| / |im d1| over all raw (non-normalized) 2-cochains.
+
+    Every raw 2-cochain is tested against d2 and every raw 1-cochain mapped
+    by d1, chunk by chunk; coboundaries are counted as distinct mixed-radix keys.
+    """
     ng, k = gamma.order, pres.rank
     if k == 0 or ng == 1:
         return 1
     n_cochains = pres.module_order ** (ng * ng)
     if n_cochains > limit:
         raise SizeLimit(f"{n_cochains} raw 2-cochains exceed oracle limit {limit}")
-    dim2 = ng * ng * k
-    pairs = [(g, h) for g in range(ng) for h in range(ng)]
-    pos2 = {p: i for i, p in enumerate(pairs)}
-    d2 = np.zeros((ng * ng * ng * k, dim2), dtype=np.int64)
-    moduli3 = []
-    row = 0
-    for g in range(ng):
-        mat = np.array(pres.matrices[g], dtype=np.int64)
-        for h in range(ng):
-            gh = gamma.mul(g, h)
-            for x in range(ng):
-                hx = gamma.mul(h, x)
-                d2[row : row + k, pos2[(h, x)] * k : pos2[(h, x)] * k + k] += mat
-                for s in range(k):
-                    d2[row + s, pos2[(gh, x)] * k + s] -= 1
-                    d2[row + s, pos2[(g, hx)] * k + s] += 1
-                    d2[row + s, pos2[(g, h)] * k + s] -= 1
-                moduli3.extend(pres.factors)
-                row += k
-    moduli3 = np.array(moduli3, dtype=np.int64)
-    moduli_flat = np.array([pres.factors[t] for _ in pairs for t in range(k)], dtype=np.int64)
-    ranges = [range(int(m)) for m in moduli_flat]
-    cochains = np.array(list(itertools.product(*ranges)), dtype=np.int64)
-    defects = (cochains @ d2.T) % moduli3[None, :]
-    cocycle_count = int(np.sum(~np.any(defects, axis=1)))
-    # coboundaries of all raw 1-cochains
-    dim1 = ng * k
-    d1 = np.zeros((dim2, dim1), dtype=np.int64)
-    for g in range(ng):
-        mat = np.array(pres.matrices[g], dtype=np.int64)
-        for h in range(ng):
-            r0 = pos2[(g, h)] * k
-            d1[r0 : r0 + k, h * k : h * k + k] += mat
-            gh = gamma.mul(g, h)
-            for s in range(k):
-                d1[r0 + s, gh * k + s] -= 1
-                d1[r0 + s, g * k + s] += 1
-    ranges1 = [range(pres.factors[t]) for _ in range(ng) for t in range(k)]
-    fs = np.array(list(itertools.product(*ranges1)), dtype=np.int64)
-    images = (fs @ d1.T) % moduli_flat[None, :]
-    coboundary_count = len({tuple(map(int, row)) for row in images})
+    d1, d2 = _raw_differential(gamma, pres, 1), _raw_differential(gamma, pres, 2)
+    moduli1, moduli2, moduli3 = (np.tile(pres.factors, ng**n) for n in (1, 2, 3))
+    cocycle_count = 0
+    for cochains in _digit_rows(moduli2, len(moduli3)):
+        defects = (cochains @ d2.T) % moduli3
+        cocycle_count += int(np.count_nonzero(~defects.any(axis=1)))
+    keys = [
+        np.ravel_multi_index(tuple(((fs @ d1.T) % moduli2).T), moduli2)
+        for fs in _digit_rows(moduli1, len(moduli2))
+    ]
+    coboundary_count = len(np.unique(np.concatenate(keys)))
     if cocycle_count % coboundary_count:
         raise CounterexampleFound("coboundary count does not divide the cocycle count")
     return cocycle_count // coboundary_count

@@ -12,13 +12,15 @@ x -> x^(p^d), verified at construction through the Frobenius matrix.
 
 Matrices over the tower have one elimination routine, ``rref``, behind
 rank, kernel, solve, determinant and inverse, and one enumeration of
-GL_m/SL_m, ``general_linear``: entry-major (m, m, N) arrays in lexicographic
-order with Leibniz determinants, inverted in bulk by ``batch_inv``.
+GL_m/SL_m, ``general_linear``: a stream, in lexicographic order, of chunks of
+``ENGINE_CHUNK >> 4`` entries, each an entry-major (m, m, N) array with its
+Leibniz determinants and ranks, inverted in bulk by ``batch_inv``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 import numpy as np
 
 from .errors import (
@@ -32,8 +34,10 @@ from .errors import (
     SizeLimit,
     check_buffer,
 )
+from .groups import ENGINE_CHUNK
 
 Matrix = tuple[tuple[int, ...], ...]
+Chunks = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (mats, det, keys) per chunk
 
 
 def is_prime(p: int) -> bool:
@@ -506,15 +510,11 @@ def as_matrix(a: np.ndarray) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in a)
 
 
-def matrices_over(values: np.ndarray, m: int) -> np.ndarray:
-    """Every m x m matrix with entries in values, in row-major lexicographic order."""
-    values = np.asarray(values, dtype=np.int64)
-    idx = np.arange(len(values) ** (m * m), dtype=np.int64)
-    flat = np.empty((m * m, len(idx)), dtype=np.int64)
-    for t in range(m * m - 1, -1, -1):
-        flat[t] = values[idx % len(values)]
-        idx //= len(values)
-    return flat.reshape(m, m, -1)
+def matrices_over(values: np.ndarray, m: int, keys: np.ndarray) -> np.ndarray:
+    """The m x m matrices over values whose row-major base-len(values) digits
+    are keys: lexicographic ranks, and over values = range(|K|) batch_keys."""
+    digits = np.unravel_index(np.asarray(keys, dtype=np.int64), (len(values),) * (m * m))
+    return np.asarray(values, dtype=np.int64)[np.stack(digits)].reshape(m, m, len(keys))
 
 
 def batch_key(tower: FqTower, a: np.ndarray) -> np.ndarray:
@@ -575,20 +575,29 @@ def batch_inv(tower: FqTower, a: np.ndarray, det: np.ndarray) -> np.ndarray:
     return out
 
 
+def invertible_matrices(tower: FqTower, values: np.ndarray, m: int, special: bool) -> Chunks:
+    """(mats, det, ranks) chunks of the invertible (det 1 if special) matrices_over values."""
+    total = len(values) ** (m * m)
+    step = max(1, (ENGINE_CHUNK >> 4) // (m * m))
+    for start in range(0, total, step):
+        keys = np.arange(start, min(start + step, total), dtype=np.int64)
+        mats = matrices_over(values, m, keys)
+        det = batch_det(tower, mats)
+        keep = det == 1 if special else det != 0
+        yield mats[:, :, keep], det[keep], keys[keep]
+
+
 def general_linear(
     tower: FqTower, m: int, special: bool = False, max_matrices: int = DEFAULT_MAX_MATRICES
-) -> tuple[np.ndarray, np.ndarray]:
-    """GL_m(K), or SL_m(K) when special, with determinants, in lexicographic order.
+) -> Chunks:
+    """GL_m(K), or SL_m(K) when special, as lexicographic (mats, det, batch_key) chunks.
 
-    The bound applies to the |K|^(m^2) matrices scanned, before allocation.
+    The bound applies to the |K|^(m^2) matrices scanned, at the call, before allocation.
     """
     total = tower.size ** (m * m)
     if total > max_matrices:
         raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")
-    mats = matrices_over(np.arange(tower.size), m)
-    det = batch_det(tower, mats)
-    keep = det == 1 if special else det != 0
-    return mats[:, :, keep], det[keep]
+    return invertible_matrices(tower, np.arange(tower.size), m, special)
 
 
 def mat_identity(tower: FqTower, m: int) -> Matrix:
@@ -621,15 +630,17 @@ def vec_frob(tower: FqTower, v, j: int = 1) -> tuple[int, ...]:
     return tuple(tower.frob(x, j) for x in v)
 
 
+def _as_list(chunks) -> list[Matrix]:
+    return [as_matrix(mats[:, :, i]) for mats, _, _ in chunks for i in range(mats.shape[2])]
+
+
 def enumerate_gl(
     tower: FqTower, m: int, max_matrices: int = DEFAULT_MAX_MATRICES
 ) -> list[Matrix]:
-    mats, _ = general_linear(tower, m, False, max_matrices)
-    return [as_matrix(mats[:, :, i]) for i in range(mats.shape[2])]
+    return _as_list(general_linear(tower, m, False, max_matrices))
 
 
 def enumerate_sl(
     tower: FqTower, m: int, max_matrices: int = DEFAULT_MAX_MATRICES
 ) -> list[Matrix]:
-    mats, _ = general_linear(tower, m, True, max_matrices)
-    return [as_matrix(mats[:, :, i]) for i in range(mats.shape[2])]
+    return _as_list(general_linear(tower, m, True, max_matrices))

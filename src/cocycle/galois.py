@@ -4,8 +4,8 @@ Semilinear actions v -> A_j . v^(frob^j) of the cyclic Galois group, bases
 of invariant vectors by base-field linear algebra (no averaging map, which
 can vanish in characteristic p), exhaustive Hilbert-90 style cocycle scans
 for GL_m and SL_m, and two-route classification of tensor forms. Scans and
-forms run on the batched GL_m/SL_m enumeration of ``fields``, one code
-path for every m and for towers with or without dense tables.
+forms run on the chunked GL_m/SL_m stream of ``fields``, one code path for
+every m and for towers with or without dense tables.
 
 Cyclic cocycles are stored through their generator matrix A: the value at
 frob^j is A * A^frob * ... * A^(frob^(j-1)), the norm condition
@@ -33,11 +33,11 @@ from .fields import (
     FqTower,
     Matrix,
     as_matrix,
-    batch_det,
     batch_inv,
     batch_key,
     batch_mul,
     general_linear,
+    invertible_matrices,
     mat_frob,
     mat_identity,
     mat_inv,
@@ -178,21 +178,22 @@ class CocycleScanReport:
     special: bool
     group_size: int
     n_cocycles: int
+    n_coboundaries: int  # distinct B^-1 B^frob over the group
     witness_sample: tuple[tuple[Matrix, Matrix], ...]  # (cocycle generator, B)
 
 
 _WITNESS_SAMPLE_SIZE = 8
 
 
-def _coboundary_index(
-    tower: FqTower, group: np.ndarray, group_inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys of the coboundaries B^-1 B^frob, each with its first witness B.
+def _coboundary_keys(tower: FqTower, mats: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Keys of the coboundaries B^-1 B^frob of a batch B with inverses inv."""
+    return batch_key(tower, batch_mul(tower, inv, tower.vfrob(mats)))
 
-    Witness positions index the batch in its (lexicographic) order.
-    """
-    cob = batch_mul(tower, group_inv, tower.vfrob(group))
-    return np.unique(batch_key(tower, cob), return_index=True)
+
+def _decode(tower: FqTower, m: int, keys: np.ndarray) -> list[Matrix]:
+    """The matrices with the given batch_key ranks."""
+    mats = matrices_over(np.arange(tower.size), m, keys)
+    return [as_matrix(mats[:, :, i]) for i in range(len(keys))]
 
 
 def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -209,30 +210,36 @@ def hilbert90_verify(
 ) -> CocycleScanReport:
     """Scan GL_m (or SL_m) for norm-one matrices and trivialize each one.
 
-    One batched pass for every m: the coboundaries B^-1 B^frob of the whole
-    group are indexed first, then every matrix with norm
-    A A^frob ... A^(frob^(n-1)) = I is looked up there. A norm-one matrix
-    with no coboundary witness raises CounterexampleFound; by the
-    classification theorems this indicates an implementation bug.
+    One pass over the group stream for every m, keeping only keys: of each
+    coboundary B^-1 B^frob with its B, and of each matrix with norm
+    A A^frob ... A^(frob^(n-1)) = I. One sort indexes the coboundaries with
+    their first witnesses in (lexicographic) enumeration order; each norm-one
+    key is looked up there. A norm-one matrix with no coboundary witness
+    raises CounterexampleFound: a bug, by the classification theorems.
     """
-    group, det = general_linear(tower, m, special, max_matrices)
-    cob_keys, witness_of = _coboundary_index(tower, group, batch_inv(tower, group, det))
-    norm = group
-    for j in range(1, tower.n):
-        norm = batch_mul(tower, norm, tower.vfrob(group, j))
     ident = np.eye(m, dtype=np.int64)[:, :, None]
-    cocycles = np.flatnonzero((norm == ident).all(axis=(0, 1)))
-    hits = _lookup(cob_keys, batch_key(tower, group[:, :, cocycles]))
+    chunks = []
+    for mats, det, keys in general_linear(tower, m, special, max_matrices):
+        norm = mats
+        for j in range(1, tower.n):
+            norm = batch_mul(tower, norm, tower.vfrob(mats, j))
+        cob = _coboundary_keys(tower, mats, batch_inv(tower, mats, det))
+        chunks.append((cob, keys, keys[(norm == ident).all(axis=(0, 1))]))
+    cob_keys, group_keys, cocycles = (np.concatenate(c) for c in zip(*chunks))
+    del chunks
+    cob_keys, first = np.unique(cob_keys, return_index=True)
+    hits = _lookup(cob_keys, cocycles)
     if (hits < 0).any():
-        a = as_matrix(group[:, :, cocycles[np.argmax(hits < 0)]])
+        a = _decode(tower, m, cocycles[hits < 0][:1])[0]
         raise CounterexampleFound(f"norm-one matrix {a} over {tower!r} is not a coboundary")
     if len(cob_keys) != len(cocycles):
         raise CounterexampleFound("coboundaries produced a non-cocycle (norm condition bug)")
-    sample = tuple(
-        (as_matrix(group[:, :, a]), as_matrix(group[:, :, witness_of[h]]))
-        for a, h in zip(cocycles[:_WITNESS_SAMPLE_SIZE], hits[:_WITNESS_SAMPLE_SIZE])
+    shown = slice(_WITNESS_SAMPLE_SIZE)
+    witnesses = group_keys[first[hits[shown]]]
+    sample = tuple(zip(_decode(tower, m, cocycles[shown]), _decode(tower, m, witnesses)))
+    return CocycleScanReport(
+        tower, m, special, len(group_keys), len(cocycles), len(cob_keys), sample
     )
-    return CocycleScanReport(tower, m, special, group.shape[2], len(cocycles), sample)
 
 
 def det_image_on_rational_points(
@@ -242,8 +249,8 @@ def det_image_on_rational_points(
     total = tower.size ** (m * m)
     if total > max_matrices:
         raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")
-    det = batch_det(tower, matrices_over(tower.k_elements, m))
-    image = set(det[det != 0].tolist())
+    chunks = invertible_matrices(tower, np.array(tower.k_elements), m, False)
+    image = {x for _, det, _ in chunks for x in np.unique(det).tolist()}
     if not image <= set(tower.k_elements):
         raise CounterexampleFound("det of a rational matrix is not in the base field")
     return image
@@ -381,9 +388,14 @@ def classify_forms(
     if not tensor.defined_over_base():
         raise ValueError("reference tensor must be defined over the base field")
     m, n, cols = tensor.dim, tower.n, tensor.dim**tensor.l
-    gl, det = general_linear(tower, m, False, max_matrices)
-    gl_inv = batch_inv(tower, gl, det)
-    moved = _transport(tensor, gl, gl_inv)
+    # per GL chunk: det (for the few inverses used later), coboundaries, transports
+    chunks = []
+    for g, det, _ in general_linear(tower, m, False, max_matrices):
+        g_inv = batch_inv(tower, g, det)
+        chunks.append((g, det, _coboundary_keys(tower, g, g_inv), _transport(tensor, g, g_inv).T))
+    gl, gl_det, cob_keys, moved = (np.concatenate(c, axis=-1) for c in zip(*chunks))
+    del chunks
+    moved = np.ascontiguousarray(moved.T)
     stab_pos = np.flatnonzero((moved == np.ravel(tensor.coeffs)).all(axis=1))
     if len(stab_pos) > max_stabilizer:
         raise SizeLimit(
@@ -395,7 +407,7 @@ def classify_forms(
     orbit = dict(zip(map(tuple, orbit_rows.tolist()), first.tolist()))
     invariants = orbit_rows[(tower.vfrob(orbit_rows) == orbit_rows).all(axis=1)]
     rational = np.flatnonzero((tower.vfrob(gl) == gl).all(axis=(0, 1)))
-    k_gl, k_gl_inv = gl[:, :, rational], gl_inv[:, :, rational]
+    k_gl, k_gl_inv = gl[:, :, rational], batch_inv(tower, gl[:, :, rational], gl_det[rational])
     remaining = set(map(tuple, invariants.tolist()))
     orbits_flat: list[list[tuple[int, ...]]] = []
     while remaining:
@@ -429,9 +441,8 @@ def classify_forms(
 
     # Hilbert 90 on the ambient group: every class dies in GL
     if n > 1:
-        cob_keys, _ = _coboundary_index(tower, gl, gl_inv)
         gens = [rep.values[1] for rep in h1_stab.classes]
-        if (_lookup(cob_keys, stab_keys[gens]) < 0).any():
+        if (_lookup(np.unique(cob_keys), stab_keys[gens]) < 0).any():
             raise CounterexampleFound(
                 "stabilizer cocycle is not a GL coboundary (Hilbert 90 violation)"
             )
@@ -440,7 +451,7 @@ def classify_forms(
     transporters = np.array([orbit[t] for members in orbits_flat for t in members])
     g = gl[:, :, transporters]
     g_frobs = np.stack([tower.vfrob(g, j) for j in range(n)], axis=2)
-    cocycles = batch_mul(tower, gl_inv[:, :, None, transporters], g_frobs)
+    cocycles = batch_mul(tower, batch_inv(tower, g, gl_det[transporters])[:, :, None], g_frobs)
     values = stab_index(cocycles, "transport cocycle left the stabilizer").T
     matching = []
     used: dict[int, int] = {}

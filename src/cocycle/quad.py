@@ -24,6 +24,7 @@ from .cohomology import GammaGroup, H1Set, h1, make_cocycle
 from .errors import (
     DEFAULT_MAX_QUAD_D,
     BijectionFailure,
+    CounterexampleFound,
     NotSquarefree,
     SizeLimit,
 )
@@ -170,7 +171,8 @@ def ideal_from_generators(ring: QuadRing, gens: list[Elem]) -> QuadIdeal:
     a, b, c = _hnf_two_rows(vectors)
     ideal = QuadIdeal(ring, a, b, c)
     for v in ((a, 0), (b, c)):
-        assert ideal.contains(ring.mul_omega(v)), "normal form is not omega-stable"
+        if not ideal.contains(ring.mul_omega(v)):
+            raise CounterexampleFound("normal form is not omega-stable")
     return ideal
 
 
@@ -192,7 +194,8 @@ def multiply(i: QuadIdeal, j: QuadIdeal) -> QuadIdeal:
     vectors = products + [ring.mul_omega(p) for p in products]
     a, b, c = _hnf_two_rows(vectors)
     result = QuadIdeal(ring, a, b, c)
-    assert result.norm == i.norm * j.norm, "ideal norm is not multiplicative"
+    if result.norm != i.norm * j.norm:
+        raise CounterexampleFound("ideal norm is not multiplicative")
     return result
 
 
@@ -262,13 +265,15 @@ def ramified_primes(ring: QuadRing) -> list[tuple[int, QuadIdeal]]:
             value = b * b + ring.omega_trace * b + ring.omega_norm
             if value % p == 0:
                 found = ideal_from_generators(ring, [(p, 0), (b, 1)])
-                assert found.norm == p, f"lattice (p, b+w) above {p} is not stable"
+                if found.norm != p:
+                    raise CounterexampleFound(f"lattice (p, b+w) above {p} is not stable")
                 break
-        assert found is not None, f"no prime ideal above ramified {p}"
-        assert multiply(found, found) == principal_ideal(ring, (p, 0)), (
-            f"square of the ideal above {p} is not ({p})"
-        )
-        assert conjugate(found) == found, f"ideal above {p} is not conjugation-fixed"
+        if found is None:
+            raise CounterexampleFound(f"no prime ideal above ramified {p}")
+        if multiply(found, found) != principal_ideal(ring, (p, 0)):
+            raise CounterexampleFound(f"square of the ideal above {p} is not ({p})")
+        if conjugate(found) != found:
+            raise CounterexampleFound(f"ideal above {p} is not conjugation-fixed")
         out.append((p, found))
     return out
 
@@ -307,7 +312,8 @@ def invariant_principal_quotient(ring: QuadRing) -> InvariantQuotientReport:
     for k1 in principal_keys:
         for k2 in principal_keys:
             sym_diff = tuple(sorted(set(k1) ^ set(k2)))
-            assert sym_diff in principal_keys, "principal subsets are not a subgroup"
+            if sym_diff not in principal_keys:
+                raise CounterexampleFound("principal subsets are not a subgroup")
     return InvariantQuotientReport(ring, tuple(ram), tuple(principal))
 
 
@@ -345,14 +351,16 @@ class UnitsIsoReport:
 
     @property
     def matched(self) -> bool:
-        return True  # construction fails loudly otherwise
+        """The classes in pairs are distinct and as many as the pairs and H1."""
+        return len({cls for _, _, cls in self.pairs}) == len(self.pairs) == self.h1.order
 
 
 def _unit_quotient(ring: QuadRing, numerator: Elem, denominator: Elem) -> Elem:
     """numerator / denominator, which must land in the ring."""
     n = ring.norm(denominator)
     product = ring.mul(numerator, ring.conj(denominator))
-    assert product[0] % n == 0 and product[1] % n == 0, "quotient is not integral"
+    if product[0] % n or product[1] % n:
+        raise CounterexampleFound("quotient is not integral")
     return (product[0] // n, product[1] // n)
 
 
@@ -371,7 +379,8 @@ def verify_units_iso(ring: QuadRing) -> UnitsIsoReport:
     identity = units.gamma_group.base.identity
     for subset, gen in quotient.principal_subsets:
         ratio = _unit_quotient(ring, ring.conj(gen), gen)
-        assert ratio in pos, "conj(lambda)/lambda is not a unit"
+        if ratio not in pos:
+            raise CounterexampleFound("conj(lambda)/lambda is not a unit")
         cocycle = make_cocycle(units.gamma_group, (identity, pos[ratio]))
         cls = h1_set.class_index(cocycle)
         if cls in assignment and assignment[cls] != subset:

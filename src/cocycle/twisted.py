@@ -32,6 +32,7 @@ from .cohomology import (
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
     BijectionFailure,
+    CounterexampleFound,
     MatchFailure,
     SizeLimit,
     check_buffer,
@@ -144,14 +145,15 @@ def twist_of_cocycle(alpha: Cocycle) -> TwistedSemiaction:
     vector = tuple(parent.base.inv(v) for v in alpha.values)
     twist = TwistedSemiaction.from_vector(parent, vector)
     ok, witness = is_twisted_action(twist)
-    assert ok, f"cocycle translated to a non-action at {witness}"
+    if not ok:
+        raise CounterexampleFound(f"cocycle translated to a non-action at {witness}")
     return twist
 
 
 def cocycle_twist_correspondence(
     parent: GammaGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES
 ) -> TwistCorrespondence:
-    """Pair every twisted action with its cocycle; round-trips are asserted."""
+    """Pair every twisted action with its cocycle; round-trips are checked."""
     twists = enumerate_twisted_actions(parent, max_candidates)
     h1_set = h1(parent, max_candidates)
     seen = set()
@@ -181,7 +183,7 @@ class GSpace:
     """Finite set with commuting G- and gamma-actions.
 
     Compatibility ``g^s * x^s = (g * x)^s`` and both action laws are checked
-    on construction; ``principal`` asserts the G-action is free and
+    on construction; ``principal`` checks that the G-action is free and
     transitive.
     """
 
@@ -373,7 +375,8 @@ def shapiro_induce(
     maps_arr = maps_arr[order_key]
     radix = g.order ** np.arange(ng - 1, -1, -1, dtype=np.int64)
     encodings = maps_arr @ radix
-    assert np.all(np.diff(encodings) > 0), "induced map set has duplicates"
+    if not np.all(np.diff(encodings) > 0):
+        raise CounterexampleFound("induced map set has duplicates")
 
     def locate(arr: np.ndarray) -> np.ndarray:
         enc = arr @ radix

@@ -7,12 +7,18 @@ reads the quotient off a Smith form. ``is_coboundary`` decides membership in
 im(d1) + orders by one augmented integer solve. Both build d1 and d2 with
 ``normalized_d_sparse``, the pair-by-pair construction the package used.
 ``tests/test_h2.py`` compares the package's one-Smith-form route against
-these results.
+these results. ``h2_brute_force_order`` is the dense brute force the package
+ran before it streamed the cochains in chunks: every raw 2-cochain in one
+array, coboundaries counted as a set of tuples.
 """
 
 from __future__ import annotations
 
-from cocycle.errors import DEFAULT_MAX_SNF_ENTRIES, SizeLimit
+import itertools
+
+import numpy as np
+
+from cocycle.errors import DEFAULT_MAX_SNF_ENTRIES, CounterexampleFound, SizeLimit
 from cocycle.exactness import AbelianPresentation, H2Group
 from cocycle.groups import FiniteGroup
 from cocycle.snf import IntMatrix, cokernel_invariant_factors, smith_normal_form
@@ -188,3 +194,57 @@ def is_coboundary(gamma: FiniteGroup, pres: AbelianPresentation, vec) -> bool:
         return True
     aug = [d1[i][:] + [moduli2[i] if i == j else 0 for j in range(dim2)] for i in range(dim2)]
     return solve_integer(aug, list(vec)) is not None
+
+
+def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation, limit: int = 1 << 16) -> int:
+    """Oracle: |ker d2| / |im d1| over all raw (non-normalized) 2-cochains."""
+    ng, k = gamma.order, pres.rank
+    if k == 0 or ng == 1:
+        return 1
+    n_cochains = pres.module_order ** (ng * ng)
+    if n_cochains > limit:
+        raise SizeLimit(f"{n_cochains} raw 2-cochains exceed oracle limit {limit}")
+    dim2 = ng * ng * k
+    pairs = [(g, h) for g in range(ng) for h in range(ng)]
+    pos2 = {p: i for i, p in enumerate(pairs)}
+    d2 = np.zeros((ng * ng * ng * k, dim2), dtype=np.int64)
+    moduli3 = []
+    row = 0
+    for g in range(ng):
+        mat = np.array(pres.matrices[g], dtype=np.int64)
+        for h in range(ng):
+            gh = gamma.mul(g, h)
+            for x in range(ng):
+                hx = gamma.mul(h, x)
+                d2[row : row + k, pos2[(h, x)] * k : pos2[(h, x)] * k + k] += mat
+                for s in range(k):
+                    d2[row + s, pos2[(gh, x)] * k + s] -= 1
+                    d2[row + s, pos2[(g, hx)] * k + s] += 1
+                    d2[row + s, pos2[(g, h)] * k + s] -= 1
+                moduli3.extend(pres.factors)
+                row += k
+    moduli3 = np.array(moduli3, dtype=np.int64)
+    moduli_flat = np.array([pres.factors[t] for _ in pairs for t in range(k)], dtype=np.int64)
+    ranges = [range(int(m)) for m in moduli_flat]
+    cochains = np.array(list(itertools.product(*ranges)), dtype=np.int64)
+    defects = (cochains @ d2.T) % moduli3[None, :]
+    cocycle_count = int(np.sum(~np.any(defects, axis=1)))
+    # coboundaries of all raw 1-cochains
+    dim1 = ng * k
+    d1 = np.zeros((dim2, dim1), dtype=np.int64)
+    for g in range(ng):
+        mat = np.array(pres.matrices[g], dtype=np.int64)
+        for h in range(ng):
+            r0 = pos2[(g, h)] * k
+            d1[r0 : r0 + k, h * k : h * k + k] += mat
+            gh = gamma.mul(g, h)
+            for s in range(k):
+                d1[r0 + s, gh * k + s] -= 1
+                d1[r0 + s, g * k + s] += 1
+    ranges1 = [range(pres.factors[t]) for _ in range(ng) for t in range(k)]
+    fs = np.array(list(itertools.product(*ranges1)), dtype=np.int64)
+    images = (fs @ d1.T) % moduli_flat[None, :]
+    coboundary_count = len({tuple(map(int, row)) for row in images})
+    if cocycle_count % coboundary_count:
+        raise CounterexampleFound("coboundary count does not divide the cocycle count")
+    return cocycle_count // coboundary_count

@@ -310,7 +310,9 @@ def _scan_scalar(
     assert len(witnesses_by_cocycle) == n_cocycles, (
         "coboundaries produced a non-cocycle (norm condition bug)"
     )
-    return CocycleScanReport(tower, m, special, len(group), n_cocycles, tuple(sample))
+    return CocycleScanReport(
+        tower, m, special, len(group), n_cocycles, len(witnesses_by_cocycle), tuple(sample)
+    )
 
 
 def _scan_vectorized(tower: FqTower, m: int, special: bool) -> CocycleScanReport:
@@ -347,7 +349,7 @@ def _scan_vectorized(tower: FqTower, m: int, special: bool) -> CocycleScanReport
                 sample.append((((int(value),),), ((b,),)))
         assert len(cob_set) == len(cocycles)
         return CocycleScanReport(
-            tower, 1, special, len(keep), len(cocycles), tuple(sample)
+            tower, 1, special, len(keep), len(cocycles), len(cob_set), tuple(sample)
         )
 
     idx = np.arange(size**4, dtype=np.int64)
@@ -402,7 +404,7 @@ def _scan_vectorized(tower: FqTower, m: int, special: bool) -> CocycleScanReport
         "coboundaries produced a non-cocycle (norm condition bug)"
     )
     return CocycleScanReport(
-        tower, 2, special, group_size, len(cocycle_pos), tuple(sample)
+        tower, 2, special, group_size, len(cocycle_pos), len(cob_index), tuple(sample)
     )
 
 

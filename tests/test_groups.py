@@ -67,6 +67,63 @@ class TestMakeGroup:
         with pytest.raises(ValueError):
             make_group([[0, 1], [1, 5]])
 
+    def test_associativity_is_exact_above_64(self):
+        # Z/512 with 2 * 3 = 6 instead of 5: identity and inverses survive
+        n = 512
+        table = (np.arange(n)[:, None] + np.arange(n)) % n
+        table[2, 3] = 6
+        # the fixed-seed sample of 10**5 triples once used above order 64 misses it
+        x, y, z = np.random.default_rng(917).integers(0, n, size=(100_000, 3)).T
+        assert np.array_equal(table[table[x, y], z], table[x, table[y, z]])
+        with pytest.raises(NotAssociative) as exc:
+            make_group(table)
+        a, b, c = exc.value.triple
+        assert table[table[a, b], c] != table[a, table[b, c]]
+
+    def test_associativity_beyond_the_first_generator(self):
+        # the 16 unit octonions +-e_i at index 2i + sign: -1 (index 1, the
+        # first generator found) associates with everything, e1, e2, e4 do not
+        lines = [(1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5)]
+        unit = {}  # e_i * e_j = (sign, k) for i != j, both nonzero
+        for a, b, c in lines:
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                unit[x, y], unit[y, x] = (0, z), (1, z)
+        table = np.empty((16, 16), dtype=np.int64)
+        for p, q in itertools.product(range(16), repeat=2):
+            i, j = p // 2, q // 2
+            sign, k = (0, i + j) if 0 in (i, j) else (1, 0) if i == j else unit[i, j]
+            table[p, q] = 2 * k + (sign + p + q) % 2
+        # (e1 e2) e4 = e7 but e1 (e2 e4) = -e7
+        assert table[table[2, 4], 8] == 14 and table[2, table[4, 8]] == 15
+        with pytest.raises(NotAssociative) as exc:
+            make_group(table)
+        a, b, c = exc.value.triple
+        assert table[table[a, b], c] != table[a, table[b, c]]
+
+    @pytest.mark.parametrize(
+        "group",
+        [cyclic_group(12), symmetric_group(4), dihedral_group(5), quaternion_group()],
+        ids=["Z12", "S4", "D5", "Q8"],
+    )
+    def test_light_test_agrees_with_all_triples(self, group):
+        # one entry off the identity row and column changed: the generator
+        # check must reject exactly the tables that fail on some triple
+        rng = np.random.default_rng(group.order)
+        n, e = group.order, group.identity
+        for _ in range(25):
+            table = np.array(group.table, dtype=np.int64)
+            a, b = rng.choice([g for g in range(n) if g != e], size=2)
+            table[a, b] = rng.integers(n)
+            exhaustive = np.array_equal(table[table, :], table[:, table])
+            try:
+                make_group(table)
+                passed = True
+            except NotAssociative:
+                passed = False
+            except NoInverse:  # checked after associativity passed
+                passed = True
+            assert passed == exhaustive
+
 
 class TestFamilies:
     def test_symmetric_1(self):

@@ -1,0 +1,162 @@
+"""The exhaustive checks stream in fixed chunks: same answers, bounded memory.
+
+``fields.general_linear`` yields GL_m/SL_m in chunks of ``ENGINE_CHUNK >> 4``
+matrix entries and ``exactness.h2_brute_force_order`` walks the raw cochains
+the same way. Shrinking the chunk constant where each stream reads it must
+leave every report unchanged (witness samples included), the streamed H2
+oracle must agree with the dense one in ``tests/h2_oracle.py``, and the
+traced peak of each check must stay under a fixed bound.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import h2_oracle
+import matrix_oracle as oracle
+from cocycle import cyclic_group, exactness, fields, trivial_module
+from cocycle.errors import SizeLimit
+from cocycle.fields import batch_key, general_linear, make_tower
+from cocycle.galois import det_image_on_rational_points, hilbert90_verify, sl_h1_verify
+from test_h2 import CASES, v4
+
+ONE_CHUNK = 1 << 40
+
+
+def _chunk_constant(entries_per_chunk: int) -> int:
+    """The ENGINE_CHUNK value whose streams hold entries_per_chunk entries."""
+    return entries_per_chunk << 4
+
+
+def _seven_chunks(monkeypatch, tower, m):
+    """Cut the |K|^(m^2) matrices into about seven chunks, seams inside the group."""
+    step = tower.size ** (m * m) // 7 + 3
+    monkeypatch.setattr(fields, "ENGINE_CHUNK", _chunk_constant(step * m * m))
+
+
+# (tower, m, special): GL2(F9), SL2(F25), GL3(F4)
+SEAM_SCANS = [((3, 1, 2), 2, False), ((5, 1, 2), 2, True), ((2, 1, 2), 3, False)]
+
+
+@pytest.mark.parametrize("spec,m,special", SEAM_SCANS)
+def test_scan_is_the_same_across_chunk_seams(spec, m, special, monkeypatch):
+    tower = make_tower(*spec)
+    monkeypatch.setattr(fields, "ENGINE_CHUNK", ONE_CHUNK)
+    assert len(list(general_linear(tower, m, special))) == 1
+    whole = hilbert90_verify(tower, m, special)
+    _seven_chunks(monkeypatch, tower, m)
+    chunks = [keys for _, _, keys in general_linear(tower, m, special)]
+    assert sum(len(keys) > 0 for keys in chunks) >= 5
+    streamed = hilbert90_verify(tower, m, special)
+    assert streamed == whole
+    assert streamed.n_coboundaries == streamed.n_cocycles
+    if m == 2:
+        # the one-matrix-at-a-time oracle takes tens of seconds on GL3(F4)
+        assert streamed == oracle.hilbert90_verify(tower, m, special)
+    else:
+        assert (streamed.group_size, streamed.n_cocycles) == (181_440, 1_080)
+
+
+@pytest.mark.parametrize("spec,m", [((2, 1, 2), 2), ((3, 1, 2), 2), ((2, 1, 1), 3)])
+def test_stream_order_keys_and_det_image_across_seams(spec, m, monkeypatch):
+    tower = make_tower(*spec)
+    _seven_chunks(monkeypatch, tower, m)
+    chunks = list(general_linear(tower, m))
+    assert len(chunks) >= 5
+    for mats, det, keys in chunks:
+        assert np.array_equal(keys, batch_key(tower, mats))
+        assert np.array_equal(det, fields.batch_det(tower, mats))
+    keys = np.concatenate([keys for _, _, keys in chunks])
+    assert np.all(np.diff(keys) > 0)
+    assert fields.enumerate_gl(tower, m) == oracle.enumerate_gl(tower, m)
+    assert fields.enumerate_sl(tower, m) == oracle.enumerate_sl(tower, m)
+    assert det_image_on_rational_points(tower, m) == oracle.det_image_on_rational_points(
+        tower, m
+    )
+    report = sl_h1_verify(tower, m)
+    assert report == oracle.hilbert90_verify(tower, m, special=True)
+
+
+def test_size_limit_fires_at_the_call():
+    tower = make_tower(2, 1, 2)
+    with pytest.raises(SizeLimit):
+        general_linear(tower, 3, max_matrices=4**9 - 1)  # no iteration needed
+    assert next(general_linear(tower, 3, max_matrices=4**9))[0].shape[:2] == (3, 3)
+    with pytest.raises(SizeLimit):
+        det_image_on_rational_points(tower, 3, max_matrices=4**9 - 1)
+
+
+# -- the brute-force H2 oracle -------------------------------------------------
+
+
+def _within_limit(gamma, pres, limit=1 << 16):
+    return pres.module_order ** (gamma.order**2) <= limit
+
+
+ORACLE_CASES = [case for case in CASES if _within_limit(case[1], case[2])]
+
+
+@pytest.mark.parametrize("name,gamma,pres", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_streamed_oracle_matches_dense(name, gamma, pres):
+    assert exactness.h2_brute_force_order(gamma, pres) == h2_oracle.h2_brute_force_order(
+        gamma, pres
+    )
+
+
+def test_oracle_corpus_covers_the_required_modules():
+    names = {name for name, _, _ in ORACLE_CASES}
+    assert {"H2(Z/4, Z/2)", "H2(V4, Z/2)", "H2(Z/2, Z/4 inverted)"} <= names
+    assert {f"H2(Z/{n}, Z/{m})" for n in (1, 2) for m in (2, 3, 4, 6)} <= names
+    assert "H2(Z/2, Z/2 x Z/4)" in names
+
+
+@pytest.mark.parametrize(
+    "gamma,factors",
+    [(cyclic_group(4), (2,)), (v4(), (2,)), (cyclic_group(3), (3,)), (cyclic_group(2), (2, 4))],
+    ids=["Z/4, Z/2", "V4, Z/2", "Z/3, Z/3", "Z/2, Z/2 x Z/4"],
+)
+def test_oracle_is_the_same_across_chunk_seams(gamma, factors, monkeypatch):
+    pres = trivial_module(gamma, factors)
+    monkeypatch.setattr(exactness, "ENGINE_CHUNK", ONE_CHUNK)
+    whole = exactness.h2_brute_force_order(gamma, pres)
+    chunks = []  # (width, rows) of every chunk of either pass
+    digit_rows = exactness._digit_rows
+
+    def counted(moduli, width):
+        for chunk in digit_rows(moduli, width):
+            chunks.append((width, len(chunk)))
+            yield chunk
+
+    monkeypatch.setattr(exactness, "_digit_rows", counted)
+    n_cochains = pres.module_order ** (gamma.order**2)
+    width = gamma.order**3 * pres.rank  # d2 defects per 2-cochain
+    monkeypatch.setattr(exactness, "ENGINE_CHUNK", _chunk_constant((n_cochains // 7 + 3) * width))
+    assert exactness.h2_brute_force_order(gamma, pres) == whole
+    assert whole == h2_oracle.h2_brute_force_order(gamma, pres)
+    cocycle_pass = [rows for w, rows in chunks if w == width]
+    assert len(cocycle_pass) >= 5 and sum(cocycle_pass) == n_cochains
+
+
+# -- memory ----------------------------------------------------------------------
+
+
+def _traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_peak_memory():
+    gamma = cyclic_group(4)
+    pres = trivial_module(gamma, (2,))
+    assert _traced_peak_mib(lambda: exactness.h2_brute_force_order(gamma, pres)) <= 8
+
+
+@pytest.mark.parametrize("spec,m,bound_mib", [((5, 1, 2), 2, 28), ((2, 1, 2), 3, 16)])
+def test_scan_peak_memory(spec, m, bound_mib):
+    tower = make_tower(*spec)
+    assert _traced_peak_mib(lambda: hilbert90_verify(tower, m)) <= bound_mib
