@@ -22,9 +22,9 @@ DEFAULT_MAX_MATRICES = 1 << 20
 #: Default ceiling on squarefree d for imaginary quadratic rings.
 DEFAULT_MAX_QUAD_D = 200
 
-#: Default ceiling on rows*cols of integer matrices fed to Smith reduction.
-#: Covers acting groups of order <= 9 (rank-one modules) in a few seconds;
-#: larger inputs run too, but only when the caller raises the bound.
+#: Default ceiling on rows*cols of the |X| m k x m k equivariance matrix that
+#: ``h2_central`` factors (X the short generators, m = |gamma|(|X| - 1) + 1,
+#: k the module rank): S5 on a rank-one module is 242 x 121.
 DEFAULT_MAX_SNF_ENTRIES = 1 << 19
 
 ENV_MAX_MEM = "COCYCLE_MAX_MEM_MB"

@@ -3,22 +3,21 @@
 Degree-two machinery works over a presentation of an abelian module by
 invariant factors. With the action convention of :mod:`cocycle.cohomology`
 (``(a^g)^h = a^(hg)``, written additively below as a matrix action
-``g . x = M_g x``), the inhomogeneous differentials are
+``g . x = M_g x``), a normalized 2-cochain c is a 2-cocycle when
 
-    (d0 a)(g)      = g.a - a
-    (d1 f)(g, h)   = g.f(h) - f(gh) + f(g)
-    (d2 c)(g, h, k) = g.c(h, k) - c(gh, k) + c(g, hk) - c(g, h)
+    g.c(h, k) - c(gh, k) + c(g, hk) - c(g, h) = 0   for all g, h, k.
 
-ker d1 / im d0 reproduces the pointed-set H1 for abelian coefficients, and
-a set-theoretic section beta of a central quotient B -> B/A with beta(e) = e
+H2 comes from the cycle lattice of a Cayley graph, not from the bar
+complex: a 2-cocycle restricts to a gamma-map on the graph's cycles, and
+every such map pulls back to a 2-cocycle (:func:`h2_central`). A
+set-theoretic section beta of a central quotient B -> B/A with beta(e) = e
 turns a quotient 1-cocycle gamma into
 
     c(h, g) = beta(hg)^-1 * beta(h) * beta(g)^h  in  A,
 
-which lands in ker d2: expanding u(g) u(h)^g u(k)^{gh} in the two bracketed
-orders gives c(gh,k) + c(g,h) = g.c(h,k) + c(g,hk) since A is central. The
-delta class is lift-independent (checked per call with a second section)
-and exact at H1(B/A) (checked in the verification suites).
+a 2-cocycle since A is central. The delta class is lift-independent
+(checked per call with a second section) and exact at H1(B/A) (checked in
+the verification suites).
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ from .errors import (
     MatchFailure,
     SizeLimit,
 )
-from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, quotient_group
-from .snf import cokernel_invariant_factors, smith_normal_form
+from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, quotient_group
+from .snf import cokernel_invariant_factors, smith_mod
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +328,7 @@ class AbelianPresentation:
 
     @property
     def module_order(self) -> int:
-        order = 1
-        for f in self.factors:
-            order *= f
-        return order
+        return math.prod(self.factors)
 
     def apply(self, g: int, vec: tuple[int, ...]) -> tuple[int, ...]:
         mat = self.matrices[g]
@@ -420,27 +416,27 @@ def presentation_of_subgroup(parent: GammaGroup, sub: Subgroup) -> ModuleBridge:
 class H2Group:
     """H2 as an abelian group: invariant factors plus generating 2-cocycles.
 
-    Generators are normalized 2-cochains, stored as flat integer vectors in
-    the (pair, factor) coordinate order of :func:`_normalized_differential`.
-    :meth:`class_of` reads a 2-cocycle's class through the 2-cocycle lattice
-    basis V S of :func:`h2_central`: ``v_inv`` and ``scale`` give its lattice
-    coordinates S^-1 V^-1 c, and ``coords`` maps those to the cyclic factors.
+    Generators are normalized 2-cochains: flat integer vectors over the pairs
+    (g, h) of non-identity elements, row-major, k coordinates each.
+    :meth:`class_of` restricts a 2-cocycle to the fundamental ``cycles`` of
+    the Cayley graph over ``gens`` and reads the class of that gamma-map as
+    :func:`h2_central` does: ``v_inv`` and ``scale`` give its lattice
+    coordinates S^-1 V^-1 F, and ``coords`` maps those to the cyclic factors.
     """
 
     gamma: FiniteGroup
     presentation: AbelianPresentation
     invariant_factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
+    gens: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    cycles: np.ndarray | None = field(default=None, repr=False, compare=False)
     v_inv: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
     scale: tuple[int, ...] = field(default=(), repr=False, compare=False)
     coords: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 
     @property
     def order(self) -> int:
-        total = 1
-        for f in self.invariant_factors:
-            total *= f
-        return total
+        return math.prod(self.invariant_factors)
 
     def class_of(self, cochain) -> tuple[int, ...]:
         """Coordinates in the sum of Z/f_i of a normalized 2-cocycle's class.
@@ -449,19 +445,27 @@ class H2Group:
         zero exactly when the cochain is a coboundary. Raises ValueError on
         a cochain that is not a 2-cocycle.
         """
-        if len(cochain) != len(self.scale):
-            raise ValueError(f"expected a 2-cochain of length {len(self.scale)}")
-        y = _lattice_coords(self.v_inv, self.scale, cochain)
-        if y is None:
+        c = _full_cochain(self.gamma, self.presentation.rank, cochain)
+        if _cocycle_defect(self.gamma, self.presentation, c).any():
             raise ValueError("cochain is not a 2-cocycle")
+        if not self.invariant_factors:
+            return ()
+        if self.cycles is None:
+            raise ValueError("this H2Group carries no class map")
+        # f(z_i) = sum of z_i[(y, s)] c(y, s): the A-part of z_i's word in A x_c gamma
+        values = np.einsum("iyj,yjt->it", self.cycles, c[:, list(self.gens)])
+        y = _lattice_coords(self.v_inv, self.scale, values.ravel().tolist())
+        if y is None:
+            raise CounterexampleFound("a 2-cocycle restricted to a non-equivariant map")
         return tuple(
-            sum(c * x for c, x in zip(row, y)) % f
+            sum(a * b for a, b in zip(row, y)) % f
             for row, f in zip(self.coords, self.invariant_factors)
         )
 
 
 def _lattice_coords(v_inv, scale, vec) -> list[int] | None:
-    """S^-1 V^-1 vec, or None when vec is off the lattice V S Z^n."""
+    """S^-1 V^-1 vec, or None when vec is off the lattice V S Z^n + N Z^n
+    (V^-1 is exact mod N, so coordinate i is exact mod N / scale[i])."""
     out = []
     for row, s in zip(v_inv, scale):
         t = sum(c * x for c, x in zip(row, vec))
@@ -475,49 +479,48 @@ def _nonidentity(gamma: FiniteGroup) -> list[int]:
     return [g for g in range(gamma.order) if g != gamma.identity]
 
 
-def _normalized_differential(gamma: FiniteGroup, pres: AbelianPresentation, n: int):
-    """d_n on normalized cochains: dense integer rows, C^n -> C^(n+1).
+def _full_cochain(gamma: FiniteGroup, k: int, vec) -> np.ndarray:
+    """A flat normalized 2-cochain as an (n, n, k) array, zero where an argument is e."""
+    g1, n = _nonidentity(gamma), gamma.order
+    if len(vec) != len(g1) ** 2 * k:
+        raise ValueError(f"expected a 2-cochain of length {len(g1) ** 2 * k}")
+    c = np.zeros((n, n, k), dtype=np.int64)
+    c[np.ix_(g1, g1)] = np.asarray(vec, dtype=np.int64).reshape(len(g1), len(g1), k)
+    return c
 
-    C^n coordinates are (g_1, ..., g_n, t) with every g_i != e, row-major;
-    coordinate t has modulus factors[t], for rows and columns alike. Terms
-    with an identity argument vanish in
 
-        (d f)(g_1, ..., g_{n+1}) = g_1.f(g_2, ..., g_{n+1})
-            + sum_i (-1)^i f(..., g_i g_{i+1}, ...) + (-1)^(n+1) f(g_1, ..., g_n).
+def _cocycle_defect(gamma: FiniteGroup, pres: AbelianPresentation, c: np.ndarray) -> np.ndarray:
+    """g.c(h,x) - c(gh,x) + c(g,hx) - c(g,h) modulo the factors, for every triple."""
+    table, n = gamma.table.astype(np.intp), gamma.order
+    mats = np.array(pres.matrices, dtype=np.int64).reshape(n, pres.rank, pres.rank)
+    left = np.einsum("gst,hxt->ghxs", mats, c)
+    right = c[np.arange(n)[:, None, None], table[None]] - c[table] - c[:, :, None]
+    return (left + right) % np.array(pres.factors)
+
+
+def _cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
+    """Tree paths, fundamental cycles and translated non-tree edges of the Cayley graph.
+
+    Edge (y, s) runs from y to ys and has index y * |gens| + j for s = gens[j].
+    ``paths[y]`` is y's path in the BFS tree as an edge vector, ``cycles[i]``
+    is path[y] + (y, s) - path[ys] for the i-th non-tree edge (y, s), and
+    x . z has entry z[moved[x, i]] on the i-th non-tree edge. A cycle's
+    entries on the non-tree edges are its coordinates in the basis ``cycles``.
     """
-    k, e = pres.rank, gamma.identity
-    g1 = _nonidentity(gamma)
-    index = {x: i for i, x in enumerate(g1)}
-
-    def column(args) -> int | None:
-        """First coordinate of f(args); None when f(args) vanishes."""
-        if e in args:
-            return None
-        pos = 0
-        for a in args:
-            pos = pos * len(g1) + index[a]
-        return pos * k
-
-    rows = []
-    for args in itertools.product(g1, repeat=n + 1):
-        block = [[0] * (len(g1) ** n * k) for _ in range(k)]
-        col, mat = column(args[1:]), pres.matrices[args[0]]
-        for s in range(k):
-            for t in range(k):
-                block[s][col + t] += mat[s][t]
-        faces = [args[:i] + (gamma.mul(args[i], args[i + 1]),) + args[i + 2 :] for i in range(n)]
-        for i, face in enumerate(faces + [args[:n]]):
-            col = column(face)
-            if col is not None:
-                for s in range(k):
-                    block[s][col + s] += (-1) ** (i + 1)
-        rows.extend(block)
-    return rows
-
-
-def _moduli(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> list[int]:
-    """The modulus of each normalized n-cochain coordinate."""
-    return list(pres.factors) * (gamma.order - 1) ** n
+    n, r = gamma.order, len(gens)
+    table = gamma.table.astype(np.intp)
+    paths = np.zeros((n, n * r), dtype=np.int64)
+    tree = set()
+    for new, prev, s in _word_tree(gamma, gens):
+        tree.add(prev * r + gens.index(s))
+        paths[new] = paths[prev]
+        paths[new, prev * r + gens.index(s)] += 1
+    free = np.array([e for e in range(n * r) if e not in tree])
+    ys, js = np.divmod(free, r)
+    cycles = paths[ys] - paths[table[ys, np.array(gens)[js]]]
+    cycles[np.arange(len(free)), free] += 1
+    inverses = np.array([gamma.inv(x) for x in range(n)])
+    return paths, cycles, table[inverses[:, None], ys[None, :]] * r + js
 
 
 def h2_central(
@@ -525,51 +528,61 @@ def h2_central(
     pres: AbelianPresentation,
     max_entries: int = DEFAULT_MAX_SNF_ENTRIES,
 ) -> H2Group:
-    """H2 of the abelian module, by integer linear algebra on normalized cochains.
+    """H2 of the abelian module from the cycle lattice Z1 of a Cayley graph.
 
-    With N the module exponent, scaling each d2 row by N over its modulus
-    turns the cocycle congruences d2 c = 0 mod orders into E c = 0 mod N.
-    One Smith form U E V = D then gives the 2-cocycle lattice as V S Z^d2,
-    S = diag(N / gcd(D_ii, N)). The columns of d1 and orders * Z^d2, in
-    that basis, are the relations of H2; a second, small Smith form reads
-    off the invariant factors, the generator lifts and the class map.
+    Over X = ``short_generators()``, 0 -> Z1 -> Z[gamma]^X -> Z[gamma] -> Z
+    is exact, so H2 is Hom_gamma(Z1, A) modulo the image of A^X. A map f is
+    its values F_i on the m = |gamma|(|X| - 1) + 1 fundamental cycles z_i,
+    and it is a gamma-map when f(x.z_i) = x.f(z_i) for every x in X. Scaling
+    each equation by N over its modulus (N the exponent) gives E F = 0 mod N;
+    one Smith form U E V = D over Z/N gives the gamma-maps as V S Z^mk + N Z^mk,
+    with S = diag(N / gcd(D_ii, N)). The image of A^X and orders * Z^mk, in
+    that basis, are the relations; a second Smith form over Z/N reads off the
+    invariant factors, the generator lifts and the class map. Generators are
+    pulled back to 2-cocycles c(g, h) = f(path[g] + g.path[h] - path[gh]).
     """
-    k = pres.rank
-    n1 = gamma.order - 1
-    if k == 0 or n1 == 0:
+    if not np.array_equal(gamma.table, pres.gamma.table):
+        raise ValueError("the presentation is over a different group")
+    k, n = pres.rank, gamma.order
+    if k == 0 or n == 1:
         return H2Group(gamma, pres, (), ())
-    d2_dim, d3_dim = n1 * n1 * k, n1 * n1 * n1 * k
-    if d3_dim * (d2_dim + d3_dim) > max_entries:
-        raise SizeLimit(
-            f"H2 matrix of {d3_dim}x{d2_dim + d3_dim} entries exceeds bound {max_entries}"
-        )
-    d1, d2 = _normalized_differential(gamma, pres, 1), _normalized_differential(gamma, pres, 2)
-    moduli2, moduli3 = _moduli(gamma, pres, 2), _moduli(gamma, pres, 3)
-    exponent = pres.factors[-1]
-    dec = smith_normal_form([[c * (exponent // n) for c in row] for row, n in zip(d2, moduli3)])
+    gens = gamma.short_generators()
+    m = n * (len(gens) - 1) + 1
+    rows, cols = len(gens) * m * k, m * k
+    if rows * cols > max_entries:
+        raise SizeLimit(f"H2 matrix of {rows}x{cols} entries exceeds bound {max_entries}")
+    paths, cycles, moved = _cayley_cycles(gamma, gens)
+    mats = np.array(pres.matrices, dtype=np.int64).reshape(n, k, k)
+    orders, exponent = np.tile(pres.factors, m), pres.factors[-1]
+    eye_k, eye_m = np.eye(k, dtype=np.int64), np.eye(m, dtype=np.int64)
+    blocks = [np.kron(cycles[:, moved[x]], eye_k) - np.kron(eye_m, mats[x]) for x in gens]
+    scaled = np.concatenate(blocks) * np.tile(exponent // orders, len(gens))[:, None]
+    dec = smith_mod(scaled.tolist(), exponent)
     scale = [exponent // math.gcd(x, exponent) for x in dec.diagonal()]
-    columns = [list(col) for col in zip(*d1)]
-    columns += [[m if i == j else 0 for i, m in enumerate(moduli2)] for j in range(d2_dim)]
-    relation_cols = []
-    for col in columns:
-        y = _lattice_coords(dec.v_inv, scale, col)
-        if y is None:
-            raise CounterexampleFound("im(d1) escaped the 2-cocycle lattice (differential bug)")
-        relation_cols.append(y)
-    relations = [list(row) for row in zip(*relation_cols)]
-    factors, lifts, coords = cokernel_invariant_factors(relations, d2_dim)
+    cycles = cycles.reshape(m, n, len(gens))
+    # a in A^X maps to z_i -> sum of z_i[(y, s)] y.a_s; orders below N are relations too
+    image = np.einsum("iyj,yut->jtiu", cycles, mats).reshape(-1, cols)
+    image = np.concatenate([image, np.diag(orders)[orders < exponent]])
+    columns = [_lattice_coords(dec.v_inv, scale, col) for col in image.tolist()]
+    if None in columns:
+        raise CounterexampleFound("a relation escaped the gamma-maps")
+    # N Z^mk, inside the relations, is diag(N / S) in lattice coordinates
+    columns += np.diag([exponent // x for x in scale]).tolist()
+    rel = smith_mod([list(row) for row in zip(*columns)], exponent)
+    kept = [(f, i) for i, f in enumerate(math.gcd(x, exponent) for x in rel.diagonal()) if f > 1]
     generators = []
-    for lift in lifts:
-        vec = [
-            sum(v * s * y for v, s, y in zip(dec.v[i], scale, lift)) % moduli2[i]
-            for i in range(d2_dim)
-        ]
-        for row, n in zip(d2, moduli3):
-            if sum(c * x for c, x in zip(row, vec)) % n:
-                raise CounterexampleFound("reported H2 generator fails the 2-cocycle identity")
-        generators.append(tuple(vec))
-    v_inv, coords = tuple(map(tuple, dec.v_inv)), tuple(map(tuple, coords))
-    return H2Group(gamma, pres, tuple(factors), tuple(generators), v_inv, tuple(scale), coords)
+    for _, i in kept:
+        lift = [row[i] for row in rel.u_inv]
+        values = [sum(v * s * y for v, s, y in zip(row, scale, lift)) for row in dec.v]
+        f = np.reshape(values, (m, k)) % pres.factors
+        cochain = np.einsum("hgi,it->ght", paths[:, moved], f) % pres.factors
+        if _cocycle_defect(gamma, pres, cochain).any():
+            raise CounterexampleFound("reported H2 generator fails the 2-cocycle identity")
+        generators.append(tuple(cochain[np.ix_(*[_nonidentity(gamma)] * 2)].ravel().tolist()))
+    return H2Group(
+        gamma, pres, tuple(f for f, _ in kept), tuple(generators), gens, cycles,
+        tuple(map(tuple, dec.v_inv)), tuple(scale), tuple(tuple(rel.u[i]) for _, i in kept),
+    )
 
 
 def _digit_rows(moduli: np.ndarray, width: int):
@@ -604,6 +617,8 @@ def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation, limit: i
     Every raw 2-cochain is tested against d2 and every raw 1-cochain mapped
     by d1, chunk by chunk; coboundaries are counted as distinct mixed-radix keys.
     """
+    if not np.array_equal(gamma.table, pres.gamma.table):
+        raise ValueError("the presentation is over a different group")
     ng, k = gamma.order, pres.rank
     if k == 0 or ng == 1:
         return 1
@@ -640,41 +655,28 @@ class DeltaResult:
 
 
 def _section(parent: GammaGroup, proj: EquivariantHom, values, greatest: bool) -> list[int]:
-    b, quot = parent.base, proj.target.base
-    section = []
-    for g in range(parent.gamma.order):
-        if g == parent.gamma.identity:
-            section.append(b.identity)
-            continue
-        fiber = [x for x in range(b.order) if proj.hom(x) == values[g]]
-        section.append(max(fiber) if greatest else min(fiber))
-    return section
+    b, pick = parent.base, max if greatest else min
+    return [
+        b.identity if g == parent.gamma.identity
+        else pick(x for x in range(b.order) if proj.hom(x) == values[g])
+        for g in range(parent.gamma.order)
+    ]
 
 
 def _factor_set(parent: GammaGroup, section: list[int]) -> dict[tuple[int, int], int]:
-    b = parent.base
-    out = {}
-    for h in range(parent.gamma.order):
-        for g in range(parent.gamma.order):
-            hg = parent.gamma.mul(h, g)
-            val = b.mul(b.inv(section[hg]), b.mul(section[h], parent.act(h, section[g])))
-            out[(h, g)] = val
-    return out
+    b, gamma = parent.base, parent.gamma
+    return {
+        (h, g): b.mul(b.inv(section[gamma.mul(h, g)]), b.mul(section[h], parent.act(h, section[g])))
+        for h in range(gamma.order)
+        for g in range(gamma.order)
+    }
 
 
 def _cochain_vector(
     gamma: FiniteGroup, bridge: ModuleBridge, factor_set: dict[tuple[int, int], int]
 ) -> list[int]:
-    k = bridge.presentation.rank
     g1 = _nonidentity(gamma)
-    vec: list[int] = []
-    for g in g1:
-        for h in g1:
-            coords = bridge.to_coords[factor_set[(g, h)]]
-            vec.extend(coords)
-    if len(vec) != len(g1) * len(g1) * k:
-        raise DimensionFailure("coordinates do not cover the 2-cochain")
-    return vec
+    return [x for g in g1 for h in g1 for x in bridge.to_coords[factor_set[(g, h)]]]
 
 
 def connecting_delta(

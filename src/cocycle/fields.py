@@ -594,6 +594,8 @@ def general_linear(
 
     The bound applies to the |K|^(m^2) matrices scanned, at the call, before allocation.
     """
+    if m < 1:
+        raise ValueError(f"matrix size must be at least 1, got {m}")
     total = tower.size ** (m * m)
     if total > max_matrices:
         raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")

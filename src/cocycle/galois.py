@@ -217,14 +217,14 @@ def hilbert90_verify(
     key is looked up there. A norm-one matrix with no coboundary witness
     raises CounterexampleFound: a bug, by the classification theorems.
     """
-    ident = np.eye(m, dtype=np.int64)[:, :, None]
     chunks = []
     for mats, det, keys in general_linear(tower, m, special, max_matrices):
         norm = mats
         for j in range(1, tower.n):
             norm = batch_mul(tower, norm, tower.vfrob(mats, j))
         cob = _coboundary_keys(tower, mats, batch_inv(tower, mats, det))
-        chunks.append((cob, keys, keys[(norm == ident).all(axis=(0, 1))]))
+        norm_one = (norm == np.eye(m, dtype=np.int64)[:, :, None]).all(axis=(0, 1))
+        chunks.append((cob, keys, keys[norm_one]))
     cob_keys, group_keys, cocycles = (np.concatenate(c) for c in zip(*chunks))
     del chunks
     cob_keys, first = np.unique(cob_keys, return_index=True)

@@ -270,55 +270,32 @@ def cyclic_group(n: int) -> FiniteGroup:
     return make_group(table, labels)
 
 
-def perm_sign(p: Perm) -> int:
-    sign = 1
-    seen = [False] * len(p)
+def _cycles(p: Perm) -> list[list[int]]:
+    """The cycles of p, fixed points included, each from its least point, by least point."""
+    seen: set[int] = set()
+    cycles = []
     for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+        if i not in seen:
+            cycle = [i]
+            while p[cycle[-1]] != i:
+                cycle.append(p[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+def perm_sign(p: Perm) -> int:
+    return -1 if sum(len(c) - 1 for c in _cycles(p)) % 2 else 1
 
 
 def perm_cycle_type(p: Perm) -> tuple[int, ...]:
     """Cycle lengths sorted descending."""
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    return tuple(sorted(map(len, _cycles(p)), reverse=True))
 
 
 def _perm_label(p: Perm) -> str:
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1)
-            j = p[j]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"
+    parts = ("(" + " ".join(str(x + 1) for x in c) + ")" for c in _cycles(p) if len(c) > 1)
+    return "".join(parts) or "()"
 
 
 def symmetric_group(m: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:

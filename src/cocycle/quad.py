@@ -29,6 +29,7 @@ from .errors import (
     SizeLimit,
 )
 from .groups import cyclic_group, make_group
+from .snf import _bezout
 
 Elem = tuple[int, int]  # x + y*omega
 
@@ -129,8 +130,8 @@ def _hnf_two_rows(vectors: list[Elem]) -> tuple[int, int, int]:
         if c == 0:
             b, c = x, y
             continue
-        g, s, t = _extgcd(c, y)
-        # s*c + t*y = g; the combination has y-part g, and the two reduced
+        g, s, t = _bezout(c, y)
+        # s*c + t*y = g = +-gcd; the combination has y-part g, and the two reduced
         # leftovers drop into the x-only pile
         nb = s * b + t * x
         xs.append((y // g) * b - (c // g) * x)
@@ -146,20 +147,6 @@ def _hnf_two_rows(vectors: list[Elem]) -> tuple[int, int, int]:
         raise ValueError("lattice does not have full rank")
     b %= a
     return a, b, c
-
-
-def _extgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def ideal_from_generators(ring: QuadRing, gens: list[Elem]) -> QuadIdeal:

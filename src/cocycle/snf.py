@@ -1,45 +1,22 @@
 """Exact integer matrix routines: Smith normal form and cokernels.
 
-Everything runs over arbitrary-precision Python ints. Each decomposition
-returns the transforms and is self-checked: U*M*V == D and both transforms
-have exact integer inverses (tracked during reduction), which certifies
-unimodularity without determinant computation.
+One elimination, :func:`smith_mod`, runs over Z/N, where every entry stays
+below N, and with N = 0 over Z (:func:`smith_normal_form`), on
+arbitrary-precision ints. Each decomposition returns the transforms and is
+self-checked: U*M*V == D and both transforms have inverses (tracked during
+reduction), which certifies unimodularity without determinant computation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import MatchFailure
 
 IntMatrix = list[list[int]]
-
-
-def mat_copy(m: IntMatrix) -> IntMatrix:
-    return [row[:] for row in m]
-
-
-def mat_identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(inner):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                for j in range(cols):
-                    oi[j] += v * bt[j]
-    return out
-
-
-def is_identity(m: IntMatrix) -> bool:
-    return all(m[i][j] == (1 if i == j else 0) for i in range(len(m)) for j in range(len(m)))
 
 
 @dataclass
@@ -57,116 +34,81 @@ class SmithDecomposition:
         return [self.d[i][i] for i in range(n)]
 
 
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g, |g| = gcd(a, b), for a != 0; (a, 1, 0) when a divides b."""
+    if b % a == 0:
+        return a, 1, 0
+    x0, y0, x1, y1, r0, r1 = 1, 0, 0, 1, a, b
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+    return r0, x0, y0
+
+
+def smith_mod(m: IntMatrix, modulus: int) -> SmithDecomposition:
+    """Smith form over Z/modulus (over Z when the modulus is 0): U M V = D.
+
+    The gcds of D's diagonal with the modulus form a divisibility chain; U
+    and V are invertible, with inverses ``u_inv`` and ``v_inv``. Every step
+    is a 2 x 2 Bezout operation of determinant one. Reduced mod the modulus,
+    no entry outgrows it; over Z the same eliminations can grow entries to
+    tens of thousands of digits on matrices of a few dozen rows.
+    """
+    n, rows, cols = modulus, len(m), len(m[0]) if m else 0
+    dtype = np.int64 if 0 < n and n * n * (max(rows, cols) + 1) < 1 << 62 else object
+    red = (lambda a: a % n) if n else (lambda a: a)
+    m0 = np.array([[red(x) for x in row] for row in m], dtype=dtype).reshape(rows, cols)
+    d = m0.copy()
+    u, u_inv, v, v_inv = (np.eye(k, dtype=dtype) for k in (rows, rows, cols, cols))
+
+    def combine(a, i, j, x, y, p, q):  # (a_i, a_j) <- (x a_i + y a_j, p a_i + q a_j)
+        a[i], a[j] = red(x * a[i] + y * a[j]), red(p * a[i] + q * a[j])
+
+    def row_op(i, j, x, y, p, q):
+        combine(d, i, j, x, y, p, q)
+        combine(u, i, j, x, y, p, q)
+        combine(u_inv.T, i, j, q, -p, -y, x)
+
+    def col_op(i, j, x, y, p, q):
+        combine(d.T, i, j, x, y, p, q)
+        combine(v.T, i, j, x, y, p, q)
+        combine(v_inv, i, j, q, -p, -y, x)
+
+    for s in range(min(rows, cols)):
+        nonzero = np.argwhere(d[s:, s:] != 0)
+        if not len(nonzero):
+            break
+        # the pivot generates the largest ideal: least gcd with n, least |entry| over Z
+        i, j = nonzero[np.argmin(np.gcd(d[s:, s:][tuple(nonzero.T)], n))] + s
+        if i != s:
+            row_op(s, i, 0, 1, -1, 0)  # swap up to sign
+        if j != s:
+            col_op(s, j, 0, 1, -1, 0)
+        while True:  # each pass that fills the pivot's row or column lowers |pivot|
+            for i in np.flatnonzero(d[s + 1 :, s]) + s + 1:
+                g, x, y = _bezout(int(d[s, s]), int(d[i, s]))
+                row_op(s, i, x, y, -int(d[i, s]) // g, int(d[s, s]) // g)
+            for j in np.flatnonzero(d[s, s + 1 :]) + s + 1:
+                g, x, y = _bezout(int(d[s, s]), int(d[s, j]))
+                col_op(s, j, x, y, -int(d[s, j]) // g, int(d[s, s]) // g)
+            if d[s + 1 :, s].any():
+                continue
+            bad = np.argwhere(d[s + 1 :, s + 1 :] % math.gcd(int(d[s, s]), n) != 0)
+            if not len(bad):
+                break
+            row_op(s, bad[0][0] + s + 1, 1, 1, 0, 1)  # pull in an entry the pivot does not divide
+        if d[s, s] < 0:
+            d[s], u[s], u_inv[:, s] = -d[s], -u[s], -u_inv[:, s]
+    if (red(red(u @ m0) @ v) != d).any():
+        raise MatchFailure("SNF self-check failed: U*M*V != D")
+    if (red(u @ u_inv) != np.eye(rows)).any() or (red(v @ v_inv) != np.eye(cols)).any():
+        raise MatchFailure("SNF self-check failed: a transform is not invertible")
+    return SmithDecomposition(*(a.tolist() for a in (d, u, v, u_inv, v_inv)))
+
+
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Diagonalize an integer matrix by unimodular row and column operations."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    d = mat_copy(m)
-    u, u_inv = mat_identity(rows), mat_identity(rows)
-    v, v_inv = mat_identity(cols), mat_identity(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in u_inv:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(i, j, t):
-        # row_i += t * row_j
-        for col in range(cols):
-            d[i][col] += t * d[j][col]
-        for col in range(rows):
-            u[i][col] += t * u[j][col]
-        for r in u_inv:
-            r[j] -= t * r[i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in u_inv:
-            r[i] = -r[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def add_col(i, j, t):
-        # col_i += t * col_j
-        for r in d:
-            r[i] += t * r[j]
-        for r in v:
-            r[i] += t * r[j]
-        for col in range(cols):
-            v_inv[j][col] -= t * v_inv[i][col]
-
-    def pivot_search(s):
-        best = None
-        for i in range(s, rows):
-            for j in range(s, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    s = 0
-    while s < min(rows, cols):
-        pos = pivot_search(s)
-        if pos is None:
-            break
-        if pos[0] != s:
-            swap_rows(s, pos[0])
-        if pos[1] != s:
-            swap_cols(s, pos[1])
-        while True:
-            # clear column s
-            dirty = False
-            for i in range(s + 1, rows):
-                if d[i][s]:
-                    q = d[i][s] // d[s][s]
-                    add_row(i, s, -q)
-                    if d[i][s]:
-                        swap_rows(s, i)
-                        dirty = True
-            for j in range(s + 1, cols):
-                if d[s][j]:
-                    q = d[s][j] // d[s][s]
-                    add_col(j, s, -q)
-                    if d[s][j]:
-                        swap_cols(s, j)
-                        dirty = True
-            if not dirty and all(d[i][s] == 0 for i in range(s + 1, rows)) and all(
-                d[s][j] == 0 for j in range(s + 1, cols)
-            ):
-                break
-        if d[s][s] < 0:
-            negate_row(s)
-        # divisibility: pull in any entry the pivot does not divide
-        pulled = False
-        for i in range(s + 1, rows):
-            for j in range(s + 1, cols):
-                if d[i][j] % d[s][s] != 0:
-                    add_row(s, i, 1)
-                    pulled = True
-                    break
-            if pulled:
-                break
-        if pulled:
-            continue
-        s += 1
-    result = SmithDecomposition(d, u, v, u_inv, v_inv)
-    _self_check(m, result)
-    return result
-
-
-def _self_check(m: IntMatrix, r: SmithDecomposition) -> None:
-    if mat_mul(mat_mul(r.u, m), r.v) != r.d:
-        raise MatchFailure("SNF self-check failed: U*M*V != D")
-    if not is_identity(mat_mul(r.u, r.u_inv)):
-        raise MatchFailure("SNF self-check failed: U not unimodular")
-    if not is_identity(mat_mul(r.v, r.v_inv)):
-        raise MatchFailure("SNF self-check failed: V not unimodular")
+    return smith_mod(m, 0)
 
 
 def cokernel_invariant_factors(

@@ -1,27 +1,27 @@
-"""Reference H2 route: the stacked-kernel lattice solve the package used to run.
+"""Reference H2 routes on the normalized bar complex.
 
-``h2_central`` finds the 2-cocycle lattice as the projection of the integer
-kernel of ``[d2 | -diag(orders)]``, solves for im(d1) + orders in a spanning
-set of that lattice, adds the kernel of the spanning matrix as relations and
-reads the quotient off a Smith form. ``is_coboundary`` decides membership in
-im(d1) + orders by one augmented integer solve. Both build d1 and d2 with
-``normalized_d_sparse``, the pair-by-pair construction the package used.
-``tests/test_h2.py`` compares the package's one-Smith-form route against
-these results. ``h2_brute_force_order`` is the dense brute force the package
-ran before it streamed the cochains in chunks: every raw 2-cochain in one
-array, coboundaries counted as a set of tuples.
+``h2_central`` is the route the package ran before it used the Cayley
+graph's cycle lattice: one Smith form of the order-scaled d2 gives the
+2-cocycle lattice, in which im(d1) + orders are the relations. Its d_n come
+from ``_normalized_differential`` and its moduli from ``_moduli``; the
+suite checks both against ``normalized_d_sparse``, a pair-by-pair
+construction. ``is_coboundary`` decides membership in im(d1) + orders by
+one augmented integer solve. ``tests/test_h2.py`` compares the package's
+route against these results. ``h2_brute_force_order`` is the dense brute
+force the package ran before it streamed the cochains in chunks: every raw
+2-cochain in one array, coboundaries counted as a set of tuples.
 """
-
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from cocycle.errors import DEFAULT_MAX_SNF_ENTRIES, CounterexampleFound, SizeLimit
 from cocycle.exactness import AbelianPresentation, H2Group
 from cocycle.groups import FiniteGroup
-from cocycle.snf import IntMatrix, cokernel_invariant_factors, smith_normal_form
+from cocycle.snf import IntMatrix, smith_mod, smith_normal_form
 
 
 def _nonidentity(gamma: FiniteGroup) -> list[int]:
@@ -119,21 +119,60 @@ def solve_integer(m: IntMatrix, b: list[int]) -> list[int] | None:
     return IntegerSolver(m).solve(b)
 
 
-def kernel_basis(m: IntMatrix) -> list[list[int]]:
-    """Columns spanning the integer kernel lattice of M."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    dec = smith_normal_form(m)
-    rank = min(rows, cols)
-    basis = []
-    for j in range(cols):
-        if j >= rank or dec.d[j][j] == 0:
-            basis.append([dec.v[i][j] for i in range(cols)])
-    return basis
+def _normalized_differential(gamma: FiniteGroup, pres: AbelianPresentation, n: int):
+    """d_n on normalized cochains: dense integer rows, C^n -> C^(n+1).
+
+    C^n coordinates are (g_1, ..., g_n, t) with every g_i != e, row-major;
+    coordinate t has modulus factors[t], for rows and columns alike. Terms
+    with an identity argument vanish in
+
+        (d f)(g_1, ..., g_{n+1}) = g_1.f(g_2, ..., g_{n+1})
+            + sum_i (-1)^i f(..., g_i g_{i+1}, ...) + (-1)^(n+1) f(g_1, ..., g_n).
+    """
+    k, e = pres.rank, gamma.identity
+    g1 = _nonidentity(gamma)
+    index = {x: i for i, x in enumerate(g1)}
+
+    def column(args) -> int | None:
+        """First coordinate of f(args); None when f(args) vanishes."""
+        if e in args:
+            return None
+        pos = 0
+        for a in args:
+            pos = pos * len(g1) + index[a]
+        return pos * k
+
+    rows = []
+    for args in itertools.product(g1, repeat=n + 1):
+        block = [[0] * (len(g1) ** n * k) for _ in range(k)]
+        col, mat = column(args[1:]), pres.matrices[args[0]]
+        for s in range(k):
+            for t in range(k):
+                block[s][col + t] += mat[s][t]
+        faces = [args[:i] + (gamma.mul(args[i], args[i + 1]),) + args[i + 2 :] for i in range(n)]
+        for i, face in enumerate(faces + [args[:n]]):
+            col = column(face)
+            if col is not None:
+                for s in range(k):
+                    block[s][col + s] += (-1) ** (i + 1)
+        rows.extend(block)
+    return rows
+
+
+def _moduli(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> list[int]:
+    """The modulus of each normalized n-cochain coordinate."""
+    return list(pres.factors) * (gamma.order - 1) ** n
+
+
+def _lattice_coords(v_inv, scale, vec) -> list[int] | None:
+    """S^-1 V^-1 vec, or None when vec is off the lattice V S Z^n."""
+    out = []
+    for row, s in zip(v_inv, scale):
+        t = sum(c * x for c, x in zip(row, vec))
+        if t % s:
+            return None
+        out.append(t // s)
+    return out
 
 
 def h2_central(
@@ -141,7 +180,15 @@ def h2_central(
     pres: AbelianPresentation,
     max_entries: int = DEFAULT_MAX_SNF_ENTRIES,
 ) -> H2Group:
-    """H2 through the kernel of the stacked matrix [d2 | -diag(orders)]."""
+    """H2 by integer linear algebra on the normalized bar complex.
+
+    With N the module exponent, scaling each d2 row by N over its modulus
+    turns the cocycle congruences d2 c = 0 mod orders into E c = 0 mod N.
+    One Smith form U E V = D over Z/N then gives the 2-cocycle lattice as
+    V S Z^d2 + N Z^d2, S = diag(N / gcd(D_ii, N)). The columns of d1 and
+    orders * Z^d2, in that basis, are the relations of H2; a second Smith
+    form over Z/N reads off the invariant factors and the generator lifts.
+    """
     k = pres.rank
     n1 = gamma.order - 1
     if k == 0 or n1 == 0:
@@ -151,37 +198,36 @@ def h2_central(
         raise SizeLimit(
             f"H2 matrix of {d3_dim}x{d2_dim + d3_dim} entries exceeds bound {max_entries}"
         )
-    d1, d2_rows, _, moduli2, moduli3, _ = normalized_d_sparse(gamma, pres)
-    stacked = []
-    for i, row in enumerate(d2_rows):
-        dense = [0] * (d2_dim + d3_dim)
-        for idx, coef in row:
-            dense[idx] = coef
-        dense[d2_dim + i] = -moduli3[i]
-        stacked.append(dense)
-    l_cols = [col[:d2_dim] for col in kernel_basis(stacked)]
-    l_mat = [[col[i] for col in l_cols] for i in range(d2_dim)]
-    solver = IntegerSolver(l_mat)
-    m_cols = [[d1[i][j] for i in range(d2_dim)] for j in range(len(d1[0]) if d1 else 0)]
-    m_cols += [
-        [moduli2[i] if i == j else 0 for i in range(d2_dim)] for j in range(d2_dim)
-    ]
+    d1, d2 = _normalized_differential(gamma, pres, 1), _normalized_differential(gamma, pres, 2)
+    moduli2, moduli3 = _moduli(gamma, pres, 2), _moduli(gamma, pres, 3)
+    exponent = pres.factors[-1]
+    dec = smith_mod([[c * (exponent // n) for c in row] for row, n in zip(d2, moduli3)], exponent)
+    scale = [exponent // math.gcd(x, exponent) for x in dec.diagonal()]
+    columns = [list(col) for col in zip(*d1)]
+    columns += [[m if i == j else 0 for i, m in enumerate(moduli2)] for j in range(d2_dim)]
     relation_cols = []
-    for col in m_cols:
-        y = solver.solve(col)
+    for col in columns:
+        y = _lattice_coords(dec.v_inv, scale, col)
         if y is None:
-            raise AssertionError("im(d1) escaped the 2-cocycle lattice (differential bug)")
+            raise CounterexampleFound("im(d1) escaped the 2-cocycle lattice (differential bug)")
         relation_cols.append(y)
-    relation_cols += kernel_basis(l_mat)
-    s = len(l_cols)
-    relations = [[col[i] for col in relation_cols] for i in range(s)]
-    factors, lifts = cokernel_invariant_factors(relations, s)[:2]
+    # N Z^d2 lies in orders * Z^d2; in lattice coordinates it is diag(N / scale)
+    relation_cols += [
+        [exponent // s if i == j else 0 for i, s in enumerate(scale)] for j in range(d2_dim)
+    ]
+    rel = smith_mod([list(row) for row in zip(*relation_cols)], exponent)
+    kept = [i for i, x in enumerate(rel.diagonal()) if math.gcd(x, exponent) > 1]
+    factors = [math.gcd(rel.diagonal()[i], exponent) for i in kept]
+    lifts = [[row[i] for row in rel.u_inv] for i in kept]
     generators = []
     for lift in lifts:
         vec = [
-            sum(l_mat[i][j] * lift[j] for j in range(s)) % moduli2[i]
+            sum(v * s * y for v, s, y in zip(dec.v[i], scale, lift)) % moduli2[i]
             for i in range(d2_dim)
         ]
+        for row, n in zip(d2, moduli3):
+            if sum(c * x for c, x in zip(row, vec)) % n:
+                raise CounterexampleFound("reported H2 generator fails the 2-cocycle identity")
         generators.append(tuple(vec))
     return H2Group(gamma, pres, tuple(factors), tuple(generators))
 

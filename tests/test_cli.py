@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cocycle.cli import main
 from cocycle.fields import make_tower
 
@@ -213,6 +215,12 @@ class TestHilbert90Command:
     def test_bad_tower_spec(self, capsys):
         assert main(["hilbert90", "--tower", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    @pytest.mark.parametrize("sl", [[], ["--sl"]], ids=["gl", "sl"])
+    def test_dimension_below_one(self, capsys, dim, sl):
+        assert main(["hilbert90", "--tower", "2x1x2", "--dim", dim, *sl]) == 1
+        assert "input error: matrix size must be at least 1" in capsys.readouterr().err
+
     def test_field_bound(self, capsys):
         assert main(["hilbert90", "--tower", "3x1x2", "--max-field", "8"]) == 2
 
@@ -243,6 +251,11 @@ class TestFormsCommand:
             "coeffs": [[9, 0]],
         }
         assert main(["forms", "--input", write(tmp_path, "bad.json", obj)]) == 1
+
+    def test_dimension_zero(self, tmp_path, capsys):
+        obj = {"p": 3, "d": 1, "n": 2, "dim": 0, "type": [2, 0], "coeffs": []}
+        assert main(["forms", "--input", write(tmp_path, "dim0.json", obj)]) == 1
+        assert "input error" in capsys.readouterr().err
 
 
 class TestQuadCommand:

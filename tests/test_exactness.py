@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from cocycle.cohomology import (
@@ -31,7 +34,7 @@ from cocycle.groups import (
     trivial_group,
     whole_subgroup,
 )
-from cocycle.snf import smith_normal_form
+from cocycle.snf import smith_mod, smith_normal_form
 
 
 def mu4_inversion():
@@ -54,6 +57,23 @@ class TestSmith:
     def test_zero_matrix(self):
         dec = smith_normal_form([[0, 0], [0, 0]])
         assert dec.diagonal() == [0, 0]
+
+    @pytest.mark.parametrize("modulus", [2, 3, 8, 12, 30, 97, (1 << 40) + 15])
+    def test_modular_form_matches_the_integer_form(self, modulus):
+        # Z^r / (M Z^c + N Z^r) is the sum of Z/gcd(d_i, N) for either form's diagonal
+        rng = random.Random(modulus)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            m = [
+                [rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            dec = smith_mod(m, modulus)
+            got = [math.gcd(x, modulus) for x in dec.diagonal()]
+            assert got == [math.gcd(x, modulus) for x in smith_normal_form(m).diagonal()]
+            assert all(b % a == 0 for a, b in zip(got, got[1:]))
+            transforms = (dec.d, dec.u, dec.v, dec.u_inv, dec.v_inv)
+            assert all(0 <= x < modulus for a in transforms for r in a for x in r)
 
 
 class TestFixedCosets:
@@ -273,8 +293,9 @@ class TestH2:
         assert res.invariant_factors == (2, 2, 2)
 
     def test_size_limit(self):
-        gamma = cyclic_group(4)
-        with pytest.raises(SizeLimit):
+        # V4 factors a 10 x 5 equivariance matrix: 50 entries exceed the bound of 10
+        gamma = direct_product(cyclic_group(2), cyclic_group(2))
+        with pytest.raises(SizeLimit, match="10x5"):
             h2_central(gamma, trivial_module(gamma, (2,)), max_entries=10)
 
 

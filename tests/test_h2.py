@@ -1,32 +1,50 @@
-"""H2 from one Smith form of the scaled d2, against the stacked-kernel route.
+"""H2 from the Cayley graph's cycle lattice, against the bar-complex routes.
 
-``tests/h2_oracle.py`` keeps the route the package used to run; these tests
-compare invariant factors and coboundary decisions with it, check classical
-values, and check ``H2Group.class_of`` on generators, coboundaries and
-non-cocycles.
+``tests/h2_oracle.py`` keeps the bar-complex route the package used to run;
+these tests compare invariant factors and coboundary decisions with it and
+with the brute-force order, also on random modules, check classical values
+(some only this route reaches under the default bound), check
+``H2Group.class_of`` on generators, coboundaries, bar-route generators and
+non-cocycles, and run the connecting map on GL(2,3) over S4 and SL(2,3)
+over A4.
 """
 
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cocycle.exactness as X
 import cocycle.snf as snf
 from cocycle import (
     AbelianPresentation,
+    GammaGroup,
+    SizeLimit,
+    Subgroup,
     connecting_delta,
     cyclic_group,
     dihedral_group,
     direct_product,
+    enumerate_homs,
     h1,
     h2_central,
+    make_group,
+    make_tower,
     quaternion_group,
     quotient_gamma_group,
+    quotient_group,
+    six_term_check,
     symmetric_group,
+    trivial_action,
     trivial_module,
 )
+from cocycle.exactness import h2_brute_force_order, presentation_of_subgroup
+from cocycle.fields import batch_key, batch_mul, general_linear
+from cocycle.groups import automorphism_group, perm_sign, subgroup_as_group, whole_subgroup
 from cocycle.suites import central_extension_corpus, h2_corpus
 
 import h2_oracle
@@ -85,12 +103,12 @@ CASES += [
 @pytest.mark.parametrize("name,gamma,pres", CASES, ids=[c[0] for c in CASES])
 def test_differentials_match_pair_by_pair_construction(name, gamma, pres):
     d1, d2_rows, moduli1, moduli2, moduli3, _ = h2_oracle.normalized_d_sparse(gamma, pres)
-    d2 = X._normalized_differential(gamma, pres, 2)
-    assert X._normalized_differential(gamma, pres, 1) == d1
+    d2 = h2_oracle._normalized_differential(gamma, pres, 2)
+    assert h2_oracle._normalized_differential(gamma, pres, 1) == d1
     assert [sorted((j, c) for j, c in enumerate(row) if c) for row in d2] == [
         [(j, c) for j, c in row if c] for row in d2_rows
     ]
-    assert [X._moduli(gamma, pres, n) for n in (1, 2, 3)] == [moduli1, moduli2, moduli3]
+    assert [h2_oracle._moduli(gamma, pres, n) for n in (1, 2, 3)] == [moduli1, moduli2, moduli3]
 
 
 @pytest.mark.parametrize("name,gamma,pres", CASES, ids=[c[0] for c in CASES])
@@ -123,11 +141,21 @@ def test_classical_values_under_default_bound(gamma, factors):
     assert h2_central(gamma, trivial_module(gamma, (2,))).invariant_factors == factors
 
 
+@pytest.mark.parametrize(
+    "gamma", [cyclic_group(8), dihedral_group(4), quaternion_group(), cyclic_group(9)],
+    ids=["Z/8", "D4", "Q8", "Z/9"],
+)
+def test_baseline_rows_match_the_bar_oracle(gamma):
+    pres = trivial_module(gamma, (2,))
+    engine = h2_central(gamma, pres)
+    assert engine.invariant_factors == h2_oracle.h2_central(gamma, pres).invariant_factors
+
+
 @pytest.mark.parametrize("name,gamma,pres", CASES, ids=[c[0] for c in CASES])
 def test_coboundaries_have_zero_class(name, gamma, pres):
     engine = h2_central(gamma, pres)
-    d1 = X._normalized_differential(gamma, pres, 1)
-    moduli1, moduli2 = X._moduli(gamma, pres, 1), X._moduli(gamma, pres, 2)
+    d1 = h2_oracle._normalized_differential(gamma, pres, 1)
+    moduli1, moduli2 = h2_oracle._moduli(gamma, pres, 1), h2_oracle._moduli(gamma, pres, 2)
     rng = random.Random(sum(map(ord, name)))
     zero = (0,) * len(engine.invariant_factors)
     for _ in range(5):
@@ -160,7 +188,7 @@ def test_class_is_additive():
     gamma = cyclic_group(4)
     pres = trivial_module(gamma, (2, 4))
     engine = h2_central(gamma, pres)
-    moduli2 = X._moduli(gamma, pres, 2)
+    moduli2 = h2_oracle._moduli(gamma, pres, 2)
     a, b = engine.generators
     total = [(3 * x + 2 * y) % n for x, y, n in zip(a, b, moduli2)]
     assert engine.class_of(total) == (3 % engine.invariant_factors[0], 2)
@@ -193,11 +221,14 @@ def count_calls(monkeypatch, module, name):
 
 def test_two_smith_forms_per_h2(monkeypatch):
     gamma = dihedral_group(4)
-    direct = count_calls(monkeypatch, X, "smith_normal_form")
-    inside = count_calls(monkeypatch, snf, "smith_normal_form")
+    direct = count_calls(monkeypatch, X, "smith_mod")
+    integer = count_calls(monkeypatch, snf, "smith_normal_form")
     h2_central(gamma, trivial_module(gamma, (2,)))
-    assert [(len(m), len(m[0])) for m in direct] == [(343, 49)]  # scaled d2
-    assert [(len(m), len(m[0])) for m in inside] == [(49, 56)]  # relations
+    assert [(len(m), len(m[0])) for m in direct] == [
+        (18, 9),  # equivariance, |X| m k x m k
+        (9, 11),  # relations, m k x (|X| k + m k)
+    ]
+    assert integer == []
 
 
 def test_delta_uses_one_h2_and_no_smith_form_of_its_own(monkeypatch):
@@ -205,10 +236,10 @@ def test_delta_uses_one_h2_and_no_smith_form_of_its_own(monkeypatch):
     quotient, _ = quotient_gamma_group(parent, central)
     cls = h1(quotient).classes[-1]
     h2_calls = count_calls(monkeypatch, X, "h2_central")
-    direct = count_calls(monkeypatch, X, "smith_normal_form")
+    direct = count_calls(monkeypatch, X, "smith_mod")
     connecting_delta(parent, central, cls)
     assert len(h2_calls) == 1
-    assert len(direct) == 1  # the scaled d2 inside h2_central
+    assert len(direct) == 2  # the equivariance and relation matrices inside h2_central
 
 
 def test_exponent_scaling_on_mixed_factors():
@@ -217,3 +248,174 @@ def test_exponent_scaling_on_mixed_factors():
     engine = h2_central(gamma, trivial_module(gamma, (2, 4)))
     assert engine.invariant_factors == (2, 2)
     assert engine.order == math.gcd(2, 2) * math.gcd(2, 4)
+
+
+@pytest.mark.parametrize("name,gamma,pres", CASES, ids=[c[0] for c in CASES])
+def test_bar_generators_map_onto_the_classes(name, gamma, pres):
+    engine, bar = h2_central(gamma, pres), h2_oracle.h2_central(gamma, pres)
+    zero = (0,) * len(engine.invariant_factors)
+    images = [engine.class_of(gen) for gen in bar.generators]
+    span, frontier = {zero}, {zero}
+    while frontier:
+        frontier = {
+            tuple((a + b) % f for a, b, f in zip(x, y, engine.invariant_factors))
+            for x in frontier
+            for y in images
+        } - span
+        span |= frontier
+    assert len(span) == engine.order
+    moduli2 = h2_oracle._moduli(gamma, pres, 2)
+    rng = random.Random(sum(map(ord, name)))
+    for _ in range(3):
+        coeffs = [rng.randrange(f) for f in bar.invariant_factors]
+        vec = [
+            sum(c * gen[i] for c, gen in zip(coeffs, bar.generators)) % n
+            for i, n in enumerate(moduli2)
+        ]
+        assert (engine.class_of(vec) == zero) == h2_oracle.is_coboundary(gamma, pres, vec)
+
+
+def alternating_group_4():
+    s4 = symmetric_group(4)
+    even = [g for g in s4.elements() if perm_sign(s4.perms[g]) == 1]
+    return subgroup_as_group(Subgroup.from_members(s4, even))[0]
+
+
+def z2_power(n):
+    group = cyclic_group(2)
+    for _ in range(n - 1):
+        group = direct_product(group, cyclic_group(2))
+    return group
+
+
+@pytest.mark.parametrize(
+    "make,m,factors",
+    [
+        (lambda: cyclic_group(10), 2, (2,)),
+        (lambda: cyclic_group(12), 4, (4,)),
+        (alternating_group_4, 2, (2,)),  # M(A4) = Z/2, A4^ab = Z/3
+        (alternating_group_4, 6, (6,)),
+        (lambda: symmetric_group(4), 2, (2, 2)),  # M = Z/2, ab = Z/2
+        (lambda: dihedral_group(6), 2, (2, 2, 2)),  # M = Z/2, ab = (Z/2)^2
+        (lambda: z2_power(4), 2, (2,) * 10),  # M = (Z/2)^6, ab = (Z/2)^4
+        (lambda: direct_product(quaternion_group(), cyclic_group(2)), 2, (2,) * 5),
+        (lambda: symmetric_group(5), 2, (2, 2)),  # M = Z/2, ab = Z/2
+    ],
+    ids=["Z/10", "Z/12 on Z/4", "A4", "A4 on Z/6", "S4", "D6", "(Z/2)^4", "Q8xZ/2", "S5"],
+)
+def test_values_past_the_bar_bound(make, m, factors):
+    # trivial Z/m: H2 = Hom(M(G), Z/m) + Ext(G^ab, Z/m), M the Schur multiplier
+    gamma = make()
+    pres = trivial_module(gamma, (m,))
+    with pytest.raises(SizeLimit):
+        h2_oracle.h2_central(gamma, pres)
+    engine = h2_central(gamma, pres)
+    assert engine.invariant_factors == factors
+    for i, gen in enumerate(engine.generators):
+        assert engine.class_of(gen) == tuple(int(i == j) for j in range(len(factors)))
+
+
+def center_extension(special):
+    """GL(2,3) (SL(2,3) when special) with its quotient by the center {+-I}
+    acting trivially on it, and that center."""
+    tower = make_tower(3, 1, 1)
+    mats = np.concatenate([chunk for chunk, _, _ in general_linear(tower, 2, special)], axis=2)
+    keys = batch_key(tower, mats)
+    products = batch_mul(tower, mats[:, :, :, None], mats[:, :, None, :])
+    base = make_group(np.searchsorted(keys, batch_key(tower, products)))
+    elements = base.elements()
+    center = [x for x in elements if all(base.mul(x, y) == base.mul(y, x) for y in elements)]
+    center = Subgroup.from_members(base, center)
+    return trivial_action(quotient_group(base, center)[0], base), center
+
+
+@pytest.mark.parametrize(
+    "special,n_iso", [(False, 1), (True, 2)], ids=["GL(2,3) over S4", "SL(2,3) over A4"]
+)
+def test_delta_on_nonsplit_center_extensions(special, n_iso):
+    parent, center = center_extension(special)
+    assert (parent.base.order, center.order) == ((24, 2) if special else (48, 2))
+    quotient, proj = quotient_gamma_group(parent, center)
+    isomorphisms = [c for c in h1(quotient).classes if len(set(c.values)) == quotient.base.order]
+    assert len(isomorphisms) == n_iso  # Out(S4) = 1, Out(A4) = Z/2
+    homs = enumerate_homs(parent.gamma, parent.base)
+    lifts = [tuple(proj.hom(x) for x in hom.image) for hom in homs]
+    for cls in isomorphisms:
+        res = connecting_delta(parent, center, cls)
+        assert not res.trivial
+        assert cls.values not in lifts  # a nonzero delta means no lift to a hom into B
+    assert six_term_check(parent, center).exact
+
+
+def test_presentation_over_another_group_is_refused():
+    z3, z4 = cyclic_group(3), cyclic_group(4)
+    for gamma, pres in ((z3, trivial_module(z4, (2,))), (z4, trivial_module(z3, (2,)))):
+        with pytest.raises(ValueError, match="different group"):
+            h2_central(gamma, pres)
+        with pytest.raises(ValueError, match="different group"):
+            h2_brute_force_order(gamma, pres)
+    # equal tables built twice are the same group
+    assert h2_central(cyclic_group(4), trivial_module(cyclic_group(4), (2,))).order == 2
+
+
+def aut_group(base):
+    """Aut(base) as a group under composition, with its automorphisms."""
+    auts = automorphism_group(base)
+    index = {a: i for i, a in enumerate(auts)}
+    return make_group([[index[tuple(p[x] for x in q)] for q in auts] for p in auts]), auts
+
+
+RANDOM_GAMMAS = [cyclic_group(n) for n in range(2, 9)] + [
+    z2_power(2),
+    symmetric_group(3),
+    dihedral_group(4),
+    quaternion_group(),
+    direct_product(cyclic_group(2), cyclic_group(4)),
+    z2_power(3),
+]
+RANDOM_MODULES = {
+    f"Z/{m}": aut_group(cyclic_group(m)) + (cyclic_group(m),) for m in (2, 3, 4, 5, 6, 8)
+}
+RANDOM_MODULES["(Z/2)^2"] = aut_group(z2_power(2)) + (z2_power(2),)
+
+
+@st.composite
+def random_modules(draw):
+    """A group of order <= 8 acting on Z/m or (Z/2)^2 through a hom into Aut.
+
+    (Z/2)^2 is drawn only over groups of order <= 6, where the bar oracle's
+    d2 (|gamma| - 1)^3 k rows stays small enough to keep the test fast."""
+    gamma = draw(st.sampled_from(RANDOM_GAMMAS))
+    names = [n for n in RANDOM_MODULES if gamma.order <= 6 or n != "(Z/2)^2"]
+    aut, auts, base = RANDOM_MODULES[draw(st.sampled_from(names))]
+    hom = draw(st.sampled_from(enumerate_homs(gamma, aut)))
+    parent = GammaGroup(gamma, base, [auts[hom(g)] for g in gamma.elements()])
+    return gamma, presentation_of_subgroup(parent, whole_subgroup(base)).presentation
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(random_modules())
+def test_random_modules_match_the_bar_routes(case):
+    gamma, pres = case
+    engine = h2_central(gamma, pres)
+    bar = h2_oracle.h2_central(gamma, pres, max_entries=1 << 20)
+    assert engine.invariant_factors == bar.invariant_factors
+    try:
+        assert engine.order == h2_brute_force_order(gamma, pres)
+    except SizeLimit:
+        pass  # more raw 2-cochains than the brute force's limit
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [direct_product(quaternion_group(), cyclic_group(2)), z2_power(4)],
+    ids=["Q8xZ/2", "(Z/2)^4"],
+)
+def test_coprime_unit_actions_of_order_16(gamma):
+    # |gamma| and |A| coprime, so H2 = 0. On some of these inputs a Smith form
+    # over Z grows its entries without bound; over Z/N each takes milliseconds
+    aut, auts, base = RANDOM_MODULES["Z/5"]
+    for hom in enumerate_homs(gamma, aut):
+        parent = GammaGroup(gamma, base, [auts[hom(g)] for g in gamma.elements()])
+        pres = presentation_of_subgroup(parent, whole_subgroup(base)).presentation
+        assert h2_central(gamma, pres).invariant_factors == ()
