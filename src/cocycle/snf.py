@@ -112,25 +112,22 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 
 
 def cokernel_invariant_factors(
-    relations: IntMatrix, ambient_rank: int
+    relations: IntMatrix, ambient_rank: int, modulus: int = 0
 ) -> tuple[list[int], IntMatrix, IntMatrix]:
-    """Invariant factors > 1 of Z^ambient_rank / col(relations), lifts and coordinates.
+    """Invariant factors > 1 of Z^a / (col(relations) + modulus Z^a), lifts and coordinates.
 
-    Returns (factors, generators, coords): generators[i] is an ambient
-    vector whose class generates the i-th cyclic factor, and an ambient
-    vector y has class (coords[i] . y mod factors[i])_i, so generators[i]
-    maps to the i-th unit vector. Raises if the quotient is infinite
-    (relations not of full row rank).
+    Here a = ambient_rank, the number of rows of ``relations``. Returns
+    (factors, generators, coords): generators[i] is an ambient vector whose
+    class generates the i-th cyclic factor, and an ambient vector y has class
+    (coords[i] . y mod factors[i])_i, so generators[i] maps to the i-th unit
+    vector. Raises if the quotient is infinite.
     """
     if ambient_rank == 0:
         return [], [], []
-    if not relations or not relations[0]:
-        raise ValueError("infinite quotient: no relations for positive rank")
-    dec = smith_normal_form(relations)
-    diag = dec.diagonal()
-    if len(diag) < ambient_rank or any(x == 0 for x in diag[:ambient_rank]):
+    dec = smith_mod(relations, modulus)
+    orders = [math.gcd(x, modulus) for x in (dec.diagonal() + [0] * ambient_rank)[:ambient_rank]]
+    if 0 in orders:
         raise ValueError("infinite quotient: relation matrix not of full row rank")
-    kept = [i for i in range(ambient_rank) if diag[i] > 1]
-    factors = [diag[i] for i in kept]
-    gens = [[dec.u_inv[r][i] for r in range(ambient_rank)] for i in kept]
-    return factors, gens, [dec.u[i][:] for i in kept]
+    kept = [i for i, f in enumerate(orders) if f > 1]
+    lifts = [[row[i] for row in dec.u_inv] for i in kept]
+    return [orders[i] for i in kept], lifts, [dec.u[i] for i in kept]

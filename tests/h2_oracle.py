@@ -19,9 +19,9 @@ import math
 import numpy as np
 
 from cocycle.errors import DEFAULT_MAX_SNF_ENTRIES, CounterexampleFound, SizeLimit
-from cocycle.exactness import AbelianPresentation, H2Group
+from cocycle.exactness import AbelianPresentation, H2Group, _lattice_coords
 from cocycle.groups import FiniteGroup
-from cocycle.snf import IntMatrix, smith_mod, smith_normal_form
+from cocycle.snf import IntMatrix, cokernel_invariant_factors, smith_mod, smith_normal_form
 
 
 def _nonidentity(gamma: FiniteGroup) -> list[int]:
@@ -164,17 +164,6 @@ def _moduli(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> list[int]:
     return list(pres.factors) * (gamma.order - 1) ** n
 
 
-def _lattice_coords(v_inv, scale, vec) -> list[int] | None:
-    """S^-1 V^-1 vec, or None when vec is off the lattice V S Z^n."""
-    out = []
-    for row, s in zip(v_inv, scale):
-        t = sum(c * x for c, x in zip(row, vec))
-        if t % s:
-            return None
-        out.append(t // s)
-    return out
-
-
 def h2_central(
     gamma: FiniteGroup,
     pres: AbelianPresentation,
@@ -215,10 +204,7 @@ def h2_central(
     relation_cols += [
         [exponent // s if i == j else 0 for i, s in enumerate(scale)] for j in range(d2_dim)
     ]
-    rel = smith_mod([list(row) for row in zip(*relation_cols)], exponent)
-    kept = [i for i, x in enumerate(rel.diagonal()) if math.gcd(x, exponent) > 1]
-    factors = [math.gcd(rel.diagonal()[i], exponent) for i in kept]
-    lifts = [[row[i] for row in rel.u_inv] for i in kept]
+    factors, lifts, _ = cokernel_invariant_factors([*zip(*relation_cols)], d2_dim, exponent)
     generators = []
     for lift in lifts:
         vec = [

@@ -12,6 +12,7 @@ over A4.
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,19 +70,21 @@ def cochain_value(gamma, pres, vec, g, h):
     return tuple(vec[start : start + pres.rank])
 
 
+def defect(gamma, pres, vec, g, h, k):
+    """g.c(h,k) - c(gh,k) + c(g,hk) - c(g,h), through pres.apply."""
+    terms = (
+        pres.apply(g, cochain_value(gamma, pres, vec, h, k)),
+        cochain_value(gamma, pres, vec, gamma.mul(g, h), k),
+        cochain_value(gamma, pres, vec, g, gamma.mul(h, k)),
+        cochain_value(gamma, pres, vec, g, h),
+    )
+    return tuple((a - b + c - d) % n for a, b, c, d, n in zip(*terms, pres.factors))
+
+
 def is_cocycle(gamma, pres, vec):
-    """g.c(h,k) - c(gh,k) + c(g,hk) - c(g,h) = 0 for all triples, through pres.apply."""
-    for g, h, k in itertools.product(range(gamma.order), repeat=3):
-        terms = (
-            pres.apply(g, cochain_value(gamma, pres, vec, h, k)),
-            cochain_value(gamma, pres, vec, gamma.mul(g, h), k),
-            cochain_value(gamma, pres, vec, g, gamma.mul(h, k)),
-            cochain_value(gamma, pres, vec, g, h),
-        )
-        for s, n in enumerate(pres.factors):
-            if (terms[0][s] - terms[1][s] + terms[2][s] - terms[3][s]) % n:
-                return False
-    return True
+    """The defect vanishes at every triple."""
+    triples = itertools.product(range(gamma.order), repeat=3)
+    return not any(any(defect(gamma, pres, vec, *t)) for t in triples)
 
 
 CASES = [(name, gamma, pres) for name, gamma, pres in h2_corpus()]
@@ -184,6 +187,27 @@ def test_class_of_raises_on_non_cocycles():
         engine.class_of([0] * (dim + 1))
 
 
+@pytest.mark.parametrize("gamma", [symmetric_group(3), dihedral_group(4)], ids=["S3", "D4"])
+def test_class_of_checks_every_short_generator(gamma):
+    # cochains whose defect vanishes at every (g, h, x) for one generator x, but
+    # not at every triple: the check must not stop at any single generator
+    pres = trivial_module(gamma, (2,))
+    engine = h2_central(gamma, pres)
+    dim = (gamma.order - 1) ** 2
+    units = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    pairs = list(itertools.product(range(gamma.order), repeat=2))
+    for x in gamma.short_generators():
+        matrix = [[defect(gamma, pres, u, g, h, x)[0] for u in units] for g, h in pairs]
+        dec = snf.smith_mod(matrix, 2)
+        rank = sum(d % 2 for d in dec.diagonal())
+        kernel = [[row[j] for row in dec.v] for j in range(rank, dim)]
+        broken = [vec for vec in kernel if not is_cocycle(gamma, pres, vec)]
+        assert broken
+        for vec in broken:
+            with pytest.raises(ValueError, match="not a 2-cocycle"):
+                engine.class_of(vec)
+
+
 def test_class_is_additive():
     gamma = cyclic_group(4)
     pres = trivial_module(gamma, (2, 4))
@@ -222,12 +246,12 @@ def count_calls(monkeypatch, module, name):
 def test_two_smith_forms_per_h2(monkeypatch):
     gamma = dihedral_group(4)
     direct = count_calls(monkeypatch, X, "smith_mod")
+    cokernel = count_calls(monkeypatch, snf, "smith_mod")
     integer = count_calls(monkeypatch, snf, "smith_normal_form")
     h2_central(gamma, trivial_module(gamma, (2,)))
-    assert [(len(m), len(m[0])) for m in direct] == [
-        (18, 9),  # equivariance, |X| m k x m k
-        (9, 11),  # relations, m k x (|X| k + m k)
-    ]
+    assert [(len(m), len(m[0])) for m in direct] == [(18, 9)]  # equivariance, |X| m k x m k
+    # relations, m k x (|X| k + m k), read by cokernel_invariant_factors
+    assert [(len(m), len(m[0])) for m in cokernel] == [(9, 11)]
     assert integer == []
 
 
@@ -239,7 +263,7 @@ def test_delta_uses_one_h2_and_no_smith_form_of_its_own(monkeypatch):
     direct = count_calls(monkeypatch, X, "smith_mod")
     connecting_delta(parent, central, cls)
     assert len(h2_calls) == 1
-    assert len(direct) == 2  # the equivariance and relation matrices inside h2_central
+    assert len(direct) == 1  # the equivariance matrix inside h2_central
 
 
 def test_exponent_scaling_on_mixed_factors():
@@ -313,6 +337,22 @@ def test_values_past_the_bar_bound(make, m, factors):
     assert engine.invariant_factors == factors
     for i, gen in enumerate(engine.generators):
         assert engine.class_of(gen) == tuple(int(i == j) for j in range(len(factors)))
+
+
+def test_long_cycle_stays_in_quadratic_memory():
+    # one generator, so the factored matrix is 1 x 1 and max_entries bounds nothing;
+    # the cocycle checks and the pull-back hold |gamma|^2 |X| k values, where one
+    # |gamma|^3 int64 array alone would take 16 MiB
+    gamma = cyclic_group(128)
+    tracemalloc.start()
+    try:
+        engine = h2_central(gamma, trivial_module(gamma, (2,)))
+        assert engine.class_of(engine.generators[0]) == (1,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine.invariant_factors == (2,)
+    assert peak < 8 << 20
 
 
 def center_extension(special):
