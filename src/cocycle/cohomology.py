@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_CANDIDATES, MatchFailure, NotStable
+from .errors import DEFAULT_MAX_CANDIDATES, BijectionFailure, MatchFailure, NotStable
 from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_as_group
 from .groups import coboundary_classes, crossed_homs
 
@@ -339,3 +339,24 @@ def induced_map(f: EquivariantHom, h1_source: H1Set, h1_target: H1Set) -> tuple[
 def kernel_of(class_map: tuple[int, ...], h1_target: H1Set) -> tuple[int, ...]:
     """Source class indices mapping to the target's distinguished class."""
     return tuple(i for i, c in enumerate(class_map) if c == h1_target.distinguished)
+
+
+def match_blocks(labels, targets, what: str) -> tuple:
+    """The one label of each block, checked to be a bijection onto ``targets``.
+
+    ``labels[i]`` holds the labels of block i's members (a whole orbit, or
+    the members a caller samples). Raises BijectionFailure, naming ``what``,
+    when a block carries several labels, two blocks share one, or the labels
+    are not exactly ``targets``.
+    """
+    found = []
+    for i, block in enumerate(labels):
+        block = set(block)
+        if len(block) != 1:
+            raise BijectionFailure(f"{what}: block {i} maps to {sorted(block)}")
+        found.append(block.pop())
+    if len(set(found)) != len(found):
+        raise BijectionFailure(f"{what}: two blocks map to one label")
+    if set(found) != set(targets):
+        raise BijectionFailure(f"{what}: {len(found)} labels hit, {len(set(targets))} expected")
+    return tuple(found)

@@ -38,18 +38,18 @@ from .cohomology import (
     induced_map,
     kernel_of,
     make_cocycle,
+    match_blocks,
     restrict_to_subgroup,
 )
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_SNF_ENTRIES,
-    BijectionFailure,
     CounterexampleFound,
     DimensionFailure,
     MatchFailure,
     SizeLimit,
 )
-from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, quotient_group
+from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, left_cosets, quotient_group
 from .snf import cokernel_invariant_factors, smith_mod
 
 
@@ -76,16 +76,7 @@ def fixed_cosets(parent: GammaGroup, sub: Subgroup) -> CosetSpace:
     """All gamma-fixed cosets bA and their orbit partition under B^Gamma."""
     restricted, inclusion = restrict_to_subgroup(parent, sub)  # raises NotStable
     b = parent.base
-    coset_of = [-1] * b.order
-    cosets: list[tuple[int, ...]] = []
-    for x in range(b.order):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(cosets)
-        members = tuple(sorted(b.mul(x, a) for a in sub.members))
-        cosets.append(members)
-        for m in members:
-            coset_of[m] = idx
+    cosets, coset_of = left_cosets(b, sub)
     ng = parent.gamma.order
     gamma_action = [tuple(coset_of[parent.act(g, c[0])] for c in cosets) for g in range(ng)]
     fixed = tuple(
@@ -162,27 +153,11 @@ def orbit_kernel_bijection(
     h1_parent = h1(parent, max_candidates)
     cmap = induced_map(space.inclusion, h1_sub, h1_parent)
     kernel = kernel_of(cmap, h1_parent)
-    pairs = []
-    seen: dict[int, tuple[int, ...]] = {}
-    for orbit in space.orbits:
-        classes = {h1_sub.class_index(coset_to_cocycle(space, i)) for i in orbit}
-        if len(classes) != 1:
-            raise BijectionFailure(
-                f"orbit {orbit} maps to several classes {sorted(classes)}"
-            )
-        cls = classes.pop()
-        if cls in seen:
-            raise BijectionFailure(
-                f"orbits {seen[cls]} and {orbit} both map to class {cls}"
-            )
-        if cls not in set(kernel):
-            raise BijectionFailure(f"orbit {orbit} maps to class {cls} outside the kernel")
-        seen[cls] = orbit
-        pairs.append((orbit, cls))
-    missing = [c for c in kernel if c not in seen]
-    if missing:
-        raise BijectionFailure(f"kernel classes {missing} not hit by any fixed coset")
-    return OrbitKernelReport(space, h1_sub, h1_parent, kernel, tuple(pairs))
+    labels = [
+        [h1_sub.class_index(coset_to_cocycle(space, i)) for i in orbit] for orbit in space.orbits
+    ]
+    classes = match_blocks(labels, kernel, "fixed-coset orbits -> kernel classes")
+    return OrbitKernelReport(space, h1_sub, h1_parent, kernel, tuple(zip(space.orbits, classes)))
 
 
 # ---------------------------------------------------------------------------

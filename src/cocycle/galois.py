@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import GammaGroup, h1, H1Set
+from .cohomology import GammaGroup, h1, H1Set, match_blocks
 from .errors import (
     DEFAULT_MAX_MATRICES,
     CounterexampleFound,
@@ -48,7 +48,7 @@ from .fields import (
     matrices_over,
     vec_frob,
 )
-from .groups import cyclic_group, make_group
+from .groups import cyclic_group, lookup_sorted, make_group
 
 
 def automorphism_independence_check(tower: FqTower, exhaustive_limit: int = 10_000) -> bool:
@@ -126,10 +126,6 @@ class SemilinearAction:
         return mat_vec(self.tower, self.mats[j % self.tower.n], vec_frob(self.tower, v, j))
 
 
-def untwisted_semilinear(tower: FqTower, dim: int) -> SemilinearAction:
-    return SemilinearAction.make(tower, dim, (mat_identity(tower, dim),) * tower.n)
-
-
 def invariant_basis(action: SemilinearAction) -> tuple[tuple[int, ...], ...]:
     """A base-field basis of the fixed vectors {v : A_j v^(frob^j) = v for all j}.
 
@@ -196,12 +192,6 @@ def _decode(tower: FqTower, m: int, keys: np.ndarray) -> list[Matrix]:
     return [as_matrix(mats[:, :, i]) for i in range(len(keys))]
 
 
-def _lookup(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position of each key in the nonempty sorted_keys, or -1 when absent."""
-    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return np.where(sorted_keys[at] == keys, at, -1)
-
-
 def hilbert90_verify(
     tower: FqTower,
     m: int,
@@ -228,7 +218,7 @@ def hilbert90_verify(
     cob_keys, group_keys, cocycles = (np.concatenate(c) for c in zip(*chunks))
     del chunks
     cob_keys, first = np.unique(cob_keys, return_index=True)
-    hits = _lookup(cob_keys, cocycles)
+    hits = lookup_sorted(cob_keys, cocycles)
     if (hits < 0).any():
         a = _decode(tower, m, cocycles[hits < 0][:1])[0]
         raise CounterexampleFound(f"norm-one matrix {a} over {tower!r} is not a coboundary")
@@ -346,17 +336,6 @@ def _transport(tensor: TensorOnV, g: np.ndarray, g_inv: np.ndarray) -> np.ndarra
     return coeffs.reshape(m ** (r + l), -1).T
 
 
-def apply_to_tensor(g: Matrix, tensor: TensorOnV) -> TensorOnV:
-    """g(tau) = g^(x r) o tau o (g^(x l))^-1."""
-    tower = tensor.tower
-    g_inv = mat_inv(tower, g)
-    if g_inv is None:
-        raise ValueError("tensor transport requires an invertible matrix")
-    flat = _transport(tensor, np.array(g)[:, :, None], np.array(g_inv)[:, :, None])[0]
-    coeffs = as_matrix(np.reshape(flat, (-1, tensor.dim**tensor.l)))
-    return TensorOnV(tower, tensor.dim, tensor.l, tensor.r, coeffs)
-
-
 @dataclass(frozen=True)
 class FormsReport:
     """Two-route classification of the forms of a tensor."""
@@ -383,7 +362,7 @@ def classify_forms(
     Direct route: Galois-invariant tensors in the GL_m(K)-orbit, partitioned
     into GL_m(k)-orbits. Cohomological route: classes of stabilizer-valued
     cocycles (their images in GL are all coboundaries; checked). The
-    transport map orbit -> class must be a bijection, else MatchFailure.
+    transport map orbit -> class must be a bijection, else BijectionFailure.
     """
     if not tensor.defined_over_base():
         raise ValueError("reference tensor must be defined over the base field")
@@ -427,7 +406,7 @@ def classify_forms(
     stab_keys = batch_key(tower, stab)
 
     def stab_index(mats: np.ndarray, failure: str) -> np.ndarray:
-        at = _lookup(stab_keys, batch_key(tower, mats))
+        at = lookup_sorted(stab_keys, batch_key(tower, mats))
         if (at < 0).any():
             raise CounterexampleFound(failure)
         return at
@@ -442,7 +421,7 @@ def classify_forms(
     # Hilbert 90 on the ambient group: every class dies in GL
     if n > 1:
         gens = [rep.values[1] for rep in h1_stab.classes]
-        if (_lookup(np.unique(cob_keys), stab_keys[gens]) < 0).any():
+        if (lookup_sorted(np.unique(cob_keys), stab_keys[gens]) < 0).any():
             raise CounterexampleFound(
                 "stabilizer cocycle is not a GL coboundary (Hilbert 90 violation)"
             )
@@ -452,28 +431,13 @@ def classify_forms(
     g = gl[:, :, transporters]
     g_frobs = np.stack([tower.vfrob(g, j) for j in range(n)], axis=2)
     cocycles = batch_mul(tower, batch_inv(tower, g, gl_det[transporters])[:, :, None], g_frobs)
-    values = stab_index(cocycles, "transport cocycle left the stabilizer").T
-    matching = []
-    used: dict[int, int] = {}
-    start = 0
-    for oi, members in enumerate(orbits_flat):
-        rows = values[start : start + len(members)].tolist()
-        start += len(members)
-        classes = {h1_stab.class_of[tuple(row)] for row in rows}
-        if len(classes) != 1:
-            raise MatchFailure(f"one rational orbit hit several classes {sorted(classes)}")
-        cls = classes.pop()
-        if cls in used:
-            raise MatchFailure(f"orbits {used[cls]} and {oi} both map to class {cls}")
-        used[cls] = oi
-        matching.append((oi, cls))
-    if len(orbits_flat) != h1_stab.order:
-        raise MatchFailure(
-            f"direct count {len(orbits_flat)} != cohomological count {h1_stab.order}"
-        )
+    # one row per invariant tensor, in the order of orbits_flat
+    values = iter(stab_index(cocycles, "transport cocycle left the stabilizer").T.tolist())
+    labels = [[h1_stab.class_of[tuple(next(values))] for _ in members] for members in orbits_flat]
+    classes = match_blocks(labels, range(h1_stab.order), "rational orbits -> H1 classes")
     direct_orbits = [
         tuple(as_matrix(np.reshape(t, (-1, cols))) for t in members) for members in orbits_flat
     ]
     return FormsReport(
-        tensor, len(stab_pos), tuple(direct_orbits), h1_stab, tuple(matching)
+        tensor, len(stab_pos), tuple(direct_orbits), h1_stab, tuple(enumerate(classes))
     )

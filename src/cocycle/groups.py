@@ -66,7 +66,6 @@ class FiniteGroup:
         self.labels = labels
         self.perms = perms
         self._inv = inverses
-        self._gens: tuple[int, ...] | None = None
         self._short: tuple[int, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
@@ -124,16 +123,8 @@ class FiniteGroup:
         return tuple(sorted(members))
 
     def generators(self) -> tuple[int, ...]:
-        """Greedy generating set: repeatedly add the smallest index outside."""
-        if self._gens is not None:
-            return self._gens
-        gens: list[int] = []
-        span = {self.identity}
-        while len(span) < self.order:
-            nxt = min(x for x in range(self.order) if x not in span)
-            gens.append(nxt)
-            span = set(self.generated_subgroup(gens))
-        self._gens = tuple(gens)
+        """Greedy generating set: repeatedly add the smallest index outside the
+        span; :func:`make_group` records the one its associativity check builds."""
         return self._gens
 
     def short_generators(self) -> tuple[int, ...]:
@@ -148,10 +139,14 @@ class FiniteGroup:
             span: tuple[int, ...] = (self.identity,)
             while len(span) < self.order:
                 inside = set(span)
-                outside = (x for x in self.elements() if x not in inside)
-                joins = {x: self.generated_subgroup(gens + [x]) for x in outside}
-                gens.append(max(joins, key=lambda x: len(joins[x])))  # first is least
-                span = joins[gens[-1]]
+                for x in self.elements():
+                    if x not in inside:
+                        join = self.generated_subgroup(gens + [x])
+                        if len(join) > len(span):  # strictly, so the least index wins ties
+                            best, span = x, join
+                        if len(span) == self.order:  # no later element beats the whole group
+                            break
+                gens.append(best)
             self._short = tuple(gens)
         return self._short
 
@@ -196,13 +191,14 @@ def _find_identity(table: np.ndarray) -> int:
     return int(hits[0])
 
 
-def _check_associativity(table: np.ndarray, identity: int) -> None:
+def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     """Light's test: (x*a)*y = x*(a*y) for all x, y and each generator a.
 
     The elements a that pass are closed under multiplication and include the
     identity, so they are all of the table once they include a generating set.
     Each generator is the least element outside the closure of the identity
-    under right multiplication by the ones before it. Rows x are taken
+    under right multiplication by the ones before it; the set is returned as
+    the group's :meth:`~FiniteGroup.generators`. Rows x are taken
     ``ENGINE_CHUNK`` entries at a time.
     """
     n = table.shape[0]
@@ -226,6 +222,7 @@ def _check_associativity(table: np.ndarray, identity: int) -> None:
         if not np.array_equal(left, right):
             x, j, y = np.argwhere(left != right)[0]
             raise NotAssociative(lo + int(x), gens[j], int(y))
+    return tuple(gens)
 
 
 def make_group(
@@ -244,7 +241,7 @@ def make_group(
     arr = arr.astype(_table_dtype(n), copy=True)
     arr.setflags(write=False)
     identity = _find_identity(arr)
-    _check_associativity(arr, identity)
+    gens = _check_associativity(arr, identity)
     inverses = np.empty(n, dtype=arr.dtype)
     for a in range(n):
         hits = np.flatnonzero(arr[a] == identity)
@@ -253,7 +250,9 @@ def make_group(
         inverses[a] = hits[0]
     if labels is not None and len(labels) != n:
         raise ValueError("labels length must match group order")
-    return FiniteGroup(arr, identity, inverses, labels, perms)
+    group = FiniteGroup(arr, identity, inverses, labels, perms)
+    group._gens = gens
+    return group
 
 
 def trivial_group() -> FiniteGroup:
@@ -577,6 +576,13 @@ def crossed_homs(
     return vals[np.lexsort(vals.T[::-1])]
 
 
+def lookup_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the nonempty increasing ``sorted_keys``, or -1."""
+    at = np.searchsorted(sorted_keys, keys)
+    at[sorted_keys.take(at, mode="clip") != keys] = -1
+    return at
+
+
 def coboundary_classes(
     gamma: FiniteGroup, base: FiniteGroup, action, vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -604,8 +610,8 @@ def coboundary_classes(
     while (todo := np.flatnonzero(class_index < 0)[:batch]).size:  # least rows first
         batch = min(2 * batch, max_batch)
         orbit = table[table[a_inv, gen_vals[todo][:, None, :]], shift] @ weights
-        pos = np.minimum(np.searchsorted(sorted_keys, orbit), n - 1)
-        if not np.array_equal(sorted_keys[pos], orbit):
+        pos = lookup_sorted(sorted_keys, orbit)
+        if (pos < 0).any():
             raise MatchFailure("coboundary transform left the cocycle set; action convention bug")
         members = by_key[pos]
         class_index[members] = members.min(axis=1)[:, None]
@@ -627,12 +633,6 @@ def enumerate_homs(
     return [GroupHom(source, target, image) for image in map(tuple, rows.tolist())]
 
 
-def conjugate_hom(hom: GroupHom, s: int) -> GroupHom:
-    """s * hom(.) * s^-1 in the target."""
-    t = hom.target
-    return GroupHom(hom.source, t, tuple(t.conj(s, x) for x in hom.image))
-
-
 def homs_up_to_conjugacy(
     source: FiniteGroup,
     target: FiniteGroup,
@@ -644,6 +644,19 @@ def homs_up_to_conjugacy(
     return [GroupHom(source, target, tuple(rows[r].tolist())) for r in reps]
 
 
+def left_cosets(g: FiniteGroup, sub: Subgroup) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Left cosets xA, each sorted, in order of their least elements, and the
+    index of each element's coset."""
+    coset_of = [-1] * g.order
+    cosets: list[tuple[int, ...]] = []
+    for x in g.elements():
+        if coset_of[x] < 0:
+            cosets.append(tuple(sorted(g.mul(x, a) for a in sub.members)))
+            for y in cosets[-1]:
+                coset_of[y] = len(cosets) - 1
+    return cosets, coset_of
+
+
 def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Coset group G/N plus the canonical projection; N must be normal."""
     if n.parent is not g:
@@ -653,48 +666,18 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         for a in n.members:
             if g.conj(x, a) not in mset:
                 raise NotNormal(x, a)
-    coset_of = [-1] * g.order
-    coset_reps: list[int] = []
-    for x in g.elements():
-        if coset_of[x] >= 0:
-            continue
-        idx = len(coset_reps)
-        coset_reps.append(x)
-        for a in n.members:
-            coset_of[g.mul(x, a)] = idx
-    q = len(coset_reps)
-    table = np.empty((q, q), dtype=_table_dtype(q))
-    for i, x in enumerate(coset_reps):
-        for j, y in enumerate(coset_reps):
-            table[i, j] = coset_of[g.mul(x, y)]
-    labels = tuple(f"[{g.label(x)}]" for x in coset_reps)
-    quot = make_group(table, labels)
-    proj = GroupHom.make(g, quot, tuple(coset_of))
-    return quot, proj
-
-
-def _isomorphisms(g: FiniteGroup, h: FiniteGroup) -> np.ndarray:
-    """Image rows of the bijective homs g -> h, found among order-preserving
-    generator images."""
-    g_orders = np.array([g.element_order(a) for a in g.elements()])
-    h_orders = np.array([h.element_order(b) for b in h.elements()])
-    if g.order != h.order or not np.array_equal(np.sort(g_orders), np.sort(h_orders)):
-        return np.empty((0, g.order), dtype=np.intp)
-    pools = [np.flatnonzero(h_orders == g_orders[s]) for s in g.short_generators()]
-    rows = crossed_homs(g, h, pools=pools)
-    return rows[np.all(np.sort(rows, axis=1) == np.arange(h.order), axis=1)]
+    cosets, coset_of = left_cosets(g, n)
+    reps = [c[0] for c in cosets]
+    table = [[coset_of[g.mul(x, y)] for y in reps] for x in reps]
+    quot = make_group(table, tuple(f"[{g.label(x)}]" for x in reps))
+    return quot, GroupHom.make(g, quot, tuple(coset_of))
 
 
 def automorphism_group(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms as permutations of element indices, sorted."""
-    return list(map(tuple, _isomorphisms(g, g).tolist()))
-
-
-def find_isomorphism(g: FiniteGroup, h: FiniteGroup) -> GroupHom | None:
-    """The isomorphism g -> h with lexicographically least images of
-    ``g.generators()``, or None."""
-    rows = _isomorphisms(g, h)
-    if not len(rows):
-        return None
-    first = np.lexsort(rows[:, list(g.generators())[::-1]].T)[0]
-    return GroupHom(g, h, tuple(rows[first].tolist()))
+    """All automorphisms as permutations of element indices, sorted: the homs
+    that send each short generator to an element of its order and are bijective."""
+    orders = np.array([g.element_order(a) for a in g.elements()])
+    pools = [np.flatnonzero(orders == orders[s]) for s in g.short_generators()]
+    rows = crossed_homs(g, g, pools=pools)
+    bijective = np.all(np.sort(rows, axis=1) == np.arange(g.order), axis=1)
+    return list(map(tuple, rows[bijective].tolist()))

@@ -20,10 +20,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cohomology import GammaGroup, H1Set, h1, make_cocycle
+from .cohomology import GammaGroup, H1Set, h1, make_cocycle, match_blocks
 from .errors import (
     DEFAULT_MAX_QUAD_D,
-    BijectionFailure,
     CounterexampleFound,
     NotSquarefree,
     SizeLimit,
@@ -361,23 +360,14 @@ def verify_units_iso(ring: QuadRing) -> UnitsIsoReport:
     units = unit_group(ring)
     h1_set = h1(units.gamma_group)
     pos = {u: i for i, u in enumerate(units.elements)}
-    assignment: dict[int, tuple[int, ...]] = {}
-    pairs = []
     identity = units.gamma_group.base.identity
-    for subset, gen in quotient.principal_subsets:
+    labels = []
+    for _, gen in quotient.principal_subsets:
         ratio = _unit_quotient(ring, ring.conj(gen), gen)
         if ratio not in pos:
             raise CounterexampleFound("conj(lambda)/lambda is not a unit")
         cocycle = make_cocycle(units.gamma_group, (identity, pos[ratio]))
-        cls = h1_set.class_index(cocycle)
-        if cls in assignment and assignment[cls] != subset:
-            raise BijectionFailure(
-                f"subsets {assignment[cls]} and {subset} map to one class"
-            )
-        assignment[cls] = subset
-        pairs.append((subset, gen, cls))
-    if len(assignment) != h1_set.order:
-        raise BijectionFailure(
-            f"{len(assignment)} classes hit, H1 has {h1_set.order}"
-        )
-    return UnitsIsoReport(ring, quotient, h1_set, tuple(pairs))
+        labels.append([h1_set.class_index(cocycle)])
+    classes = match_blocks(labels, range(h1_set.order), "principal subsets -> H1 classes")
+    pairs = tuple((s, g, c) for (s, g), c in zip(quotient.principal_subsets, classes))
+    return UnitsIsoReport(ring, quotient, h1_set, pairs)

@@ -11,9 +11,11 @@ sorted-key JSON so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .cohomology import GammaGroup, H1Set
+from .errors import SizeLimit
 from .etale import (
     EtaleClass,
     classify_etale,
@@ -24,12 +26,10 @@ from .etale import (
     is_galois,
     realize_over_fq,
 )
-from .exactness import H2Group
 from .fields import FqTower, make_tower
 from .galois import TensorOnV
 from .groups import (
     FiniteGroup,
-    Subgroup,
     cyclic_group,
     dihedral_group,
     make_group,
@@ -37,10 +37,12 @@ from .groups import (
 )
 from .quad import make_ring, verify_units_iso
 
+#: family -> (constructor of n, order of the group it builds, or a lower
+#: bound past every table that fits in memory: S_21 and up count as 21!)
 FAMILIES = {
-    "cyclic": cyclic_group,
-    "symmetric": symmetric_group,
-    "dihedral": dihedral_group,
+    "cyclic": (cyclic_group, lambda n: n),
+    "symmetric": (symmetric_group, lambda n: math.factorial(min(max(n, 0), 21))),
+    "dihedral": (dihedral_group, lambda n: 2 * n),
 }
 
 
@@ -51,8 +53,11 @@ def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
         family = obj["family"]
         if family not in FAMILIES:
             raise ValueError(f"unknown group family {family!r}")
+        build, order = FAMILIES[family]
         n = int(obj["n"])
-        group = FAMILIES[family](n)
+        if max_order is not None and order(n) > max_order:
+            raise SizeLimit(f"{family} group with n={n} exceeds order bound {max_order}")
+        group = build(n)
     else:
         table = obj.get("table")
         if table is None:
@@ -63,8 +68,6 @@ def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
         labels = obj.get("labels")
         group = make_group(table, tuple(labels) if labels is not None else None)
     if max_order is not None and group.order > max_order:
-        from .errors import SizeLimit
-
         raise SizeLimit(f"group order {group.order} exceeds bound {max_order}")
     return group
 
@@ -78,14 +81,6 @@ def load_action(obj: Any, max_order: int | None = None) -> GammaGroup:
     gamma = load_group(obj["gamma"], max_order)
     base = load_group(obj["base"], max_order)
     return GammaGroup(gamma, base, obj["action"])
-
-
-def load_extension(obj: Any, max_order: int | None = None) -> tuple[GammaGroup, Subgroup]:
-    parent = load_action(obj, max_order)
-    central = obj.get("central")
-    if central is None:
-        raise ValueError("extension file is missing 'central'")
-    return parent, Subgroup.from_members(parent.base, [int(x) for x in central])
 
 
 def load_tensor(obj: Any, max_field: int | None = None) -> tuple[FqTower, TensorOnV]:
@@ -122,14 +117,6 @@ def _element_from_digits(tower: FqTower, digits: Any) -> int:
     return value
 
 
-def element_digits(tower: FqTower, value: int) -> list[int]:
-    out = []
-    for _ in range(tower.degree):
-        out.append(value % tower.p)
-        value //= tower.p
-    return out
-
-
 # ---------------------------------------------------------------------------
 # result payloads
 
@@ -140,14 +127,6 @@ def h1_payload(h1_set: H1Set) -> dict:
         "cocycles": h1_set.n_cocycles,
         "representatives": [list(c.values) for c in h1_set.classes],
         "distinguished": h1_set.distinguished,
-    }
-
-
-def h2_payload(h2: H2Group) -> dict:
-    return {
-        "invariant_factors": list(h2.invariant_factors),
-        "order": h2.order,
-        "generators": [list(g) for g in h2.generators],
     }
 
 

@@ -9,6 +9,7 @@ details hold only deterministic counts (timing lives with the caller).
 from __future__ import annotations
 
 import itertools as _it
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,6 +46,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _cycles,
     all_subgroups,
     automorphism_group,
     cyclic_group,
@@ -55,6 +57,7 @@ from .groups import (
     quaternion_group,
     subgroup_as_group,
     symmetric_group,
+    whole_subgroup,
 )
 from .quad import make_ring, verify_units_iso
 from .twisted import (
@@ -126,17 +129,9 @@ def _faithful_action_of(gamma: FiniteGroup, base: FiniteGroup) -> GammaGroup:
     orders; searched deterministically over the automorphism group."""
     autos = automorphism_group(base)
     gens = gamma.generators()
-    ident = tuple(range(base.order))
-
-    def perm_order(p):
-        k, q = 1, p
-        while q != ident:
-            q = tuple(p[x] for x in q)
-            k += 1
-        return k
-
     pools = [
-        [a for a in autos if perm_order(a) == gamma.element_order(g)] for g in gens
+        [a for a in autos if math.lcm(*map(len, _cycles(a))) == gamma.element_order(g)]
+        for g in gens
     ]
     for assignment in _it.product(*pools):
         try:
@@ -277,25 +272,14 @@ def twisted_corpus() -> list[tuple[str, GammaGroup]]:
         ("V4 on Z/2 trivial", trivial_action(v4, z2)),
         (
             "V4 on Z/3, one factor inverting",
-            action_from_gen_images(
-                v4, z3, {g: ((0, 2, 1) if g == direct_product_gen(v4, 0) else (0, 1, 2)) for g in v4.generators()}
-            ),
+            action_from_gen_images(v4, z3, {1: (0, 1, 2), 2: (0, 2, 1)}),
         ),
         (
             "V4 on Z/4, one factor inverting",
-            action_from_gen_images(
-                v4,
-                z4,
-                {g: ((0, 3, 2, 1) if g == direct_product_gen(v4, 0) else (0, 1, 2, 3)) for g in v4.generators()},
-            ),
+            action_from_gen_images(v4, z4, {1: (0, 1, 2, 3), 2: (0, 3, 2, 1)}),
         ),
     ]
     return cases
-
-
-def direct_product_gen(v4: FiniteGroup, which: int) -> int:
-    """Indices of the two coordinate generators of Z/2 x Z/2."""
-    return (2, 1)[which]
 
 
 def suite_twisted() -> SuiteResult:
@@ -468,7 +452,7 @@ def h2_corpus() -> list[tuple[str, FiniteGroup, object]]:
     z2, z3, z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
     v4 = direct_product(z2, z2)
     mu4 = inversion_action(z2, z4)
-    inv_pres = presentation_of_subgroup(mu4, whole_z4_subgroup(mu4)).presentation
+    inv_pres = presentation_of_subgroup(mu4, whole_subgroup(z4)).presentation
     return [
         ("H2(Z/2, Z/2)", z2, trivial_module(z2, (2,))),
         ("H2(Z/3, Z/2)", z3, trivial_module(z3, (2,))),
@@ -479,10 +463,6 @@ def h2_corpus() -> list[tuple[str, FiniteGroup, object]]:
         ("H2(V4, Z/2)", v4, trivial_module(v4, (2,))),
         ("H2(Z/2, Z/4 inverted)", z2, inv_pres),
     ]
-
-
-def whole_z4_subgroup(parent: GammaGroup) -> Subgroup:
-    return Subgroup.from_members(parent.base, range(parent.base.order))
 
 
 def suite_h2() -> SuiteResult:

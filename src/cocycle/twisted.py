@@ -28,6 +28,7 @@ from .cohomology import (
     H1Set,
     h1,
     make_cocycle,
+    match_blocks,
 )
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
@@ -37,7 +38,7 @@ from .errors import (
     SizeLimit,
     check_buffer,
 )
-from .groups import FiniteGroup, Subgroup, make_group, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, lookup_sorted, make_group, subgroup_as_group
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,6 @@ class TwistedSemiaction:
     @property
     def vector(self) -> tuple[int, ...]:
         return self.rho[self.parent.base.identity]
-
-
-def untwisted_action(parent: GammaGroup) -> TwistedSemiaction:
-    """rho0(g, s) = g^s."""
-    return TwistedSemiaction.from_vector(
-        parent, (parent.base.identity,) * parent.gamma.order
-    )
 
 
 def is_twisted_action(
@@ -156,22 +150,12 @@ def cocycle_twist_correspondence(
     """Pair every twisted action with its cocycle; round-trips are checked."""
     twists = enumerate_twisted_actions(parent, max_candidates)
     h1_set = h1(parent, max_candidates)
-    seen = set()
-    pairs = []
-    for twist in twists:
-        alpha = cocycle_of_twist(twist)
-        if alpha.values in seen:
-            raise BijectionFailure("two twisted actions map to one cocycle")
-        seen.add(alpha.values)
-        back = twist_of_cocycle(alpha)
-        if back.vector != twist.vector:
+    pairs = tuple((twist, cocycle_of_twist(twist)) for twist in twists)
+    for twist, alpha in pairs:
+        if twist_of_cocycle(alpha).vector != twist.vector:
             raise BijectionFailure("twist -> cocycle -> twist does not round-trip")
-        pairs.append((twist, alpha))
-    if seen != set(h1_set.class_of):
-        raise BijectionFailure(
-            f"twisted actions ({len(seen)}) do not match cocycles ({h1_set.n_cocycles})"
-        )
-    return TwistCorrespondence(parent, tuple(pairs), h1_set)
+    match_blocks([[alpha.values] for _, alpha in pairs], h1_set.class_of, "twists -> cocycles")
+    return TwistCorrespondence(parent, pairs, h1_set)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +363,8 @@ def shapiro_induce(
         raise CounterexampleFound("induced map set has duplicates")
 
     def locate(arr: np.ndarray) -> np.ndarray:
-        enc = arr @ radix
-        pos = np.searchsorted(encodings, enc)
-        if np.any(pos >= len(encodings)) or np.any(encodings[pos] != enc):
+        pos = lookup_sorted(encodings, arr @ radix)
+        if (pos < 0).any():
             raise MatchFailure("operation left the induced map set")
         return pos
 
@@ -428,21 +411,11 @@ def shapiro_verify(
     h1_small = h1(g_action, max_candidates)
     h_elements = h_sub.members  # embedding order of the canonical relabeling
 
-    def restrict(values: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(induced.maps[values[m]][gamma.identity] for m in h_elements)
+    def restricted_class(values: tuple[int, ...]) -> int:
+        restricted = tuple(induced.maps[values[m]][gamma.identity] for m in h_elements)
+        return h1_small.class_index(make_cocycle(g_action, restricted))
 
-    class_map = []
-    for members in h1_big.members:
-        restricted = make_cocycle(g_action, restrict(members[0]))
-        target = h1_small.class_index(restricted)
-        if len(members) > 1:
-            other = make_cocycle(g_action, restrict(members[1]))
-            if h1_small.class_index(other) != target:
-                raise BijectionFailure("restriction is not constant on a class")
-        class_map.append(target)
-    if sorted(class_map) != list(range(h1_small.order)):
-        raise BijectionFailure(
-            f"restriction maps {h1_big.order} classes onto {sorted(set(class_map))} "
-            f"of {h1_small.order}"
-        )
-    return ShapiroReport(induced, h1_big, h1_small, tuple(class_map))
+    # two members per class check that restriction is constant on classes
+    labels = [[restricted_class(v) for v in members[:2]] for members in h1_big.members]
+    class_map = match_blocks(labels, range(h1_small.order), "restriction to H -> H1(H, G)")
+    return ShapiroReport(induced, h1_big, h1_small, class_map)

@@ -1,10 +1,12 @@
-"""Checks that survive ``python -O`` and report fields derived from the work done.
+"""Checks that survive ``python -O``, report fields derived from the work done,
+and no dead code in ``src/``.
 
 ``assert`` statements vanish under ``-O``, so no file in ``src/`` may hold one:
 every load-bearing check raises a dedicated exception instead. The boolean
 report fields that the CLI prints (``all_coboundaries``, ``matched``) are
 computed from the report, so a report that does not satisfy them prints
-``false``.
+``false``. Every module-level function and class in ``src/`` is used there,
+exported in ``cocycle.__all__``, or kept for a reason stated below.
 """
 
 import ast
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import cocycle
 from cocycle import cli, quad, serialize
 from cocycle.errors import CounterexampleFound
 from cocycle.quad import make_ring, verify_units_iso
@@ -31,6 +34,39 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+#: Module-level names that nothing in ``src/`` uses, and why each stays.
+KEPT_WITHOUT_CALLER = {
+    "enumerate_gl": "bench/tracer.py wraps it by name for fields.gl_enum",
+    "enumerate_sl": "bench/tracer.py wraps it by name for fields.gl_enum",
+    "smith_normal_form": "bench/tracer.py wraps it by name for the snf counters",
+    "trace_discriminant_matches_sign": "tests check discriminant() against it as a second route",
+    "perm_cycle_type": "tests check the etale cycle types against it as a second route",
+}
+
+
+def test_every_src_definition_is_used_exported_or_kept():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.rglob("*.py")}
+    used = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    defined = {
+        node.name: f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    unused = {name: where for name, where in defined.items() if name not in used}
+    dead = sorted(
+        where for name, where in unused.items()
+        if name not in cocycle.__all__ and name not in KEPT_WITHOUT_CALLER
+    )
+    assert dead == []
+    assert sorted(KEPT_WITHOUT_CALLER) == sorted(set(KEPT_WITHOUT_CALLER) & set(unused))
 
 
 def _hilbert90_json(monkeypatch, capsys, doctor) -> dict:

@@ -117,6 +117,16 @@ class TestEtaleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["rows"]) == 1
 
+    @pytest.mark.parametrize(
+        "family,n,bound", [("dihedral", 600, "100"), ("cyclic", 10**6, "40320")]
+    )
+    def test_oversized_family_exit_2_before_building(self, tmp_path, capsys, family, n, bound):
+        # the bound is compared with n, 2n or n! before any table exists
+        path = write(tmp_path, "big.json", {"family": family, "n": n})
+        assert main(["etale", "--input", path, "--dim", "2", "--max-group-order", bound]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "resource bound exceeded" in captured.err
+
     def test_with_tower_realization(self, tmp_path, capsys):
         path = write(tmp_path, "z4.json", {"family": "cyclic", "n": 4})
         assert main(["etale", "--input", path, "--dim", "4", "--tower", "3x1x4"]) == 0

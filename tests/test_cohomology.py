@@ -18,12 +18,16 @@ from cocycle.cohomology import (
     inversion_action,
     is_cocycle,
     kernel_of,
+    H1Set,
     make_cocycle,
+    match_blocks,
     restrict_to_subgroup,
     trivial_action,
     trivial_cocycle,
 )
-from cocycle.errors import NotStable, SizeLimit
+from cocycle import exactness, galois, quad
+from cocycle.errors import BijectionFailure, NotStable, SizeLimit
+from cocycle.fields import make_tower
 from cocycle.groups import (
     GroupHom,
     Subgroup,
@@ -337,3 +341,52 @@ class TestRestrictToSubgroup:
         small, inclusion = restrict_to_subgroup(big, sub)
         assert small.base.order == 2
         assert inclusion.hom.image == (0, 2)
+
+
+class TestMatchBlocks:
+    def test_returns_the_label_of_each_block(self):
+        assert match_blocks([[2, 2], [0], [1, 1, 1]], range(3), "t") == (2, 0, 1)
+        assert match_blocks([], (), "t") == ()
+
+    @pytest.mark.parametrize(
+        "labels,targets",
+        [
+            ([[0, 1], [2]], range(3)),  # one block, two labels
+            ([[], [0]], range(1)),  # a block with no label
+            ([[0], [0]], range(1)),  # two blocks, one label
+            ([[0], [1]], range(3)),  # a target missed
+            ([[0], [3]], range(2)),  # a label off the targets
+        ],
+    )
+    def test_each_failure_raises(self, labels, targets):
+        with pytest.raises(BijectionFailure, match="^blocks: "):
+            match_blocks(labels, targets, "blocks")
+
+
+def _merged(h1_fn):
+    """h1 with every cocycle put in class 0, the class count unchanged."""
+
+    def merged(parent, *args):
+        real = h1_fn(parent, *args)
+        return H1Set(parent, real.classes, dict.fromkeys(real.class_of, 0), 0)
+
+    return merged
+
+
+class TestBijectionCallers:
+    def test_forms_raise_bijection_failure(self, monkeypatch):
+        monkeypatch.setattr(galois, "h1", _merged(galois.h1))
+        tower = make_tower(3, 1, 2)
+        with pytest.raises(BijectionFailure, match="rational orbits"):
+            galois.classify_forms(tower, galois.quadratic_form_tensor(tower, ((1, 0), (0, 1))))
+
+    def test_units_raise_bijection_failure(self, monkeypatch):
+        monkeypatch.setattr(quad, "h1", _merged(quad.h1))
+        with pytest.raises(BijectionFailure, match="principal subsets"):
+            quad.verify_units_iso(quad.make_ring(5))
+
+    def test_orbit_kernel_raises_bijection_failure(self, monkeypatch):
+        monkeypatch.setattr(exactness, "kernel_of", lambda cmap, target: ())
+        parent = mu4_inversion()
+        with pytest.raises(BijectionFailure, match="fixed-coset orbits"):
+            exactness.orbit_kernel_bijection(parent, Subgroup.from_members(parent.base, [0, 2]))

@@ -26,7 +26,6 @@ from cocycle.groups import (
     dihedral_group,
     direct_product,
     enumerate_homs,
-    find_isomorphism,
     homs_up_to_conjugacy,
     identity_hom,
     make_group,
@@ -138,9 +137,12 @@ def test_automorphisms_match_full_pair_engine(group, count):
     ],
 )
 def test_find_isomorphism_matches_full_pair_engine(g, h):
-    got, want = find_isomorphism(g, h), oracle.find_isomorphism(g, h)
-    assert (got is None) == (want is None)
+    # the engine's bijective homs, least on generators(), against the oracle's first one
+    isos = [f for f in enumerate_homs(g, h) if f.is_injective() and f.is_surjective()]
+    want = oracle.find_isomorphism(g, h)
+    assert (not isos) == (want is None)
     if want is not None:
+        got = min(isos, key=lambda f: [f(x) for x in g.generators()])
         assert got.image == want.image
         GroupHom.make(g, h, got.image)
 

@@ -3,17 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
+import engine_oracle as oracle
+
 from cocycle.errors import NoIdentity, NoInverse, NotAssociative, NotNormal, SizeLimit
 from cocycle.groups import (
+    FiniteGroup,
     GroupHom,
     Subgroup,
     all_subgroups,
-    conjugate_hom,
     cyclic_group,
     dihedral_group,
     direct_product,
     enumerate_homs,
-    find_isomorphism,
     homs_up_to_conjugacy,
     make_group,
     perm_cycle_type,
@@ -309,7 +310,7 @@ class TestHomsUpToConjugacy:
         reps = homs_up_to_conjugacy(src, tgt)
         orbits = []
         for rep in reps:
-            orbit = {conjugate_hom(rep, s).image for s in tgt.elements()}
+            orbit = {tuple(tgt.conj(s, x) for x in rep.image) for s in tgt.elements()}
             orbits.append(orbit)
         union = set().union(*orbits)
         assert union == {h.image for h in all_homs}
@@ -319,7 +320,7 @@ class TestHomsUpToConjugacy:
         reps = homs_up_to_conjugacy(cyclic_group(2), symmetric_group(3))
         tgt = symmetric_group(3)
         for rep in reps:
-            orbit = {conjugate_hom(rep, s).image for s in tgt.elements()}
+            orbit = {tuple(tgt.conj(s, x) for x in rep.image) for s in tgt.elements()}
             assert rep.image == min(orbit)
 
 
@@ -348,7 +349,7 @@ class TestQuotient:
         v4 = Subgroup.from_members(g, v4_members)
         q, proj = quotient_group(g, v4)
         assert q.order == 6
-        assert find_isomorphism(q, symmetric_group(3)) is not None
+        assert oracle.find_isomorphism(q, symmetric_group(3)) is not None
 
     def test_not_normal(self):
         g = symmetric_group(3)
@@ -364,6 +365,34 @@ class TestStructure:
         assert g.generators() == g.generators()
         span = g.generated_subgroup(g.generators())
         assert len(span) == g.order
+
+    def test_generators_follow_the_least_index_rule(self):
+        # each generator is the least index outside the span of the ones before it
+        groups = [cyclic_group(1), cyclic_group(12), symmetric_group(4), dihedral_group(6)]
+        groups += [quaternion_group(), direct_product(symmetric_group(3), cyclic_group(2))]
+        for g in groups:
+            gens, span = [], {g.identity}
+            while len(span) < g.order:
+                gens.append(min(set(g.elements()) - span))
+                span = set(g.generated_subgroup(gens))
+            assert g.generators() == tuple(gens)
+
+    def test_short_generators_stop_at_a_generating_element(self, monkeypatch):
+        g = cyclic_group(1000)
+        calls = []
+        join = FiniteGroup.generated_subgroup
+        monkeypatch.setattr(
+            FiniteGroup, "generated_subgroup", lambda self, seeds: calls.append(1) or join(self, seeds)
+        )
+        assert g.short_generators() == (1,)
+        assert len(calls) == 1  # joining every element outside the span would take 999
+
+    def test_short_generators_max_span(self):
+        # the largest join wins each step, the least index on ties
+        assert symmetric_group(4).short_generators() == (9, 1)
+        assert symmetric_group(5).short_generators() == (27, 6)
+        assert dihedral_group(100).short_generators() == (1, 100)
+        assert direct_product(quaternion_group(), cyclic_group(2)).short_generators() == (4, 1, 8)
 
     def test_word_tree_covers(self):
         g = dihedral_group(4)
@@ -382,7 +411,9 @@ class TestStructure:
         assert g.element_order(2) == 3
 
     def test_find_isomorphism_negative(self):
-        assert find_isomorphism(cyclic_group(4), direct_product(cyclic_group(2), cyclic_group(2))) is None
+        v4 = direct_product(cyclic_group(2), cyclic_group(2))
+        assert oracle.find_isomorphism(cyclic_group(4), v4) is None
+        assert not any(f.is_injective() for f in enumerate_homs(cyclic_group(4), v4))
 
     def test_associativity_sampled_for_larger_groups(self):
         # order 120 > exhaustive limit: constructor must still accept it

@@ -156,6 +156,7 @@ FORMS = [
     ((2, 1, 2), 2, 1, 1, ((1, 0), (0, 1))),  # identity endomorphism over F2
     ((2, 1, 2), 2, 0, 1, ((1,), (0,))),  # a vector over F2
     ((2, 1, 3), 1, 2, 0, ((1,),)),  # x^2 over F2 split by F8
+    ((3, 1, 2), 2, 1, 1, ((1, 0), (0, 0))),  # an idempotent endomorphism over F3
 ]
 
 

@@ -1,15 +1,15 @@
+import tracemalloc
+
 import pytest
 
 from cocycle.errors import SizeLimit
 from cocycle.exactness import h2_central, presentation_of_subgroup
 from cocycle.serialize import (
+    _element_from_digits,
     dumps,
-    element_digits,
     etale_payload,
     h1_payload,
-    h2_payload,
     load_action,
-    load_extension,
     load_group,
     load_tensor,
     quad_payload,
@@ -17,7 +17,7 @@ from cocycle.serialize import (
 )
 from cocycle.cohomology import h1
 from cocycle.fields import make_tower
-from cocycle.groups import cyclic_group
+from cocycle.groups import Subgroup, cyclic_group
 
 
 class TestLoadGroup:
@@ -41,6 +41,20 @@ class TestLoadGroup:
         with pytest.raises(SizeLimit):
             load_group({"family": "symmetric", "n": 4}, max_order=10)
 
+    @pytest.mark.parametrize(
+        "family,n", [("cyclic", 3000), ("dihedral", 1500), ("symmetric", 7), ("symmetric", 10**6)]
+    )
+    def test_max_order_checked_before_building(self, family, n):
+        # building Z/3000 alone allocates its 3000^2 table and 137 MiB at peak
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit):
+                load_group({"family": family, "n": n}, max_order=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestLoadAction:
     def test_h1_roundtrip(self):
@@ -62,40 +76,27 @@ class TestLoadAction:
 
 class TestExtensionSchema:
     def test_h2_flow(self):
-        parent, central = load_extension(
+        parent = load_action(
             {
                 "gamma": {"family": "cyclic", "n": 2},
                 "base": {"family": "cyclic", "n": 4},
                 "action": [[0, 1, 2, 3], [0, 1, 2, 3]],
-                "central": [0, 2],
             }
         )
-        bridge = presentation_of_subgroup(parent, central)
-        payload = h2_payload(h2_central(parent.gamma, bridge.presentation))
-        assert payload["invariant_factors"] == [2]
-        assert payload["order"] == 2
-        for gen in payload["generators"]:
-            assert gen  # nonempty normalized cochain
-
-    def test_central_required(self):
-        with pytest.raises(ValueError):
-            load_extension(
-                {
-                    "gamma": {"family": "cyclic", "n": 2},
-                    "base": {"family": "cyclic", "n": 4},
-                    "action": [[0, 1, 2, 3], [0, 1, 2, 3]],
-                }
-            )
+        central = Subgroup.from_members(parent.base, [0, 2])
+        h2 = h2_central(parent.gamma, presentation_of_subgroup(parent, central).presentation)
+        assert h2.invariant_factors == (2,)
+        assert h2.order == 2
+        for gen in h2.generators:
+            assert len(gen)  # nonempty normalized cochain
 
 
 class TestTensorSchema:
     def test_roundtrip_digits(self):
         tower = make_tower(3, 1, 2)
         for value in range(tower.size):
-            digits = element_digits(tower, value)
-            assert len(digits) == 2
-            rebuilt = digits[0] + 3 * digits[1]
-            assert rebuilt == value
+            digits = [value % 3, value // 3]  # constant digit first
+            assert _element_from_digits(tower, digits) == value
 
     def test_load(self):
         tower, tensor = load_tensor(

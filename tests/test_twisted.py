@@ -32,7 +32,6 @@ from cocycle.twisted import (
     shapiro_verify,
     twist_of_cocycle,
     twisted_space,
-    untwisted_action,
 )
 
 
@@ -42,7 +41,8 @@ def mu4_inversion():
 
 class TestTwistedSemiaction:
     def test_untwisted_is_action(self):
-        ok, witness = is_twisted_action(untwisted_action(mu4_inversion()))
+        untwisted = TwistedSemiaction.from_vector(mu4_inversion(), (0, 0))  # rho(g, s) = g^s
+        ok, witness = is_twisted_action(untwisted)
         assert ok and witness is None
 
     def test_from_cocycle_round_trip(self):
