@@ -5,7 +5,7 @@ Convention, centralized here and used everywhere else in the package:
 * the action is written exponentially, ``a^g = act(g, a)``, and composes as
   a homomorphism into the automorphism group: ``(a^g)^h = a^(hg)``;
 * the cocycle law is ``alpha(hg) = alpha(h) * alpha(g)^h``
-  (:func:`cocycle_defect`);
+  (:func:`is_cocycle`);
 * two cocycles are equivalent when ``alpha(g) = a^-1 * beta(g) * a^g`` for
   some base element a (:func:`coboundary_transform`).
 
@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_CANDIDATES, BijectionFailure, MatchFailure, NotStable
+from .errors import DEFAULT_MAX_CANDIDATES, BijectionFailure, MatchFailure, NotStable, check_buffer
 from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_as_group
-from .groups import coboundary_classes, crossed_homs
+from .groups import coboundary_classes, crossed_homs, first_violation
 
 
 class GammaGroup:
@@ -100,10 +100,7 @@ def conjugation_action(gamma: FiniteGroup, base: FiniteGroup, hom: GroupHom) -> 
     """gamma acts on base through a hom c: gamma -> base, by a^g = c(g) a c(g)^-1."""
     if hom.source is not gamma or hom.target is not base:
         raise ValueError("hom must map gamma into base")
-    c = np.asarray(hom.image)
-    c_inv = np.array([base.inv(x) for x in hom.image])
-    action = base.table[base.table[c], c_inv[:, None]]
-    return GammaGroup(gamma, base, action)
+    return GammaGroup(gamma, base, base.conjugation()[list(hom.image)])
 
 
 def inversion_action(gamma: FiniteGroup, base: FiniteGroup, inverting_gens=None) -> GammaGroup:
@@ -130,23 +127,15 @@ class Cocycle:
         return self.values[g]
 
 
-def cocycle_defect(parent: GammaGroup, values, h: int, g: int) -> bool:
-    """True when alpha(hg) = alpha(h) * alpha(g)^h holds at the pair (h, g)."""
-    gamma, base = parent.gamma, parent.base
-    hg = gamma.mul(h, g)
-    return values[hg] == base.mul(values[h], parent.act(h, values[g]))
-
-
 def is_cocycle(parent: GammaGroup, values) -> tuple[bool, tuple[int, int] | None]:
     """Check the law on all pairs; returns (ok, first violating pair)."""
-    values = tuple(int(v) for v in values)
+    values = np.array([int(v) for v in values], dtype=np.intp)
     if len(values) != parent.gamma.order:
         raise ValueError("values must be defined on all of gamma")
-    for h in range(parent.gamma.order):
-        for g in range(parent.gamma.order):
-            if not cocycle_defect(parent, values, h, g):
-                return False, (h, g)
-    return True, None
+    check_buffer(parent.gamma.order**2, 8, "cocycle law")
+    rhs = parent.base.table[values[:, None], parent.action[:, values]]  # alpha(h) * alpha(g)^h
+    bad = first_violation(values[parent.gamma.table] == rhs)
+    return bad is None, bad
 
 
 def make_cocycle(parent: GammaGroup, values) -> Cocycle:
@@ -280,12 +269,12 @@ class EquivariantHom:
             raise ValueError("source and target must share the same gamma group")
         if hom.source is not source.base or hom.target is not target.base:
             raise ValueError("hom must map source base to target base")
-        for g in range(source.gamma.order):
-            for a in range(source.base.order):
-                if hom(source.act(g, a)) != target.act(g, hom(a)):
-                    raise ValueError(
-                        f"hom does not commute with the action at (gamma={g}, a={a})"
-                    )
+        check_buffer(source.action.size, 8, "equivariance law")
+        img = np.array(hom.image, dtype=np.intp)
+        bad = first_violation(img[source.action] == target.action[:, img])
+        if bad is not None:
+            g, a = bad
+            raise ValueError(f"hom does not commute with the action at (gamma={g}, a={a})")
         return EquivariantHom(source, target, hom)
 
 
@@ -299,16 +288,11 @@ def restrict_to_subgroup(
     """
     if sub.parent is not parent.base:
         raise ValueError("subgroup must live in the parent's base group")
-    members = set(sub.members)
-    for g in range(parent.gamma.order):
-        for a in sub.members:
-            if parent.act(g, a) not in members:
-                raise NotStable(a, g)
+    bad = sub.stray(parent.action)
+    if bad is not None:
+        raise NotStable(bad[1], bad[0])
     sub_group, embed = subgroup_as_group(sub)
-    pos = {m: i for i, m in enumerate(embed)}
-    action = np.empty((parent.gamma.order, sub_group.order), dtype=np.int64)
-    for g in range(parent.gamma.order):
-        action[g] = [pos[parent.act(g, m)] for m in embed]
+    action = sub.position()[parent.action[:, list(embed)]]
     restricted = GammaGroup(parent.gamma, sub_group, action)
     inclusion = GroupHom.make(sub_group, parent.base, embed)
     return restricted, EquivariantHom.make(restricted, parent, inclusion)

@@ -120,6 +120,8 @@ def memory_budget_bytes() -> int | None:
 
 def check_buffer(n_items: int, item_bytes: int, what: str) -> None:
     """Raise SizeLimit when an enumeration buffer would exceed the memory cap."""
+    if n_items * item_bytes <= 1 << 20:  # no cap is below 1 MiB
+        return
     budget = memory_budget_bytes()
     if budget is not None and n_items * item_bytes > budget:
         raise SizeLimit(

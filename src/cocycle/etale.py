@@ -94,13 +94,9 @@ def fixing_kernel(cls: EtaleClass) -> Subgroup:
         raise CounterexampleFound("kernel of a hom is not normal")
     if is_field(cls):
         sym = cls.psi.target
-        stab_preimage = {
-            g for g in cls.gamma.elements() if sym.perms[cls.psi(g)][0] == 0
-        }
-        intersection = set(cls.gamma.elements())
-        for s in cls.gamma.elements():
-            conj = {cls.gamma.mul(cls.gamma.mul(s, h), cls.gamma.inv(s)) for h in stab_preimage}
-            intersection &= conj
+        in_stab = np.array([sym.perms[x][0] == 0 for x in cls.psi.image])  # H: psi(g) fixes 0
+        # x lies in every s H s^-1 when each conjugate s^-1 x s lies in H
+        intersection = set(np.flatnonzero(in_stab[cls.gamma.conjugation()].all(axis=0)).tolist())
         if intersection != set(kernel.members):
             raise MatchFailure(
                 "kernel does not match the intersection of stabilizer conjugates"

@@ -48,8 +48,10 @@ from .errors import (
     DimensionFailure,
     MatchFailure,
     SizeLimit,
+    check_buffer,
 )
-from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, left_cosets, quotient_group
+from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, first_violation, left_cosets
+from .groups import quotient_group
 from .snf import cokernel_invariant_factors, smith_mod
 
 
@@ -116,16 +118,10 @@ def coset_to_cocycle(space: CosetSpace, coset_index: int) -> Cocycle:
         raise ValueError(f"coset {coset_index} is not gamma-fixed")
     parent, b = space.parent, space.parent.base
     rep = space.cosets[coset_index][0]
-    rep_inv = b.inv(rep)
-    embed = space.inclusion.hom.image
-    pos = {m: i for i, m in enumerate(embed)}
-    values = []
-    for g in range(parent.gamma.order):
-        val = b.mul(rep_inv, parent.act(g, rep))
-        if val not in pos:
-            raise CounterexampleFound("descent value escaped the subgroup (stability bug)")
-        values.append(pos[val])
-    return make_cocycle(space.restricted, tuple(values))
+    values = space.sub.position()[b.table[b.inv(rep), parent.action[:, rep]]]
+    if (values < 0).any():
+        raise CounterexampleFound("descent value escaped the subgroup (stability bug)")
+    return make_cocycle(space.restricted, values.tolist())
 
 
 @dataclass(frozen=True)
@@ -170,11 +166,8 @@ def quotient_gamma_group(
     """B/A with the induced action (bA)^g = b^g A; A must be normal and stable."""
     restrict_to_subgroup(parent, sub)  # stability check (NotStable)
     quot, proj = quotient_group(parent.base, sub)  # normality check (NotNormal)
-    reps = [proj.image.index(c) for c in range(quot.order)]
-    action = np.empty((parent.gamma.order, quot.order), dtype=np.int64)
-    for g in range(parent.gamma.order):
-        action[g] = [proj(parent.act(g, r)) for r in reps]
-    quotient = GammaGroup(parent.gamma, quot, action)
+    _, reps = np.unique(proj.image, return_index=True)  # each coset's least element
+    quotient = GammaGroup(parent.gamma, quot, np.asarray(proj.image)[parent.action[:, reps]])
     return quotient, EquivariantHom.make(parent, quotient, proj)
 
 
@@ -638,20 +631,17 @@ def _section(parent: GammaGroup, proj: EquivariantHom, values, greatest: bool) -
     ]
 
 
-def _factor_set(parent: GammaGroup, section: list[int]) -> dict[tuple[int, int], int]:
-    b, gamma = parent.base, parent.gamma
-    return {
-        (h, g): b.mul(b.inv(section[gamma.mul(h, g)]), b.mul(section[h], parent.act(h, section[g])))
-        for h in range(gamma.order)
-        for g in range(gamma.order)
-    }
+def _factor_set(parent: GammaGroup, section: list[int]) -> np.ndarray:
+    """c(h, g) = beta(hg)^-1 beta(h) beta(g)^h, indexed [h, g]."""
+    b, beta = parent.base, np.array(section, dtype=np.intp)
+    check_buffer(parent.gamma.order**2, 8, "factor set")
+    moved = b.table[beta[:, None], parent.action[:, beta]]  # beta(h) beta(g)^h
+    return b.table[b._inv[beta[parent.gamma.table]], moved].astype(np.intp)
 
 
-def _cochain_vector(
-    gamma: FiniteGroup, bridge: ModuleBridge, factor_set: dict[tuple[int, int], int]
-) -> list[int]:
+def _cochain_vector(gamma: FiniteGroup, bridge: ModuleBridge, factor_set: np.ndarray) -> list[int]:
     g1 = _nonidentity(gamma)
-    return [x for g in g1 for h in g1 for x in bridge.to_coords[factor_set[(g, h)]]]
+    return [x for v in factor_set[g1][:, g1].ravel().tolist() for x in bridge.to_coords[v]]
 
 
 def connecting_delta(
@@ -664,12 +654,11 @@ def connecting_delta(
     c(h,g) = beta(hg)^-1 beta(h) beta(g)^h, and checks: values land in A,
     the 2-cocycle identity holds, and the class does not depend on the lift.
     """
-    b = parent.base
-    a_set = set(central.members)
-    for x in range(b.order):
-        for a in central.members:
-            if b.mul(x, a) != b.mul(a, x):
-                raise ValueError(f"subgroup is not central: {a} and {x} do not commute")
+    b, members = parent.base, list(central.members)
+    bad = first_violation(b.conjugation()[:, members] == members)
+    if bad is not None:
+        x, a = bad[0], members[bad[1]]
+        raise ValueError(f"subgroup is not central: {a} and {x} do not commute")
     quotient, proj = quotient_gamma_group(parent, central)
     structurally_same = (
         quotient_cocycle.parent.gamma is parent.gamma
@@ -683,18 +672,22 @@ def connecting_delta(
     values = quotient_cocycle.values
     section = _section(parent, proj, values, greatest=False)
     fset = _factor_set(parent, section)
-    for (h, g), val in fset.items():
-        if val not in a_set:
-            raise CounterexampleFound("factor set escaped the central subgroup")
-        e = parent.gamma.identity
-        if (h == e or g == e) and val != b.identity:
-            raise CounterexampleFound("factor set is not normalized")
+    gamma, e = parent.gamma, parent.gamma.identity
+    escaped = central.position()[fset] < 0
+    unnormalized = np.zeros_like(escaped)
+    unnormalized[e], unnormalized[:, e] = fset[e] != b.identity, fset[:, e] != b.identity
+    bad = first_violation(~(escaped | unnormalized))
+    if bad is not None and escaped[bad]:
+        raise CounterexampleFound("factor set escaped the central subgroup")
+    if bad is not None:
+        raise CounterexampleFound("factor set is not normalized")
     # 2-cocycle identity, checked directly in the group; x in X suffices (see _is_cocycle)
-    gamma = parent.gamma
-    for g, h, x in itertools.product(gamma.elements(), gamma.elements(), gamma.short_generators()):
-        lhs = b.mul(fset[(gamma.mul(g, h), x)], fset[(g, h)])
-        if lhs != b.mul(parent.act(g, fset[(h, x)]), fset[(g, gamma.mul(h, x))]):
-            raise CounterexampleFound("factor set fails the 2-cocycle identity")
+    xs, table = list(gamma.short_generators()), gamma.table
+    check_buffer(gamma.order**2 * len(xs), 8, "2-cocycle identity")
+    lhs = b.table[fset[table][:, :, xs], fset[:, :, None]]  # c(gh, x) c(g, h)
+    rhs = b.table[parent.action[:, fset[:, xs]], fset[:, table[:, xs]]]  # c(h, x)^g c(g, hx)
+    if not np.array_equal(lhs, rhs):
+        raise CounterexampleFound("factor set fails the 2-cocycle identity")
     vec = _cochain_vector(parent.gamma, bridge, fset)
     second = _factor_set(parent, _section(parent, proj, values, greatest=True))
     vec2 = _cochain_vector(parent.gamma, bridge, second)

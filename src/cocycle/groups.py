@@ -78,6 +78,11 @@ class FiniteGroup:
         """g * a * g^-1."""
         return int(self.table[self.table[g, a], self._inv[g]])
 
+    def conjugation(self) -> np.ndarray:
+        """The table of g * a * g^-1, indexed [g, a]."""
+        check_buffer(self.order**2, self.table.itemsize, "conjugation table")
+        return self.table[self.table, self._inv[:, None]]
+
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv(a), -k)
@@ -178,6 +183,22 @@ def _word_tree(group: FiniteGroup, gens) -> list[tuple[int, int, int]]:
                     nxt.append(new)
         frontier = nxt
     return tree
+
+
+def first_violation(holds: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first False entry of ``holds`` in row-major order, which is
+    the order of nested loops over its axes; None when every entry holds."""
+    if holds.all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmin(holds), holds.shape))
+
+
+def action_law(table: np.ndarray, act) -> np.ndarray:
+    """Truth array, indexed [h, g, x], of act[h][act[g][x]] == act[hg][x] for the
+    action rows ``act`` of the group with multiplication ``table``."""
+    act = np.asarray(act, dtype=np.intp)
+    check_buffer(act.shape[0] * act.size, 8, "action law")
+    return act[:, act] == act[table.astype(np.intp)]
 
 
 def _find_identity(table: np.ndarray) -> int:
@@ -326,15 +347,9 @@ def dihedral_group(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise ValueError("dihedral group parameter must be >= 1")
-    order = 2 * n
-    table = np.empty((order, order), dtype=_table_dtype(order))
-    for e1 in (0, 1):
-        for i1 in range(n):
-            for e2 in (0, 1):
-                for i2 in range(n):
-                    e = e1 ^ e2
-                    i = (i2 + (i1 if e2 == 0 else -i1)) % n
-                    table[e1 * n + i1, e2 * n + i2] = e * n + i
+    e, i = np.divmod(np.arange(2 * n), n)
+    # s^e1 r^i1 s^e2 r^i2 = s^(e1 ^ e2) r^(i2 + (-1)^e2 i1)
+    table = (e[:, None] ^ e[None, :]) * n + (i[None, :] + (1 - 2 * e[None, :]) * i[:, None]) % n
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"sr{i}" for i in range(n))
     return make_group(table, labels)
 
@@ -385,16 +400,20 @@ class Subgroup:
 
     @staticmethod
     def from_members(parent: FiniteGroup, members) -> Subgroup:
-        mset = set(int(x) for x in members)
-        if parent.identity not in mset:
+        sub = Subgroup(parent, tuple(sorted(set(int(x) for x in members))))
+        if parent.identity not in sub.members:
             raise ValueError("subgroup must contain the identity")
-        for a in mset:
-            if parent.inv(a) not in mset:
-                raise ValueError(f"subgroup not closed under inverse at element {a}")
-            for b in mset:
-                if parent.mul(a, b) not in mset:
-                    raise ValueError(f"subgroup not closed under product at ({a}, {b})")
-        return Subgroup(parent, tuple(sorted(mset)))
+        m = list(sub.members)
+        check_buffer(len(m) * (len(m) + 1), 8, "subgroup closure check")
+        # column 0 is the inverse of a, column 1 + j the product a * members[j]
+        images = np.concatenate([parent._inv[m, None], parent.table[m][:, m]], axis=1)
+        bad = first_violation(sub.position()[images] >= 0)
+        if bad is not None:
+            i, j = bad
+            if j == 0:
+                raise ValueError(f"subgroup not closed under inverse at element {m[i]}")
+            raise ValueError(f"subgroup not closed under product at ({m[i]}, {m[j - 1]})")
+        return sub
 
     @property
     def order(self) -> int:
@@ -403,13 +422,21 @@ class Subgroup:
     def contains(self, a: int) -> bool:
         return a in set(self.members)
 
+    def position(self) -> np.ndarray:
+        """Each parent element's index among the members, or -1."""
+        pos = np.full(self.parent.order, -1, dtype=np.intp)
+        pos[list(self.members)] = np.arange(self.order)
+        return pos
+
+    def stray(self, images) -> tuple[int, int] | None:
+        """First (row, member a), rows outermost, with ``images[row, a]`` outside the subgroup."""
+        m = list(self.members)
+        check_buffer(len(images) * len(m), 8, "subgroup stability check")
+        bad = first_violation(self.position()[np.asarray(images)[:, m]] >= 0)
+        return None if bad is None else (bad[0], m[bad[1]])
+
     def is_normal(self) -> bool:
-        mset = set(self.members)
-        for g in self.parent.elements():
-            for a in self.members:
-                if self.parent.conj(g, a) not in mset:
-                    return False
-        return True
+        return self.stray(self.parent.conjugation()) is None
 
 
 def whole_subgroup(g: FiniteGroup) -> Subgroup:
@@ -423,12 +450,7 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     keep the sorted-parent-index order.
     """
     members = sub.members
-    pos = {m: i for i, m in enumerate(members)}
-    n = len(members)
-    table = np.empty((n, n), dtype=_table_dtype(n))
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            table[i, j] = pos[sub.parent.mul(a, b)]
+    table = sub.position()[sub.parent.table[list(members)][:, members]]
     labels = None
     if sub.parent.labels is not None:
         labels = tuple(sub.parent.labels[m] for m in members)
@@ -472,10 +494,11 @@ class GroupHom:
             raise ValueError("image length must match source order")
         if img[source.identity] != target.identity:
             raise ValueError("homomorphism must send identity to identity")
-        for a in source.elements():
-            for b in source.elements():
-                if img[source.mul(a, b)] != target.mul(img[a], img[b]):
-                    raise ValueError(f"homomorphism law fails at pair ({a}, {b})")
+        check_buffer(source.order**2, 8, "homomorphism law")
+        arr = np.array(img, dtype=np.intp)
+        bad = first_violation(arr[source.table] == target.table[arr[:, None], arr])
+        if bad is not None:
+            raise ValueError(f"homomorphism law fails at pair {bad}")
         return GroupHom(source, target, img)
 
     def __call__(self, a: int) -> int:
@@ -661,14 +684,12 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """Coset group G/N plus the canonical projection; N must be normal."""
     if n.parent is not g:
         raise ValueError("subgroup parent mismatch")
-    mset = set(n.members)
-    for x in g.elements():
-        for a in n.members:
-            if g.conj(x, a) not in mset:
-                raise NotNormal(x, a)
+    bad = n.stray(g.conjugation())
+    if bad is not None:
+        raise NotNormal(*bad)
     cosets, coset_of = left_cosets(g, n)
     reps = [c[0] for c in cosets]
-    table = [[coset_of[g.mul(x, y)] for y in reps] for x in reps]
+    table = np.asarray(coset_of)[g.table[reps][:, reps]]
     quot = make_group(table, tuple(f"[{g.label(x)}]" for x in reps))
     return quot, GroupHom.make(g, quot, tuple(coset_of))
 

@@ -27,6 +27,7 @@ from .errors import (
     NotSquarefree,
     SizeLimit,
 )
+from .fields import is_prime
 from .groups import cyclic_group, make_group
 from .snf import _bezout
 
@@ -200,30 +201,16 @@ def elements_of_norm(ring: QuadRing, n: int) -> list[Elem]:
     """All x + y*omega with norm exactly n, by ellipse lattice enumeration."""
     if n <= 0:
         return []
-    out = []
-    if ring.half_basis:
-        # 4n = (2x + y)^2 + d y^2
-        y_bound = math.isqrt(4 * n // ring.d)
-        for y in range(-y_bound, y_bound + 1):
-            rest = 4 * n - ring.d * y * y
-            if rest < 0:
-                continue
-            s = math.isqrt(rest)
-            if s * s != rest:
-                continue
-            for sign in ((s,) if s == 0 else (s, -s)):
-                if (sign - y) % 2 == 0:
-                    out.append(((sign - y) // 2, y))
-    else:
-        y_bound = math.isqrt(n // ring.d)
-        for y in range(-y_bound, y_bound + 1):
-            rest = n - ring.d * y * y
-            s = math.isqrt(rest)
-            if s * s != rest:
-                continue
-            for sign in ((s,) if s == 0 else (s, -s)):
-                out.append((sign, y))
-    return sorted(set(out))
+    # 4n = (2x + t y)^2 + |disc| y^2 with t = omega_trace
+    t, disc = ring.omega_trace, abs(ring.discriminant)
+    out = set()
+    y_bound = math.isqrt(4 * n // disc)
+    for y in range(-y_bound, y_bound + 1):
+        rest = 4 * n - disc * y * y
+        s = math.isqrt(rest)
+        if s * s == rest:
+            out |= {((u - t * y) // 2, y) for u in (s, -s) if (u - t * y) % 2 == 0}
+    return sorted(out)
 
 
 def is_principal(i: QuadIdeal, max_norm: int = 10**9) -> Elem | None:
@@ -243,7 +230,7 @@ def ramified_primes(ring: QuadRing) -> list[tuple[int, QuadIdeal]]:
     out = []
     disc = abs(ring.discriminant)
     for p in range(2, disc + 1):
-        if disc % p != 0 or any(p % q == 0 for q in range(2, p)):
+        if disc % p != 0 or not is_prime(p):
             continue
         found = None
         for b in range(p):

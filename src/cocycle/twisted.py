@@ -38,7 +38,8 @@ from .errors import (
     SizeLimit,
     check_buffer,
 )
-from .groups import FiniteGroup, Subgroup, lookup_sorted, make_group, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, action_law, first_violation, lookup_sorted, make_group
+from .groups import subgroup_as_group
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,13 @@ class TwistedSemiaction:
             raise ValueError("rho must be indexed by (base element, gamma element)")
         if table[parent.base.identity][parent.gamma.identity] != parent.base.identity:
             raise ValueError("rho(1, 1) must be 1")
-        for h in range(g_n):
-            for g in range(g_n):
-                hg = parent.base.mul(h, g)
-                for s in range(s_n):
-                    if table[hg][s] != parent.base.mul(parent.act(s, h), table[g][s]):
-                        raise ValueError(
-                            f"semiaction law fails at (h={h}, g={g}, s={s})"
-                        )
+        check_buffer(g_n * g_n * s_n, 8, "semiaction law")
+        arr, base = np.array(table, dtype=np.intp), parent.base
+        # [h, g, s]: rho(hg, s) == h^s rho(g, s)
+        bad = first_violation(arr[base.table] == base.table[parent.action.T[:, None], arr])
+        if bad is not None:
+            h, g, s = bad
+            raise ValueError(f"semiaction law fails at (h={h}, g={g}, s={s})")
         return TwistedSemiaction(parent, table)
 
     @staticmethod
@@ -72,12 +72,8 @@ class TwistedSemiaction:
         vec = tuple(int(x) for x in vector)
         if vec[parent.gamma.identity] != parent.base.identity:
             raise ValueError("vector must send the identity of gamma to 1")
-        base = parent.base
-        rho = tuple(
-            tuple(base.mul(parent.act(s, g), vec[s]) for s in range(parent.gamma.order))
-            for g in range(base.order)
-        )
-        return TwistedSemiaction(parent, rho)
+        rho = parent.base.table[parent.action.T, np.array(vec)[np.arange(parent.gamma.order)]]
+        return TwistedSemiaction(parent, tuple(map(tuple, rho.tolist())))
 
     @property
     def vector(self) -> tuple[int, ...]:
@@ -87,15 +83,10 @@ class TwistedSemiaction:
 def is_twisted_action(
     semiaction: TwistedSemiaction,
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    """Check rho(rho(g,s), t) = rho(g, ts) on every triple."""
-    parent, rho = semiaction.parent, semiaction.rho
-    for g in range(parent.base.order):
-        for s in range(parent.gamma.order):
-            for t in range(parent.gamma.order):
-                ts = parent.gamma.mul(t, s)
-                if rho[rho[g][s]][t] != rho[g][ts]:
-                    return False, (g, s, t)
-    return True, None
+    """Check rho(rho(g,s), t) = rho(g, ts) on every triple (g, s, t)."""
+    rho = np.array(semiaction.rho, dtype=np.intp)
+    bad = first_violation(action_law(semiaction.parent.gamma.table, rho.T).transpose(2, 1, 0))
+    return bad is None, bad
 
 
 def enumerate_twisted_actions(
@@ -183,29 +174,23 @@ class GSpace:
         s_act = tuple(tuple(int(x) for x in row) for row in gamma_action)
         n = len(g_act[0]) if g_act else 0
         base, gamma = parent.base, parent.gamma
-        for x in range(n):
-            if g_act[base.identity][x] != x or s_act[gamma.identity][x] != x:
-                raise ValueError("identities must act trivially")
-        for g in range(base.order):
-            for g2 in range(base.order):
-                prod = base.mul(g, g2)
-                for x in range(n):
-                    if g_act[prod][x] != g_act[g][g_act[g2][x]]:
-                        raise ValueError(f"G-action law fails at ({g},{g2},{x})")
-        for s in range(gamma.order):
-            for t in range(gamma.order):
-                ts = gamma.mul(t, s)
-                for x in range(n):
-                    if s_act[t][s_act[s][x]] != s_act[ts][x]:
-                        raise ValueError(f"gamma-action law fails at ({s},{t},{x})")
-        for g in range(base.order):
-            for s in range(gamma.order):
-                gs = parent.act(s, g)
-                for x in range(n):
-                    if g_act[gs][s_act[s][x]] != s_act[s][g_act[g][x]]:
-                        raise ValueError(
-                            f"compatibility g^s * x^s = (g*x)^s fails at ({g},{s},{x})"
-                        )
+        g_arr, s_arr, points = np.array(g_act), np.array(s_act), np.arange(n)
+        if (g_arr[base.identity] != points).any() or (s_arr[gamma.identity] != points).any():
+            raise ValueError("identities must act trivially")
+        bad = first_violation(action_law(base.table, g_arr))
+        if bad is not None:
+            raise ValueError(f"G-action law fails at ({bad[0]},{bad[1]},{bad[2]})")
+        bad = first_violation(action_law(gamma.table, s_arr).transpose(1, 0, 2))
+        if bad is not None:
+            raise ValueError(f"gamma-action law fails at ({bad[0]},{bad[1]},{bad[2]})")
+        check_buffer(base.order * s_arr.size, 8, "compatibility law")
+        # [g, s, x]: g^s * x^s == (g * x)^s
+        lhs = g_arr[parent.action.T[:, :, None], s_arr]
+        bad = first_violation(lhs == s_arr[np.arange(gamma.order)[:, None], g_arr[:, None]])
+        if bad is not None:
+            raise ValueError(
+                f"compatibility g^s * x^s = (g*x)^s fails at ({bad[0]},{bad[1]},{bad[2]})"
+            )
         if principal:
             if n != base.order:
                 raise ValueError("principal space must have |G| points")
@@ -217,13 +202,7 @@ class GSpace:
 
 def twisted_space(twist: TwistedSemiaction) -> GSpace:
     """The set G with left translation and the twisted gamma-action."""
-    parent = twist.parent
-    base = parent.base
-    g_action = tuple(tuple(base.mul(g, x) for x in range(base.order)) for g in range(base.order))
-    gamma_action = tuple(
-        tuple(twist.rho[x][s] for x in range(base.order)) for s in range(parent.gamma.order)
-    )
-    return GSpace.make(parent, g_action, gamma_action, principal=True)
+    return GSpace.make(twist.parent, twist.parent.base.table, np.array(twist.rho).T, principal=True)
 
 
 def phs_isomorphism(p: GSpace, q: GSpace) -> int | None:

@@ -6,7 +6,8 @@ every load-bearing check raises a dedicated exception instead. The boolean
 report fields that the CLI prints (``all_coboundaries``, ``matched``) are
 computed from the report, so a report that does not satisfy them prints
 ``false``. Every module-level function and class in ``src/`` is used there,
-exported in ``cocycle.__all__``, or kept for a reason stated below.
+exported in ``cocycle.__all__``, or kept for a reason stated below; so is
+every method of a class outside ``cocycle.__all__``.
 """
 
 import ast
@@ -60,6 +61,15 @@ def test_every_src_definition_is_used_exported_or_kept():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
+    # methods of internal classes: nothing outside src/ can reach them by the public API
+    defined.update(
+        (method.name, f"{path.relative_to(SRC)}:{method.lineno}")
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name not in cocycle.__all__
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+    )
     unused = {name: where for name, where in defined.items() if name not in used}
     dead = sorted(
         where for name, where in unused.items()

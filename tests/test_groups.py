@@ -161,6 +161,21 @@ class TestFamilies:
         # s r s = r^-1
         s, r = 4, 1
         assert g.mul(g.mul(s, r), s) == g.inv(r)
+        for n in range(1, 9):
+            # s^e r^i at index e*n + i acts on the flags (k, o) of the n-gon, r first;
+            # the action is faithful for every n, so products are compared as maps
+            flags = list(itertools.product(range(n), (0, 1)))
+
+            def act(a, flag, n=n):
+                e, i = divmod(a, n)
+                k, o = (flag[0] + i) % n, flag[1]
+                return (-k % n, 1 - o) if e else (k, o)
+
+            g = dihedral_group(n)
+            maps = {a: tuple(act(a, f) for f in flags) for a in g.elements()}
+            assert len(set(maps.values())) == 2 * n
+            for a, b in itertools.product(g.elements(), repeat=2):
+                assert maps[g.mul(a, b)] == tuple(act(a, act(b, f)) for f in flags)
 
     def test_dihedral_small(self):
         assert dihedral_group(1).order == 2

@@ -150,17 +150,18 @@ class TestPrincipality:
                 assert principal_ideal(ring, gen) == ideal
 
     def test_elements_of_norm_complete(self):
-        # brute-force box check agrees with ellipse enumeration
-        ring = make_ring(3)
-        for n in range(1, 30):
-            listed = set(elements_of_norm(ring, n))
-            brute = {
-                (x, y)
-                for x in range(-20, 21)
-                for y in range(-20, 21)
-                if ring.norm((x, y)) == n
-            }
-            assert listed == brute
+        # brute-force box check agrees with ellipse enumeration, for both basis kinds
+        for d in (1, 2, 3, 5, 6, 7):
+            ring = make_ring(d)
+            for n in range(1, 30):
+                listed = elements_of_norm(ring, n)
+                brute = [
+                    (x, y)
+                    for x in range(-20, 21)
+                    for y in range(-20, 21)
+                    if ring.norm((x, y)) == n
+                ]
+                assert listed == brute
 
 
 class TestRamified:
