@@ -31,6 +31,8 @@ from .groups import (
     Subgroup,
     cyclic_group,
     homs_up_to_conjugacy,
+    orbit_members,
+    orbit_partition,
     perm_sign,
     symmetric_group,
 )
@@ -54,26 +56,12 @@ def classify_etale(
 ) -> list[EtaleClass]:
     """Lexicographically-least representatives of Hom(gamma, S_m) up to conjugacy."""
     sym = symmetric_group(m)
+    perms = np.array(sym.perms, dtype=np.intp).reshape(sym.order, m)
     classes = []
     for psi in homs_up_to_conjugacy(gamma, sym, max_candidates):
         image = Subgroup.from_members(sym, sorted(set(psi.image)))
-        seen: set[int] = set()
-        orbits = []
-        for start in range(m):
-            if start in seen:
-                continue
-            orbit = {start}
-            frontier = [start]
-            while frontier:
-                point = frontier.pop()
-                for g in image.members:
-                    nxt = sym.perms[g][point]
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-        classes.append(EtaleClass(gamma, m, psi, image, tuple(orbits)))
+        orbits = orbit_members(orbit_partition(perms[list(image.members)])[1])
+        classes.append(EtaleClass(gamma, m, psi, image, orbits))
     return classes
 
 

@@ -50,8 +50,8 @@ from .errors import (
     SizeLimit,
     check_buffer,
 )
-from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, first_violation, left_cosets
-from .groups import quotient_group
+from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, first_violation, orbit_members
+from .groups import orbit_partition, quotient_group
 from .snf import cokernel_invariant_factors, smith_mod
 
 
@@ -78,35 +78,20 @@ def fixed_cosets(parent: GammaGroup, sub: Subgroup) -> CosetSpace:
     """All gamma-fixed cosets bA and their orbit partition under B^Gamma."""
     restricted, inclusion = restrict_to_subgroup(parent, sub)  # raises NotStable
     b = parent.base
-    cosets, coset_of = left_cosets(b, sub)
-    ng = parent.gamma.order
-    gamma_action = [tuple(coset_of[parent.act(g, c[0])] for c in cosets) for g in range(ng)]
-    fixed = tuple(
-        i for i in range(len(cosets)) if all(gamma_action[g][i] == i for g in range(ng))
-    )
-    fixed_set = set(fixed)
-    invariants = h0(parent).members
-    orbits: list[tuple[int, ...]] = []
-    assigned: set[int] = set()
-    for i in fixed:
-        if i in assigned:
-            continue
-        orbit = set()
-        for c in invariants:
-            j = coset_of[b.mul(c, cosets[i][0])]
-            if j not in fixed_set:
-                raise CounterexampleFound("translation by an invariant left the fixed cosets")
-            orbit.add(j)
-        orbits.append(tuple(sorted(orbit)))
-        assigned |= orbit
+    reps, coset_of = orbit_partition(b.table[:, list(sub.members)].T)  # column x is xA
+    gamma_action = coset_of[parent.action[:, reps]]
+    fixed = np.flatnonzero((gamma_action == np.arange(len(reps))).all(axis=0))
+    moved = coset_of[b.table[list(h0(parent).members)][:, reps[fixed]]]  # [c, i] = c b_i A
+    if not np.isin(moved, fixed).all():
+        raise CounterexampleFound("translation by an invariant left the fixed cosets")
     return CosetSpace(
         parent,
         sub,
-        tuple(cosets),
-        tuple(coset_of),
-        tuple(gamma_action),
-        fixed,
-        tuple(orbits),
+        orbit_members(coset_of),
+        tuple(coset_of.tolist()),
+        tuple(map(tuple, gamma_action.tolist())),
+        tuple(fixed.tolist()),
+        orbit_members(orbit_partition(moved)[1], fixed),
         restricted,
         inclusion,
     )
@@ -306,6 +291,19 @@ def trivial_module(gamma: FiniteGroup, factors: tuple[int, ...]) -> AbelianPrese
     return AbelianPresentation(gamma, tuple(factors), (ident,) * gamma.order)
 
 
+def _abelian_words(group: FiniteGroup, gens, exps) -> np.ndarray:
+    """prod_j gens[j]^e_j for each exponent row e of ``exps``, by one gather
+    through each generator's power list; exponents are read modulo its order."""
+    exps = np.asarray(exps, dtype=np.int64)
+    out = np.full(len(exps), group.identity, dtype=np.intp)
+    for g, column in zip(gens, exps.T):
+        powers = [group.identity]
+        while (nxt := group.mul(powers[-1], g)) != group.identity:
+            powers.append(nxt)
+        out = group.table[out, np.array(powers)[column % len(powers)]]
+    return out
+
+
 def _decompose_abelian(group: FiniteGroup) -> tuple[tuple[int, ...], list[int]]:
     """Invariant factors (>1, ascending) and a generator element per factor."""
     if not group.is_abelian():
@@ -314,27 +312,15 @@ def _decompose_abelian(group: FiniteGroup) -> tuple[tuple[int, ...], list[int]]:
         return (), []
     gens = list(group.generators())
     orders = [group.element_order(g) for g in gens]
-    r = len(gens)
-
-    def image_of(exps) -> int:
-        x = group.identity
-        for g, e in zip(gens, exps):
-            x = group.mul(x, group.power(g, e))
-        return x
-
-    relations: list[list[int]] = [
-        [orders[j] if i == j else 0 for j in range(r)] for i in range(r)
-    ]
     box = math.prod(orders)
     if box > 1_000_000:
         raise SizeLimit(f"relation search space {box} too large")
-    for exps in itertools.product(*[range(o) for o in orders]):
-        if any(exps) and image_of(exps) == group.identity:
-            relations.append(list(exps))
-    rel_matrix = [[rel[i] for rel in relations] for i in range(r)]
-    factors, lifts, _ = cokernel_invariant_factors(rel_matrix, r)
-    gen_elements = [image_of(lift) for lift in lifts]
-    return tuple(factors), gen_elements
+    check_buffer(box * len(gens), 8, "relation search")
+    exps = np.indices(orders).reshape(len(gens), box).T  # rows in itertools.product order
+    kills = exps[_abelian_words(group, gens, exps) == group.identity][1:]  # row 0 is zero
+    relations = np.concatenate([np.diag(orders), kills]).T.tolist()
+    factors, lifts, _ = cokernel_invariant_factors(relations, len(gens))
+    return tuple(factors), _abelian_words(group, gens, lifts).tolist()
 
 
 @dataclass(frozen=True)
@@ -351,25 +337,18 @@ def presentation_of_subgroup(parent: GammaGroup, sub: Subgroup) -> ModuleBridge:
     restricted, inclusion = restrict_to_subgroup(parent, sub)
     group = restricted.base
     factors, gen_elements = _decompose_abelian(group)
-    k = len(factors)
-    from_local: dict[tuple[int, ...], int] = {}
-    for vec in itertools.product(*[range(f) for f in factors]) if k else [()]:
-        x = group.identity
-        for g, e in zip(gen_elements, vec):
-            x = group.mul(x, group.power(g, e))
-        from_local[tuple(vec)] = x
-    if len(from_local) != group.order:
+    vecs = np.indices(factors).reshape(len(factors), math.prod(factors)).T  # product order
+    local = _abelian_words(group, gen_elements, vecs)  # the element with coordinates vecs[i]
+    if not np.array_equal(np.sort(local), np.arange(group.order)):
         raise DimensionFailure("invariant-factor coordinates do not enumerate the module")
-    to_local = {x: vec for vec, x in from_local.items()}
-    matrices = []
-    for g in range(parent.gamma.order):
-        cols = [to_local[restricted.act(g, gen)] for gen in gen_elements]
-        matrices.append(tuple(tuple(cols[t][s] for t in range(k)) for s in range(k)))
-    pres = AbelianPresentation(parent.gamma, factors, tuple(matrices))
-    embed = inclusion.hom.image
-    to_coords = {embed[x]: vec for x, vec in to_local.items()}
-    from_coords = {vec: embed[x] for vec, x in from_local.items()}
-    return ModuleBridge(pres, to_coords, from_coords)
+    coords = np.empty_like(vecs)
+    coords[local] = vecs
+    # matrices[g][s][t]: coordinate s of generator t moved by g
+    matrices = coords[restricted.action[:, gen_elements]].transpose(0, 2, 1).tolist()
+    pres = AbelianPresentation(parent.gamma, factors, tuple(tuple(map(tuple, m)) for m in matrices))
+    embedded = np.asarray(inclusion.hom.image)[local].tolist()
+    vec_keys = list(map(tuple, vecs.tolist()))
+    return ModuleBridge(pres, dict(zip(embedded, vec_keys)), dict(zip(vec_keys, embedded)))
 
 
 @dataclass(frozen=True)
@@ -623,12 +602,12 @@ class DeltaResult:
 
 
 def _section(parent: GammaGroup, proj: EquivariantHom, values, greatest: bool) -> list[int]:
-    b, pick = parent.base, max if greatest else min
-    return [
-        b.identity if g == parent.gamma.identity
-        else pick(x for x in range(b.order) if proj.hom(x) == values[g])
-        for g in range(parent.gamma.order)
-    ]
+    """beta(g): the least (or greatest) preimage of values[g], and e at the identity."""
+    image = np.asarray(proj.hom.image)
+    _, first = np.unique(image[::-1] if greatest else image, return_index=True)
+    section = (len(image) - 1 - first if greatest else first)[np.asarray(values)]
+    section[parent.gamma.identity] = parent.base.identity
+    return section.tolist()
 
 
 def _factor_set(parent: GammaGroup, section: list[int]) -> np.ndarray:

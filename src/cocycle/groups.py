@@ -5,6 +5,8 @@ test over a generating set, in O(n^2) per generator. Named constructions
 (cyclic, symmetric, dihedral) emit elements in a documented deterministic
 order so downstream fixtures are stable. Hom, automorphism and isomorphism
 search and :func:`cocycle.cohomology.h1` run on one engine, :func:`crossed_homs`.
+Orbits of a group acting on a finite set, and with them coset representatives,
+come from one owner, :func:`orbit_partition`.
 """
 
 from __future__ import annotations
@@ -419,9 +421,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    def contains(self, a: int) -> bool:
-        return a in set(self.members)
-
     def position(self) -> np.ndarray:
         """Each parent element's index among the members, or -1."""
         pos = np.full(self.parent.order, -1, dtype=np.intp)
@@ -505,10 +504,8 @@ class GroupHom:
         return self.image[a]
 
     def kernel(self) -> Subgroup:
-        members = tuple(
-            a for a in self.source.elements() if self.image[a] == self.target.identity
-        )
-        return Subgroup(self.source, members)
+        members = np.flatnonzero(np.array(self.image) == self.target.identity)
+        return Subgroup(self.source, tuple(members.tolist()))
 
     def image_subgroup(self) -> Subgroup:
         return Subgroup(self.target, tuple(sorted(set(self.image))))
@@ -667,17 +664,19 @@ def homs_up_to_conjugacy(
     return [GroupHom(source, target, tuple(rows[r].tolist())) for r in reps]
 
 
-def left_cosets(g: FiniteGroup, sub: Subgroup) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Left cosets xA, each sorted, in order of their least elements, and the
-    index of each element's coset."""
-    coset_of = [-1] * g.order
-    cosets: list[tuple[int, ...]] = []
-    for x in g.elements():
-        if coset_of[x] < 0:
-            cosets.append(tuple(sorted(g.mul(x, a) for a in sub.members)))
-            for y in cosets[-1]:
-                coset_of[y] = len(cosets) - 1
-    return cosets, coset_of
+def orbit_partition(images) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of a finite group on points, where ``images[g, x]`` is the image of
+    point x under every element g, so column x holds x's whole orbit: each
+    orbit's least point, increasing, and each column's orbit index."""
+    return np.unique(np.asarray(images).min(axis=0), return_inverse=True)
+
+
+def orbit_members(orbit_of: np.ndarray, points=None) -> tuple[tuple[int, ...], ...]:
+    """Each orbit's points, increasing, from :func:`orbit_partition`'s orbit
+    indices; ``points`` (increasing, default 0, 1, ...) labels its columns."""
+    points = np.arange(len(orbit_of)) if points is None else np.asarray(points)
+    by_orbit, ends = points[np.argsort(orbit_of, kind="stable")], np.cumsum(np.bincount(orbit_of))
+    return tuple(tuple(block.tolist()) for block in np.split(by_orbit, ends[:-1]))
 
 
 def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
@@ -687,11 +686,10 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     bad = n.stray(g.conjugation())
     if bad is not None:
         raise NotNormal(*bad)
-    cosets, coset_of = left_cosets(g, n)
-    reps = [c[0] for c in cosets]
-    table = np.asarray(coset_of)[g.table[reps][:, reps]]
-    quot = make_group(table, tuple(f"[{g.label(x)}]" for x in reps))
-    return quot, GroupHom.make(g, quot, tuple(coset_of))
+    reps, coset_of = orbit_partition(g.table[:, list(n.members)].T)  # column x is xN
+    labels = tuple(f"[{g.label(x)}]" for x in reps.tolist())
+    quot = make_group(coset_of[g.table[reps][:, reps]], labels)
+    return quot, GroupHom.make(g, quot, coset_of)
 
 
 def automorphism_group(g: FiniteGroup) -> list[tuple[int, ...]]:

@@ -39,7 +39,7 @@ from .errors import (
     check_buffer,
 )
 from .groups import FiniteGroup, Subgroup, action_law, first_violation, lookup_sorted, make_group
-from .groups import subgroup_as_group
+from .groups import orbit_partition, subgroup_as_group
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,11 @@ class TwistedSemiaction:
     def from_vector(parent: GammaGroup, vector) -> TwistedSemiaction:
         """Reconstruct the full table from c(s) = rho(1, s)."""
         vec = tuple(int(x) for x in vector)
+        if len(vec) != parent.gamma.order or min(vec) < 0 or max(vec) >= parent.base.order:
+            raise ValueError(f"vector must hold {parent.gamma.order} base element indices")
         if vec[parent.gamma.identity] != parent.base.identity:
             raise ValueError("vector must send the identity of gamma to 1")
-        rho = parent.base.table[parent.action.T, np.array(vec)[np.arange(parent.gamma.order)]]
+        rho = parent.base.table[parent.action.T, np.array(vec)]
         return TwistedSemiaction(parent, tuple(map(tuple, rho.tolist())))
 
     @property
@@ -174,7 +176,11 @@ class GSpace:
         s_act = tuple(tuple(int(x) for x in row) for row in gamma_action)
         n = len(g_act[0]) if g_act else 0
         base, gamma = parent.base, parent.gamma
+        if (len(g_act), len(s_act), set(map(len, g_act + s_act))) != (base.order, gamma.order, {n}):
+            raise ValueError(f"need {base.order} G-rows and {gamma.order} gamma-rows of {n} points")
         g_arr, s_arr, points = np.array(g_act), np.array(s_act), np.arange(n)
+        if n and not (0 <= min(g_arr.min(), s_arr.min()) and max(g_arr.max(), s_arr.max()) < n):
+            raise ValueError(f"action entries must be points below {n}")
         if (g_arr[base.identity] != points).any() or (s_arr[gamma.identity] != points).any():
             raise ValueError("identities must act trivially")
         bad = first_violation(action_law(base.table, g_arr))
@@ -194,8 +200,7 @@ class GSpace:
         if principal:
             if n != base.order:
                 raise ValueError("principal space must have |G| points")
-            orbit = {g_act[g][0] for g in range(base.order)}
-            if len(orbit) != n:
+            if np.unique(g_arr[:, 0]).size != n:  # the orbit of point 0
                 raise ValueError("G-action is not free and transitive")
         return GSpace(parent, n, g_act, s_act, principal)
 
@@ -209,23 +214,18 @@ def phs_isomorphism(p: GSpace, q: GSpace) -> int | None:
     """Image of p's base point under an isomorphism, or None.
 
     A G-equivariant bijection of principal spaces is determined by the image
-    of one point, so the search runs over q's points.
+    y of one point, so all of q's points y are tried at once.
     """
     if p.parent is not q.parent or not (p.principal and q.principal):
         raise ValueError("isomorphism search requires principal spaces over one parent")
-    base, gamma = p.parent.base, p.parent.gamma
-    transporter = [0] * p.n_points
-    for g in range(base.order):
-        transporter[p.g_action[g][0]] = g
-    for y in range(q.n_points):
-        theta = [q.g_action[transporter[x]][y] for x in range(p.n_points)]
-        if all(
-            theta[p.gamma_action[s][x]] == q.gamma_action[s][theta[x]]
-            for s in range(gamma.order)
-            for x in range(p.n_points)
-        ):
-            return y
-    return None
+    g_p, s_p = np.array(p.g_action), np.array(p.gamma_action)
+    g_q, s_q = np.array(q.g_action), np.array(q.gamma_action)
+    transporter = np.empty(p.n_points, dtype=np.intp)
+    transporter[g_p[:, 0]] = np.arange(p.parent.base.order)  # g . x0 = x
+    check_buffer(s_p.size * q.n_points, 8, "isomorphism candidates")
+    theta = g_q[transporter]  # [x, y]: the candidate with x0 -> y sends x to theta[x, y]
+    hits = np.flatnonzero((theta[s_p] == s_q[:, theta]).all(axis=(0, 1)))
+    return int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -310,29 +310,16 @@ def shapiro_induce(
     _check_h_action(gamma, h_sub, g_action)
     g = g_action.base
     ng = gamma.order
-    h_pos = {m: i for i, m in enumerate(h_sub.members)}
-    # right-coset structure: H*s; each map is free on the lex-least representatives
-    coset_rep = [-1] * ng
-    reps: list[int] = []
-    for s in range(ng):
-        if coset_rep[s] >= 0:
-            continue
-        reps.append(s)
-        for m in h_sub.members:
-            coset_rep[gamma.mul(m, s)] = s
-    index = ng // h_sub.order
+    # right cosets H*s, each map free on their least elements: s = l * reps[coset_of[s]]
+    reps, coset_of = orbit_partition(gamma.table[list(h_sub.members)])
+    index = len(reps)
     n_maps = g.order**index
     if n_maps > max_candidates:
         raise SizeLimit(f"|G|^(index) = {n_maps} induced elements exceed bound")
     check_buffer(n_maps * ng, 8, "induced map table")
-    rep_col = {r: i for i, r in enumerate(reps)}
-    maps_arr = np.empty((n_maps, ng), dtype=np.int64)
-    free = np.array(list(itertools.product(range(g.order), repeat=index)), dtype=np.int64)
-    for s in range(ng):
-        r = coset_rep[s]
-        # s = l * r for a unique l in H
-        l = next(m for m in h_sub.members if gamma.mul(m, r) == s)
-        maps_arr[:, s] = g_action.action[h_pos[l]][free[:, rep_col[r]]]
+    l = h_sub.position()[gamma.table[np.arange(ng), gamma._inv[reps[coset_of]]]]
+    free = np.indices((g.order,) * index).reshape(index, n_maps).T  # product order
+    maps_arr = g_action.action[l, free[:, coset_of]].astype(np.int64)
     # deterministic element order: lexicographic by value tuple
     order_key = np.lexsort(maps_arr.T[::-1])
     maps_arr = maps_arr[order_key]
@@ -351,10 +338,8 @@ def shapiro_induce(
     for i in range(n_maps):
         table[i] = locate(g.table[maps_arr[i][None, :], maps_arr])
     group = make_group(table)
-    action = np.empty((ng, n_maps), dtype=np.int64)
-    for s in range(ng):
-        perm = [gamma.mul(t, s) for t in range(ng)]
-        action[s] = locate(maps_arr[:, perm])
+    check_buffer(n_maps * ng * ng, 8, "induced action")
+    action = locate(maps_arr[:, gamma.table.T]).T  # phi^s(t) = phi(ts)
     gamma_group = GammaGroup(gamma, group, action)
     maps = tuple(tuple(int(v) for v in row) for row in maps_arr)
     return InducedGammaGroup(gamma, h_sub, g_action, maps, gamma_group)

@@ -5,6 +5,12 @@ Each routine assigns values to the greedy ``generators()``, extends along
 classes come from one coboundary orbit per lexicographically least
 cocycle, keyed by full value tuples. ``tests/test_engine.py`` compares the
 package against these results exactly.
+
+The orbit routines at the end are the per-element loops that cosets,
+fixed-coset orbits, Shapiro cosets, quotient sections, principal-space
+isomorphisms, étale orbits and abelian coordinates used to run before
+``groups.orbit_partition`` and one-gather coordinates replaced them;
+``tests/test_orbits.py`` compares the package against them field by field.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ import itertools
 
 import numpy as np
 
-from cocycle.cohomology import Cocycle, GammaGroup, H1Set, trivial_action
-from cocycle.groups import FiniteGroup, GroupHom
+from cocycle.cohomology import Cocycle, GammaGroup, H1Set, restrict_to_subgroup, trivial_action
+from cocycle.groups import FiniteGroup, GroupHom, Subgroup
+from cocycle.snf import cokernel_invariant_factors
 
 
 def _partition(parent: GammaGroup, survivor_keys: set[tuple[int, ...]]) -> H1Set:
@@ -153,3 +160,159 @@ def action_is_valid(gamma: FiniteGroup, base: FiniteGroup, action) -> bool:
         for d in gamma.elements()
         for g in gamma.elements()
     )
+
+
+# ---------------------------------------------------------------------------
+# orbit loops
+
+
+def left_cosets(g: FiniteGroup, sub: Subgroup) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Left cosets xA, each sorted, in order of their least elements, and the
+    index of each element's coset."""
+    coset_of = [-1] * g.order
+    cosets: list[tuple[int, ...]] = []
+    for x in g.elements():
+        if coset_of[x] < 0:
+            cosets.append(tuple(sorted(g.mul(x, a) for a in sub.members)))
+            for y in cosets[-1]:
+                coset_of[y] = len(cosets) - 1
+    return cosets, coset_of
+
+
+def fixed_cosets(parent: GammaGroup, sub: Subgroup):
+    """(cosets, coset_of, gamma_action, fixed, orbits) of ``exactness.CosetSpace``."""
+    b, ng = parent.base, parent.gamma.order
+    cosets, coset_of = left_cosets(b, sub)
+    gamma_action = [tuple(coset_of[parent.act(g, c[0])] for c in cosets) for g in range(ng)]
+    fixed = tuple(
+        i for i in range(len(cosets)) if all(gamma_action[g][i] == i for g in range(ng))
+    )
+    invariants = [c for c in b.elements() if all(parent.act(g, c) == c for g in range(ng))]
+    orbits: list[tuple[int, ...]] = []
+    assigned: set[int] = set()
+    for i in fixed:
+        if i in assigned:
+            continue
+        orbit = set()
+        for c in invariants:
+            j = coset_of[b.mul(c, cosets[i][0])]
+            if j not in fixed:
+                raise AssertionError("translation by an invariant left the fixed cosets")
+            orbit.add(j)
+        orbits.append(tuple(sorted(orbit)))
+        assigned |= orbit
+    return tuple(cosets), tuple(coset_of), tuple(gamma_action), fixed, tuple(orbits)
+
+
+def section(parent: GammaGroup, proj, values, greatest: bool) -> list[int]:
+    """Least (or greatest) preimage of each value under ``proj``, e at the identity."""
+    b, pick = parent.base, max if greatest else min
+    return [
+        b.identity if g == parent.gamma.identity
+        else pick(x for x in range(b.order) if proj.hom(x) == values[g])
+        for g in range(parent.gamma.order)
+    ]
+
+
+def shapiro_maps(gamma: FiniteGroup, h_sub: Subgroup, g_action: GammaGroup):
+    """The induced maps, lexicographically sorted, and the action rows on their indices."""
+    g, ng = g_action.base, gamma.order
+    h_pos = {m: i for i, m in enumerate(h_sub.members)}
+    coset_rep = [-1] * ng
+    reps: list[int] = []
+    for s in range(ng):
+        if coset_rep[s] >= 0:
+            continue
+        reps.append(s)
+        for m in h_sub.members:
+            coset_rep[gamma.mul(m, s)] = s
+    rep_col = {r: i for i, r in enumerate(reps)}
+    free = np.array(list(itertools.product(range(g.order), repeat=len(reps))), dtype=np.int64)
+    maps_arr = np.empty((len(free), ng), dtype=np.int64)
+    for s in range(ng):
+        r = coset_rep[s]
+        l = next(m for m in h_sub.members if gamma.mul(m, r) == s)  # s = l * r
+        maps_arr[:, s] = g_action.action[h_pos[l]][free[:, rep_col[r]]]
+    maps = sorted(map(tuple, maps_arr.tolist()))
+    where = {row: i for i, row in enumerate(maps)}
+    action = [
+        [where[tuple(row[gamma.mul(t, s)] for t in range(ng))] for row in maps] for s in range(ng)
+    ]
+    return tuple(maps), action
+
+
+def phs_isomorphism(p, q) -> int | None:
+    """First point y of q that p's base point can map to under an isomorphism."""
+    base, gamma = p.parent.base, p.parent.gamma
+    transporter = [0] * p.n_points
+    for g in range(base.order):
+        transporter[p.g_action[g][0]] = g
+    for y in range(q.n_points):
+        theta = [q.g_action[transporter[x]][y] for x in range(p.n_points)]
+        if all(
+            theta[p.gamma_action[s][x]] == q.gamma_action[s][theta[x]]
+            for s in range(gamma.order)
+            for x in range(p.n_points)
+        ):
+            return y
+    return None
+
+
+def etale_orbits(sym: FiniteGroup, image: Subgroup, m: int) -> tuple[tuple[int, ...], ...]:
+    """Orbits of a subgroup of S_m on 0..m-1 by breadth-first search."""
+    seen: set[int] = set()
+    orbits = []
+    for start in range(m):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            point = frontier.pop()
+            for g in image.members:
+                nxt = sym.perms[g][point]
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
+def module_bridge(parent: GammaGroup, sub: Subgroup):
+    """(factors, matrices, to_coords, from_coords) of ``exactness.presentation_of_subgroup``."""
+    restricted, inclusion = restrict_to_subgroup(parent, sub)
+    group = restricted.base
+
+    def image_of(gens, exps) -> int:
+        x = group.identity
+        for g, e in zip(gens, exps):
+            x = group.mul(x, group.power(g, e))
+        return x
+
+    factors: list[int] = []
+    gen_elements: list[int] = []
+    if group.order > 1:
+        gens = list(group.generators())
+        orders = [group.element_order(g) for g in gens]
+        r = len(gens)
+        relations = [[orders[j] if i == j else 0 for j in range(r)] for i in range(r)]
+        for exps in itertools.product(*[range(o) for o in orders]):
+            if any(exps) and image_of(gens, exps) == group.identity:
+                relations.append(list(exps))
+        rel_matrix = [[rel[i] for rel in relations] for i in range(r)]
+        factors, lifts, _ = cokernel_invariant_factors(rel_matrix, r)
+        gen_elements = [image_of(gens, lift) for lift in lifts]
+    from_local = {
+        vec: image_of(gen_elements, vec) for vec in itertools.product(*[range(f) for f in factors])
+    }
+    to_local = {x: vec for vec, x in from_local.items()}
+    k = len(factors)
+    matrices = []
+    for g in range(parent.gamma.order):
+        cols = [to_local[restricted.act(g, gen)] for gen in gen_elements]
+        matrices.append(tuple(tuple(cols[t][s] for t in range(k)) for s in range(k)))
+    embed = inclusion.hom.image
+    to_coords = {embed[x]: vec for x, vec in to_local.items()}
+    from_coords = {vec: embed[x] for vec, x in from_local.items()}
+    return tuple(factors), tuple(matrices), to_coords, from_coords

@@ -20,6 +20,7 @@ from cocycle.groups import (
     trivial_group,
 )
 from cocycle.twisted import (
+    GSpace,
     TwistedSemiaction,
     classify_phs,
     cocycle_of_twist,
@@ -68,6 +69,12 @@ class TestTwistedSemiaction:
         with pytest.raises(ValueError):
             TwistedSemiaction.make(gg, bad)
 
+    @pytest.mark.parametrize("vector", [(0, 1, 3), (0,), (0, 4), (0, -1)])
+    def test_from_vector_rejects_malformed_vectors(self, vector):
+        # one base element index per gamma element, no truncation, no wrap-around
+        with pytest.raises(ValueError, match="vector must hold 2 base element indices"):
+            TwistedSemiaction.from_vector(mu4_inversion(), vector)
+
     def test_restriction_to_identity_is_identity_map(self):
         gg = mu4_inversion()
         for twist in enumerate_twisted_actions(gg):
@@ -108,6 +115,31 @@ class TestCorrespondence:
             for (t1, a1), (t2, a2) in itertools.combinations(corr.pairs, 2):
                 iso = phs_isomorphism(twisted_space(t1), twisted_space(t2))
                 assert (iso is not None) == (cohomologous(a1, a2) is not None)
+
+
+class TestGSpaceShapes:
+    def space(self):
+        return twisted_space(TwistedSemiaction.from_vector(mu4_inversion(), (0, 0)))
+
+    def test_wrong_row_counts(self):
+        space = self.space()
+        with pytest.raises(ValueError, match="need 4 G-rows and 2 gamma-rows of 4 points"):
+            GSpace.make(space.parent, space.g_action[:3], space.gamma_action, principal=True)
+        with pytest.raises(ValueError, match="need 4 G-rows and 2 gamma-rows of 4 points"):
+            GSpace.make(space.parent, space.g_action, space.gamma_action * 2, principal=True)
+
+    def test_ragged_rows(self):
+        space = self.space()
+        ragged = space.g_action[:3] + (space.g_action[3] + (0,),)
+        with pytest.raises(ValueError, match="need 4 G-rows and 2 gamma-rows of 4 points"):
+            GSpace.make(space.parent, ragged, space.gamma_action, principal=True)
+
+    def test_out_of_range_entries(self):
+        space = self.space()
+        for bad in (4, -1):
+            s_act = (space.gamma_action[0], space.gamma_action[1][:3] + (bad,))
+            with pytest.raises(ValueError, match="action entries must be points below 4"):
+                GSpace.make(space.parent, space.g_action, s_act, principal=True)
 
 
 class TestClassifyPhs:
