@@ -26,6 +26,7 @@ from .errors import (
 from .galois import classify_forms, hilbert90_verify, sl_h1_verify
 from .fields import make_tower
 from .serialize import (
+    check_family_order,
     dumps,
     etale_payload,
     h1_payload,
@@ -80,6 +81,7 @@ def cmd_h1(args) -> int:
 
 def cmd_etale(args) -> int:
     obj = _read_json(args.input)
+    check_family_order("symmetric", args.dim, args.max_group_order)  # S_m, before any table
     gamma = load_group(obj, args.max_group_order)
     tower = None
     if args.tower:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_MAX_CANDIDATES, BijectionFailure, MatchFailure, NotStable, check_buffer
+from .errors import BijectionFailure, MatchFailure, NotStable, check_buffer
 from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_as_group
 from .groups import coboundary_classes, crossed_homs, first_violation
 
@@ -229,17 +229,17 @@ class H1Set:
         return f"H1Set({self.order} classes, {self.n_cocycles} cocycles)"
 
 
-def h1(parent: GammaGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> H1Set:
+def h1(parent: GammaGroup) -> H1Set:
     """Enumerate all 1-cocycles and partition them into classes.
 
     Candidates choose values on ``gamma.short_generators()``, extend along
     its word tree via the cocycle law, and survive the law on every pair
     (x, s) with s a generator, which implies it on all pairs; classes are
     coboundary orbits keyed by the values on those generators (see
-    :func:`~cocycle.groups.crossed_homs`). ``max_candidates`` bounds |base|^k.
+    :func:`~cocycle.groups.crossed_homs`).
     """
     gamma, base = parent.gamma, parent.base
-    vals = crossed_homs(gamma, base, parent.action, max_candidates=max_candidates)
+    vals = crossed_homs(gamma, base, parent.action)
     reps, class_index = coboundary_classes(gamma, base, parent.action, vals)
     keys = list(map(tuple, vals.tolist()))
     class_of = dict(zip(keys, class_index.tolist()))
@@ -247,12 +247,10 @@ def h1(parent: GammaGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES) -> H1Se
     return H1Set(parent, classes, class_of, class_of[(base.identity,) * gamma.order])
 
 
-def h1_trivial_action(
-    gamma: FiniteGroup, base: FiniteGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> H1Set:
+def h1_trivial_action(gamma: FiniteGroup, base: FiniteGroup) -> H1Set:
     """H1 for the trivial action: homs gamma -> base modulo conjugation in base,
     which are the cocycles and coboundary classes :func:`h1` finds."""
-    return h1(trivial_action(gamma, base), max_candidates)
+    return h1(trivial_action(gamma, base))
 
 
 @dataclass(frozen=True)

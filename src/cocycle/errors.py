@@ -1,4 +1,4 @@
-"""Exception types and enumeration limits shared across the package."""
+"""Exception types, and every resource bound as a named constant (README, "Bounds")."""
 
 from __future__ import annotations
 
@@ -21,6 +21,24 @@ DEFAULT_MAX_MATRICES = 1 << 20
 
 #: Default ceiling on squarefree d for imaginary quadratic rings.
 DEFAULT_MAX_QUAD_D = 200
+
+#: Ceiling on the GL_m(K)-stabilizer of the reference tensor in ``classify_forms``.
+MAX_STABILIZER = 512
+
+#: Ceiling on the exponent box (product of generator orders) searched for relations.
+MAX_RELATION_BOX = 1_000_000
+
+#: Ceiling on the raw 2-cochains |A|^(|gamma|^2) of the brute-force H2 oracle.
+MAX_ORACLE_COCHAINS = 1 << 16
+
+#: Ceiling on the ideal norm searched for a generator by ``quad.is_principal``.
+MAX_PRINCIPAL_NORM = 10**9
+
+#: Ceiling on the ramified primes whose subsets ``invariant_principal_quotient`` tests.
+MAX_RAMIFIED_PRIMES = 20
+
+#: Towers with |K|^n up to this also brute-force Frobenius independence.
+EXHAUSTIVE_INDEPENDENCE_SIZE = 10_000
 
 #: Default ceiling on rows*cols of the |X| m k x m k equivariance matrix that
 #: ``h2_central`` factors (X the short generators, m = |gamma|(|X| - 1) + 1,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DEFAULT_MAX_CANDIDATES,
     CounterexampleFound,
     DimensionFailure,
     MatchFailure,
@@ -51,14 +50,12 @@ class EtaleClass:
     orbits: tuple[tuple[int, ...], ...]
 
 
-def classify_etale(
-    gamma: FiniteGroup, m: int, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> list[EtaleClass]:
+def classify_etale(gamma: FiniteGroup, m: int) -> list[EtaleClass]:
     """Lexicographically-least representatives of Hom(gamma, S_m) up to conjugacy."""
     sym = symmetric_group(m)
     perms = np.array(sym.perms, dtype=np.intp).reshape(sym.order, m)
     classes = []
-    for psi in homs_up_to_conjugacy(gamma, sym, max_candidates):
+    for psi in homs_up_to_conjugacy(gamma, sym):
         image = Subgroup.from_members(sym, sorted(set(psi.image)))
         orbits = orbit_members(orbit_partition(perms[list(image.members)])[1])
         classes.append(EtaleClass(gamma, m, psi, image, orbits))

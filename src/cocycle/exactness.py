@@ -42,8 +42,9 @@ from .cohomology import (
     restrict_to_subgroup,
 )
 from .errors import (
-    DEFAULT_MAX_CANDIDATES,
     DEFAULT_MAX_SNF_ENTRIES,
+    MAX_ORACLE_COCHAINS,
+    MAX_RELATION_BOX,
     CounterexampleFound,
     DimensionFailure,
     MatchFailure,
@@ -124,14 +125,12 @@ class OrbitKernelReport:
         return len(self.space.orbits)
 
 
-def orbit_kernel_bijection(
-    parent: GammaGroup, sub: Subgroup, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> OrbitKernelReport:
+def orbit_kernel_bijection(parent: GammaGroup, sub: Subgroup) -> OrbitKernelReport:
     """Match (B/A)^Gamma / B^Gamma with ker(H1(A) -> H1(B)), both sides computed
     independently; a mismatch raises BijectionFailure."""
     space = fixed_cosets(parent, sub)
-    h1_sub = h1(space.restricted, max_candidates)
-    h1_parent = h1(parent, max_candidates)
+    h1_sub = h1(space.restricted)
+    h1_parent = h1(parent)
     cmap = induced_map(space.inclusion, h1_sub, h1_parent)
     kernel = kernel_of(cmap, h1_parent)
     labels = [
@@ -171,9 +170,7 @@ class SixTermReport:
         return next((name for name, good in zip(self.nodes, self.ok) if not good), None)
 
 
-def six_term_check(
-    parent: GammaGroup, sub: Subgroup, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> SixTermReport:
+def six_term_check(parent: GammaGroup, sub: Subgroup) -> SixTermReport:
     """Pointed-set exactness of 0 -> A^G -> B^G -> (B/A)^G -> H1(A) -> H1(B) -> H1(B/A)
     at the four interior nodes: image = preimage of the distinguished point."""
     space = fixed_cosets(parent, sub)
@@ -181,9 +178,9 @@ def six_term_check(
     b = parent.base
     b_fixed = h0(parent).members
     a_fixed_embedded = {space.inclusion.hom(a) for a in h0(space.restricted).members}
-    h1_sub = h1(space.restricted, max_candidates)
-    h1_parent = h1(parent, max_candidates)
-    h1_quot = h1(quotient, max_candidates)
+    h1_sub = h1(space.restricted)
+    h1_parent = h1(parent)
+    h1_quot = h1(quotient)
     inc_map = induced_map(space.inclusion, h1_sub, h1_parent)
     proj_map = induced_map(proj, h1_parent, h1_quot)
 
@@ -313,8 +310,8 @@ def _decompose_abelian(group: FiniteGroup) -> tuple[tuple[int, ...], list[int]]:
     gens = list(group.generators())
     orders = [group.element_order(g) for g in gens]
     box = math.prod(orders)
-    if box > 1_000_000:
-        raise SizeLimit(f"relation search space {box} too large")
+    if box > MAX_RELATION_BOX:
+        raise SizeLimit(f"relation search space {box} exceeds bound {MAX_RELATION_BOX}")
     check_buffer(box * len(gens), 8, "relation search")
     exps = np.indices(orders).reshape(len(gens), box).T  # rows in itertools.product order
     kills = exps[_abelian_words(group, gens, exps) == group.identity][1:]  # row 0 is zero
@@ -468,11 +465,7 @@ def _cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
     return tree, free, cycles, table[inverses[:, None], ys[None, :]] * r + js
 
 
-def h2_central(
-    gamma: FiniteGroup,
-    pres: AbelianPresentation,
-    max_entries: int = DEFAULT_MAX_SNF_ENTRIES,
-) -> H2Group:
+def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
     """H2 of the abelian module from the cycle lattice Z1 of a Cayley graph.
 
     Over X = ``short_generators()``, 0 -> Z1 -> Z[gamma]^X -> Z[gamma] -> Z
@@ -495,8 +488,10 @@ def h2_central(
     gens, table = gamma.short_generators(), gamma.table.astype(np.intp)
     r, m = len(gens), n * (len(gens) - 1) + 1
     rows, cols = r * m * k, m * k
-    if rows * cols > max_entries:
-        raise SizeLimit(f"H2 matrix of {rows}x{cols} entries exceeds bound {max_entries}")
+    if rows * cols > DEFAULT_MAX_SNF_ENTRIES:
+        raise SizeLimit(
+            f"H2 matrix of {rows}x{cols} entries exceeds bound {DEFAULT_MAX_SNF_ENTRIES}"
+        )
     tree, free, cycles, moved = _cayley_cycles(gamma, gens)
     mats = np.array(pres.matrices, dtype=np.int64).reshape(n, k, k)
     orders, exponent = np.tile(pres.factors, m), pres.factors[-1]
@@ -558,7 +553,7 @@ def _raw_differential(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> 
     return d
 
 
-def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation, limit: int = 1 << 16) -> int:
+def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation) -> int:
     """Oracle: |ker d2| / |im d1| over all raw (non-normalized) 2-cochains.
 
     Every raw 2-cochain is tested against d2 and every raw 1-cochain mapped
@@ -570,8 +565,8 @@ def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation, limit: i
     if k == 0 or ng == 1:
         return 1
     n_cochains = pres.module_order ** (ng * ng)
-    if n_cochains > limit:
-        raise SizeLimit(f"{n_cochains} raw 2-cochains exceed oracle limit {limit}")
+    if n_cochains > MAX_ORACLE_COCHAINS:
+        raise SizeLimit(f"{n_cochains} raw 2-cochains exceed oracle limit {MAX_ORACLE_COCHAINS}")
     d1, d2 = _raw_differential(gamma, pres, 1), _raw_differential(gamma, pres, 2)
     moduli1, moduli2, moduli3 = (np.tile(pres.factors, ng**n) for n in (1, 2, 3))
     cocycle_count = 0

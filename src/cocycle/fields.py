@@ -587,18 +587,21 @@ def invertible_matrices(tower: FqTower, values: np.ndarray, m: int, special: boo
         yield mats[:, :, keep], det[keep], keys[keep]
 
 
-def general_linear(
-    tower: FqTower, m: int, special: bool = False, max_matrices: int = DEFAULT_MAX_MATRICES
-) -> Chunks:
+def check_matrix_count(tower: FqTower, m: int) -> None:
+    """Refuse a GL_m scan over a tower whose |K|^(m^2) matrices exceed the bound."""
+    total = tower.size ** (m * m)
+    if total > DEFAULT_MAX_MATRICES:
+        raise SizeLimit(f"{total} matrices exceed bound {DEFAULT_MAX_MATRICES}")
+
+
+def general_linear(tower: FqTower, m: int, special: bool = False) -> Chunks:
     """GL_m(K), or SL_m(K) when special, as lexicographic (mats, det, batch_key) chunks.
 
     The bound applies to the |K|^(m^2) matrices scanned, at the call, before allocation.
     """
     if m < 1:
         raise ValueError(f"matrix size must be at least 1, got {m}")
-    total = tower.size ** (m * m)
-    if total > max_matrices:
-        raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")
+    check_matrix_count(tower, m)
     return invertible_matrices(tower, np.arange(tower.size), m, special)
 
 
@@ -636,13 +639,9 @@ def _as_list(chunks) -> list[Matrix]:
     return [as_matrix(mats[:, :, i]) for mats, _, _ in chunks for i in range(mats.shape[2])]
 
 
-def enumerate_gl(
-    tower: FqTower, m: int, max_matrices: int = DEFAULT_MAX_MATRICES
-) -> list[Matrix]:
-    return _as_list(general_linear(tower, m, False, max_matrices))
+def enumerate_gl(tower: FqTower, m: int) -> list[Matrix]:
+    return _as_list(general_linear(tower, m))
 
 
-def enumerate_sl(
-    tower: FqTower, m: int, max_matrices: int = DEFAULT_MAX_MATRICES
-) -> list[Matrix]:
-    return _as_list(general_linear(tower, m, True, max_matrices))
+def enumerate_sl(tower: FqTower, m: int) -> list[Matrix]:
+    return _as_list(general_linear(tower, m, True))

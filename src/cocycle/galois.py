@@ -23,7 +23,8 @@ import numpy as np
 
 from .cohomology import GammaGroup, h1, H1Set, match_blocks
 from .errors import (
-    DEFAULT_MAX_MATRICES,
+    EXHAUSTIVE_INDEPENDENCE_SIZE,
+    MAX_STABILIZER,
     CounterexampleFound,
     DimensionFailure,
     MatchFailure,
@@ -36,6 +37,7 @@ from .fields import (
     batch_inv,
     batch_key,
     batch_mul,
+    check_matrix_count,
     general_linear,
     invertible_matrices,
     mat_frob,
@@ -51,7 +53,7 @@ from .fields import (
 from .groups import cyclic_group, lookup_sorted, make_group
 
 
-def automorphism_independence_check(tower: FqTower, exhaustive_limit: int = 10_000) -> bool:
+def automorphism_independence_check(tower: FqTower) -> bool:
     """No nonzero K-linear combination of the Frobenius powers vanishes on K.
 
     Always verified by a rank computation on the matrix (b^(q^j)) over an
@@ -63,7 +65,7 @@ def automorphism_independence_check(tower: FqTower, exhaustive_limit: int = 10_0
     rows = [[tower.frob(b, j) for j in range(n)] for b in spanning]
     rank = mat_rank(tower, rows)
     independent = rank == n
-    if tower.size**n <= exhaustive_limit:
+    if tower.size**n <= EXHAUSTIVE_INDEPENDENCE_SIZE:
         brute = True
         for coeffs in itertools.product(range(tower.size), repeat=n):
             if not any(coeffs):
@@ -192,12 +194,7 @@ def _decode(tower: FqTower, m: int, keys: np.ndarray) -> list[Matrix]:
     return [as_matrix(mats[:, :, i]) for i in range(len(keys))]
 
 
-def hilbert90_verify(
-    tower: FqTower,
-    m: int,
-    special: bool = False,
-    max_matrices: int = DEFAULT_MAX_MATRICES,
-) -> CocycleScanReport:
+def hilbert90_verify(tower: FqTower, m: int, special: bool = False) -> CocycleScanReport:
     """Scan GL_m (or SL_m) for norm-one matrices and trivialize each one.
 
     One pass over the group stream for every m, keeping only keys: of each
@@ -208,7 +205,7 @@ def hilbert90_verify(
     raises CounterexampleFound: a bug, by the classification theorems.
     """
     chunks = []
-    for mats, det, keys in general_linear(tower, m, special, max_matrices):
+    for mats, det, keys in general_linear(tower, m, special):
         norm = mats
         for j in range(1, tower.n):
             norm = batch_mul(tower, norm, tower.vfrob(mats, j))
@@ -232,13 +229,9 @@ def hilbert90_verify(
     )
 
 
-def det_image_on_rational_points(
-    tower: FqTower, m: int, max_matrices: int = DEFAULT_MAX_MATRICES
-) -> set[int]:
+def det_image_on_rational_points(tower: FqTower, m: int) -> set[int]:
     """Image of det: GL_m(k) -> k*, for the surjectivity half of SL triviality."""
-    total = tower.size ** (m * m)
-    if total > max_matrices:
-        raise SizeLimit(f"{total} matrices exceed bound {max_matrices}")
+    check_matrix_count(tower, m)
     chunks = invertible_matrices(tower, np.array(tower.k_elements), m, False)
     image = {x for _, det, _ in chunks for x in np.unique(det).tolist()}
     if not image <= set(tower.k_elements):
@@ -246,12 +239,10 @@ def det_image_on_rational_points(
     return image
 
 
-def sl_h1_verify(
-    tower: FqTower, m: int, max_matrices: int = DEFAULT_MAX_MATRICES
-) -> CocycleScanReport:
+def sl_h1_verify(tower: FqTower, m: int) -> CocycleScanReport:
     """SL-cocycles are SL-coboundaries, plus det surjectivity on rational points."""
-    report = hilbert90_verify(tower, m, special=True, max_matrices=max_matrices)
-    image = det_image_on_rational_points(tower, m, max_matrices)
+    report = hilbert90_verify(tower, m, special=True)
+    image = det_image_on_rational_points(tower, m)
     expected = {x for x in tower.k_elements if x != 0}
     if image != expected:
         raise CounterexampleFound(
@@ -351,12 +342,7 @@ class FormsReport:
         return len(self.direct_orbits)
 
 
-def classify_forms(
-    tower: FqTower,
-    tensor: TensorOnV,
-    max_matrices: int = DEFAULT_MAX_MATRICES,
-    max_stabilizer: int = 512,
-) -> FormsReport:
+def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
     """Count the forms of a tensor two independent ways and match them.
 
     Direct route: Galois-invariant tensors in the GL_m(K)-orbit, partitioned
@@ -369,17 +355,15 @@ def classify_forms(
     m, n, cols = tensor.dim, tower.n, tensor.dim**tensor.l
     # per GL chunk: det (for the few inverses used later), coboundaries, transports
     chunks = []
-    for g, det, _ in general_linear(tower, m, False, max_matrices):
+    for g, det, _ in general_linear(tower, m):
         g_inv = batch_inv(tower, g, det)
         chunks.append((g, det, _coboundary_keys(tower, g, g_inv), _transport(tensor, g, g_inv).T))
     gl, gl_det, cob_keys, moved = (np.concatenate(c, axis=-1) for c in zip(*chunks))
     del chunks
     moved = np.ascontiguousarray(moved.T)
     stab_pos = np.flatnonzero((moved == np.ravel(tensor.coeffs)).all(axis=1))
-    if len(stab_pos) > max_stabilizer:
-        raise SizeLimit(
-            f"stabilizer of size {len(stab_pos)} exceeds bound {max_stabilizer}"
-        )
+    if len(stab_pos) > MAX_STABILIZER:
+        raise SizeLimit(f"stabilizer of size {len(stab_pos)} exceeds bound {MAX_STABILIZER}")
     # orbit: each tensor in the GL_m(K)-orbit with its first transporter
     orbit_rows, first = np.unique(moved, axis=0, return_index=True)
     del moved

@@ -29,7 +29,7 @@ from .errors import (
     check_buffer,
 )
 
-#: Array entries held by one chunk of the crossed-hom engine, the S_m table
+#: Array entries held by one chunk of the crossed-hom engine, a group table
 #: build or the associativity check; GL/SL scans and the H2 oracle take >> 4.
 ENGINE_CHUNK = 1 << 20
 
@@ -139,16 +139,26 @@ class FiniteGroup:
 
         Max-span greedy: each step adds the element whose join with the set so
         far is largest (smallest index on ties). S4, S5, Q8 and S3 x Z/2 get
-        k = 2, where :meth:`generators` has 3 to 4.
+        k = 2, where :meth:`generators` has 3 to 4. Elements generating the
+        same cyclic subgroup have the same joins, so only the least is tried.
         """
         if self._short is None:
             gens: list[int] = []
             span: tuple[int, ...] = (self.identity,)
+            redundant: set[int] = set()  # a later generator of some tried <x>
             while len(span) < self.order:
                 inside = set(span)
                 for x in self.elements():
-                    if x not in inside:
-                        join = self.generated_subgroup(gens + [x])
+                    if x not in inside and x not in redundant:
+                        if gens:
+                            join = self.generated_subgroup(gens + [x])
+                        else:  # the first step tries every element: join = <x>
+                            powers = [self.identity, x]
+                            while (nxt := self.mul(powers[-1], x)) != self.identity:
+                                powers.append(nxt)
+                            join, k = tuple(sorted(powers)), len(powers)
+                            if k < self.order:  # else x generates everything and the loop ends
+                                redundant.update(powers[j] for j in range(2, k) if math.gcd(j, k) == 1)
                         if len(join) > len(span):  # strictly, so the least index wins ties
                             best, span = x, join
                         if len(span) == self.order:  # no later element beats the whole group
@@ -278,6 +288,19 @@ def make_group(
     return group
 
 
+def group_table(n: int, rows_of, width: int = 1) -> np.ndarray:
+    """An n x n multiplication table in its final dtype: sized by
+    :func:`check_buffer` before allocation, then filled by ``rows_of(r)`` on
+    blocks r of row indices, each ``ENGINE_CHUNK`` entries of width ``width``."""
+    dtype = _table_dtype(n)
+    check_buffer(n * n, dtype.itemsize, "group multiplication table")
+    table = np.empty((n, n), dtype=dtype)
+    step = max(1, ENGINE_CHUNK // (n * width))
+    for lo in range(0, n, step):
+        table[lo : lo + step] = rows_of(np.arange(lo, min(lo + step, n)))
+    return table
+
+
 def trivial_group() -> FiniteGroup:
     return cyclic_group(1)
 
@@ -287,9 +310,8 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
     idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
-    labels = tuple(f"r{k}" for k in range(n))
-    return make_group(table, labels)
+    table = group_table(n, lambda r: (r[:, None] + idx) % n)
+    return make_group(table, tuple(f"r{k}" for k in range(n)))
 
 
 def _cycles(p: Perm) -> list[list[int]]:
@@ -320,24 +342,22 @@ def _perm_label(p: Perm) -> str:
     return "".join(parts) or "()"
 
 
-def symmetric_group(m: int, max_order: int = DEFAULT_MAX_GROUP_ORDER) -> FiniteGroup:
+def symmetric_group(m: int) -> FiniteGroup:
     """S_m with elements in lexicographic permutation order (identity first)."""
     if m < 1:
         raise ValueError("symmetric group degree must be >= 1")
     fact = math.factorial(m)
-    if fact > max_order:
-        raise SizeLimit(f"|S_{m}| = {fact} exceeds bound {max_order}")
+    if fact > DEFAULT_MAX_GROUP_ORDER:
+        raise SizeLimit(f"|S_{m}| = {fact} exceeds bound {DEFAULT_MAX_GROUP_ORDER}")
+    # sized before the permutations are listed; group_table checks the same bytes
     check_buffer(fact * fact, _table_dtype(fact).itemsize, "group multiplication table")
     perms = tuple(itertools.permutations(range(m)))
     arr = np.array(perms, dtype=np.uint8).reshape(fact, m)
-    # base-m codes increase in lexicographic order, so a code's rank is its index
+    # base-m codes increase in lexicographic order, so a code's rank is its index;
+    # arr[r][:, arr][i, j, k] = p_i[p_j[k]]: the product p_i * p_j applies p_j first
     weights = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
     codes = arr @ weights
-    table = np.empty((fact, fact), dtype=_table_dtype(fact))
-    rows = max(1, ENGINE_CHUNK // (fact * m))
-    for lo in range(0, fact, rows):
-        # block[i, j, k] = p_i[p_j[k]]: the product p_i * p_j applies p_j first
-        table[lo : lo + rows] = np.searchsorted(codes, arr[lo : lo + rows][:, arr] @ weights)
+    table = group_table(fact, lambda r: np.searchsorted(codes, arr[r][:, arr] @ weights), m)
     labels = tuple(_perm_label(p) for p in perms)
     return make_group(table, labels, perms)
 
@@ -351,7 +371,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         raise ValueError("dihedral group parameter must be >= 1")
     e, i = np.divmod(np.arange(2 * n), n)
     # s^e1 r^i1 s^e2 r^i2 = s^(e1 ^ e2) r^(i2 + (-1)^e2 i1)
-    table = (e[:, None] ^ e[None, :]) * n + (i[None, :] + (1 - 2 * e[None, :]) * i[:, None]) % n
+    table = group_table(2 * n, lambda r: (e[r, None] ^ e) * n + (i + (1 - 2 * e) * i[r, None]) % n)
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"sr{i}" for i in range(n))
     return make_group(table, labels)
 
@@ -386,7 +406,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with element (a, b) at index a*|H| + b."""
     ng, nh = g.order, h.order
     ai, bi = np.divmod(np.arange(ng * nh), nh)
-    table = g.table[np.ix_(ai, ai)].astype(np.int64) * nh + h.table[np.ix_(bi, bi)]
+
+    def rows_of(r):  # (a, b) * (a', b') = (a a', b b')
+        return g.table[np.ix_(ai[r], ai)].astype(np.intp) * nh + h.table[np.ix_(bi[r], bi)]
+
+    table = group_table(ng * nh, rows_of)
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = tuple(f"({g.labels[a]},{h.labels[b]})" for a, b in zip(ai, bi))
@@ -529,13 +553,7 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
     return GroupHom(g, g, tuple(range(g.order)))
 
 
-def crossed_homs(
-    gamma: FiniteGroup,
-    base: FiniteGroup,
-    action=None,
-    pools=None,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> np.ndarray:
+def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None) -> np.ndarray:
     """Every crossed hom gamma -> base, as value rows in lexicographic order.
 
     The law is ``alpha(hg) = alpha(h) * alpha(g)^h`` with ``a^g = action[g, a]``
@@ -552,8 +570,10 @@ def crossed_homs(
         pools = [np.arange(base.order)] * k
     pools = [np.asarray(p, dtype=np.intp) for p in pools]
     n_cand = math.prod(len(p) for p in pools)
-    if n_cand > max_candidates:
-        raise SizeLimit(f"{n_cand} candidates on {k} generators exceed bound {max_candidates}")
+    if n_cand > DEFAULT_MAX_CANDIDATES:
+        raise SizeLimit(
+            f"{n_cand} candidates on {k} generators exceed bound {DEFAULT_MAX_CANDIDATES}"
+        )
     table = base.table.astype(np.intp)
     trivial = action is None or np.all(action == np.arange(base.order))
     act = None if trivial else np.asarray(action, dtype=np.intp)
@@ -639,27 +659,16 @@ def coboundary_classes(
     return reps, class_index
 
 
-def enumerate_homs(
-    source: FiniteGroup,
-    target: FiniteGroup,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> list[GroupHom]:
-    """All homomorphisms source -> target, ordered by image tuple.
-
-    These are the crossed homs for the trivial action (:func:`crossed_homs`);
-    ``max_candidates`` bounds |target|^k over ``source.short_generators()``.
-    """
-    rows = crossed_homs(source, target, max_candidates=max_candidates)
+def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
+    """All homomorphisms source -> target, ordered by image tuple: the crossed
+    homs for the trivial action (:func:`crossed_homs`)."""
+    rows = crossed_homs(source, target)
     return [GroupHom(source, target, image) for image in map(tuple, rows.tolist())]
 
 
-def homs_up_to_conjugacy(
-    source: FiniteGroup,
-    target: FiniteGroup,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> list[GroupHom]:
+def homs_up_to_conjugacy(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:
     """One lexicographically-least representative per target-conjugacy orbit."""
-    rows = crossed_homs(source, target, max_candidates=max_candidates)
+    rows = crossed_homs(source, target)
     reps, _ = coboundary_classes(source, target, None, rows)
     return [GroupHom(source, target, tuple(rows[r].tolist())) for r in reps]
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from .cohomology import GammaGroup, H1Set, h1, make_cocycle, match_blocks
 from .errors import (
     DEFAULT_MAX_QUAD_D,
+    MAX_PRINCIPAL_NORM,
+    MAX_RAMIFIED_PRIMES,
     CounterexampleFound,
     NotSquarefree,
     SizeLimit,
@@ -78,9 +80,11 @@ class QuadRing:
         return self.mul(u, (0, 1))
 
 
-def make_ring(d: int, max_d: int = DEFAULT_MAX_QUAD_D) -> QuadRing:
-    if d < 1 or d > max_d:
-        raise SizeLimit(f"d must be in [1, {max_d}], got {d}")
+def make_ring(d: int) -> QuadRing:
+    if d < 1:
+        raise ValueError(f"d must be a positive integer, got {d}")
+    if d > DEFAULT_MAX_QUAD_D:
+        raise SizeLimit(f"d = {d} exceeds bound {DEFAULT_MAX_QUAD_D}")
     for f in range(2, math.isqrt(d) + 1):
         if d % (f * f) == 0:
             raise NotSquarefree(f"{d} is divisible by {f}^2")
@@ -213,11 +217,11 @@ def elements_of_norm(ring: QuadRing, n: int) -> list[Elem]:
     return sorted(out)
 
 
-def is_principal(i: QuadIdeal, max_norm: int = 10**9) -> Elem | None:
+def is_principal(i: QuadIdeal) -> Elem | None:
     """A generator of the ideal, or None; exact and complete for the norm bound."""
     n = i.norm
-    if n > max_norm:
-        raise SizeLimit(f"norm {n} exceeds principality-search bound {max_norm}")
+    if n > MAX_PRINCIPAL_NORM:
+        raise SizeLimit(f"norm {n} exceeds principality-search bound {MAX_PRINCIPAL_NORM}")
     for g in elements_of_norm(i.ring, n):
         if principal_ideal(i.ring, g) == i:
             return g
@@ -267,8 +271,8 @@ class InvariantQuotientReport:
 def invariant_principal_quotient(ring: QuadRing) -> InvariantQuotientReport:
     """Test each subset of ramified primes for principality of its product."""
     ram = ramified_primes(ring)
-    if len(ram) > 20:
-        raise SizeLimit("too many ramified primes to enumerate subsets")
+    if len(ram) > MAX_RAMIFIED_PRIMES:
+        raise SizeLimit(f"{len(ram)} ramified primes exceed bound {MAX_RAMIFIED_PRIMES}")
     principal: list[tuple[tuple[int, ...], Elem]] = []
     principal_keys: set[tuple[int, ...]] = set()
     for size in range(len(ram) + 1):

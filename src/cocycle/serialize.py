@@ -46,6 +46,12 @@ FAMILIES = {
 }
 
 
+def check_family_order(family: str, n: int, max_order: int | None) -> None:
+    """Refuse a family group above ``max_order`` before any table is built."""
+    if max_order is not None and FAMILIES[family][1](n) > max_order:
+        raise SizeLimit(f"{family} group with n={n} exceeds order bound {max_order}")
+
+
 def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
     if not isinstance(obj, dict):
         raise ValueError("group reference must be a JSON object")
@@ -53,11 +59,9 @@ def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
         family = obj["family"]
         if family not in FAMILIES:
             raise ValueError(f"unknown group family {family!r}")
-        build, order = FAMILIES[family]
         n = int(obj["n"])
-        if max_order is not None and order(n) > max_order:
-            raise SizeLimit(f"{family} group with n={n} exceeds order bound {max_order}")
-        group = build(n)
+        check_family_order(family, n, max_order)
+        group = FAMILIES[family][0](n)
     else:
         table = obj.get("table")
         if table is None:

@@ -38,8 +38,8 @@ from .errors import (
     SizeLimit,
     check_buffer,
 )
-from .groups import FiniteGroup, Subgroup, action_law, first_violation, lookup_sorted, make_group
-from .groups import orbit_partition, subgroup_as_group
+from .groups import FiniteGroup, Subgroup, action_law, first_violation, group_table
+from .groups import lookup_sorted, make_group, orbit_partition, subgroup_as_group
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,12 @@ def is_twisted_action(
     return bad is None, bad
 
 
-def enumerate_twisted_actions(
-    parent: GammaGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> list[TwistedSemiaction]:
+def enumerate_twisted_actions(parent: GammaGroup) -> list[TwistedSemiaction]:
     """Brute-force scan of all semiaction vectors, keeping the genuine actions."""
     g_n, s_n = parent.base.order, parent.gamma.order
     n_vectors = g_n ** (s_n - 1)
-    if n_vectors > max_candidates:
-        raise SizeLimit(f"{n_vectors} semiaction vectors exceed bound {max_candidates}")
+    if n_vectors > DEFAULT_MAX_CANDIDATES:
+        raise SizeLimit(f"{n_vectors} semiaction vectors exceed bound {DEFAULT_MAX_CANDIDATES}")
     others = [s for s in range(s_n) if s != parent.gamma.identity]
     found = []
     for choice in itertools.product(range(g_n), repeat=len(others)):
@@ -137,12 +135,10 @@ def twist_of_cocycle(alpha: Cocycle) -> TwistedSemiaction:
     return twist
 
 
-def cocycle_twist_correspondence(
-    parent: GammaGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> TwistCorrespondence:
+def cocycle_twist_correspondence(parent: GammaGroup) -> TwistCorrespondence:
     """Pair every twisted action with its cocycle; round-trips are checked."""
-    twists = enumerate_twisted_actions(parent, max_candidates)
-    h1_set = h1(parent, max_candidates)
+    twists = enumerate_twisted_actions(parent)
+    h1_set = h1(parent)
     pairs = tuple((twist, cocycle_of_twist(twist)) for twist in twists)
     for twist, alpha in pairs:
         if twist_of_cocycle(alpha).vector != twist.vector:
@@ -240,13 +236,11 @@ class PhsClassification:
         return len(self.spaces)
 
 
-def classify_phs(
-    parent: GammaGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> PhsClassification:
+def classify_phs(parent: GammaGroup) -> PhsClassification:
     """Realize every H1 class as a twisted structure on G and verify the
     classes are pairwise non-isomorphic while cohomologous cocycles give
     isomorphic spaces."""
-    h1_set = h1(parent, max_candidates)
+    h1_set = h1(parent)
     spaces = []
     for rep in h1_set.classes:
         spaces.append(twisted_space(twist_of_cocycle(rep)))
@@ -298,12 +292,7 @@ def _check_h_action(gamma: FiniteGroup, h_sub: Subgroup, g_action: GammaGroup) -
     return h_group
 
 
-def shapiro_induce(
-    gamma: FiniteGroup,
-    h_sub: Subgroup,
-    g_action: GammaGroup,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> InducedGammaGroup:
+def shapiro_induce(gamma: FiniteGroup, h_sub: Subgroup, g_action: GammaGroup) -> InducedGammaGroup:
     """Group of maps phi with phi(l*s) = phi(s)^l for l in H, as a gamma-group."""
     if h_sub.parent is not gamma:
         raise ValueError("h_sub must be a subgroup of gamma")
@@ -314,7 +303,7 @@ def shapiro_induce(
     reps, coset_of = orbit_partition(gamma.table[list(h_sub.members)])
     index = len(reps)
     n_maps = g.order**index
-    if n_maps > max_candidates:
+    if n_maps > DEFAULT_MAX_CANDIDATES:
         raise SizeLimit(f"|G|^(index) = {n_maps} induced elements exceed bound")
     check_buffer(n_maps * ng, 8, "induced map table")
     l = h_sub.position()[gamma.table[np.arange(ng), gamma._inv[reps[coset_of]]]]
@@ -334,9 +323,8 @@ def shapiro_induce(
             raise MatchFailure("operation left the induced map set")
         return pos
 
-    table = np.empty((n_maps, n_maps), dtype=np.int64)
-    for i in range(n_maps):
-        table[i] = locate(g.table[maps_arr[i][None, :], maps_arr])
+    # row i: the pointwise products maps[i] * maps[j] for every j
+    table = group_table(n_maps, lambda r: locate(g.table[maps_arr[r][:, None], maps_arr]), ng)
     group = make_group(table)
     check_buffer(n_maps * ng * ng, 8, "induced action")
     action = locate(maps_arr[:, gamma.table.T]).T  # phi^s(t) = phi(ts)
@@ -345,14 +333,12 @@ def shapiro_induce(
     return InducedGammaGroup(gamma, h_sub, g_action, maps, gamma_group)
 
 
-def map_group(
-    gamma: FiniteGroup, g: FiniteGroup, max_candidates: int = DEFAULT_MAX_CANDIDATES
-) -> InducedGammaGroup:
+def map_group(gamma: FiniteGroup, g: FiniteGroup) -> InducedGammaGroup:
     """The full map group (induction from the trivial subgroup)."""
     h_sub = Subgroup(gamma, (gamma.identity,))
     h_group, _ = subgroup_as_group(h_sub)
     trivial = GammaGroup(h_group, g, np.arange(g.order)[None, :])
-    return shapiro_induce(gamma, h_sub, trivial, max_candidates)
+    return shapiro_induce(gamma, h_sub, trivial)
 
 
 @dataclass(frozen=True)
@@ -363,16 +349,11 @@ class ShapiroReport:
     class_map: tuple[int, ...]  # induced class index -> subgroup class index
 
 
-def shapiro_verify(
-    gamma: FiniteGroup,
-    h_sub: Subgroup,
-    g_action: GammaGroup,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> ShapiroReport:
+def shapiro_verify(gamma: FiniteGroup, h_sub: Subgroup, g_action: GammaGroup) -> ShapiroReport:
     """Exhibit H1(gamma, induced) = H1(H, G) through evaluation at the identity."""
-    induced = shapiro_induce(gamma, h_sub, g_action, max_candidates)
-    h1_big = h1(induced.gamma_group, max_candidates)
-    h1_small = h1(g_action, max_candidates)
+    induced = shapiro_induce(gamma, h_sub, g_action)
+    h1_big = h1(induced.gamma_group)
+    h1_small = h1(g_action)
     h_elements = h_sub.members  # embedding order of the canonical relabeling
 
     def restricted_class(values: tuple[int, ...]) -> int:

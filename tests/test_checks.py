@@ -7,7 +7,8 @@ report fields that the CLI prints (``all_coboundaries``, ``matched``) are
 computed from the report, so a report that does not satisfy them prints
 ``false``. Every module-level function and class in ``src/`` is used there,
 exported in ``cocycle.__all__``, or kept for a reason stated below; so is
-every method of a class outside ``cocycle.__all__``.
+every method of a class outside ``cocycle.__all__``. No function takes a
+bound parameter except the five that the CLI's bound flags set.
 """
 
 import ast
@@ -77,6 +78,30 @@ def test_every_src_definition_is_used_exported_or_kept():
     )
     assert dead == []
     assert sorted(KEPT_WITHOUT_CALLER) == sorted(set(KEPT_WITHOUT_CALLER) & set(unused))
+
+
+#: The only bound parameters: what the --max-field and --max-group-order flags set.
+CLI_BOUND_PARAMETERS = {
+    ("fields.py", "__init__", "max_field"),
+    ("fields.py", "make_tower", "max_field"),
+    ("serialize.py", "load_tensor", "max_field"),
+    ("serialize.py", "load_group", "max_order"),
+    ("serialize.py", "load_action", "max_order"),
+    ("serialize.py", "check_family_order", "max_order"),  # load_group's and etale's S_m check
+}
+
+
+def test_bounds_are_constants_not_parameters():
+    # every other bound is a constant in errors.py, read where its work is sized
+    found = {
+        (path.name, node.name, arg.arg)
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        if arg.arg.startswith("max_") or "limit" in arg.arg
+    }
+    assert found == CLI_BOUND_PARAMETERS
 
 
 def _hilbert90_json(monkeypatch, capsys, doctor) -> dict:

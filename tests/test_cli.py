@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from cocycle import cli
 from cocycle.cli import main
 from cocycle.fields import make_tower
+from cocycle.serialize import load_group
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -126,6 +128,20 @@ class TestEtaleCommand:
         assert main(["etale", "--input", path, "--dim", "2", "--max-group-order", bound]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "resource bound exceeded" in captured.err
+
+    def test_symmetric_group_over_the_bound_exit_2_before_building(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # |S_4| = 24 > 10 is refused before gamma or S_4 has a table; |S_3| = 6 fits
+        path = write(tmp_path, "t.json", {"family": "cyclic", "n": 1})
+        built = []
+        monkeypatch.setattr(cli, "load_group", lambda *args: built.append(args) or load_group(*args))
+        assert main(["etale", "--input", path, "--dim", "4", "--max-group-order", "10"]) == 2
+        captured = capsys.readouterr()
+        assert built == [] and captured.out == ""
+        assert "resource bound exceeded: symmetric group with n=4 exceeds order bound 10" in captured.err
+        assert main(["etale", "--input", path, "--dim", "3", "--max-group-order", "10"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == 1
 
     def test_with_tower_realization(self, tmp_path, capsys):
         path = write(tmp_path, "z4.json", {"family": "cyclic", "n": 4})
@@ -279,6 +295,13 @@ class TestQuadCommand:
 
     def test_not_squarefree(self, capsys):
         assert main(["quad", "--d", "8"]) == 1
+
+    def test_d_below_one_exit_1_above_the_bound_exit_2(self, capsys):
+        for d in ("0", "-5"):
+            assert main(["quad", "--d", d]) == 1
+            assert "input error: d must be a positive integer" in capsys.readouterr().err
+        assert main(["quad", "--d", "201"]) == 2
+        assert "resource bound exceeded" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

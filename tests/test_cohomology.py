@@ -25,7 +25,7 @@ from cocycle.cohomology import (
     trivial_action,
     trivial_cocycle,
 )
-from cocycle import exactness, galois, quad
+from cocycle import exactness, galois, groups, quad
 from cocycle.errors import BijectionFailure, NotStable, SizeLimit
 from cocycle.fields import make_tower
 from cocycle.groups import (
@@ -204,9 +204,10 @@ class TestH1:
         for key in res.class_of:
             assert key[e] == 0
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_MAX_CANDIDATES", 10)
         with pytest.raises(SizeLimit):
-            h1(trivial_action(cyclic_group(2), symmetric_group(4)), max_candidates=10)
+            h1(trivial_action(cyclic_group(2), symmetric_group(4)))
 
     def test_nonabelian_gamma_s3_conjugation(self):
         # conventions must survive a nonabelian acting group

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import engine_oracle as oracle
+from cocycle import groups
 from cocycle.cohomology import (
     GammaGroup,
     conjugation_action,
@@ -179,10 +180,11 @@ def test_generator_row_validation_matches_full_validation(gamma, base):
     assert outcomes == {True, False}
 
 
-def test_size_limit_counts_short_generators():
+def test_size_limit_counts_short_generators(monkeypatch):
     # greedy generators() of S4 has 3 elements, the engine's set 2: 5^2 fits
     assert len(S4.generators()) == 3 and len(S4.short_generators()) == 2
-    assert len(enumerate_homs(S4, cyclic_group(5), max_candidates=25)) == 1
+    monkeypatch.setattr(groups, "DEFAULT_MAX_CANDIDATES", 25)
+    assert len(enumerate_homs(S4, cyclic_group(5))) == 1
 
 
 CONVENTION_BUG = """

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cocycle import exactness
 from cocycle.cohomology import (
     conjugation_action,
     h1,
@@ -292,11 +293,12 @@ class TestH2:
         res = h2_central(v4, trivial_module(v4, (2,)))
         assert res.invariant_factors == (2, 2, 2)
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
         # V4 factors a 10 x 5 equivariance matrix: 50 entries exceed the bound of 10
         gamma = direct_product(cyclic_group(2), cyclic_group(2))
+        monkeypatch.setattr(exactness, "DEFAULT_MAX_SNF_ENTRIES", 10)
         with pytest.raises(SizeLimit, match="10x5"):
-            h2_central(gamma, trivial_module(gamma, (2,)), max_entries=10)
+            h2_central(gamma, trivial_module(gamma, (2,)))
 
 
 class TestConnectingDelta:

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import matrix_oracle
+from cocycle import galois
 from cocycle.cohomology import h1
 from cocycle.errors import NotPrime, SizeLimit
 from cocycle.fields import (
@@ -245,13 +246,14 @@ class TestForms:
         assert report.stabilizer_size == len(enumerate_gl(t, 2))
         assert report.n_classes == 1
 
-    def test_oversized_stabilizer_rejected(self):
+    def test_oversized_stabilizer_rejected(self, monkeypatch):
         from cocycle.errors import SizeLimit
 
         t = make_tower(3, 1, 2)
         tensor = TensorOnV.make(t, 2, 2, 0, ((0, 0, 0, 0),))
+        monkeypatch.setattr(galois, "MAX_STABILIZER", 100)
         with pytest.raises(SizeLimit):
-            classify_forms(t, tensor, max_stabilizer=100)
+            classify_forms(t, tensor)
 
     def test_scalar_form(self):
         # m = 1, tau = x^2: classes are the square classes of k* meeting the orbit

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import engine_oracle as oracle
 
+from cocycle import groups
 from cocycle.errors import NoIdentity, NoInverse, NotAssociative, NotNormal, SizeLimit
 from cocycle.groups import (
     FiniteGroup,
@@ -191,6 +193,41 @@ class TestFamilies:
         assert perm_cycle_type((1, 0, 2)) == (2, 1)
         assert perm_cycle_type((1, 2, 0)) == (3,)
 
+    ORDER_3000 = [
+        (cyclic_group, (3000,)),
+        (dihedral_group, (1500,)),
+        (direct_product, (cyclic_group(50), cyclic_group(60))),
+    ]
+
+    @pytest.mark.parametrize("build,args", ORDER_3000, ids=["Z3000", "D1500", "Z50xZ60"])
+    def test_table_sized_before_it_is_built(self, monkeypatch, build, args):
+        # a uint16 table of order 3000 is 18 MB, over a 16 MiB budget
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "16")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit):
+                build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("build,args", ORDER_3000, ids=["Z3000", "D1500", "Z50xZ60"])
+    def test_budget_judges_the_final_dtype(self, monkeypatch, build, args):
+        # 18 MB fits 32 MiB, where an int64 table (72 MB) would not; rows come in chunks
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "32")
+        table = build(*args).table
+        n = np.arange(3000)
+        if build is cyclic_group:
+            expected = (n[:, None] + n) % 3000
+        elif build is dihedral_group:
+            e, i = np.divmod(n, 1500)
+            expected = (e[:, None] ^ e) * 1500 + (i + (1 - 2 * e) * i[:, None]) % 1500
+        else:
+            a, b = np.divmod(n, 60)
+            expected = (a[:, None] + a) % 50 * 60 + (b[:, None] + b) % 60
+        assert table.dtype == np.uint16 and np.array_equal(table, expected)
+
 
 class TestSubgroups:
     def test_from_members_validates(self):
@@ -283,9 +320,10 @@ class TestHoms:
                 for b in src.elements():
                     assert h.image[src.mul(a, b)] == tgt.mul(h.image[a], h.image[b])
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_MAX_CANDIDATES", 10)
         with pytest.raises(SizeLimit):
-            enumerate_homs(cyclic_group(6), symmetric_group(4), max_candidates=10)
+            enumerate_homs(cyclic_group(6), symmetric_group(4))
 
     def test_noncyclic_source_against_raw_map_count(self):
         # independent oracle: filter all |T|^|S| maps for the hom law
@@ -394,13 +432,16 @@ class TestStructure:
 
     def test_short_generators_stop_at_a_generating_element(self, monkeypatch):
         g = cyclic_group(1000)
-        calls = []
-        join = FiniteGroup.generated_subgroup
+        calls, products = [], []
+        join, mul = FiniteGroup.generated_subgroup, FiniteGroup.mul
         monkeypatch.setattr(
             FiniteGroup, "generated_subgroup", lambda self, seeds: calls.append(1) or join(self, seeds)
         )
+        monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: products.append(1) or mul(self, a, b))
         assert g.short_generators() == (1,)
-        assert len(calls) == 1  # joining every element outside the span would take 999
+        # the first step's join is <1>, its 999 powers; trying the 14 other
+        # nontrivial cyclic subgroups would take 1,325 more products
+        assert len(calls) == 0 and len(products) == 999
 
     def test_short_generators_max_span(self):
         # the largest join wins each step, the least index on ties
@@ -408,6 +449,23 @@ class TestStructure:
         assert symmetric_group(5).short_generators() == (27, 6)
         assert dihedral_group(100).short_generators() == (1, 100)
         assert direct_product(quaternion_group(), cyclic_group(2)).short_generators() == (4, 1, 8)
+        assert symmetric_group(6).short_generators() == (27, 126)
+        assert direct_product(symmetric_group(3), symmetric_group(3)).short_generators() == (9, 13)
+        assert direct_product(cyclic_group(12), cyclic_group(2)).short_generators() == (2, 1)
+        assert direct_product(cyclic_group(10), cyclic_group(100)).short_generators() == (1, 100)
+        assert direct_product(dihedral_group(50), cyclic_group(2)).short_generators() == (2, 1, 100)
+
+    def test_short_generators_join_once_per_cyclic_subgroup(self, monkeypatch):
+        # D500's 200 generators of <r> join like r, and the first step's joins are the
+        # cyclic subgroups themselves: one join, of r with the first reflection
+        g = dihedral_group(500)
+        calls = []
+        join = FiniteGroup.generated_subgroup
+        monkeypatch.setattr(
+            FiniteGroup, "generated_subgroup", lambda self, seeds: calls.append(seeds) or join(self, seeds)
+        )
+        assert g.short_generators() == (1, 500)
+        assert calls == [[1, 500]]
 
     def test_word_tree_covers(self):
         g = dihedral_group(4)

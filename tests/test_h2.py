@@ -340,7 +340,7 @@ def test_values_past_the_bar_bound(make, m, factors):
 
 
 def test_long_cycle_stays_in_quadratic_memory():
-    # one generator, so the factored matrix is 1 x 1 and max_entries bounds nothing;
+    # one generator, so the factored matrix is 1 x 1 and DEFAULT_MAX_SNF_ENTRIES bounds nothing;
     # the cocycle checks and the pull-back hold |gamma|^2 |X| k values, where one
     # |gamma|^3 int64 array alone would take 16 MiB
     gamma = cyclic_group(128)

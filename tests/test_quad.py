@@ -49,6 +49,11 @@ class TestRings:
         with pytest.raises(SizeLimit):
             make_ring(300)
 
+    @pytest.mark.parametrize("d", [0, -5])
+    def test_nonpositive_d_is_an_input_error(self, d):
+        with pytest.raises(ValueError, match="positive"):
+            make_ring(d)
+
     def test_conj_is_involution_and_norm(self):
         rng = random.Random(5)
         for d in D_CORPUS:

@@ -78,20 +78,22 @@ def test_stream_order_keys_and_det_image_across_seams(spec, m, monkeypatch):
     assert report == oracle.hilbert90_verify(tower, m, special=True)
 
 
-def test_size_limit_fires_at_the_call():
+def test_size_limit_fires_at_the_call(monkeypatch):
     tower = make_tower(2, 1, 2)
+    monkeypatch.setattr(fields, "DEFAULT_MAX_MATRICES", 4**9 - 1)
     with pytest.raises(SizeLimit):
-        general_linear(tower, 3, max_matrices=4**9 - 1)  # no iteration needed
-    assert next(general_linear(tower, 3, max_matrices=4**9))[0].shape[:2] == (3, 3)
+        general_linear(tower, 3)  # no iteration needed
     with pytest.raises(SizeLimit):
-        det_image_on_rational_points(tower, 3, max_matrices=4**9 - 1)
+        det_image_on_rational_points(tower, 3)
+    monkeypatch.setattr(fields, "DEFAULT_MAX_MATRICES", 4**9)
+    assert next(general_linear(tower, 3))[0].shape[:2] == (3, 3)
 
 
 # -- the brute-force H2 oracle -------------------------------------------------
 
 
-def _within_limit(gamma, pres, limit=1 << 16):
-    return pres.module_order ** (gamma.order**2) <= limit
+def _within_limit(gamma, pres):
+    return pres.module_order ** (gamma.order**2) <= exactness.MAX_ORACLE_COCHAINS
 
 
 ORACLE_CASES = [case for case in CASES if _within_limit(case[1], case[2])]

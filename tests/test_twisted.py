@@ -1,7 +1,9 @@
 import itertools
+import tracemalloc
 
 import pytest
 
+from cocycle import twisted
 from cocycle.cohomology import (
     cohomologous,
     h1,
@@ -239,6 +241,20 @@ class TestMapGroupAndShapiro:
             ind = map_group(gamma, g)
             assert h1(ind.gamma_group).order == 1
 
-    def test_size_limit(self):
+    def test_size_limit(self, monkeypatch):
+        monkeypatch.setattr(twisted, "DEFAULT_MAX_CANDIDATES", 100)
         with pytest.raises(SizeLimit):
-            map_group(cyclic_group(4), cyclic_group(6), max_candidates=100)
+            map_group(cyclic_group(4), cyclic_group(6))
+
+    def test_induced_table_sized_before_it_is_built(self, monkeypatch):
+        # 1,600 maps Z/2 -> Z/40: a uint16 table of 5 MB, over a 4 MiB budget
+        gamma, g = cyclic_group(2), cyclic_group(40)
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "4")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match="group multiplication table"):
+                map_group(gamma, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
