@@ -7,180 +7,75 @@ Hilbert-90 style scans, tensor forms), classification and realization of
 semisimple commutative algebras, and unit-ideal cohomology of imaginary
 quadratic rings. Everything is verified by exhaustive enumeration at desk
 scale; `cocycle verify --suite all` runs the theorem suites.
+
+The package root imports no layer: each public name, and each submodule,
+loads its home module on first access (PEP 562), so a caller pays only for
+the layers it uses.
 """
 
-from .cohomology import (
-    Cocycle,
-    EquivariantHom,
-    GammaGroup,
-    H1Set,
-    action_from_gen_images,
-    coboundary_transform,
-    cohomologous,
-    conjugation_action,
-    h0,
-    h1,
-    h1_trivial_action,
-    induced_map,
-    inversion_action,
-    is_cocycle,
-    kernel_of,
-    make_cocycle,
-    restrict_to_subgroup,
-    trivial_action,
-    trivial_cocycle,
-)
-from .errors import CocycleError, SizeLimit
-from .etale import (
-    EtaleAlgebra,
-    EtaleClass,
-    classify_etale,
-    discriminant,
-    factor_structure,
-    fixing_kernel,
-    is_cyclic_field,
-    is_field,
-    is_galois,
-    realize_over_fq,
-)
-from .exactness import (
-    AbelianPresentation,
-    CosetSpace,
-    H2Group,
-    connecting_delta,
-    coset_to_cocycle,
-    fixed_cosets,
-    h2_central,
-    orbit_kernel_bijection,
-    quotient_gamma_group,
-    six_term_check,
-    trivial_module,
-)
-from .fields import FqTower, make_tower
-from .galois import (
-    SemilinearAction,
-    TensorOnV,
-    automorphism_independence_check,
-    classify_forms,
-    hilbert90_verify,
-    invariant_basis,
-    sl_h1_verify,
-)
-from .groups import (
-    FiniteGroup,
-    GroupHom,
-    Subgroup,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    enumerate_homs,
-    homs_up_to_conjugacy,
-    make_group,
-    quaternion_group,
-    quotient_group,
-    symmetric_group,
-    trivial_group,
-)
-from .quad import (
-    QuadIdeal,
-    QuadRing,
-    invariant_principal_quotient,
-    is_principal,
-    make_ring,
-    ramified_primes,
-    unit_h1,
-    verify_units_iso,
-)
-from .twisted import (
-    GSpace,
-    TwistedSemiaction,
-    classify_phs,
-    cocycle_twist_correspondence,
-    is_twisted_action,
-    shapiro_induce,
-    shapiro_verify,
-)
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianPresentation",
-    "Cocycle",
-    "CocycleError",
-    "CosetSpace",
-    "EquivariantHom",
-    "EtaleAlgebra",
-    "EtaleClass",
-    "FiniteGroup",
-    "FqTower",
-    "GSpace",
-    "GammaGroup",
-    "GroupHom",
-    "H1Set",
-    "H2Group",
-    "QuadIdeal",
-    "QuadRing",
-    "SemilinearAction",
-    "SizeLimit",
-    "Subgroup",
-    "TensorOnV",
-    "TwistedSemiaction",
-    "action_from_gen_images",
-    "automorphism_independence_check",
-    "classify_etale",
-    "classify_forms",
-    "classify_phs",
-    "coboundary_transform",
-    "cocycle_twist_correspondence",
-    "cohomologous",
-    "conjugation_action",
-    "connecting_delta",
-    "coset_to_cocycle",
-    "cyclic_group",
-    "dihedral_group",
-    "direct_product",
-    "discriminant",
-    "enumerate_homs",
-    "factor_structure",
-    "fixed_cosets",
-    "fixing_kernel",
-    "h0",
-    "h1",
-    "h1_trivial_action",
-    "h2_central",
-    "hilbert90_verify",
-    "homs_up_to_conjugacy",
-    "induced_map",
-    "invariant_basis",
-    "invariant_principal_quotient",
-    "inversion_action",
-    "is_cocycle",
-    "is_cyclic_field",
-    "is_field",
-    "is_galois",
-    "is_principal",
-    "is_twisted_action",
-    "kernel_of",
-    "make_cocycle",
-    "make_group",
-    "make_ring",
-    "make_tower",
-    "orbit_kernel_bijection",
-    "quaternion_group",
-    "quotient_gamma_group",
-    "quotient_group",
-    "ramified_primes",
-    "realize_over_fq",
-    "restrict_to_subgroup",
-    "shapiro_induce",
-    "shapiro_verify",
-    "six_term_check",
-    "sl_h1_verify",
-    "symmetric_group",
-    "trivial_action",
-    "trivial_cocycle",
-    "trivial_group",
-    "trivial_module",
-    "unit_h1",
-    "verify_units_iso",
-]
+#: every submodule -> the public names it defines
+_EXPORTS = {
+    "cli": (),
+    "cohomology": (
+        "Cocycle", "EquivariantHom", "GammaGroup", "H1Set", "action_from_gen_images",
+        "coboundary_transform", "cohomologous", "conjugation_action", "h0", "h1",
+        "h1_trivial_action", "induced_map", "inversion_action", "is_cocycle", "kernel_of",
+        "make_cocycle", "restrict_to_subgroup", "trivial_action", "trivial_cocycle",
+    ),
+    "errors": ("CocycleError", "SizeLimit"),
+    "etale": (
+        "EtaleAlgebra", "EtaleClass", "classify_etale", "discriminant", "factor_structure",
+        "fixing_kernel", "is_cyclic_field", "is_field", "is_galois", "realize_over_fq",
+    ),
+    "exactness": (
+        "AbelianPresentation", "CosetSpace", "H2Group", "connecting_delta", "coset_to_cocycle",
+        "fixed_cosets", "h2_central", "orbit_kernel_bijection", "quotient_gamma_group",
+        "six_term_check", "trivial_module",
+    ),
+    "fields": ("FqTower", "make_tower"),
+    "galois": (
+        "SemilinearAction", "TensorOnV", "automorphism_independence_check", "classify_forms",
+        "hilbert90_verify", "invariant_basis", "sl_h1_verify",
+    ),
+    "groups": (
+        "FiniteGroup", "GroupHom", "Subgroup", "cyclic_group", "dihedral_group", "direct_product",
+        "enumerate_homs", "homs_up_to_conjugacy", "make_group", "quaternion_group",
+        "quotient_group", "symmetric_group", "trivial_group",
+    ),
+    "quad": (
+        "QuadIdeal", "QuadRing", "invariant_principal_quotient", "is_principal", "make_ring",
+        "ramified_primes", "unit_h1", "verify_units_iso",
+    ),
+    "serialize": (),
+    "snf": (),
+    "suites": (),
+    "twisted": (
+        "GSpace", "TwistedSemiaction", "classify_phs", "cocycle_twist_correspondence",
+        "is_twisted_action", "shapiro_induce", "shapiro_verify",
+    ),
+}
+
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Not cached here: each access reads the home module's current attribute,
+    # so a wrapper or patch installed there is seen through the root too.
+    # sys.modules comes first because import_module costs microseconds a call.
+    if name in _HOME:
+        path = _HOME[name]
+        return getattr(sys.modules.get(path) or importlib.import_module(path), name)
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

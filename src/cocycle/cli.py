@@ -3,7 +3,8 @@
 Machine-readable output (JSON or TSV) goes to stdout or --out and is
 byte-identical for identical configuration and seed; human-oriented
 progress and per-case timing go to stderr. Exit codes: 0 success, 1 input
-error, 2 resource bound exceeded, 3 verification failure.
+error, 2 resource bound exceeded, 3 verification failure. Each command
+imports the layers it reads when it runs, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import sys
 
-from .cohomology import h1
 from .errors import (
     BijectionFailure,
     CocycleError,
@@ -23,20 +23,6 @@ from .errors import (
     MatchFailure,
     SizeLimit,
 )
-from .galois import classify_forms, hilbert90_verify, sl_h1_verify
-from .fields import make_tower
-from .serialize import (
-    check_family_order,
-    dumps,
-    etale_payload,
-    h1_payload,
-    load_action,
-    load_group,
-    load_tensor,
-    quad_payload,
-    to_tsv,
-)
-from .suites import run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -62,6 +48,8 @@ def _read_json(path: str):
 
 
 def _emit(payload: dict, args) -> None:
+    from .serialize import dumps, to_tsv
+
     text = to_tsv(payload) if args.format == "tsv" else dumps(payload)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -71,6 +59,9 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_h1(args) -> int:
+    from .cohomology import h1
+    from .serialize import h1_payload, load_action
+
     obj = _read_json(args.input)
     parent = load_action(obj, args.max_group_order)
     payload = h1_payload(h1(parent))
@@ -80,6 +71,9 @@ def cmd_h1(args) -> int:
 
 
 def cmd_etale(args) -> int:
+    from .fields import make_tower
+    from .serialize import check_family_order, etale_payload, load_group
+
     obj = _read_json(args.input)
     check_family_order("symmetric", args.dim, args.max_group_order)  # S_m, before any table
     gamma = load_group(obj, args.max_group_order)
@@ -94,6 +88,9 @@ def cmd_etale(args) -> int:
 
 
 def cmd_hilbert90(args) -> int:
+    from .fields import make_tower
+    from .galois import hilbert90_verify, sl_h1_verify
+
     p, d, n = _parse_tower(args.tower)
     tower = make_tower(p, d, n, args.max_field)
     report = (sl_h1_verify if args.sl else hilbert90_verify)(tower, args.dim)
@@ -111,6 +108,9 @@ def cmd_hilbert90(args) -> int:
 
 
 def cmd_forms(args) -> int:
+    from .galois import classify_forms
+    from .serialize import load_tensor
+
     obj = _read_json(args.input)
     tower, tensor = load_tensor(obj, args.max_field)
     report = classify_forms(tower, tensor)
@@ -126,6 +126,8 @@ def cmd_forms(args) -> int:
 
 
 def cmd_quad(args) -> int:
+    from .serialize import quad_payload
+
     payload = quad_payload(args.d)
     payload["seed"] = args.seed
     _emit(payload, args)
@@ -133,6 +135,8 @@ def cmd_quad(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .suites import run_suite
+
     results = run_suite(args.suite)
     rows = []
     any_failed = False

@@ -47,6 +47,9 @@ DEFAULT_MAX_SNF_ENTRIES = 1 << 19
 
 ENV_MAX_MEM = "COCYCLE_MAX_MEM_MB"
 
+#: Cap on one enumeration buffer when COCYCLE_MAX_MEM_MB is unset, unparsable or not positive.
+DEFAULT_MAX_MEM_BYTES = 1 << 30
+
 
 class CocycleError(Exception):
     """Base class for all errors raised by this package."""
@@ -124,16 +127,13 @@ class CounterexampleFound(CocycleError):
     """Exhaustive verification of a theorem found a counterexample (bug indicator)."""
 
 
-def memory_budget_bytes() -> int | None:
-    """Read the COCYCLE_MAX_MEM_MB cap; None when unset or unparsable."""
-    raw = os.environ.get(ENV_MAX_MEM)
-    if not raw:
-        return None
+def memory_budget_bytes() -> int:
+    """The COCYCLE_MAX_MEM_MB cap in bytes, or DEFAULT_MAX_MEM_BYTES without a positive one."""
     try:
-        mb = int(raw)
+        mb = int(os.environ.get(ENV_MAX_MEM, ""))
     except ValueError:
-        return None
-    return mb * (1 << 20) if mb > 0 else None
+        return DEFAULT_MAX_MEM_BYTES
+    return mb * (1 << 20) if mb > 0 else DEFAULT_MAX_MEM_BYTES
 
 
 def check_buffer(n_items: int, item_bytes: int, what: str) -> None:
@@ -141,7 +141,8 @@ def check_buffer(n_items: int, item_bytes: int, what: str) -> None:
     if n_items * item_bytes <= 1 << 20:  # no cap is below 1 MiB
         return
     budget = memory_budget_bytes()
-    if budget is not None and n_items * item_bytes > budget:
+    if n_items * item_bytes > budget:
         raise SizeLimit(
-            f"{what} needs {n_items * item_bytes} bytes, over {ENV_MAX_MEM} budget {budget}"
+            f"{what} needs {n_items * item_bytes} bytes, over the memory budget {budget}"
+            f" ({ENV_MAX_MEM})"
         )

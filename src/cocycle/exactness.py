@@ -52,7 +52,7 @@ from .errors import (
     check_buffer,
 )
 from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, first_violation, orbit_members
-from .groups import orbit_partition, quotient_group
+from .groups import distinct_sorted, orbit_partition, quotient_group
 from .snf import cokernel_invariant_factors, smith_mod
 
 
@@ -457,7 +457,9 @@ def _cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
     for new, prev, e in tree:
         paths[new] = paths[prev]
         paths[new, e] += 1
-    free = np.setdiff1d(np.arange(n * r), [e for _, _, e in tree])
+    on_tree = np.zeros(n * r, dtype=bool)
+    on_tree[[e for _, _, e in tree]] = True
+    free = np.flatnonzero(~on_tree)  # np.setdiff1d would import numpy.ma
     ys, js = np.divmod(free, r)
     cycles = paths[ys] - paths[table[ys, np.array(gens)[js]]]
     cycles[np.arange(len(free)), free] += 1
@@ -577,7 +579,7 @@ def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation) -> int:
         np.ravel_multi_index(tuple(((fs @ d1.T) % moduli2).T), moduli2)
         for fs in _digit_rows(moduli1, len(moduli2))
     ]
-    coboundary_count = len(np.unique(np.concatenate(keys)))
+    coboundary_count = len(distinct_sorted(np.concatenate(keys)))
     if cocycle_count % coboundary_count:
         raise CounterexampleFound("coboundary count does not divide the cocycle count")
     return cocycle_count // coboundary_count

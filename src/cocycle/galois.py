@@ -50,7 +50,7 @@ from .fields import (
     matrices_over,
     vec_frob,
 )
-from .groups import cyclic_group, lookup_sorted, make_group
+from .groups import cyclic_group, distinct_sorted, lookup_sorted, make_group
 
 
 def automorphism_independence_check(tower: FqTower) -> bool:
@@ -233,7 +233,7 @@ def det_image_on_rational_points(tower: FqTower, m: int) -> set[int]:
     """Image of det: GL_m(k) -> k*, for the surjectivity half of SL triviality."""
     check_matrix_count(tower, m)
     chunks = invertible_matrices(tower, np.array(tower.k_elements), m, False)
-    image = {x for _, det, _ in chunks for x in np.unique(det).tolist()}
+    image = {x for _, det, _ in chunks for x in distinct_sorted(det).tolist()}
     if not image <= set(tower.k_elements):
         raise CounterexampleFound("det of a rational matrix is not in the base field")
     return image
@@ -405,7 +405,7 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
     # Hilbert 90 on the ambient group: every class dies in GL
     if n > 1:
         gens = [rep.values[1] for rep in h1_stab.classes]
-        if (lookup_sorted(np.unique(cob_keys), stab_keys[gens]) < 0).any():
+        if (lookup_sorted(distinct_sorted(cob_keys), stab_keys[gens]) < 0).any():
             raise CounterexampleFound(
                 "stabilizer cocycle is not a GL coboundary (Hilbert 90 violation)"
             )

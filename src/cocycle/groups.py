@@ -616,6 +616,15 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
     return vals[np.lexsort(vals.T[::-1])]
 
 
+def distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)``: the distinct keys, increasing. A plain ``np.unique``
+    call imports ``numpy.ma`` on first use (numpy 2.x); this sort does not."""
+    keys = np.sort(keys, axis=None)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 def lookup_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Position of each key in the nonempty increasing ``sorted_keys``, or -1."""
     at = np.searchsorted(sorted_keys, keys)

@@ -5,29 +5,18 @@ Group references are either an explicit table object
 ``{"family": "cyclic" | "symmetric" | "dihedral", "n": k}``. Action files
 wrap two group references and the action array; tensor files carry field
 parameters and coefficients as base-p digit vectors. All writers emit
-sorted-key JSON so identical inputs produce byte-identical output.
+sorted-key JSON so identical inputs produce byte-identical output. Beyond
+``groups``, each loader and payload builder imports the layer it reads when
+it is called, so the CLI loads only what a command uses.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .cohomology import GammaGroup, H1Set
 from .errors import SizeLimit
-from .etale import (
-    EtaleClass,
-    classify_etale,
-    discriminant_is_trivial,
-    factor_structure,
-    is_cyclic_field,
-    is_field,
-    is_galois,
-    realize_over_fq,
-)
-from .fields import FqTower, make_tower
-from .galois import TensorOnV
 from .groups import (
     FiniteGroup,
     cyclic_group,
@@ -35,7 +24,12 @@ from .groups import (
     make_group,
     symmetric_group,
 )
-from .quad import make_ring, verify_units_iso
+
+if TYPE_CHECKING:
+    from .cohomology import GammaGroup, H1Set
+    from .etale import EtaleClass
+    from .fields import FqTower
+    from .galois import TensorOnV
 
 #: family -> (constructor of n, order of the group it builds, or a lower
 #: bound past every table that fits in memory: S_21 and up count as 21!)
@@ -77,6 +71,8 @@ def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
 
 
 def load_action(obj: Any, max_order: int | None = None) -> GammaGroup:
+    from .cohomology import GammaGroup
+
     if not isinstance(obj, dict):
         raise ValueError("action file must be a JSON object")
     for key in ("gamma", "base", "action"):
@@ -88,6 +84,9 @@ def load_action(obj: Any, max_order: int | None = None) -> GammaGroup:
 
 
 def load_tensor(obj: Any, max_field: int | None = None) -> tuple[FqTower, TensorOnV]:
+    from .fields import make_tower
+    from .galois import TensorOnV
+
     for key in ("p", "d", "n", "dim", "type", "coeffs"):
         if key not in obj:
             raise ValueError(f"tensor file is missing {key!r}")
@@ -135,6 +134,15 @@ def h1_payload(h1_set: H1Set) -> dict:
 
 
 def etale_row(cls: EtaleClass, tower: FqTower | None) -> dict:
+    from .etale import (
+        discriminant_is_trivial,
+        factor_structure,
+        is_cyclic_field,
+        is_field,
+        is_galois,
+        realize_over_fq,
+    )
+
     gens = cls.gamma.generators()
     sym = cls.psi.target
     row = {
@@ -157,11 +165,15 @@ def etale_row(cls: EtaleClass, tower: FqTower | None) -> dict:
 
 
 def etale_payload(gamma: FiniteGroup, m: int, tower: FqTower | None) -> dict:
+    from .etale import classify_etale
+
     rows = [etale_row(cls, tower) for cls in classify_etale(gamma, m)]
     return {"dimension": m, "gamma_order": gamma.order, "rows": rows}
 
 
 def quad_payload(d: int) -> dict:
+    from .quad import make_ring, verify_units_iso
+
     ring = make_ring(d)
     iso = verify_units_iso(ring)
     return {

@@ -39,7 +39,7 @@ from .errors import (
     check_buffer,
 )
 from .groups import FiniteGroup, Subgroup, action_law, first_violation, group_table
-from .groups import lookup_sorted, make_group, orbit_partition, subgroup_as_group
+from .groups import distinct_sorted, lookup_sorted, make_group, orbit_partition, subgroup_as_group
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class GSpace:
         if principal:
             if n != base.order:
                 raise ValueError("principal space must have |G| points")
-            if np.unique(g_arr[:, 0]).size != n:  # the orbit of point 0
+            if distinct_sorted(g_arr[:, 0]).size != n:  # the orbit of point 0
                 raise ValueError("G-action is not free and transitive")
         return GSpace(parent, n, g_act, s_act, principal)
 

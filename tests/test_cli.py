@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from cocycle import cli
+from cocycle import serialize
 from cocycle.cli import main
 from cocycle.fields import make_tower
 from cocycle.serialize import load_group
@@ -135,13 +136,30 @@ class TestEtaleCommand:
         # |S_4| = 24 > 10 is refused before gamma or S_4 has a table; |S_3| = 6 fits
         path = write(tmp_path, "t.json", {"family": "cyclic", "n": 1})
         built = []
-        monkeypatch.setattr(cli, "load_group", lambda *args: built.append(args) or load_group(*args))
+        monkeypatch.setattr(serialize, "load_group", lambda *args: built.append(args) or load_group(*args))
         assert main(["etale", "--input", path, "--dim", "4", "--max-group-order", "10"]) == 2
         captured = capsys.readouterr()
         assert built == [] and captured.out == ""
         assert "resource bound exceeded: symmetric group with n=4 exceeds order bound 10" in captured.err
         assert main(["etale", "--input", path, "--dim", "3", "--max-group-order", "10"]) == 0
         assert len(json.loads(capsys.readouterr().out)["rows"]) == 1
+
+    def test_table_over_the_memory_budget_exit_2_before_building(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # |S_8| = 40320 passes the order bound, but its 3.25 GB table is over the
+        # default memory budget, which applies when COCYCLE_MAX_MEM_MB is unset
+        monkeypatch.delenv("COCYCLE_MAX_MEM_MB", raising=False)
+        path = write(tmp_path, "t.json", {"family": "cyclic", "n": 1})
+        tracemalloc.start()
+        try:
+            code = main(["etale", "--input", path, "--dim", "8"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and peak < 1 << 20
+        assert "resource bound exceeded: group multiplication table needs" in captured.err
 
     def test_with_tower_realization(self, tmp_path, capsys):
         path = write(tmp_path, "z4.json", {"family": "cyclic", "n": 4})
@@ -320,3 +338,66 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "forms"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "seconds" not in json.dumps(payload)
+
+
+FOOTPRINT = """
+import json, sys
+from cocycle import cli
+
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help and argument errors
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("cocycle", "numpy"))
+print(json.dumps({"exit": code, "loaded": loaded}))
+"""
+
+#: the layer modules each command reads, beyond the package root, cli and errors
+BASE = {"groups", "cohomology", "serialize"}
+GALOIS = BASE | {"fields", "galois"}
+EVERY = {path.stem for path in (SRC / "cocycle").glob("*.py")} - {"__init__"}
+
+
+def sum_of_squares_file(tmp_path):
+    obj = {"p": 3, "d": 1, "n": 2, "dim": 2, "type": [2, 0], "coeffs": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+    return write(tmp_path, "q.json", obj)
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,layers,numpy_loaded",
+    [
+        (lambda tmp: ["h1", "--input", mu4_action_file(tmp)], 0, BASE, True),
+        (lambda tmp: ["quad", "--d", "5"], 0, BASE | {"quad", "fields", "snf"}, True),
+        (lambda tmp: ["hilbert90", "--tower", "3x1x2", "--dim", "2"], 0, GALOIS, True),
+        (lambda tmp: ["hilbert90", "--tower", "2x1x2", "--dim", "2", "--sl"], 0, GALOIS, True),
+        (lambda tmp: ["forms", "--input", sum_of_squares_file(tmp)], 0, GALOIS, True),
+        (
+            lambda tmp: ["etale", "--input", write(tmp, "z2.json", {"family": "cyclic", "n": 2}),
+                         "--dim", "2", "--tower", "3x1x2"],
+            0, GALOIS | {"etale"}, True,
+        ),
+        (lambda tmp: ["verify", "--suite", "units"], 0, EVERY, True),
+        (lambda tmp: ["--help"], 0, set(), False),
+        (lambda tmp: ["h1"], 2, set(), False),  # argparse: --input is required
+    ],
+    ids=["h1", "quad", "hilbert90", "hilbert90-sl", "forms", "etale", "verify", "help", "arg-error"],
+)
+def test_a_command_loads_only_its_layers(tmp_path, argv, exit_code, layers, numpy_loaded):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["exit"] == exit_code, proc.stderr
+    loaded = set(result["loaded"])
+    package = {m.removeprefix("cocycle.") for m in loaded if m.startswith("cocycle.")}
+    assert package - {"cli", "errors"} <= layers
+    assert ("numpy" in loaded) is numpy_loaded and "numpy.ma" not in loaded
+
+
+def test_the_package_root_loads_no_layer():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = "import sys, cocycle; print(sorted(m for m in sys.modules if m.startswith(('cocycle', 'numpy'))))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.strip() == "['cocycle']", proc.stderr

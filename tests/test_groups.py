@@ -508,6 +508,28 @@ class TestStructure:
         monkeypatch.delenv("COCYCLE_MAX_MEM_MB")
         assert cyclic_group(800).order == 800
 
+    @pytest.mark.parametrize("raw", [None, "", "lots", "0", "-3"])
+    def test_memory_budget_defaults_without_a_positive_cap(self, monkeypatch, raw):
+        from cocycle.errors import DEFAULT_MAX_MEM_BYTES, memory_budget_bytes
+
+        if raw is None:
+            monkeypatch.delenv("COCYCLE_MAX_MEM_MB", raising=False)
+        else:
+            monkeypatch.setenv("COCYCLE_MAX_MEM_MB", raw)
+        assert memory_budget_bytes() == DEFAULT_MAX_MEM_BYTES == 1 << 30
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "16")
+        assert memory_budget_bytes() == 16 << 20
+
+    def test_distinct_sorted_is_np_unique(self):
+        from cocycle.groups import distinct_sorted
+
+        rng = np.random.default_rng(0)
+        arrays = [np.array([], dtype=np.int64), np.array([7]), rng.integers(0, 5, 40),
+                  rng.integers(-3, 9, (6, 7)).astype(np.uint16), np.arange(10)[::-1]]
+        for keys in arrays:
+            got, want = distinct_sorted(keys), np.unique(keys)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
     def test_automorphism_groups(self):
         from cocycle.groups import automorphism_group
 
