@@ -10,11 +10,14 @@ scale; `cocycle verify --suite all` runs the theorem suites.
 
 The package root imports no layer: each public name, and each submodule,
 loads its home module on first access (PEP 562), so a caller pays only for
-the layers it uses.
+the layers it uses. Since layers load in whatever order callers first touch
+them, a layer calls another layer's public functions through that module
+(``cohomology.h1``), not through a name bound at import: a patch or wrapper
+installed in the home module is then seen at every call site, whether the
+caller was loaded before it or after.
 """
 
 import importlib
-import sys
 
 __version__ = "0.1.0"
 
@@ -68,10 +71,8 @@ __all__ = sorted(_HOME)
 def __getattr__(name: str):
     # Not cached here: each access reads the home module's current attribute,
     # so a wrapper or patch installed there is seen through the root too.
-    # sys.modules comes first because import_module costs microseconds a call.
     if name in _HOME:
-        path = _HOME[name]
-        return getattr(sys.modules.get(path) or importlib.import_module(path), name)
+        return getattr(importlib.import_module(_HOME[name]), name)
     if name in _EXPORTS:
         return importlib.import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

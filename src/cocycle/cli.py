@@ -70,9 +70,40 @@ def cmd_h1(args) -> int:
     return EXIT_OK
 
 
+def etale_payload(gamma, m: int, tower) -> dict:
+    """One row per algebra class of dimension ``m``; realized over ``tower`` if given."""
+    from .etale import (
+        classify_etale,
+        discriminant_is_trivial,
+        factor_structure,
+        is_cyclic_field,
+        is_field,
+        is_galois,
+        realize_over_fq,
+    )
+
+    rows = []
+    for cls in classify_etale(gamma, m):
+        sym = cls.psi.target
+        field = is_field(cls)
+        row = {
+            "psi": {str(g): list(sym.perms[cls.psi(g)]) for g in cls.gamma.generators()},
+            "orbits": [list(o) for o in cls.orbits],
+            "factor_structure": list(factor_structure(cls)),
+            "is_field": field,
+            "is_cyclic": is_cyclic_field(cls),
+            "discriminant_trivial": discriminant_is_trivial(cls),
+            "is_galois": is_galois(cls)[0] if field else False,
+        }
+        if tower is not None:
+            row["realized_factor_degrees"] = list(realize_over_fq(tower, cls).factor_degrees)
+        rows.append(row)
+    return {"dimension": m, "gamma_order": gamma.order, "rows": rows}
+
+
 def cmd_etale(args) -> int:
     from .fields import make_tower
-    from .serialize import check_family_order, etale_payload, load_group
+    from .serialize import check_family_order, load_group
 
     obj = _read_json(args.input)
     check_family_order("symmetric", args.dim, args.max_group_order)  # S_m, before any table
@@ -125,9 +156,28 @@ def cmd_forms(args) -> int:
     return EXIT_OK
 
 
-def cmd_quad(args) -> int:
-    from .serialize import quad_payload
+def quad_payload(d: int) -> dict:
+    from .quad import make_ring, verify_units_iso
 
+    ring = make_ring(d)
+    iso = verify_units_iso(ring)
+    return {
+        "d": d,
+        "discriminant": ring.discriminant,
+        "ramified": [
+            {"p": p, "ideal": [ideal.a, ideal.b, ideal.c]} for p, ideal in iso.quotient.ramified
+        ],
+        "quotient_order": iso.quotient.order,
+        "h1_order": iso.h1.order,
+        "matched": iso.matched,
+        "witnesses": [
+            {"subset": list(subset), "generator": list(gen), "class": cls}
+            for subset, gen, cls in iso.pairs
+        ],
+    }
+
+
+def cmd_quad(args) -> int:
     payload = quad_payload(args.d)
     payload["seed"] = args.seed
     _emit(payload, args)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import galois, groups
 from .errors import (
     CounterexampleFound,
     DimensionFailure,
@@ -23,18 +24,8 @@ from .errors import (
     NotAField,
 )
 from .fields import FqTower, mat_det, mat_rank, mat_solve
-from .galois import SemilinearAction, invariant_basis
-from .groups import (
-    FiniteGroup,
-    GroupHom,
-    Subgroup,
-    cyclic_group,
-    homs_up_to_conjugacy,
-    orbit_members,
-    orbit_partition,
-    perm_sign,
-    symmetric_group,
-)
+from .galois import SemilinearAction
+from .groups import FiniteGroup, GroupHom, Subgroup, orbit_members, orbit_partition, perm_sign
 
 Vector = tuple[int, ...]
 
@@ -52,10 +43,10 @@ class EtaleClass:
 
 def classify_etale(gamma: FiniteGroup, m: int) -> list[EtaleClass]:
     """Lexicographically-least representatives of Hom(gamma, S_m) up to conjugacy."""
-    sym = symmetric_group(m)
+    sym = groups.symmetric_group(m)
     perms = np.array(sym.perms, dtype=np.intp).reshape(sym.order, m)
     classes = []
-    for psi in homs_up_to_conjugacy(gamma, sym):
+    for psi in groups.homs_up_to_conjugacy(gamma, sym):
         image = Subgroup.from_members(sym, sorted(set(psi.image)))
         orbits = orbit_members(orbit_partition(perms[list(image.members)])[1])
         classes.append(EtaleClass(gamma, m, psi, image, orbits))
@@ -114,16 +105,14 @@ def discriminant(cls: EtaleClass) -> GroupHom:
     trivial (odd-order groups contain no odd permutations).
     """
     sym = cls.psi.target
-    z2 = cyclic_group(2)
+    z2 = groups.cyclic_group(2)
     image = tuple(
         0 if perm_sign(sym.perms[cls.psi(g)]) == 1 else 1 for g in cls.gamma.elements()
     )
     hom = GroupHom.make(cls.gamma, z2, image)
-    if is_field(cls):
-        galois, _ = is_galois(cls)
-        if galois and cls.m % 2 == 1:
-            if any(v != 0 for v in image):
-                raise CounterexampleFound("odd Galois class with odd permutation")
+    if is_field(cls) and is_galois(cls)[0] and cls.m % 2 == 1:
+        if any(v != 0 for v in image):
+            raise CounterexampleFound("odd Galois class with odd permutation")
     return hom
 
 
@@ -179,7 +168,7 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
     Galois group, element j acting through frob^j.
     """
     gamma = cls.gamma
-    reference = cyclic_group(gamma.order)
+    reference = groups.cyclic_group(gamma.order)
     if gamma.order != tower.n or not np.array_equal(gamma.table, reference.table):
         raise ValueError(
             "realization needs gamma = cyclic_group(n) for the tower's degree n"
@@ -192,7 +181,7 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
             tuple(tuple(1 if r == perm[c] else 0 for c in range(m)) for r in range(m))
         )
     action = SemilinearAction.make(tower, m, mats)
-    basis = invariant_basis(action)  # DimensionFailure on wrong dimension
+    basis = galois.invariant_basis(action)  # DimensionFailure on wrong dimension
 
     flat_cols = [[coord for x in b for coord in tower.k_coords(x)] for b in basis]
     flat_rows = [list(row) for row in zip(*flat_cols)]

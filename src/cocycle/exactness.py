@@ -28,19 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import (
-    Cocycle,
-    EquivariantHom,
-    GammaGroup,
-    H1Set,
-    h0,
-    h1,
-    induced_map,
-    kernel_of,
-    make_cocycle,
-    match_blocks,
-    restrict_to_subgroup,
-)
+from . import cohomology, groups
+from .cohomology import Cocycle, EquivariantHom, GammaGroup, H1Set, match_blocks
 from .errors import (
     DEFAULT_MAX_SNF_ENTRIES,
     MAX_ORACLE_COCHAINS,
@@ -52,7 +41,7 @@ from .errors import (
     check_buffer,
 )
 from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, first_violation, orbit_members
-from .groups import distinct_sorted, orbit_partition, quotient_group
+from .groups import distinct_sorted, orbit_partition
 from .snf import cokernel_invariant_factors, smith_mod
 
 
@@ -77,12 +66,13 @@ class CosetSpace:
 
 def fixed_cosets(parent: GammaGroup, sub: Subgroup) -> CosetSpace:
     """All gamma-fixed cosets bA and their orbit partition under B^Gamma."""
-    restricted, inclusion = restrict_to_subgroup(parent, sub)  # raises NotStable
+    restricted, inclusion = cohomology.restrict_to_subgroup(parent, sub)  # raises NotStable
     b = parent.base
     reps, coset_of = orbit_partition(b.table[:, list(sub.members)].T)  # column x is xA
     gamma_action = coset_of[parent.action[:, reps]]
     fixed = np.flatnonzero((gamma_action == np.arange(len(reps))).all(axis=0))
-    moved = coset_of[b.table[list(h0(parent).members)][:, reps[fixed]]]  # [c, i] = c b_i A
+    invariants = list(cohomology.h0(parent).members)
+    moved = coset_of[b.table[invariants][:, reps[fixed]]]  # [c, i] = c b_i A
     if not np.isin(moved, fixed).all():
         raise CounterexampleFound("translation by an invariant left the fixed cosets")
     return CosetSpace(
@@ -107,7 +97,7 @@ def coset_to_cocycle(space: CosetSpace, coset_index: int) -> Cocycle:
     values = space.sub.position()[b.table[b.inv(rep), parent.action[:, rep]]]
     if (values < 0).any():
         raise CounterexampleFound("descent value escaped the subgroup (stability bug)")
-    return make_cocycle(space.restricted, values.tolist())
+    return cohomology.make_cocycle(space.restricted, values.tolist())
 
 
 @dataclass(frozen=True)
@@ -129,10 +119,10 @@ def orbit_kernel_bijection(parent: GammaGroup, sub: Subgroup) -> OrbitKernelRepo
     """Match (B/A)^Gamma / B^Gamma with ker(H1(A) -> H1(B)), both sides computed
     independently; a mismatch raises BijectionFailure."""
     space = fixed_cosets(parent, sub)
-    h1_sub = h1(space.restricted)
-    h1_parent = h1(parent)
-    cmap = induced_map(space.inclusion, h1_sub, h1_parent)
-    kernel = kernel_of(cmap, h1_parent)
+    h1_sub = cohomology.h1(space.restricted)
+    h1_parent = cohomology.h1(parent)
+    cmap = cohomology.induced_map(space.inclusion, h1_sub, h1_parent)
+    kernel = cohomology.kernel_of(cmap, h1_parent)
     labels = [
         [h1_sub.class_index(coset_to_cocycle(space, i)) for i in orbit] for orbit in space.orbits
     ]
@@ -148,8 +138,8 @@ def quotient_gamma_group(
     parent: GammaGroup, sub: Subgroup
 ) -> tuple[GammaGroup, EquivariantHom]:
     """B/A with the induced action (bA)^g = b^g A; A must be normal and stable."""
-    restrict_to_subgroup(parent, sub)  # stability check (NotStable)
-    quot, proj = quotient_group(parent.base, sub)  # normality check (NotNormal)
+    cohomology.restrict_to_subgroup(parent, sub)  # stability check (NotStable)
+    quot, proj = groups.quotient_group(parent.base, sub)  # normality check (NotNormal)
     _, reps = np.unique(proj.image, return_index=True)  # each coset's least element
     quotient = GammaGroup(parent.gamma, quot, np.asarray(proj.image)[parent.action[:, reps]])
     return quotient, EquivariantHom.make(parent, quotient, proj)
@@ -176,13 +166,13 @@ def six_term_check(parent: GammaGroup, sub: Subgroup) -> SixTermReport:
     space = fixed_cosets(parent, sub)
     quotient, proj = quotient_gamma_group(parent, sub)
     b = parent.base
-    b_fixed = h0(parent).members
-    a_fixed_embedded = {space.inclusion.hom(a) for a in h0(space.restricted).members}
-    h1_sub = h1(space.restricted)
-    h1_parent = h1(parent)
-    h1_quot = h1(quotient)
-    inc_map = induced_map(space.inclusion, h1_sub, h1_parent)
-    proj_map = induced_map(proj, h1_parent, h1_quot)
+    b_fixed = cohomology.h0(parent).members
+    a_fixed_embedded = {space.inclusion.hom(a) for a in cohomology.h0(space.restricted).members}
+    h1_sub = cohomology.h1(space.restricted)
+    h1_parent = cohomology.h1(parent)
+    h1_quot = cohomology.h1(quotient)
+    inc_map = cohomology.induced_map(space.inclusion, h1_sub, h1_parent)
+    proj_map = cohomology.induced_map(proj, h1_parent, h1_quot)
 
     nodes, oks, details = [], [], []
 
@@ -206,14 +196,14 @@ def six_term_check(parent: GammaGroup, sub: Subgroup) -> SixTermReport:
 
     # node H1(A): im(delta0) = ker(H1(A) -> H1(B))
     image3 = {h1_sub.class_index(coset_to_cocycle(space, i)) for i in space.fixed}
-    ker3 = set(kernel_of(inc_map, h1_parent))
+    ker3 = set(cohomology.kernel_of(inc_map, h1_parent))
     nodes.append("H1(A)")
     oks.append(image3 == ker3)
     details.append(f"image {sorted(image3)} vs kernel {sorted(ker3)}")
 
     # node H1(B): im(H1(A)) = ker(H1(B) -> H1(B/A))
     image4 = set(inc_map)
-    ker4 = set(kernel_of(proj_map, h1_quot))
+    ker4 = set(cohomology.kernel_of(proj_map, h1_quot))
     nodes.append("H1(B)")
     oks.append(image4 == ker4)
     details.append(f"image {sorted(image4)} vs kernel {sorted(ker4)}")
@@ -331,7 +321,7 @@ class ModuleBridge:
 
 def presentation_of_subgroup(parent: GammaGroup, sub: Subgroup) -> ModuleBridge:
     """Decompose a stable abelian subgroup and express the action in coordinates."""
-    restricted, inclusion = restrict_to_subgroup(parent, sub)
+    restricted, inclusion = cohomology.restrict_to_subgroup(parent, sub)
     group = restricted.base
     factors, gen_elements = _decompose_abelian(group)
     vecs = np.indices(factors).reshape(len(factors), math.prod(factors)).T  # product order
@@ -457,9 +447,7 @@ def _cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
     for new, prev, e in tree:
         paths[new] = paths[prev]
         paths[new, e] += 1
-    on_tree = np.zeros(n * r, dtype=bool)
-    on_tree[[e for _, _, e in tree]] = True
-    free = np.flatnonzero(~on_tree)  # np.setdiff1d would import numpy.ma
+    free = np.setdiff1d(np.arange(n * r), [e for _, _, e in tree])
     ys, js = np.divmod(free, r)
     cycles = paths[ys] - paths[table[ys, np.array(gens)[js]]]
     cycles[np.arange(len(free)), free] += 1

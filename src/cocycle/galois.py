@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import GammaGroup, h1, H1Set, match_blocks
+from . import cohomology, groups
+from .cohomology import GammaGroup, H1Set, match_blocks
 from .errors import (
     EXHAUSTIVE_INDEPENDENCE_SIZE,
     MAX_STABILIZER,
@@ -50,7 +51,7 @@ from .fields import (
     matrices_over,
     vec_frob,
 )
-from .groups import cyclic_group, distinct_sorted, lookup_sorted, make_group
+from .groups import distinct_sorted, lookup_sorted
 
 
 def automorphism_independence_check(tower: FqTower) -> bool:
@@ -260,8 +261,8 @@ def units_gamma_group(tower: FqTower) -> tuple[GammaGroup, tuple[int, ...]]:
     units = tuple(x for x in range(1, tower.size))
     pos = {u: i for i, u in enumerate(units)}
     table = [[pos[tower.mul(a, b)] for b in units] for a in units]
-    group = make_group(table)
-    gamma = cyclic_group(tower.n)
+    group = groups.make_group(table)
+    gamma = groups.cyclic_group(tower.n)
     action = [[pos[tower.frob(u, j)] for u in units] for j in range(tower.n)]
     return GammaGroup(gamma, group, action), units
 
@@ -399,8 +400,8 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
     table = stab_index(products, "stabilizer is not closed under multiplication")
     frobs = np.stack([tower.vfrob(stab, j) for j in range(n)], axis=2)
     action = stab_index(frobs, "stabilizer is not Frobenius-stable")
-    gamma = cyclic_group(n)
-    h1_stab = h1(GammaGroup(gamma, make_group(table), action.tolist()))
+    gamma = groups.cyclic_group(n)
+    h1_stab = cohomology.h1(GammaGroup(gamma, groups.make_group(table), action.tolist()))
 
     # Hilbert 90 on the ambient group: every class dies in GL
     if n > 1:

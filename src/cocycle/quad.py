@@ -20,7 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .cohomology import GammaGroup, H1Set, h1, make_cocycle, match_blocks
+from . import cohomology, groups
+from .cohomology import GammaGroup, H1Set, match_blocks
 from .errors import (
     DEFAULT_MAX_QUAD_D,
     MAX_PRINCIPAL_NORM,
@@ -30,7 +31,6 @@ from .errors import (
     SizeLimit,
 )
 from .fields import is_prime
-from .groups import cyclic_group, make_group
 from .snf import _bezout
 
 Elem = tuple[int, int]  # x + y*omega
@@ -307,14 +307,14 @@ def unit_group(ring: QuadRing) -> UnitGroup:
     units = elements_of_norm(ring, 1)
     pos = {u: i for i, u in enumerate(units)}
     table = [[pos[ring.mul(u, v)] for v in units] for u in units]
-    group = make_group(table, tuple(f"{x}+{y}w" for x, y in units))
-    gamma = cyclic_group(2)
+    group = groups.make_group(table, tuple(f"{x}+{y}w" for x, y in units))
+    gamma = groups.cyclic_group(2)
     action = [list(range(len(units))), [pos[ring.conj(u)] for u in units]]
     return UnitGroup(ring, tuple(units), GammaGroup(gamma, group, action))
 
 
 def unit_h1(ring: QuadRing) -> H1Set:
-    return h1(unit_group(ring).gamma_group)
+    return cohomology.h1(unit_group(ring).gamma_group)
 
 
 @dataclass(frozen=True)
@@ -349,7 +349,7 @@ def verify_units_iso(ring: QuadRing) -> UnitsIsoReport:
     """
     quotient = invariant_principal_quotient(ring)
     units = unit_group(ring)
-    h1_set = h1(units.gamma_group)
+    h1_set = cohomology.h1(units.gamma_group)
     pos = {u: i for i, u in enumerate(units.elements)}
     identity = units.gamma_group.base.identity
     labels = []
@@ -357,7 +357,7 @@ def verify_units_iso(ring: QuadRing) -> UnitsIsoReport:
         ratio = _unit_quotient(ring, ring.conj(gen), gen)
         if ratio not in pos:
             raise CounterexampleFound("conj(lambda)/lambda is not a unit")
-        cocycle = make_cocycle(units.gamma_group, (identity, pos[ratio]))
+        cocycle = cohomology.make_cocycle(units.gamma_group, (identity, pos[ratio]))
         labels.append([h1_set.class_index(cocycle)])
     classes = match_blocks(labels, range(h1_set.order), "principal subsets -> H1 classes")
     pairs = tuple((s, g, c) for (s, g), c in zip(quotient.principal_subsets, classes))

@@ -6,8 +6,8 @@ Group references are either an explicit table object
 wrap two group references and the action array; tensor files carry field
 parameters and coefficients as base-p digit vectors. All writers emit
 sorted-key JSON so identical inputs produce byte-identical output. Beyond
-``groups``, each loader and payload builder imports the layer it reads when
-it is called, so the CLI loads only what a command uses.
+``groups``, each loader imports the layer it reads when it is called, so the
+CLI loads only what a command uses.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .groups import (
 
 if TYPE_CHECKING:
     from .cohomology import GammaGroup, H1Set
-    from .etale import EtaleClass
     from .fields import FqTower
     from .galois import TensorOnV
 
@@ -130,65 +129,6 @@ def h1_payload(h1_set: H1Set) -> dict:
         "cocycles": h1_set.n_cocycles,
         "representatives": [list(c.values) for c in h1_set.classes],
         "distinguished": h1_set.distinguished,
-    }
-
-
-def etale_row(cls: EtaleClass, tower: FqTower | None) -> dict:
-    from .etale import (
-        discriminant_is_trivial,
-        factor_structure,
-        is_cyclic_field,
-        is_field,
-        is_galois,
-        realize_over_fq,
-    )
-
-    gens = cls.gamma.generators()
-    sym = cls.psi.target
-    row = {
-        "psi": {str(g): list(sym.perms[cls.psi(g)]) for g in gens},
-        "orbits": [list(o) for o in cls.orbits],
-        "factor_structure": list(factor_structure(cls)),
-        "is_field": is_field(cls),
-        "is_cyclic": is_cyclic_field(cls),
-        "discriminant_trivial": discriminant_is_trivial(cls),
-    }
-    if is_field(cls):
-        galois, _ = is_galois(cls)
-        row["is_galois"] = galois
-    else:
-        row["is_galois"] = False
-    if tower is not None:
-        algebra = realize_over_fq(tower, cls)
-        row["realized_factor_degrees"] = list(algebra.factor_degrees)
-    return row
-
-
-def etale_payload(gamma: FiniteGroup, m: int, tower: FqTower | None) -> dict:
-    from .etale import classify_etale
-
-    rows = [etale_row(cls, tower) for cls in classify_etale(gamma, m)]
-    return {"dimension": m, "gamma_order": gamma.order, "rows": rows}
-
-
-def quad_payload(d: int) -> dict:
-    from .quad import make_ring, verify_units_iso
-
-    ring = make_ring(d)
-    iso = verify_units_iso(ring)
-    return {
-        "d": d,
-        "discriminant": ring.discriminant,
-        "ramified": [
-            {"p": p, "ideal": [ideal.a, ideal.b, ideal.c]} for p, ideal in iso.quotient.ramified
-        ],
-        "quotient_order": iso.quotient.order,
-        "h1_order": iso.h1.order,
-        "matched": iso.matched,
-        "witnesses": [
-            {"subset": list(subset), "generator": list(gen), "class": cls}
-            for subset, gen, cls in iso.pairs
-        ],
     }
 
 

@@ -22,14 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import (
-    Cocycle,
-    GammaGroup,
-    H1Set,
-    h1,
-    make_cocycle,
-    match_blocks,
-)
+from . import cohomology, groups
+from .cohomology import Cocycle, GammaGroup, H1Set, match_blocks
 from .errors import (
     DEFAULT_MAX_CANDIDATES,
     BijectionFailure,
@@ -39,7 +33,7 @@ from .errors import (
     check_buffer,
 )
 from .groups import FiniteGroup, Subgroup, action_law, first_violation, group_table
-from .groups import distinct_sorted, lookup_sorted, make_group, orbit_partition, subgroup_as_group
+from .groups import distinct_sorted, lookup_sorted, orbit_partition, subgroup_as_group
 
 
 @dataclass(frozen=True)
@@ -122,7 +116,7 @@ class TwistCorrespondence:
 def cocycle_of_twist(twist: TwistedSemiaction) -> Cocycle:
     parent = twist.parent
     values = tuple(parent.base.inv(v) for v in twist.vector)
-    return make_cocycle(parent, values)
+    return cohomology.make_cocycle(parent, values)
 
 
 def twist_of_cocycle(alpha: Cocycle) -> TwistedSemiaction:
@@ -138,7 +132,7 @@ def twist_of_cocycle(alpha: Cocycle) -> TwistedSemiaction:
 def cocycle_twist_correspondence(parent: GammaGroup) -> TwistCorrespondence:
     """Pair every twisted action with its cocycle; round-trips are checked."""
     twists = enumerate_twisted_actions(parent)
-    h1_set = h1(parent)
+    h1_set = cohomology.h1(parent)
     pairs = tuple((twist, cocycle_of_twist(twist)) for twist in twists)
     for twist, alpha in pairs:
         if twist_of_cocycle(alpha).vector != twist.vector:
@@ -240,7 +234,7 @@ def classify_phs(parent: GammaGroup) -> PhsClassification:
     """Realize every H1 class as a twisted structure on G and verify the
     classes are pairwise non-isomorphic while cohomologous cocycles give
     isomorphic spaces."""
-    h1_set = h1(parent)
+    h1_set = cohomology.h1(parent)
     spaces = []
     for rep in h1_set.classes:
         spaces.append(twisted_space(twist_of_cocycle(rep)))
@@ -325,7 +319,7 @@ def shapiro_induce(gamma: FiniteGroup, h_sub: Subgroup, g_action: GammaGroup) ->
 
     # row i: the pointwise products maps[i] * maps[j] for every j
     table = group_table(n_maps, lambda r: locate(g.table[maps_arr[r][:, None], maps_arr]), ng)
-    group = make_group(table)
+    group = groups.make_group(table)
     check_buffer(n_maps * ng * ng, 8, "induced action")
     action = locate(maps_arr[:, gamma.table.T]).T  # phi^s(t) = phi(ts)
     gamma_group = GammaGroup(gamma, group, action)
@@ -352,13 +346,13 @@ class ShapiroReport:
 def shapiro_verify(gamma: FiniteGroup, h_sub: Subgroup, g_action: GammaGroup) -> ShapiroReport:
     """Exhibit H1(gamma, induced) = H1(H, G) through evaluation at the identity."""
     induced = shapiro_induce(gamma, h_sub, g_action)
-    h1_big = h1(induced.gamma_group)
-    h1_small = h1(g_action)
+    h1_big = cohomology.h1(induced.gamma_group)
+    h1_small = cohomology.h1(g_action)
     h_elements = h_sub.members  # embedding order of the canonical relabeling
 
     def restricted_class(values: tuple[int, ...]) -> int:
         restricted = tuple(induced.maps[values[m]][gamma.identity] for m in h_elements)
-        return h1_small.class_index(make_cocycle(g_action, restricted))
+        return h1_small.class_index(cohomology.make_cocycle(g_action, restricted))
 
     # two members per class check that restriction is constant on classes
     labels = [[restricted_class(v) for v in members[:2]] for members in h1_big.members]

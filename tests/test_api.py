@@ -1,6 +1,7 @@
 """The public API of the package root: the names, where they live, and how they load."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,15 @@ def test_a_patch_of_the_home_module_is_seen_through_the_root(monkeypatch):
     assert cocycle.h1 is cohomology.h1
     monkeypatch.setattr(cohomology, "h1", lambda parent: "patched")
     assert cocycle.h1(None) == "patched"
+
+
+def test_layers_call_each_others_public_functions_through_the_module():
+    # layers load lazily, in any order: a name bound at import would keep whatever
+    # a patch or wrapper had put in its home module at that moment
+    homes = {importlib.import_module(getattr(cocycle, name).__module__) for name in PUBLIC_NAMES}
+    for module in homes:
+        bound = sorted(
+            name for name, value in vars(module).items()
+            if name in PUBLIC_NAMES and inspect.isfunction(value) and value.__module__ != module.__name__
+        )
+        assert bound == [], module.__name__

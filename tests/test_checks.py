@@ -142,7 +142,7 @@ def test_units_matched_is_derived(doctor, monkeypatch):
     fake = dataclasses.replace(real, pairs=doctor(real.pairs))
     assert not fake.matched
     monkeypatch.setattr(quad, "verify_units_iso", lambda ring: fake)
-    assert '"matched": false' in serialize.dumps(serialize.quad_payload(5))
+    assert '"matched": false' in serialize.dumps(cli.quad_payload(5))
 
 
 def test_quad_checks_raise_counterexamples():

@@ -25,7 +25,7 @@ from cocycle.cohomology import (
     trivial_action,
     trivial_cocycle,
 )
-from cocycle import exactness, galois, groups, quad
+from cocycle import cohomology, exactness, galois, groups, quad
 from cocycle.errors import BijectionFailure, NotStable, SizeLimit
 from cocycle.fields import make_tower
 from cocycle.groups import (
@@ -376,18 +376,18 @@ def _merged(h1_fn):
 
 class TestBijectionCallers:
     def test_forms_raise_bijection_failure(self, monkeypatch):
-        monkeypatch.setattr(galois, "h1", _merged(galois.h1))
+        monkeypatch.setattr(cohomology, "h1", _merged(cohomology.h1))
         tower = make_tower(3, 1, 2)
         with pytest.raises(BijectionFailure, match="rational orbits"):
             galois.classify_forms(tower, galois.quadratic_form_tensor(tower, ((1, 0), (0, 1))))
 
     def test_units_raise_bijection_failure(self, monkeypatch):
-        monkeypatch.setattr(quad, "h1", _merged(quad.h1))
+        monkeypatch.setattr(cohomology, "h1", _merged(cohomology.h1))
         with pytest.raises(BijectionFailure, match="principal subsets"):
             quad.verify_units_iso(quad.make_ring(5))
 
     def test_orbit_kernel_raises_bijection_failure(self, monkeypatch):
-        monkeypatch.setattr(exactness, "kernel_of", lambda cmap, target: ())
+        monkeypatch.setattr(cohomology, "kernel_of", lambda cmap, target: ())
         parent = mu4_inversion()
         with pytest.raises(BijectionFailure, match="fixed-coset orbits"):
             exactness.orbit_kernel_bijection(parent, Subgroup.from_members(parent.base, [0, 2]))

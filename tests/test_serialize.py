@@ -7,14 +7,13 @@ from cocycle.exactness import h2_central, presentation_of_subgroup
 from cocycle.serialize import (
     _element_from_digits,
     dumps,
-    etale_payload,
     h1_payload,
     load_action,
     load_group,
     load_tensor,
-    quad_payload,
     to_tsv,
 )
+from cocycle.cli import etale_payload, quad_payload
 from cocycle.cohomology import h1
 from cocycle.fields import make_tower
 from cocycle.groups import Subgroup, cyclic_group
