@@ -33,9 +33,12 @@ class GammaGroup:
 
     ``action[g, a]`` is a^g. Validated on construction: the identity acts
     trivially, every row is a bijection, and each generator s of
-    ``gamma.short_generators()`` has a multiplicative row with
-    ``action[d*s] = action[d][action[s]]`` for all d; by induction on word
-    length every row is an automorphism and all rows compose.
+    ``gamma.short_generators()`` has a row f with f(at) = f(a) f(t) for every
+    a and every t in ``base.generators()``, and ``action[d*s] =
+    action[d][action[s]]`` for all d. Such an f is a homomorphism, by
+    induction on the word length of the right factor, so each generator row
+    is an automorphism; by induction on word length in gamma every row is
+    one and all rows compose.
     """
 
     __slots__ = ("gamma", "base", "action")
@@ -54,10 +57,10 @@ class GammaGroup:
             raise ValueError("identity of gamma must act trivially")
         if not np.all(np.sort(arr, axis=1) == idx[None, :]):
             raise ValueError("some action row is not a bijection")
-        tbl = base.table
+        tbl, moves = base.table, list(base.generators())
         for s in gamma.short_generators():
             row = arr[s]
-            if not np.array_equal(row[tbl], tbl[np.ix_(row, row)]):
+            if not np.array_equal(row[tbl[:, moves]], tbl[row[:, None], row[moves]]):
                 raise ValueError(f"action of gamma element {s} is not multiplicative")
             bad = np.flatnonzero(np.any(arr[gamma.table[:, s]] != arr[:, row], axis=1))
             if bad.size:

@@ -512,15 +512,21 @@ class GroupHom:
 
     @staticmethod
     def make(source: FiniteGroup, target: FiniteGroup, image) -> GroupHom:
+        """The hom with ``image``, its law checked on the pairs (a, t) with t in
+        ``source.generators()``: a map with e -> e and f(at) = f(a) f(t) for
+        every such t has f(ab) = f(a) f(b), by induction on b's word length.
+        A map that fails is checked on all pairs to name the first failing one."""
         img = tuple(int(x) for x in image)
         if len(img) != source.order:
             raise ValueError("image length must match source order")
         if img[source.identity] != target.identity:
             raise ValueError("homomorphism must send identity to identity")
-        check_buffer(source.order**2, 8, "homomorphism law")
+        gens = list(source.generators())
+        check_buffer(source.order * len(gens), 8, "homomorphism law")
         arr = np.array(img, dtype=np.intp)
-        bad = first_violation(arr[source.table] == target.table[arr[:, None], arr])
-        if bad is not None:
+        if not np.array_equal(arr[source.table[:, gens]], target.table[arr[:, None], arr[gens]]):
+            check_buffer(source.order**2, 8, "homomorphism law")
+            bad = first_violation(arr[source.table] == target.table[arr[:, None], arr])
             raise ValueError(f"homomorphism law fails at pair {bad}")
         return GroupHom(source, target, img)
 
@@ -562,7 +568,13 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
     ``pools[j]``, default all of base) and extend along its word tree. The
     survivors of the law on every other pair (x, s), s a generator, satisfy
     it on all pairs, by induction on word length under ``(a^g)^h = a^(hg)``.
-    Chunks hold ``ENGINE_CHUNK`` values; each check compresses its chunk.
+
+    Before that, each pool keeps only the values x of its generator s, of
+    order n, with alpha(s^n) = e, where alpha(s) = x and alpha(s^(j+1)) =
+    alpha(s^j) * x^(s^j): every crossed hom satisfies this cyclic relation,
+    so the survivors do not change. The candidate bound counts the pools as
+    given, before this filter. Chunks hold ``ENGINE_CHUNK`` values; each
+    check compresses its chunk.
     """
     gens = gamma.short_generators()
     ng, k = gamma.order, len(gens)
@@ -581,6 +593,14 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
     def law_rhs(cols, x, g):  # alpha(x) * alpha(g)^x
         moved = cols[g] if act is None else act[x][cols[g]]
         return table[cols[x], moved]
+
+    for j, s in enumerate(gens):
+        cols, power = {s: pools[j]}, s  # cols[s^i] = alpha(s^i), one entry per x
+        while power != gamma.identity:
+            cols[gamma.mul(power, s)] = law_rhs(cols, power, s)
+            power = gamma.mul(power, s)
+        pools[j] = pools[j][cols[gamma.identity] == base.identity]
+    n_cand = math.prod(len(p) for p in pools)
 
     tree = _word_tree(gamma, gens)
     steps = [t for t in tree if t[1] != gamma.identity]  # level one holds the generators
@@ -637,12 +657,18 @@ def coboundary_classes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classes of the rows of :func:`crossed_homs` under ``alpha(g) -> a^-1 alpha(g) a^g``.
 
-    Rows are keyed by ``sum_j alpha(s_j) |base|^j`` over the short generators,
-    so an orbit is one gather. Returns each class's least row, increasing,
-    and the class of every row. An orbit leaving the rows (a convention bug)
-    raises MatchFailure.
+    The transform is an action of base, so the classes are the connected
+    components of the graph joining each row to its move by each t of
+    ``base.generators()``: words in them reach every a. For the same reason
+    the rows are closed under all of base if and only if they are closed
+    under the generators; a move leaving the rows (a convention bug) raises
+    MatchFailure. Rows are keyed by ``sum_j alpha(s_j) |base|^j`` over the
+    short generators, so a move is one gather and one lookup, taken
+    ``ENGINE_CHUNK`` entries at a time. Returns each class's least row,
+    increasing, and the class of every row.
     """
     gens = list(gamma.short_generators())
+    moves = list(base.generators())
     n, na = len(vals), base.order
     weights = na ** np.arange(len(gens), dtype=np.int64)
     gen_vals = vals[:, gens]
@@ -650,22 +676,44 @@ def coboundary_classes(
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
     table = base.table.astype(np.intp)
-    shift = np.arange(na)[:, None] if action is None else np.asarray(action, dtype=np.intp)[gens].T
-    a_inv = base._inv.astype(np.intp)[:, None]
-    class_index = np.full(n, -1, dtype=np.intp)
-    # orbits of a doubling batch of unassigned rows: few passes when classes
-    # are many, little wasted work when a few large orbits cover every row
-    batch, max_batch = 1, max(1, ENGINE_CHUNK // (na * max(len(gens), 1)))
-    while (todo := np.flatnonzero(class_index < 0)[:batch]).size:  # least rows first
-        batch = min(2 * batch, max_batch)
-        orbit = table[table[a_inv, gen_vals[todo][:, None, :]], shift] @ weights
-        pos = lookup_sorted(sorted_keys, orbit)
+    # shift[i, j] = t_i^(s_j) and t_inv[i] = t_i^-1 for the move generators t_i
+    shift = (np.arange(na)[None] if action is None else np.asarray(action)[gens])[:, moves].T
+    t_inv = base._inv.astype(np.intp)[moves][:, None, None]
+    rows = max(1, ENGINE_CHUNK // max(len(moves) * len(gens), 1))
+    check_buffer(min(rows, n) * len(moves) * max(len(gens), 1), 8, "coboundary move chunk")
+    heads, tails = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, n, rows):
+        moved = table[table[t_inv, gen_vals[None, lo : lo + rows]], shift[:, None]] @ weights
+        edge = moved != keys[lo : lo + rows]  # [i, r]: t_i moves row lo + r off itself
+        pos = lookup_sorted(sorted_keys, moved[edge])
         if (pos < 0).any():
             raise MatchFailure("coboundary transform left the cocycle set; action convention bug")
-        members = by_key[pos]
-        class_index[members] = members.min(axis=1)[:, None]
-    reps, class_index = np.unique(class_index, return_inverse=True)
-    return reps, class_index
+        heads.append(np.nonzero(edge)[1] + lo)
+        tails.append(by_key[pos])
+    least = _least_in_component(n, np.concatenate(heads), np.concatenate(tails))
+    is_rep = least == np.arange(n)
+    return np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[least]
+
+
+def _least_in_component(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's component in the graph on 0..n-1 with
+    edges (heads[i], tails[i]).
+
+    Each round hooks every root onto the least root it shares an edge with,
+    then pointer jumping points every vertex at its root. Parents only ever
+    decrease, so a root is the least vertex of its tree; every tree with an
+    edge out merges in a round, so O(log n) rounds suffice.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[heads], root[tails]
+        cross = a != b
+        if not cross.any():
+            return root
+        heads, tails, a, b = heads[cross], tails[cross], a[cross], b[cross]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 def enumerate_homs(source: FiniteGroup, target: FiniteGroup) -> list[GroupHom]:

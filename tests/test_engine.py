@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import engine_oracle as oracle
 from cocycle import groups
 from cocycle.cohomology import (
     GammaGroup,
+    action_from_gen_images,
     conjugation_action,
     h1,
     h1_trivial_action,
@@ -107,6 +110,90 @@ def test_h1_matches_full_pair_engine(name, build):
     for i, members in enumerate(got.members):
         assert members == tuple(sorted(k for k, c in got.class_of.items() if c == i))
         assert members[0] == got.classes[i].values
+
+
+
+def _norm_is_trivial(parent):
+    """Whether x * x^s * ... * x^(s^(n-1)) = e for every x, where gamma is
+    cyclic_group(n) and s = 1: then the cyclic relation keeps every value."""
+    gamma, base = parent.gamma, parent.base
+    for x in base.elements():
+        y = base.identity
+        for j in gamma.elements():  # element j of cyclic_group(n) is s^j
+            y = base.mul(y, parent.act(j, x))
+        if y != base.identity:
+            return False
+    return True
+
+
+def _perm_order(p):
+    q, k = p, 1
+    while q != tuple(range(len(p))):
+        q, k = tuple(p[i] for i in q), k + 1
+    return k
+
+
+@st.composite
+def drawn_actions(draw):
+    kind = draw(st.sampled_from(["inversion", "trivial base", "conjugation", "strict pools"]))
+    if kind == "inversion":  # a cyclic base spanned by one element: long cycle orbits
+        gamma = draw(st.sampled_from([cyclic_group(2), cyclic_group(4), cyclic_group(6), e(2), S3, D4R]))
+        base = cyclic_group(draw(st.integers(2, 48)))
+        inverting = draw(st.lists(st.sampled_from(gamma.generators()), min_size=1, unique=True))
+        try:
+            return inversion_action(gamma, base, inverting)
+        except ValueError:  # the signs do not extend to a hom gamma -> {1, -1}
+            assume(False)
+    if kind == "trivial base":
+        gamma = draw(st.sampled_from([cyclic_group(1), cyclic_group(4), S3R, Q8]))
+        return trivial_action(gamma, cyclic_group(1))
+    if kind == "conjugation":  # nonabelian gamma through a drawn hom
+        gamma = draw(st.sampled_from([S3, S3R, D4, D4R, Q8, Q8R]))
+        base = draw(st.sampled_from([S3, S3R, D4, D4R, Q8R, S4R]))
+        return conjugation_action(gamma, base, draw(st.sampled_from(enumerate_homs(gamma, base))))
+    # Z/n acting by an automorphism of order dividing n, with a strict pool
+    n = draw(st.sampled_from([2, 3, 4, 6]))
+    base = draw(st.sampled_from([
+        cyclic_group(8), relabel(cyclic_group(9), 9), direct_product(cyclic_group(2), cyclic_group(4)),
+        Q8R, D4R, S3R, relabel(e(3), 10),
+    ]))
+    autos = [p for p in automorphism_group(base) if n % _perm_order(p) == 0 and _perm_order(p) > 1]
+    assume(autos)
+    gamma = cyclic_group(n)
+    parent = action_from_gen_images(gamma, base, {1: draw(st.sampled_from(autos))})
+    assume(not _norm_is_trivial(parent))
+    return parent
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(drawn_actions())
+def test_h1_matches_full_pair_engine_on_drawn_actions(parent):
+    same_h1(h1(parent), oracle.h1(parent))
+
+
+@pytest.mark.parametrize("base", [S3R, D4R, cyclic_group(8), Q8R], ids=["S3R", "D4R", "Z8", "Q8R"])
+def test_generator_pair_multiplicativity_matches_full_validation(base):
+    # Z/2 acting by an involution fixing e: sometimes an automorphism, mostly not
+    z2, rng = cyclic_group(2), random.Random(base.order)
+    autos = [p for p in automorphism_group(base) if _perm_order(p) <= 2]
+    outcomes = set()
+    for _ in range(60):
+        if rng.random() < 0.3:
+            row = list(rng.choice(autos))
+        else:
+            row, rest = list(range(base.order)), [a for a in base.elements() if a != base.identity]
+            rng.shuffle(rest)
+            for a, b in zip(rest[: rng.randrange(len(rest) + 1) // 2 * 2 : 2], rest[1::2]):
+                row[a], row[b] = b, a
+        action = [list(range(base.order)), row]
+        try:
+            GammaGroup(z2, base, action)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == oracle.action_is_valid(z2, base, action)
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("gamma,base", GAMMA_BASE)

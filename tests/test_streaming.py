@@ -2,8 +2,9 @@
 
 ``fields.general_linear`` yields GL_m/SL_m in chunks of ``ENGINE_CHUNK >> 4``
 matrix entries and ``exactness.h2_brute_force_order`` walks the raw cochains
-the same way. Shrinking the chunk constant where each stream reads it must
-leave every report unchanged (witness samples included), the streamed H2
+the same way; ``groups.coboundary_classes`` moves its rows ``ENGINE_CHUNK``
+entries at a time. Shrinking the chunk constant where each stream reads it
+must leave every report unchanged (witness samples included), the streamed H2
 oracle must agree with the dense one in ``tests/h2_oracle.py``, and the
 traced peak of each check must stay under a fixed bound.
 """
@@ -15,9 +16,17 @@ import pytest
 
 import h2_oracle
 import matrix_oracle as oracle
-from cocycle import cyclic_group, exactness, fields, trivial_module
+from cocycle import cyclic_group, exactness, fields, groups, trivial_module
+from cocycle.cohomology import conjugation_action, h1, inversion_action, trivial_action
 from cocycle.errors import SizeLimit
 from cocycle.fields import batch_key, general_linear, make_tower
+from cocycle.groups import (
+    dihedral_group,
+    direct_product,
+    identity_hom,
+    quaternion_group,
+    symmetric_group,
+)
 from cocycle.galois import det_image_on_rational_points, hilbert90_verify, sl_h1_verify
 from test_h2 import CASES, v4
 
@@ -138,6 +147,45 @@ def test_oracle_is_the_same_across_chunk_seams(gamma, factors, monkeypatch):
     assert whole == h2_oracle.h2_brute_force_order(gamma, pres)
     cocycle_pass = [rows for w, rows in chunks if w == width]
     assert len(cocycle_pass) >= 5 and sum(cocycle_pass) == n_cochains
+
+
+
+# -- the coboundary partition ----------------------------------------------------
+
+def _inner(group):
+    return conjugation_action(group, group, identity_hom(group))
+
+
+PARTITIONS = {
+    "inner S3": lambda: _inner(symmetric_group(3)),
+    "Z/4 inverting Z/160": lambda: inversion_action(cyclic_group(4), cyclic_group(160)),
+    "D4 inverting Z/4 x Z/2": lambda: inversion_action(
+        dihedral_group(4), direct_product(cyclic_group(4), cyclic_group(2))
+    ),
+    "inner Q8": lambda: _inner(quaternion_group()),
+    "D4 on the trivial group": lambda: trivial_action(dihedral_group(4), cyclic_group(1)),
+}
+
+
+@pytest.mark.parametrize("build", PARTITIONS.values(), ids=list(PARTITIONS))
+def test_classes_are_the_same_one_row_per_chunk(build, monkeypatch):
+    parent = build()
+    whole = h1(parent)
+    moves = len(parent.gamma.short_generators()) * len(parent.base.generators())
+    monkeypatch.setattr(groups, "ENGINE_CHUNK", max(moves, 1))  # one row's moves
+    chunks = []  # coboundary_classes looks up each chunk's moves once
+    lookup_sorted = groups.lookup_sorted
+
+    def counted(sorted_keys, keys):
+        chunks.append(len(keys))
+        return lookup_sorted(sorted_keys, keys)
+
+    monkeypatch.setattr(groups, "lookup_sorted", counted)
+    streamed = h1(parent)
+    assert len(chunks) == whole.n_cocycles
+    assert [c.values for c in streamed.classes] == [c.values for c in whole.classes]
+    assert streamed.class_of == whole.class_of
+    assert streamed.distinguished == whole.distinguished
 
 
 # -- memory ----------------------------------------------------------------------
