@@ -112,7 +112,6 @@ def test_h1_matches_full_pair_engine(name, build):
         assert members[0] == got.classes[i].values
 
 
-
 def _norm_is_trivial(parent):
     """Whether x * x^s * ... * x^(s^(n-1)) = e for every x, where gamma is
     cyclic_group(n) and s = 1: then the cyclic relation keeps every value."""
@@ -137,7 +136,8 @@ def _perm_order(p):
 def drawn_actions(draw):
     kind = draw(st.sampled_from(["inversion", "trivial base", "conjugation", "strict pools"]))
     if kind == "inversion":  # a cyclic base spanned by one element: long cycle orbits
-        gamma = draw(st.sampled_from([cyclic_group(2), cyclic_group(4), cyclic_group(6), e(2), S3, D4R]))
+        gammas = [cyclic_group(2), cyclic_group(4), cyclic_group(6), e(2), S3, D4R]
+        gamma = draw(st.sampled_from(gammas))
         base = cyclic_group(draw(st.integers(2, 48)))
         inverting = draw(st.lists(st.sampled_from(gamma.generators()), min_size=1, unique=True))
         try:
@@ -153,10 +153,9 @@ def drawn_actions(draw):
         return conjugation_action(gamma, base, draw(st.sampled_from(enumerate_homs(gamma, base))))
     # Z/n acting by an automorphism of order dividing n, with a strict pool
     n = draw(st.sampled_from([2, 3, 4, 6]))
-    base = draw(st.sampled_from([
-        cyclic_group(8), relabel(cyclic_group(9), 9), direct_product(cyclic_group(2), cyclic_group(4)),
-        Q8R, D4R, S3R, relabel(e(3), 10),
-    ]))
+    z2z4 = direct_product(cyclic_group(2), cyclic_group(4))
+    bases = [cyclic_group(8), relabel(cyclic_group(9), 9), z2z4, Q8R, D4R, S3R, relabel(e(3), 10)]
+    base = draw(st.sampled_from(bases))
     autos = [p for p in automorphism_group(base) if n % _perm_order(p) == 0 and _perm_order(p) > 1]
     assume(autos)
     gamma = cyclic_group(n)

@@ -20,6 +20,7 @@ from cocycle import cyclic_group, exactness, fields, groups, trivial_module
 from cocycle.cohomology import conjugation_action, h1, inversion_action, trivial_action
 from cocycle.errors import SizeLimit
 from cocycle.fields import batch_key, general_linear, make_tower
+from cocycle.galois import det_image_on_rational_points, hilbert90_verify, sl_h1_verify
 from cocycle.groups import (
     dihedral_group,
     direct_product,
@@ -27,7 +28,6 @@ from cocycle.groups import (
     quaternion_group,
     symmetric_group,
 )
-from cocycle.galois import det_image_on_rational_points, hilbert90_verify, sl_h1_verify
 from test_h2 import CASES, v4
 
 ONE_CHUNK = 1 << 40
@@ -147,7 +147,6 @@ def test_oracle_is_the_same_across_chunk_seams(gamma, factors, monkeypatch):
     assert whole == h2_oracle.h2_brute_force_order(gamma, pres)
     cocycle_pass = [rows for w, rows in chunks if w == width]
     assert len(cocycle_pass) >= 5 and sum(cocycle_pass) == n_cochains
-
 
 
 # -- the coboundary partition ----------------------------------------------------
