@@ -19,13 +19,14 @@ enumerated cocycle set, so any convention drift fails loudly.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BijectionFailure, MatchFailure, NotStable, check_buffer
 from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_as_group
-from .groups import coboundary_classes, crossed_homs, first_violation
+from .groups import coboundary_classes, crossed_homs, first_violation, lookup_sorted
 
 
 class GammaGroup:
@@ -113,9 +114,8 @@ def inversion_action(gamma: FiniteGroup, base: FiniteGroup, inverting_gens=None)
     gens = gamma.generators()
     if inverting_gens is None:
         inverting_gens = gens
-    inv_perm = tuple(base.inv(a) for a in range(base.order))
-    ident = tuple(range(base.order))
-    images = {g: (inv_perm if g in set(inverting_gens) else ident) for g in gens}
+    inverting, ident = set(inverting_gens), np.arange(base.order)
+    images = {g: (base._inv if g in inverting else ident) for g in gens}
     return action_from_gen_images(gamma, base, images)
 
 
@@ -181,13 +181,61 @@ def h0(parent: GammaGroup) -> Subgroup:
     return Subgroup.from_members(parent.base, fixed.tolist())
 
 
+class ClassMap(Mapping):
+    """Read-only map from each enumerated cocycle's value tuple to its class index.
+
+    Backed by ``rows``, the value rows (read-only, n x |gamma|, lexicographic),
+    and ``index``, each row's class. A cocycle is determined by its values on
+    ``gamma.short_generators()``, so :meth:`positions` finds rows in bulk by
+    the key ``sum_j alpha(s_j) |base|^j``; a scalar lookup reads a dict built
+    on first use.
+    """
+
+    __slots__ = ("rows", "index", "_gens", "_weights", "_by_key", "_keys", "_dict")
+
+    def __init__(self, parent: GammaGroup, rows: np.ndarray, index: np.ndarray):
+        rows.setflags(write=False)
+        self.rows, self.index = rows, index
+        self._gens = list(parent.gamma.short_generators())
+        self._weights = parent.base.order ** np.arange(len(self._gens), dtype=np.int64)
+        keys = rows[:, self._gens] @ self._weights
+        self._by_key = np.argsort(keys)
+        self._keys = keys[self._by_key]
+        self._dict: dict[tuple[int, ...], int] | None = None
+
+    def positions(self, rows) -> np.ndarray:
+        """Position in ``self.rows`` of each of ``rows``; ValueError if one is absent."""
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[1] != self.rows.shape[1]:
+            raise ValueError(f"rows must have shape (m, {self.rows.shape[1]})")
+        at = lookup_sorted(self._keys, rows[:, self._gens] @ self._weights)
+        found, at = at >= 0, self._by_key[at]
+        if not (found.all() and np.array_equal(self.rows[at], rows)):
+            raise ValueError("cocycle not in the enumerated set")
+        return at
+
+    def __getitem__(self, key: tuple[int, ...]) -> int:
+        if self._dict is None:
+            self._dict = dict(zip(self, self.index.tolist()))
+        return self._dict[key]
+
+    def __iter__(self):
+        return map(tuple, self.rows.tolist())
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 class H1Set:
     """Pointed set of cocycle classes.
 
     ``classes`` holds the lexicographically least cocycle of each class, in
-    lexicographic order; ``class_of`` maps every enumerated cocycle's value
-    tuple to its class index; ``distinguished`` is the trivial class;
-    ``members[i]`` lists the value tuples of class i in lexicographic order.
+    lexicographic order; ``class_of`` is a :class:`ClassMap` from every
+    enumerated cocycle's value tuple to its class index, over the arrays
+    ``class_of.rows`` and ``class_of.index`` (a dict passed in is converted
+    to them); :meth:`class_indices` looks up many value rows at once;
+    ``distinguished`` is the trivial class; ``members[i]`` lists the value
+    tuples of class i in lexicographic order.
     """
 
     __slots__ = ("parent", "classes", "class_of", "distinguished", "_members")
@@ -196,9 +244,13 @@ class H1Set:
         self,
         parent: GammaGroup,
         classes: tuple[Cocycle, ...],
-        class_of: dict[tuple[int, ...], int],
+        class_of: Mapping[tuple[int, ...], int],
         distinguished: int,
     ):
+        if not isinstance(class_of, ClassMap):
+            keys = sorted(class_of)
+            rows = np.array(keys, dtype=np.intp).reshape(len(keys), parent.gamma.order)
+            class_of = ClassMap(parent, rows, np.array([class_of[k] for k in keys], dtype=np.intp))
         self.parent = parent
         self.classes = classes
         self.class_of = class_of
@@ -208,10 +260,10 @@ class H1Set:
     @property
     def members(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         if self._members is None:
-            groups: list[list[tuple[int, ...]]] = [[] for _ in self.classes]
-            for key, c in self.class_of.items():
-                groups[c].append(key)
-            self._members = tuple(tuple(sorted(g)) for g in groups)
+            index = self.class_of.index
+            rows = list(map(tuple, self.class_of.rows[np.argsort(index, kind="stable")].tolist()))
+            ends = np.cumsum(np.bincount(index, minlength=self.order)).tolist()
+            self._members = tuple(tuple(rows[lo:hi]) for lo, hi in zip([0, *ends], ends))
         return self._members
 
     @property
@@ -227,6 +279,10 @@ class H1Set:
             return self.class_of[cocycle.values]
         except KeyError:
             raise ValueError("cocycle not in the enumerated set") from None
+
+    def class_indices(self, rows) -> np.ndarray:
+        """The class of each value row (m x |gamma|); ValueError on a row not enumerated."""
+        return self.class_of.index[self.class_of.positions(rows)]
 
     def __repr__(self) -> str:
         return f"H1Set({self.order} classes, {self.n_cocycles} cocycles)"
@@ -244,10 +300,15 @@ def h1(parent: GammaGroup) -> H1Set:
     gamma, base = parent.gamma, parent.base
     vals = crossed_homs(gamma, base, parent.action)
     reps, class_index = coboundary_classes(gamma, base, parent.action, vals)
-    keys = list(map(tuple, vals.tolist()))
-    class_of = dict(zip(keys, class_index.tolist()))
-    classes = tuple(Cocycle(parent, keys[r]) for r in reps.tolist())
-    return H1Set(parent, classes, class_of, class_of[(base.identity,) * gamma.order])
+    class_of = ClassMap(parent, vals, class_index)
+    trivial = class_of.positions(np.full((1, gamma.order), base.identity))
+    step = max(1, (1 << 16) // gamma.order)  # one list of every rep's values raises the peak
+    classes = tuple(
+        Cocycle(parent, values)
+        for lo in range(0, len(reps), step)
+        for values in map(tuple, vals[reps[lo : lo + step]].tolist())
+    )
+    return H1Set(parent, classes, class_of, int(class_index[trivial[0]]))
 
 
 def h1_trivial_action(gamma: FiniteGroup, base: FiniteGroup) -> H1Set:
@@ -302,23 +363,22 @@ def restrict_to_subgroup(
 def induced_map(f: EquivariantHom, h1_source: H1Set, h1_target: H1Set) -> tuple[int, ...]:
     """Class map [alpha] -> [f o alpha]; index i gives the target class of source class i.
 
-    Well-definedness is re-checked by pushing a second member of each class
-    through; a mismatch raises MatchFailure.
+    Every enumerated source cocycle is pushed through f in one gather and
+    looked up in the target. One that lands outside the target's cocycles,
+    or a class whose members land in two target classes, raises MatchFailure.
     """
     if h1_source.parent is not f.source or h1_target.parent is not f.target:
         raise ValueError("H1 sets must belong to the hom's source and target")
-
-    def push(values: tuple[int, ...]) -> int:
-        mapped = tuple(f.hom(v) for v in values)
-        return h1_target.class_of[mapped]
-
-    result = []
-    for members in h1_source.members:
-        target_class = push(members[0])
-        if len(members) > 1 and push(members[1]) != target_class:
-            raise MatchFailure("induced map not constant on a class (convention bug)")
-        result.append(target_class)
-    return tuple(result)
+    source = h1_source.class_of
+    try:
+        landed = h1_target.class_indices(np.asarray(f.hom.image, dtype=np.intp)[source.rows])
+    except ValueError:
+        raise MatchFailure("induced map left the target cocycles (convention bug)") from None
+    result = np.full(h1_source.order, -1, dtype=np.intp)
+    result[source.index] = landed
+    if (result[source.index] != landed).any():
+        raise MatchFailure("induced map not constant on a class (convention bug)")
+    return tuple(result.tolist())
 
 
 def kernel_of(class_map: tuple[int, ...], h1_target: H1Set) -> tuple[int, ...]:

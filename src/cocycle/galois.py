@@ -417,8 +417,9 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
     g_frobs = np.stack([tower.vfrob(g, j) for j in range(n)], axis=2)
     cocycles = batch_mul(tower, batch_inv(tower, g, gl_det[transporters])[:, :, None], g_frobs)
     # one row per invariant tensor, in the order of orbits_flat
-    values = iter(stab_index(cocycles, "transport cocycle left the stabilizer").T.tolist())
-    labels = [[h1_stab.class_of[tuple(next(values))] for _ in members] for members in orbits_flat]
+    values = stab_index(cocycles, "transport cocycle left the stabilizer").T
+    row_class = iter(h1_stab.class_indices(values).tolist())
+    labels = [[next(row_class) for _ in members] for members in orbits_flat]
     classes = match_blocks(labels, range(h1_stab.order), "rational orbits -> H1 classes")
     direct_orbits = [
         tuple(as_matrix(np.reshape(t, (-1, cols))) for t in members) for members in orbits_flat

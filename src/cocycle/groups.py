@@ -633,7 +633,20 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
                     cols = {g: c[keep] for g, c in cols.items()}
         found.append(np.stack([cols[g] for g in gamma.elements()], axis=1))
     vals = np.concatenate(found)
-    return vals[np.lexsort(vals.T[::-1])]
+    return vals[lex_order(vals, base.order)]
+
+
+def lex_order(rows: np.ndarray, n_values: int) -> np.ndarray:
+    """``np.lexsort(rows.T[::-1])`` for entries in ``range(n_values)``: it packs
+    63 // b columns of b = (n_values - 1).bit_length() bits into each int64
+    word, most significant first, and lexsorts the words."""
+    b = max((n_values - 1).bit_length(), 1)
+    per = 63 // b
+    words = []
+    for lo in range(0, rows.shape[1], per):
+        block = rows[:, lo : lo + per]
+        words.append(block @ (1 << b * np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)))
+    return np.lexsort(words[::-1])
 
 
 def distinct_sorted(keys: np.ndarray) -> np.ndarray:

@@ -282,13 +282,11 @@ def suite_twisted() -> SuiteResult:
                 raise MatchFailure(f"{n_actions} twisted actions vs {corr.h1.n_cocycles} cocycles")
             # cohomologous cocycles <=> isomorphic twisted spaces, all pairs
             spaces = [twisted_space(t) for t, _ in corr.pairs]
+            classes = corr.h1.class_indices([alpha.values for _, alpha in corr.pairs]).tolist()
             for i in range(len(corr.pairs)):
                 for j in range(i + 1, len(corr.pairs)):
-                    same_class = corr.h1.class_of[corr.pairs[i][1].values] == (
-                        corr.h1.class_of[corr.pairs[j][1].values]
-                    )
                     iso = phs_isomorphism(spaces[i], spaces[j]) is not None
-                    if iso != same_class:
+                    if iso != (classes[i] == classes[j]):
                         raise MatchFailure("iso/cohomologous equivalence broke")
             return {
                 "twisted_actions": n_actions,
