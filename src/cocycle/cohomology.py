@@ -19,6 +19,7 @@ enumerated cocycle set, so any convention drift fails loudly.
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import BijectionFailure, MatchFailure, NotStable, check_buffer
 from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_as_group
-from .groups import coboundary_classes, crossed_homs, first_violation, lookup_sorted
+from .groups import coboundary_classes, crossed_homs, first_violation
 
 
 class GammaGroup:
@@ -187,30 +188,35 @@ class ClassMap(Mapping):
     Backed by ``rows``, the value rows (read-only, n x |gamma|, lexicographic),
     and ``index``, each row's class. A cocycle is determined by its values on
     ``gamma.short_generators()``, so :meth:`positions` finds rows in bulk by
-    the key ``sum_j alpha(s_j) |base|^j``; a scalar lookup reads a dict built
-    on first use.
+    the key ``sum_j alpha(s_j) |base|^j``; the sorted keys, and the dict that
+    a scalar lookup reads, are built on first use.
     """
 
-    __slots__ = ("rows", "index", "_gens", "_weights", "_by_key", "_keys", "_dict")
+    __slots__ = ("rows", "index", "_parent", "_sorted", "_dict")
 
     def __init__(self, parent: GammaGroup, rows: np.ndarray, index: np.ndarray):
         rows.setflags(write=False)
-        self.rows, self.index = rows, index
-        self._gens = list(parent.gamma.short_generators())
-        self._weights = parent.base.order ** np.arange(len(self._gens), dtype=np.int64)
-        keys = rows[:, self._gens] @ self._weights
-        self._by_key = np.argsort(keys)
-        self._keys = keys[self._by_key]
+        self.rows, self.index, self._parent = rows, index, parent
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
         self._dict: dict[tuple[int, ...], int] | None = None
+
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        gens = list(self._parent.gamma.short_generators())
+        return rows[:, gens] @ self._parent.base.order ** np.arange(len(gens), dtype=np.int64)
 
     def positions(self, rows) -> np.ndarray:
         """Position in ``self.rows`` of each of ``rows``; ValueError if one is absent."""
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.rows.shape[1]:
             raise ValueError(f"rows must have shape (m, {self.rows.shape[1]})")
-        at = lookup_sorted(self._keys, rows[:, self._gens] @ self._weights)
-        found, at = at >= 0, self._by_key[at]
-        if not (found.all() and np.array_equal(self.rows[at], rows)):
+        if self._sorted is None:
+            keys = self._keys(self.rows)
+            by_key = np.argsort(keys)
+            self._sorted = keys[by_key], by_key
+        keys, by_key = self._sorted
+        # the one row that can hold each key; a row not enumerated differs from it
+        at = by_key.take(np.searchsorted(keys, self._keys(rows)), mode="clip")
+        if not (self.rows[at] == rows).all():
             raise ValueError("cocycle not in the enumerated set")
         return at
 
@@ -300,15 +306,15 @@ def h1(parent: GammaGroup) -> H1Set:
     gamma, base = parent.gamma, parent.base
     vals = crossed_homs(gamma, base, parent.action)
     reps, class_index = coboundary_classes(gamma, base, parent.action, vals)
-    class_of = ClassMap(parent, vals, class_index)
-    trivial = class_of.positions(np.full((1, gamma.order), base.identity))
+    trivial = (base.identity,) * gamma.order
+    at = bisect.bisect_left(vals, trivial, key=lambda row: tuple(row.tolist()))  # rows are sorted
     step = max(1, (1 << 16) // gamma.order)  # one list of every rep's values raises the peak
     classes = tuple(
         Cocycle(parent, values)
         for lo in range(0, len(reps), step)
         for values in map(tuple, vals[reps[lo : lo + step]].tolist())
     )
-    return H1Set(parent, classes, class_of, int(class_index[trivial[0]]))
+    return H1Set(parent, classes, ClassMap(parent, vals, class_index), int(class_index[at]))
 
 
 def h1_trivial_action(gamma: FiniteGroup, base: FiniteGroup) -> H1Set:

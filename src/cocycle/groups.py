@@ -641,11 +641,12 @@ def lex_order(rows: np.ndarray, n_values: int) -> np.ndarray:
     63 // b columns of b = (n_values - 1).bit_length() bits into each int64
     word, most significant first, and lexsorts the words."""
     b = max((n_values - 1).bit_length(), 1)
-    per = 63 // b
-    words = []
-    for lo in range(0, rows.shape[1], per):
-        block = rows[:, lo : lo + per]
-        words.append(block @ (1 << b * np.arange(block.shape[1] - 1, -1, -1, dtype=np.int64)))
+    per, n_cols = 63 // b, rows.shape[1]
+    words = [
+        rows[:, lo : lo + per]
+        @ np.array([1 << b * j for j in reversed(range(min(per, n_cols - lo)))], dtype=np.int64)
+        for lo in range(0, n_cols, per)
+    ]
     return np.lexsort(words[::-1])
 
 
