@@ -155,7 +155,8 @@ def small_actions(draw):
         return conjugation_action(gamma, base, draw(st.sampled_from(enumerate_homs(gamma, base))))
     try:
         if kind == "inversion":
-            inverting = draw(st.lists(st.sampled_from(gamma.generators() or (0,)), unique=True))
+            gens = gamma.generators()
+            inverting = draw(st.lists(st.sampled_from(gens), unique=True)) if gens else []
             return inversion_action(gamma, base, inverting)
         autos = automorphism_group(base)
         images = {g: draw(st.sampled_from(autos)) for g in gamma.generators()}
