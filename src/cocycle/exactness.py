@@ -92,12 +92,19 @@ def coset_to_cocycle(space: CosetSpace, coset_index: int) -> Cocycle:
     """Descent cocycle g -> b^-1 * b^g of a fixed coset, valued in A."""
     if coset_index not in set(space.fixed):
         raise ValueError(f"coset {coset_index} is not gamma-fixed")
-    parent, b = space.parent, space.parent.base
-    rep = space.cosets[coset_index][0]
-    values = space.sub.position()[b.table[b.inv(rep), parent.action[:, rep]]]
-    if (values < 0).any():
-        raise CounterexampleFound("descent value escaped the subgroup (stability bug)")
+    values = _descent_rows(space, [coset_index])[0]
     return cohomology.make_cocycle(space.restricted, values.tolist())
+
+
+def _descent_rows(space: CosetSpace, cosets) -> np.ndarray:
+    """One gather: row i is g -> b^-1 * b^g, valued in A, for b the first
+    element of fixed coset ``cosets[i]``."""
+    parent, b = space.parent, space.parent.base
+    reps = np.array([space.cosets[i][0] for i in cosets], dtype=np.intp)
+    rows = space.sub.position()[b.table[b._inv[reps][:, None], parent.action[:, reps].T]]
+    if (rows < 0).any():
+        raise CounterexampleFound("descent value escaped the subgroup (stability bug)")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -123,9 +130,10 @@ def orbit_kernel_bijection(parent: GammaGroup, sub: Subgroup) -> OrbitKernelRepo
     h1_parent = cohomology.h1(parent)
     cmap = cohomology.induced_map(space.inclusion, h1_sub, h1_parent)
     kernel = cohomology.kernel_of(cmap, h1_parent)
-    labels = [
-        [h1_sub.class_index(coset_to_cocycle(space, i)) for i in orbit] for orbit in space.orbits
-    ]
+    # every fixed coset's descent row, labelled at once (ValueError on a non-cocycle)
+    rows = _descent_rows(space, [i for orbit in space.orbits for i in orbit])
+    row_class = iter(h1_sub.class_indices(rows).tolist())
+    labels = [[next(row_class) for _ in orbit] for orbit in space.orbits]
     classes = match_blocks(labels, kernel, "fixed-coset orbits -> kernel classes")
     return OrbitKernelReport(space, h1_sub, h1_parent, kernel, tuple(zip(space.orbits, classes)))
 
@@ -185,17 +193,14 @@ def six_term_check(parent: GammaGroup, sub: Subgroup) -> SixTermReport:
 
     # node (B/A)^Gamma: im(B^G) = delta0-preimage of the trivial H1(A) class
     image2 = {space.coset_of[x] for x in b_fixed}
-    ker2 = {
-        i
-        for i in space.fixed
-        if h1_sub.class_index(coset_to_cocycle(space, i)) == h1_sub.distinguished
-    }
+    descent = h1_sub.class_indices(_descent_rows(space, space.fixed)).tolist()  # per fixed coset
+    ker2 = {i for i, c in zip(space.fixed, descent) if c == h1_sub.distinguished}
     nodes.append("(B/A)^Gamma")
     oks.append(image2 == ker2)
     details.append(f"image {sorted(image2)} vs kernel {sorted(ker2)}")
 
     # node H1(A): im(delta0) = ker(H1(A) -> H1(B))
-    image3 = {h1_sub.class_index(coset_to_cocycle(space, i)) for i in space.fixed}
+    image3 = set(descent)
     ker3 = set(cohomology.kernel_of(inc_map, h1_parent))
     nodes.append("H1(A)")
     oks.append(image3 == ker3)

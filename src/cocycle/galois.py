@@ -4,8 +4,8 @@ Semilinear actions v -> A_j . v^(frob^j) of the cyclic Galois group, bases
 of invariant vectors by base-field linear algebra (no averaging map, which
 can vanish in characteristic p), exhaustive Hilbert-90 style cocycle scans
 for GL_m and SL_m, and two-route classification of tensor forms. Scans and
-forms run on the chunked GL_m/SL_m stream of ``fields``, one code path for
-every m and for towers with or without dense tables.
+forms make one pass over the chunked GL_m/SL_m stream of ``fields``,
+keeping a dense table of coboundaries by matrix key and each chunk's survivors.
 
 Cyclic cocycles are stored through their generator matrix A: the value at
 frob^j is A * A^frob * ... * A^(frob^(j-1)), the norm condition
@@ -30,11 +30,13 @@ from .errors import (
     DimensionFailure,
     MatchFailure,
     SizeLimit,
+    check_buffer,
 )
 from .fields import (
     FqTower,
     Matrix,
     as_matrix,
+    batch_det,
     batch_inv,
     batch_key,
     batch_mul,
@@ -67,15 +69,11 @@ def automorphism_independence_check(tower: FqTower) -> bool:
     rank = mat_rank(tower, rows)
     independent = rank == n
     if tower.size**n <= EXHAUSTIVE_INDEPENDENCE_SIZE:
-        brute = True
-        for coeffs in itertools.product(range(tower.size), repeat=n):
-            if not any(coeffs):
-                continue
-            if all(
-                _combo_vanishes(tower, coeffs, x) for x in range(tower.size)
-            ):
-                brute = False
-                break
+        brute = not any(
+            all(_combo_vanishes(tower, coeffs, x) for x in range(tower.size))
+            for coeffs in itertools.product(range(tower.size), repeat=n)
+            if any(coeffs)
+        )
         if brute != independent:
             raise MatchFailure("rank and exhaustive independence checks disagree")
     return independent
@@ -189,45 +187,55 @@ def _coboundary_keys(tower: FqTower, mats: np.ndarray, inv: np.ndarray) -> np.nd
     return batch_key(tower, batch_mul(tower, inv, tower.vfrob(mats)))
 
 
+def _coboundary_scan(tower: FqTower, m: int, special: bool = False):
+    """GL_m (SL_m if special) as (mats, inv, keys) chunks, and a table that drawing
+    them fills: table[c] is the least key, so the first witness, of a B with
+    coboundary B^-1 B^frob of key c, or len(table) if no B has that coboundary."""
+    chunks = general_linear(tower, m, special)  # the matrix bound fires first
+    total = tower.size ** (m * m)  # at most DEFAULT_MAX_MATRICES, so a key fits int32
+    check_buffer(total, 4, "coboundary table")
+    table = np.full(total, total, dtype=np.int32)
+
+    def fill():
+        for mats, det, keys in chunks:
+            inv = batch_inv(tower, mats, det)
+            np.minimum.at(table, _coboundary_keys(tower, mats, inv), keys.astype(table.dtype))
+            yield mats, inv, keys
+
+    return table, fill()
+
+
 def _decode(tower: FqTower, m: int, keys: np.ndarray) -> list[Matrix]:
     """The matrices with the given batch_key ranks."""
-    mats = matrices_over(np.arange(tower.size), m, keys)
-    return [as_matrix(mats[:, :, i]) for i in range(len(keys))]
+    return [as_matrix(a) for a in np.moveaxis(matrices_over(np.arange(tower.size), m, keys), 2, 0)]
 
 
 def hilbert90_verify(tower: FqTower, m: int, special: bool = False) -> CocycleScanReport:
     """Scan GL_m (or SL_m) for norm-one matrices and trivialize each one.
 
-    One pass over the group stream for every m, keeping only keys: of each
-    coboundary B^-1 B^frob with its B, and of each matrix with norm
-    A A^frob ... A^(frob^(n-1)) = I. One sort indexes the coboundaries with
-    their first witnesses in (lexicographic) enumeration order; each norm-one
-    key is looked up there. A norm-one matrix with no coboundary witness
-    raises CounterexampleFound: a bug, by the classification theorems.
+    One pass keeps the keys of the matrices with norm A A^frob ... A^(frob^(n-1))
+    = I and looks each up in :func:`_coboundary_scan`'s table of first witnesses;
+    one with none raises CounterexampleFound: a bug, by the classification theorems.
     """
-    chunks = []
-    for mats, det, keys in general_linear(tower, m, special):
+    table, chunks = _coboundary_scan(tower, m, special)
+    group_size, found = 0, []
+    for mats, _, keys in chunks:
         norm = mats
         for j in range(1, tower.n):
             norm = batch_mul(tower, norm, tower.vfrob(mats, j))
-        cob = _coboundary_keys(tower, mats, batch_inv(tower, mats, det))
-        norm_one = (norm == np.eye(m, dtype=np.int64)[:, :, None]).all(axis=(0, 1))
-        chunks.append((cob, keys, keys[norm_one]))
-    cob_keys, group_keys, cocycles = (np.concatenate(c) for c in zip(*chunks))
-    del chunks
-    cob_keys, first = np.unique(cob_keys, return_index=True)
-    hits = lookup_sorted(cob_keys, cocycles)
-    if (hits < 0).any():
-        a = _decode(tower, m, cocycles[hits < 0][:1])[0]
+        found.append(keys[(norm == np.eye(m, dtype=np.int64)[:, :, None]).all(axis=(0, 1))])
+        group_size += len(keys)
+    cocycles = np.concatenate(found)
+    witnesses = table[cocycles]
+    if (witnesses == len(table)).any():
+        a = _decode(tower, m, cocycles[witnesses == len(table)][:1])[0]
         raise CounterexampleFound(f"norm-one matrix {a} over {tower!r} is not a coboundary")
-    if len(cob_keys) != len(cocycles):
+    n_coboundaries = int(np.count_nonzero(table < len(table)))
+    if n_coboundaries != len(cocycles):
         raise CounterexampleFound("coboundaries produced a non-cocycle (norm condition bug)")
     shown = slice(_WITNESS_SAMPLE_SIZE)
-    witnesses = group_keys[first[hits[shown]]]
-    sample = tuple(zip(_decode(tower, m, cocycles[shown]), _decode(tower, m, witnesses)))
-    return CocycleScanReport(
-        tower, m, special, len(group_keys), len(cocycles), len(cob_keys), sample
-    )
+    sample = tuple(zip(_decode(tower, m, cocycles[shown]), _decode(tower, m, witnesses[shown])))
+    return CocycleScanReport(tower, m, special, group_size, len(cocycles), n_coboundaries, sample)
 
 
 def det_image_on_rational_points(tower: FqTower, m: int) -> set[int]:
@@ -285,18 +293,14 @@ class TensorOnV:
     def make(tower: FqTower, dim: int, l: int, r: int, coeffs) -> TensorOnV:
         mat = tuple(tuple(int(x) for x in row) for row in coeffs)
         if len(mat) != dim**r or any(len(row) != dim**l for row in mat):
-            raise ValueError(
-                f"coefficients must be a {dim**r} x {dim**l} matrix"
-            )
+            raise ValueError(f"coefficients must be a {dim**r} x {dim**l} matrix")
         return TensorOnV(tower, dim, l, r, mat)
 
     def defined_over_base(self) -> bool:
         return all(self.tower.in_base(x) for row in self.coeffs for x in row)
 
     def frob(self, j: int = 1) -> TensorOnV:
-        return TensorOnV(
-            self.tower, self.dim, self.l, self.r, mat_frob(self.tower, self.coeffs, j)
-        )
+        return TensorOnV(self.tower, self.dim, self.l, self.r, mat_frob(self.tower, self.coeffs, j))
 
 
 def quadratic_form_tensor(tower: FqTower, gram: Matrix) -> TensorOnV:
@@ -348,31 +352,29 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
 
     Direct route: Galois-invariant tensors in the GL_m(K)-orbit, partitioned
     into GL_m(k)-orbits. Cohomological route: classes of stabilizer-valued
-    cocycles (their images in GL are all coboundaries; checked). The
-    transport map orbit -> class must be a bijection, else BijectionFailure.
+    cocycles (their images in GL are all coboundaries; checked). The transport
+    map orbit -> class must be a bijection, else BijectionFailure. Of each GL
+    chunk only the stabilizer, invariant transports and rational matrices stay.
     """
     if not tensor.defined_over_base():
         raise ValueError("reference tensor must be defined over the base field")
     m, n, cols = tensor.dim, tower.n, tensor.dim**tensor.l
-    # per GL chunk: det (for the few inverses used later), coboundaries, transports
-    chunks = []
-    for g, det, _ in general_linear(tower, m):
-        g_inv = batch_inv(tower, g, det)
-        chunks.append((g, det, _coboundary_keys(tower, g, g_inv), _transport(tensor, g, g_inv).T))
-    gl, gl_det, cob_keys, moved = (np.concatenate(c, axis=-1) for c in zip(*chunks))
-    del chunks
-    moved = np.ascontiguousarray(moved.T)
-    stab_pos = np.flatnonzero((moved == np.ravel(tensor.coeffs)).all(axis=1))
-    if len(stab_pos) > MAX_STABILIZER:
-        raise SizeLimit(f"stabilizer of size {len(stab_pos)} exceeds bound {MAX_STABILIZER}")
-    # orbit: each tensor in the GL_m(K)-orbit with its first transporter
-    orbit_rows, first = np.unique(moved, axis=0, return_index=True)
-    del moved
-    orbit = dict(zip(map(tuple, orbit_rows.tolist()), first.tolist()))
-    invariants = orbit_rows[(tower.vfrob(orbit_rows) == orbit_rows).all(axis=1)]
-    rational = np.flatnonzero((tower.vfrob(gl) == gl).all(axis=(0, 1)))
-    k_gl, k_gl_inv = gl[:, :, rational], batch_inv(tower, gl[:, :, rational], gl_det[rational])
-    remaining = set(map(tuple, invariants.tolist()))
+    cob_table, chunks = _coboundary_scan(tower, m)
+    stab_keys, rational_keys, orbit = [], [], {}
+    for g, g_inv, keys in chunks:
+        moved = _transport(tensor, g, g_inv)
+        stab_keys.append(keys[(moved == np.ravel(tensor.coeffs)).all(axis=1)])
+        # each invariant tensor of the orbit with its first transporter (earlier chunks win)
+        invariant = (tower.vfrob(moved) == moved).all(axis=1)
+        rows, first = np.unique(moved[invariant], axis=0, return_index=True)
+        orbit = dict(zip(map(tuple, rows.tolist()), keys[invariant][first].tolist())) | orbit
+        rational_keys.append(keys[(tower.vfrob(g) == g).all(axis=(0, 1))])
+    stab_keys = np.concatenate(stab_keys)
+    if len(stab_keys) > MAX_STABILIZER:
+        raise SizeLimit(f"stabilizer of size {len(stab_keys)} exceeds bound {MAX_STABILIZER}")
+    k_gl = matrices_over(np.arange(tower.size), m, np.concatenate(rational_keys))
+    k_gl_inv = batch_inv(tower, k_gl, batch_det(tower, k_gl))
+    remaining = set(orbit)
     orbits_flat: list[list[tuple[int, ...]]] = []
     while remaining:
         seed_coeffs = as_matrix(np.reshape(min(remaining), (-1, cols)))
@@ -387,8 +389,7 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
 
     # stabilizer as a finite group with the Frobenius action; its keys are
     # sorted because GL is enumerated in lexicographic order
-    stab = gl[:, :, stab_pos]
-    stab_keys = batch_key(tower, stab)
+    stab = matrices_over(np.arange(tower.size), m, stab_keys)
 
     def stab_index(mats: np.ndarray, failure: str) -> np.ndarray:
         at = lookup_sorted(stab_keys, batch_key(tower, mats))
@@ -406,16 +407,15 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
     # Hilbert 90 on the ambient group: every class dies in GL
     if n > 1:
         gens = [rep.values[1] for rep in h1_stab.classes]
-        if (lookup_sorted(distinct_sorted(cob_keys), stab_keys[gens]) < 0).any():
+        if (cob_table[stab_keys[gens]] == len(cob_table)).any():
             raise CounterexampleFound(
                 "stabilizer cocycle is not a GL coboundary (Hilbert 90 violation)"
             )
 
     # transport cocycles j -> g^-1 g^(frob^j) of every invariant tensor
-    transporters = np.array([orbit[t] for members in orbits_flat for t in members])
-    g = gl[:, :, transporters]
+    g = matrices_over(np.arange(tower.size), m, [orbit[t] for ts in orbits_flat for t in ts])
     g_frobs = np.stack([tower.vfrob(g, j) for j in range(n)], axis=2)
-    cocycles = batch_mul(tower, batch_inv(tower, g, gl_det[transporters])[:, :, None], g_frobs)
+    cocycles = batch_mul(tower, batch_inv(tower, g, batch_det(tower, g))[:, :, None], g_frobs)
     # one row per invariant tensor, in the order of orbits_flat
     values = stab_index(cocycles, "transport cocycle left the stabilizer").T
     row_class = iter(h1_stab.class_indices(values).tolist())
@@ -425,5 +425,5 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
         tuple(as_matrix(np.reshape(t, (-1, cols))) for t in members) for members in orbits_flat
     ]
     return FormsReport(
-        tensor, len(stab_pos), tuple(direct_orbits), h1_stab, tuple(enumerate(classes))
+        tensor, len(stab_keys), tuple(direct_orbits), h1_stab, tuple(enumerate(classes))
     )

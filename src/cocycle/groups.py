@@ -214,14 +214,13 @@ def action_law(table: np.ndarray, act) -> np.ndarray:
 
 
 def _find_identity(table: np.ndarray) -> int:
-    n = table.shape[0]
-    idx = np.arange(n)
-    rows = np.all(table == idx[None, :], axis=1)
-    cols = np.all(table == idx[:, None], axis=0)
-    hits = np.flatnonzero(rows & cols)
-    if hits.size == 0:
-        raise NoIdentity("no two-sided identity element in table")
-    return int(hits[0])
+    """The least two-sided identity, tested row and column at a time on the
+    elements e with e * 0 = 0, so no table-sized comparison is allocated."""
+    idx = np.arange(table.shape[0])
+    for e in np.flatnonzero(table[:, 0] == 0).tolist():
+        if (table[e] == idx).all() and (table[:, e] == idx).all():
+            return e
+    raise NoIdentity("no two-sided identity element in table")
 
 
 def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
@@ -263,15 +262,21 @@ def make_group(
     labels: tuple[str, ...] | None = None,
     perms: tuple[Perm, ...] | None = None,
 ) -> FiniteGroup:
-    """Validate a multiplication table and wrap it as a FiniteGroup."""
-    arr = np.asarray(table)
+    """Validate a multiplication table and wrap a copy of it as a FiniteGroup,
+    so that no caller can change the group's table afterwards."""
+    return _adopt_table(np.asarray(table), labels, perms, copy=True)
+
+
+def _adopt_table(arr: np.ndarray, labels=None, perms=None, copy: bool = False) -> FiniteGroup:
+    """:func:`make_group` on a table that nothing else holds, which the group
+    keeps without a copy when it already has its final dtype."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError(f"table must be a nonempty square array, got shape {arr.shape}")
     n = arr.shape[0]
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError("table entries must be element indices in range")
     check_buffer(n * n, arr.itemsize, "group multiplication table")
-    arr = arr.astype(_table_dtype(n), copy=True)
+    arr = arr.astype(_table_dtype(n), copy=copy)
     arr.setflags(write=False)
     identity = _find_identity(arr)
     gens = _check_associativity(arr, identity)
@@ -309,9 +314,9 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Z/n with elements 0..n-1 (rotation k has index k) and rotation labels."""
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
-    idx = np.arange(n)
-    table = group_table(n, lambda r: (r[:, None] + idx) % n)
-    return make_group(table, tuple(f"r{k}" for k in range(n)))
+    rotations = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n - 1) % n, n)
+    table = group_table(n, lambda r: rotations[r])  # row k is (k + j) mod n over j
+    return _adopt_table(table, tuple(f"r{k}" for k in range(n)))
 
 
 def _cycles(p: Perm) -> list[list[int]]:
@@ -359,7 +364,7 @@ def symmetric_group(m: int) -> FiniteGroup:
     codes = arr @ weights
     table = group_table(fact, lambda r: np.searchsorted(codes, arr[r][:, arr] @ weights), m)
     labels = tuple(_perm_label(p) for p in perms)
-    return make_group(table, labels, perms)
+    return _adopt_table(table, labels, perms)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -373,7 +378,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     # s^e1 r^i1 s^e2 r^i2 = s^(e1 ^ e2) r^(i2 + (-1)^e2 i1)
     table = group_table(2 * n, lambda r: (e[r, None] ^ e) * n + (i + (1 - 2 * e) * i[r, None]) % n)
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"sr{i}" for i in range(n))
-    return make_group(table, labels)
+    return _adopt_table(table, labels)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -414,7 +419,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = tuple(f"({g.labels[a]},{h.labels[b]})" for a, b in zip(ai, bi))
-    return make_group(table, labels)
+    return _adopt_table(table, labels)
 
 
 @dataclass(frozen=True)
@@ -477,7 +482,7 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     labels = None
     if sub.parent.labels is not None:
         labels = tuple(sub.parent.labels[m] for m in members)
-    return make_group(table, labels), members
+    return _adopt_table(table, labels), members
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -768,7 +773,7 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         raise NotNormal(*bad)
     reps, coset_of = orbit_partition(g.table[:, list(n.members)].T)  # column x is xN
     labels = tuple(f"[{g.label(x)}]" for x in reps.tolist())
-    quot = make_group(coset_of[g.table[reps][:, reps]], labels)
+    quot = _adopt_table(coset_of[g.table[reps][:, reps]], labels)
     return quot, GroupHom.make(g, quot, coset_of)
 
 

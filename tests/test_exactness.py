@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -11,7 +12,7 @@ from cocycle.cohomology import (
     make_cocycle,
     trivial_action,
 )
-from cocycle.errors import NotStable, SizeLimit
+from cocycle.errors import CounterexampleFound, NotStable, SizeLimit
 from cocycle.exactness import (
     connecting_delta,
     coset_to_cocycle,
@@ -161,6 +162,40 @@ class TestOrbitKernelBijection:
         )
         report = orbit_kernel_bijection(gg, a3)
         assert report.n_orbits == len(report.kernel_classes)
+
+
+class TestDoctoredDescent:
+    """Both consumers of the descent rows reject a row that is not a cocycle
+    (ValueError from the class lookup) and a value outside A."""
+
+    CHECKS = [orbit_kernel_bijection, six_term_check]
+
+    @pytest.mark.parametrize("check", CHECKS, ids=["bijection", "six-term"])
+    def test_non_cocycle_row(self, check, monkeypatch):
+        gg = mu4_inversion()
+        descent_rows = exactness._descent_rows
+
+        def doctored(space, cosets):
+            rows = descent_rows(space, cosets).copy()
+            rows[-1, gg.gamma.identity] = 1  # a cocycle is trivial at the identity
+            return rows
+
+        monkeypatch.setattr(exactness, "_descent_rows", doctored)
+        with pytest.raises(ValueError, match="cocycle not in the enumerated set"):
+            check(gg, Subgroup.from_members(gg.base, [0, 2]))
+
+    @pytest.mark.parametrize("check", CHECKS, ids=["bijection", "six-term"])
+    def test_value_outside_the_subgroup(self, check, monkeypatch):
+        gg = mu4_inversion()
+        real = fixed_cosets
+
+        def shrunk(parent, sub):  # the descent value -1 of coset {i, -i} is not in {1}
+            trivial = Subgroup.from_members(parent.base, [0])
+            return dataclasses.replace(real(parent, sub), sub=trivial)
+
+        monkeypatch.setattr(exactness, "fixed_cosets", shrunk)
+        with pytest.raises(CounterexampleFound, match="escaped the subgroup"):
+            check(gg, Subgroup.from_members(gg.base, [0, 2]))
 
 
 class TestQuotientGammaGroup:

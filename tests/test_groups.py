@@ -228,6 +228,24 @@ class TestFamilies:
             expected = (a[:, None] + a) % 50 * 60 + (b[:, None] + b) % 60
         assert table.dtype == np.uint16 and np.array_equal(table, expected)
 
+    def test_constructor_keeps_its_fresh_table(self):
+        # the 17.2 MiB uint16 table plus one row chunk, where a copy doubled the table
+        tracemalloc.start()
+        try:
+            cyclic_group(3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 << 20
+
+    def test_caller_array_is_copied(self):
+        table = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.uint8)  # the final dtype
+        group = make_group(table)
+        assert table.flags.writeable and not group.table.flags.writeable
+        assert not np.shares_memory(table, group.table)
+        table[1] = 0
+        assert group.table.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
 
 class TestSubgroups:
     def test_from_members_validates(self):

@@ -9,6 +9,7 @@ oracle must agree with the dense one in ``tests/h2_oracle.py``, and the
 traced peak of each check must stay under a fixed bound.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,11 +17,17 @@ import pytest
 
 import h2_oracle
 import matrix_oracle as oracle
-from cocycle import cyclic_group, exactness, fields, groups, trivial_module
+from cocycle import cyclic_group, exactness, fields, galois, groups, trivial_module
 from cocycle.cohomology import conjugation_action, h1, inversion_action, trivial_action
-from cocycle.errors import SizeLimit
+from cocycle.errors import CounterexampleFound, SizeLimit
 from cocycle.fields import batch_key, general_linear, make_tower
-from cocycle.galois import det_image_on_rational_points, hilbert90_verify, sl_h1_verify
+from cocycle.galois import (
+    TensorOnV,
+    classify_forms,
+    det_image_on_rational_points,
+    hilbert90_verify,
+    sl_h1_verify,
+)
 from cocycle.groups import (
     dihedral_group,
     direct_product,
@@ -29,6 +36,7 @@ from cocycle.groups import (
     symmetric_group,
 )
 from test_h2 import CASES, v4
+from test_matrix import FORMS
 
 ONE_CHUNK = 1 << 40
 
@@ -209,3 +217,104 @@ def test_oracle_peak_memory():
 def test_scan_peak_memory(spec, m, bound_mib):
     tower = make_tower(*spec)
     assert _traced_peak_mib(lambda: hilbert90_verify(tower, m)) <= bound_mib
+
+
+# -- the forms stream and the coboundary table ------------------------------------
+
+
+def _counted_chunks(monkeypatch):
+    """Count the GL chunks that galois draws."""
+    chunks = []
+
+    def counted(tower, m, special=False):
+        for chunk in general_linear(tower, m, special):
+            chunks.append(len(chunk[2]))
+            yield chunk
+
+    monkeypatch.setattr(galois, "general_linear", counted)
+    return chunks
+
+
+@pytest.mark.parametrize("spec,dim,l,r,coeffs", FORMS)
+def test_forms_are_the_same_across_chunk_seams(spec, dim, l, r, coeffs, monkeypatch):
+    tower = make_tower(*spec)
+    tensor = TensorOnV.make(tower, dim, l, r, coeffs)
+    monkeypatch.setattr(fields, "ENGINE_CHUNK", ONE_CHUNK)
+    whole = classify_forms(tower, tensor)
+    total = tower.size ** (dim * dim)
+    monkeypatch.setattr(fields, "ENGINE_CHUNK", _chunk_constant(max(1, total // 7) * dim * dim))
+    chunks = _counted_chunks(monkeypatch)
+    streamed = classify_forms(tower, tensor)
+    assert sum(n > 0 for n in chunks) >= 5
+    want = oracle.classify_forms(tower, tensor)
+    for got in (whole, streamed):
+        assert got.stabilizer_size == want.stabilizer_size
+        assert got.direct_orbits == want.direct_orbits
+        assert got.matching == want.matching
+        assert [c.values for c in got.h1_stabilizer.classes] == [
+            c.values for c in want.h1_stabilizer.classes
+        ]
+
+
+def test_oversized_stabilizer_reports_its_full_size(monkeypatch):
+    tower = make_tower(3, 1, 2)
+    zero = TensorOnV.make(tower, 2, 2, 0, ((0, 0, 0, 0),))
+    _seven_chunks(monkeypatch, tower, 2)
+    chunks = _counted_chunks(monkeypatch)
+    with pytest.raises(SizeLimit, match=r"^stabilizer of size 5760 exceeds bound 512$"):
+        classify_forms(tower, zero)  # all of GL_2(F_9), counted after the last chunk
+    assert len(chunks) >= 5
+
+
+def _patched_coboundary_keys(monkeypatch, change):
+    """Patch galois._coboundary_keys to pass each chunk's keys through change."""
+    coboundary_keys = galois._coboundary_keys
+    monkeypatch.setattr(
+        galois, "_coboundary_keys", lambda *args: change(coboundary_keys(*args))
+    )
+
+
+def test_a_dropped_coboundary_is_a_counterexample(monkeypatch):
+    tower = make_tower(3, 1, 2)
+    report = hilbert90_verify(tower, 2)
+    identity = ((1, 0), (0, 1))
+    other = next(a for a, _ in report.witness_sample if a != identity)
+    key_i, key_o = (int(batch_key(tower, np.array(a)[:, :, None])[0]) for a in (identity, other))
+    # no B reaches the coboundary I any more: each is sent to another one
+    _patched_coboundary_keys(monkeypatch, lambda keys: np.where(keys == key_i, key_o, keys))
+    message = f"norm-one matrix {identity} over {tower!r} is not a coboundary"
+    with pytest.raises(CounterexampleFound, match=f"^{re.escape(message)}$"):
+        hilbert90_verify(tower, 2)
+    # the trivial class of the stabilizer has the value I at frob: forms read the same table
+    x2y2 = TensorOnV.make(tower, 2, 2, 0, ((1, 0, 0, 1),))
+    with pytest.raises(CounterexampleFound, match=r"\(Hilbert 90 violation\)$"):
+        classify_forms(tower, x2y2)
+
+
+def test_an_extra_coboundary_fails_the_count(monkeypatch):
+    tower = make_tower(3, 1, 2)
+    x = next(a for a in range(tower.size) if tower.norm_to_base(a) not in (0, 1))
+    not_norm_one = int(batch_key(tower, np.array([[[x], [0]], [[0], [1]]]))[0])
+    calls = []
+
+    def add_one(keys):
+        calls.append(len(keys))
+        if len(calls) == 1:  # the first B's coboundary has 47 more witnesses in GL_2(F_3) B
+            keys = keys.copy()
+            keys[0] = not_norm_one
+        return keys
+
+    _patched_coboundary_keys(monkeypatch, add_one)
+    with pytest.raises(CounterexampleFound, match=r"non-cocycle \(norm condition bug\)$"):
+        hilbert90_verify(tower, 2)
+
+
+def test_forms_peak_memory():
+    tower = make_tower(5, 1, 2)
+    tensor = TensorOnV.make(tower, 2, 2, 0, ((1, 0, 0, 1),))
+    assert _traced_peak_mib(lambda: classify_forms(tower, tensor)) <= 12
+
+
+def test_largest_scan_peak_memory():
+    tower = make_tower(2, 1, 5)  # GL_2(F_32): all DEFAULT_MAX_MATRICES keys scanned
+    assert _traced_peak_mib(lambda: hilbert90_verify(tower, 2)) <= 20
