@@ -11,8 +11,9 @@ idempotents and must reproduce the orbit sizes.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     MatchFailure,
     NotAField,
 )
-from .fields import FqTower, mat_det, mat_rank, mat_solve
+from .fields import FqTower, as_matrix, mat_det, mat_rank, mat_solve
 from .galois import SemilinearAction
 from .groups import FiniteGroup, GroupHom, Subgroup, orbit_members, orbit_partition, perm_sign
 
@@ -89,13 +90,10 @@ def is_galois(cls: EtaleClass) -> tuple[bool, Subgroup | None]:
 
 
 def is_cyclic_field(cls: EtaleClass) -> bool:
-    """Image generated by a single m-cycle."""
-    sym = cls.psi.target
-    for g in cls.image.members:
-        if len(set(sym.perms[g])) == cls.m and sym.element_order(g) == cls.m:
-            if sym.generated_subgroup([g]) == cls.image.members:
-                return True
-    return False
+    """Image generated by a single m-cycle: of order m, with an element of one cycle."""
+    perms = cls.psi.target.perms
+    single_cycle = (len(groups._cycles(perms[g])) == 1 for g in cls.image.members)
+    return cls.image.order == cls.m and any(single_cycle)
 
 
 def discriminant(cls: EtaleClass) -> GroupHom:
@@ -141,24 +139,25 @@ class EtaleAlgebra:
     basis: tuple[Vector, ...]
     factor_degrees: tuple[int, ...]
 
+    def _product(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x y for coordinate arrays (..., m) that broadcast: sum_ij x_i y_j c[i, j],
+        one (..., m) term at a time."""
+        t, c = self.tower, np.array(self.structure)
+        pairs = itertools.product(range(self.m), repeat=2)
+        terms = (t.vmul(t.vmul(x[..., i, None], y[..., j, None]), c[i, j]) for i, j in pairs)
+        return functools.reduce(t.vadd, terms)
+
     def multiply(self, x: Vector, y: Vector) -> Vector:
-        t = self.tower
-        out = [0] * self.m
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                scale = t.mul(xi, yj)
-                for s in range(self.m):
-                    c = self.structure[i][j][s]
-                    if c:
-                        out[s] = t.add(out[s], t.mul(scale, c))
-        return tuple(out)
+        return tuple(self._product(np.array(x), np.array(y)).tolist())
 
     def elements(self):
-        return itertools.product(self.tower.k_elements, repeat=self.m)
+        """Every coordinate vector in ``itertools.product`` order, as (rows, m)
+        arrays of at most ``ENGINE_CHUNK`` entries each."""
+        k = np.array(self.tower.k_elements)
+        total, step = len(k) ** self.m, max(1, groups.ENGINE_CHUNK // self.m)
+        for lo in range(0, total, step):
+            index = np.unravel_index(np.arange(lo, min(lo + step, total)), (len(k),) * self.m)
+            yield k[np.stack(index, axis=-1)]
 
 
 def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
@@ -174,12 +173,8 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
             "realization needs gamma = cyclic_group(n) for the tower's degree n"
         )
     m, sym = cls.m, cls.psi.target
-    mats = []
-    for j in range(tower.n):
-        perm = sym.perms[cls.psi(j)]
-        mats.append(
-            tuple(tuple(1 if r == perm[c] else 0 for c in range(m)) for r in range(m))
-        )
+    # column c of P_psi(j) is the unit vector at psi(j)(c)
+    mats = [as_matrix(np.eye(m, dtype=int)[:, sym.perms[cls.psi(j)]]) for j in range(tower.n)]
     action = SemilinearAction.make(tower, m, mats)
     basis = galois.invariant_basis(action)  # DimensionFailure on wrong dimension
 
@@ -190,22 +185,15 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
         flat_rhs = [coord for x in vec for coord in tower.k_coords(x)]
         return mat_solve(tower, flat_rows, flat_rhs)
 
-    structure = []
-    for bi in basis:
-        row = []
-        for bj in basis:
-            product = tuple(tower.mul(x, y) for x, y in zip(bi, bj))
-            coords = coords_of(product)
-            if coords is None:
-                raise CounterexampleFound("fixed space is not closed under multiplication")
-            row.append(coords)
-        structure.append(tuple(row))
+    b = np.array(basis)
+    products = tower.vmul(b[:, None], b).tolist()  # b_i b_j, coordinatewise in K^m
+    structure = tuple(tuple(map(coords_of, row)) for row in products)
+    if any(None in row for row in structure):
+        raise CounterexampleFound("fixed space is not closed under multiplication")
     one = coords_of((1,) * m)
     if one is None:
         raise CounterexampleFound("the unit vector is not in the fixed space")
-    algebra = _with_validation(
-        EtaleAlgebra(tower, m, tuple(structure), one, tuple(basis), ())
-    )
+    algebra = _with_validation(EtaleAlgebra(tower, m, structure, one, tuple(basis), ()))
     if algebra.factor_degrees != factor_structure(cls):
         raise MatchFailure(
             f"idempotent factors {algebra.factor_degrees} != orbit sizes {factor_structure(cls)}"
@@ -214,74 +202,39 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
 
 
 def _with_validation(algebra: EtaleAlgebra) -> EtaleAlgebra:
-    t, m = algebra.tower, algebra.m
-    zero = (0,) * m
-    coords = list(itertools.product(t.k_elements, repeat=m))
-    unit_basis = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if algebra.structure[i][j] != algebra.structure[j][i]:
-                raise CounterexampleFound("not commutative")
-    for i in range(m):
-        for j in range(m):
-            for s in range(m):
-                lhs = algebra.multiply(
-                    algebra.multiply(unit_basis[i], unit_basis[j]), unit_basis[s]
-                )
-                rhs = algebra.multiply(
-                    unit_basis[i], algebra.multiply(unit_basis[j], unit_basis[s])
-                )
-                if lhs != rhs:
-                    raise CounterexampleFound("not associative")
-    for i in range(m):
-        if algebra.multiply(algebra.one_coords, unit_basis[i]) != unit_basis[i]:
-            raise CounterexampleFound("unit fails")
+    t, m, product = algebra.tower, algebra.m, algebra._product
+    c, unit = np.array(algebra.structure), np.eye(m, dtype=int)
+    if not np.array_equal(c, c.transpose(1, 0, 2)):
+        raise CounterexampleFound("not commutative")
+    # (b_i b_j) b_s = b_i (b_j b_s): sum_t c_ijt c_tsu = sum_t c_jst c_itu
+    if not np.array_equal(product(c[:, :, None], unit), product(unit[:, None, None], c)):
+        raise CounterexampleFound("not associative")
+    if not np.array_equal(product(np.array(algebra.one_coords), unit), unit):
+        raise CounterexampleFound("unit fails")
     idempotents = []
-    for x in coords:
-        sq = algebra.multiply(x, x)
-        if sq == zero and x != zero:
-            raise CounterexampleFound(f"nonzero nilpotent {x}")
-        if sq == x and x != zero:
-            idempotents.append(x)
-    primitive = []
-    for e in idempotents:
-        below = [
-            f for f in idempotents if f != e and algebra.multiply(e, f) == f
-        ]
-        if not below:
-            primitive.append(e)
-    degrees = []
-    for e in primitive:
-        images = [algebra.multiply(e, b) for b in unit_basis]
-        degrees.append(mat_rank(t, images))
+    for x in algebra.elements():
+        square, nonzero = product(x, x), x.any(axis=1)
+        nilpotent = np.flatnonzero(nonzero & ~square.any(axis=1))
+        if nilpotent.size:
+            raise CounterexampleFound(f"nonzero nilpotent {tuple(x[nilpotent[0]].tolist())}")
+        idempotents.append(x[nonzero & (square == x).all(axis=1)])
+    e = np.concatenate(idempotents)
+    # e is primitive when no other idempotent f has e f = f
+    below = (product(e[:, None], e) == e).all(axis=2) & ~np.eye(len(e), dtype=bool)
+    primitive = e[~below.any(axis=1)]
+    degrees = [mat_rank(t, as_matrix(images)) for images in product(primitive[:, None], unit)]
     if sum(degrees) != m:
         raise DimensionFailure("primitive idempotent blocks do not fill the algebra")
-    return EtaleAlgebra(
-        t,
-        m,
-        algebra.structure,
-        algebra.one_coords,
-        algebra.basis,
-        tuple(sorted(degrees, reverse=True)),
-    )
+    return replace(algebra, factor_degrees=tuple(sorted(degrees, reverse=True)))
 
 
 def trace_form_determinant(algebra: EtaleAlgebra) -> int:
-    """Determinant of the trace form T(b_i, b_j) = tr(mult by b_i b_j), in k."""
-    t, m = algebra.tower, algebra.m
-    unit_basis = [tuple(1 if i == j else 0 for j in range(m)) for i in range(m)]
-    gram = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            prod = algebra.structure[i][j]
-            trace = 0
-            for s in range(m):
-                image = algebra.multiply(prod, unit_basis[s])
-                trace = t.add(trace, image[s])
-            row.append(trace)
-        gram.append(tuple(row))
-    return mat_det(t, gram)
+    """Determinant of the trace form T(b_i, b_j) = tr(mult by b_i b_j), in k:
+    T_ij = sum_k c_ijk tr(b_k), with tr(b_k) = sum_s c_kss."""
+    t, c, m = algebra.tower, np.array(algebra.structure), algebra.m
+    traces = functools.reduce(t.vadd, (c[:, s, s] for s in range(m)))
+    gram = functools.reduce(t.vadd, (t.vmul(c[:, :, k], traces[k]) for k in range(m)))
+    return mat_det(t, as_matrix(gram))
 
 
 def is_square_in_base(tower: FqTower, x: int) -> bool:

@@ -374,9 +374,15 @@ def dihedral_group(n: int) -> FiniteGroup:
     """
     if n < 1:
         raise ValueError("dihedral group parameter must be >= 1")
+    window = np.arange(2 * n - 1, dtype=_table_dtype(2 * n)) % n
+    # rotations[e, k] is (k + j) mod n + e n over j, a window onto one of two rows
+    rotations = np.lib.stride_tricks.sliding_window_view(np.stack((window, window + n)), n, axis=1)
     e, i = np.divmod(np.arange(2 * n), n)
-    # s^e1 r^i1 s^e2 r^i2 = s^(e1 ^ e2) r^(i2 + (-1)^e2 i1)
-    table = group_table(2 * n, lambda r: (e[r, None] ^ e) * n + (i + (1 - 2 * e) * i[r, None]) % n)
+
+    def rows_of(r):  # s^e1 r^i1 s^e2 r^i2 = s^(e1 ^ e2) r^(i2 + (-1)^e2 i1)
+        return np.concatenate((rotations[e[r], i[r]], rotations[1 - e[r], -i[r]]), axis=1)
+
+    table = group_table(2 * n, rows_of)
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"sr{i}" for i in range(n))
     return _adopt_table(table, labels)
 
@@ -413,7 +419,10 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     ai, bi = np.divmod(np.arange(ng * nh), nh)
 
     def rows_of(r):  # (a, b) * (a', b') = (a a', b b')
-        return g.table[np.ix_(ai[r], ai)].astype(np.intp) * nh + h.table[np.ix_(bi[r], bi)]
+        block = g.table[np.ix_(ai[r], ai)].astype(_table_dtype(ng * nh))
+        block *= nh
+        block += h.table[np.ix_(bi[r], bi)]
+        return block
 
     table = group_table(ng * nh, rows_of)
     labels = None
@@ -541,9 +550,6 @@ class GroupHom:
     def kernel(self) -> Subgroup:
         members = np.flatnonzero(np.array(self.image) == self.target.identity)
         return Subgroup(self.source, tuple(members.tolist()))
-
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.target, tuple(sorted(set(self.image))))
 
     def is_injective(self) -> bool:
         return len(set(self.image)) == self.source.order

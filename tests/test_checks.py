@@ -7,8 +7,10 @@ report fields that the CLI prints (``all_coboundaries``, ``matched``) are
 computed from the report, so a report that does not satisfy them prints
 ``false``. Every module-level function and class in ``src/`` is used there,
 exported in ``cocycle.__all__``, or kept for a reason stated below; so is
-every method of a class outside ``cocycle.__all__``. No function takes a
-bound parameter except the five that the CLI's bound flags set.
+every method of a class outside ``cocycle.__all__``; every public method of
+an exported class is named in ``src/``, ``tests/`` or ``bench/``. No
+function takes a bound parameter except the five that the CLI's bound flags
+set.
 """
 
 import ast
@@ -80,6 +82,29 @@ def test_every_src_definition_is_used_exported_or_kept():
     )
     assert dead == []
     assert sorted(KEPT_WITHOUT_CALLER) == sorted(set(KEPT_WITHOUT_CALLER) & set(unused))
+
+
+def test_every_public_method_of_an_exported_class_is_named():
+    # the public API keeps no method that neither src/, tests/ nor bench/ names
+    named = set()
+    folders = [SRC.parent / folder for folder in ("src", "tests", "bench")]
+    for path in (p for folder in folders for p in folder.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unnamed = sorted(
+        f"{path.relative_to(SRC)}:{method.lineno} {node.name}.{method.name}"
+        for path in SRC.rglob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and node.name in cocycle.__all__
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and method.name not in named
+    )
+    assert unnamed == []
 
 
 #: The only bound parameters: what the --max-field and --max-group-order flags set.

@@ -1,9 +1,14 @@
+import functools
+import itertools
 import math
+import re
 
 import pytest
 
-from cocycle.errors import NotAField
+from cocycle import etale, groups
+from cocycle.errors import CounterexampleFound, NotAField
 from cocycle.etale import (
+    EtaleAlgebra,
     classify_etale,
     discriminant_is_trivial,
     factor_structure,
@@ -164,6 +169,14 @@ class TestPredicates:
                         assert galois and group.order == m
                         assert is_cyclic_field(cls)
 
+    def test_cyclic_gamma_is_cyclic_exactly_on_fields(self):
+        # a cyclic image is generated by an m-cycle exactly when it is transitive;
+        # Z/6 through (123)(45) on six points is cyclic of order 6 but no field
+        for n in range(1, 7):
+            for m in range(1, 7):
+                for cls in classify_etale(cyclic_group(n), m):
+                    assert is_cyclic_field(cls) == is_field(cls), (n, m, cls.psi.image)
+
     def test_nonabelian_gamma_non_galois_field(self):
         # the faithful S3 class on three points is a field but not Galois
         # (point stabilizers have order 2)
@@ -206,6 +219,20 @@ class TestRealize:
             algebra = realize_over_fq(t, cls)
             assert algebra.factor_degrees == factor_structure(cls)
 
+    def test_multiply_matches_the_product_in_k_m(self):
+        # x y in basis coordinates, against the coordinatewise product of the K^m vectors
+        t = make_tower(3, 1, 2)
+        for cls in classify_etale(cyclic_group(2), 3):
+            algebra = realize_over_fq(t, cls)
+
+            def vector(coords):
+                terms = [[t.mul(c, x) for x in b] for c, b in zip(coords, algebra.basis)]
+                return tuple(functools.reduce(t.add, column) for column in zip(*terms))
+
+            for x, y in itertools.product(itertools.product(t.k_elements, repeat=3), repeat=2):
+                want = tuple(t.mul(a, b) for a, b in zip(vector(x), vector(y)))
+                assert vector(algebra.multiply(x, y)) == want
+
     def test_rejects_mismatched_tower(self):
         t = make_tower(3, 1, 2)
         cls = classify_etale(cyclic_group(3), 2)[0]
@@ -226,3 +253,49 @@ class TestDiscriminantOverFq:
         t = make_tower(p, 1, n)
         for cls in classify_etale(cyclic_group(n), m):
             assert trace_discriminant_matches_sign(t, cls)
+
+
+def _algebra(spec, structure, one):
+    """An unvalidated algebra on the standard basis, with the given constants."""
+    m = len(one)
+    basis = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    return EtaleAlgebra(make_tower(*spec), m, structure, one, basis, ())
+
+
+SPLIT = (((1, 0), (0, 0)), ((0, 0), (0, 1)))  # k x k on its two idempotents
+
+
+class TestValidation:
+    def test_split_algebra_passes(self):
+        assert etale._with_validation(_algebra((3, 1, 2), SPLIT, (1, 1))).factor_degrees == (1, 1)
+
+    @pytest.mark.parametrize(
+        "structure,one,message",
+        [
+            # b0 b1 = b0 but b1 b0 = 0
+            ((((1, 0), (1, 0)), ((0, 0), (0, 1))), (1, 1), "not commutative"),
+            # b0 b0 = b1, b0 b1 = b0, b1 b1 = 0: (b0 b0) b1 = 0 but b0 (b0 b1) = b1
+            ((((0, 1), (1, 0)), ((1, 0), (0, 0))), (1, 0), "not associative"),
+            (SPLIT, (1, 0), "unit fails"),
+        ],
+    )
+    def test_broken_laws_are_named(self, structure, one, message):
+        with pytest.raises(CounterexampleFound, match=f"^{message}$"):
+            etale._with_validation(_algebra((3, 1, 2), structure, one))
+
+    @pytest.mark.parametrize(
+        "spec,structure,one,witness",
+        [
+            # k[x]/(x^2) on (1, x) over F3: x = (0, 1) comes first
+            ((3, 1, 2), (((1, 0), (0, 1)), ((0, 1), (0, 0))), (1, 0), "(0, 1)"),
+            # on (x, 1) over F4 = {0, 1, 6, 7}: (0, 6) squares to (0, 7), so x = (1, 0) is first
+            ((2, 2, 2), (((0, 0), (1, 0)), ((1, 0), (0, 1))), (0, 1), "(1, 0)"),
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_first_nilpotent_is_named(self, monkeypatch, spec, structure, one, witness, chunk):
+        if chunk is not None:  # one element per chunk
+            monkeypatch.setattr(groups, "ENGINE_CHUNK", chunk)
+        message = re.escape(f"nonzero nilpotent {witness}")
+        with pytest.raises(CounterexampleFound, match=f"^{message}$"):
+            etale._with_validation(_algebra(spec, structure, one))

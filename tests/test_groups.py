@@ -238,6 +238,17 @@ class TestFamilies:
             tracemalloc.stop()
         assert peak < 26 << 20
 
+    @pytest.mark.parametrize("build,args", ORDER_3000[1:], ids=["D1500", "Z50xZ60"])
+    def test_row_blocks_are_built_in_place(self, build, args):
+        # the same bound as cyclic_group(3000): the table plus one block in its final dtype
+        tracemalloc.start()
+        try:
+            build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26 << 20
+
     def test_caller_array_is_copied(self):
         table = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.uint8)  # the final dtype
         group = make_group(table)
