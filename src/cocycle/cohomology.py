@@ -51,6 +51,8 @@ class GammaGroup:
             raise ValueError(
                 f"action must have shape ({gamma.order}, {base.order}), got {arr.shape}"
             )
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"action entries must be integers, got dtype {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= base.order):
             raise ValueError("action entries must be base element indices")
         arr = arr.astype(base.table.dtype, copy=True)

@@ -452,7 +452,9 @@ def _cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
     for new, prev, e in tree:
         paths[new] = paths[prev]
         paths[new, e] += 1
-    free = np.setdiff1d(np.arange(n * r), [e for _, _, e in tree])
+    is_free = np.ones(n * r, dtype=bool)  # a mask: np.setdiff1d would import numpy.ma
+    is_free[[e for _, _, e in tree]] = False
+    free = np.flatnonzero(is_free)
     ys, js = np.divmod(free, r)
     cycles = paths[ys] - paths[table[ys, np.array(gens)[js]]]
     cycles[np.arange(len(free)), free] += 1

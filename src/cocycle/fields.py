@@ -10,11 +10,15 @@ polynomial arithmetic. The tower alone knows which: its array operations
 the scalar ones. The base field of the tower is the fixed field of
 x -> x^(p^d), verified at construction through the Frobenius matrix.
 
-Matrices over the tower have one elimination routine, ``rref``, behind
-rank, kernel, solve, determinant and inverse, and one enumeration of
-GL_m/SL_m, ``general_linear``: a stream, in lexicographic order, of chunks of
-``ENGINE_CHUNK >> 4`` entries, each an entry-major (m, m, N) array with its
-Leibniz determinants and ranks, inverted in bulk by ``batch_inv``.
+Matrices over the tower are entry-major arrays everywhere: a batch of
+r x c matrices is one (r, c, *batch) int array, multiplied by ``batch_mul``
+and mapped entrywise by ``vfrob``. Tuples (``Matrix``) appear only at the
+API boundary, through ``as_matrix``. The one elimination routine, ``rref``,
+behind rank, kernel, solve, determinant and inverse, reduces one matrix of
+Python ints at a time. GL_m/SL_m have one enumeration, ``general_linear``: a
+stream, in lexicographic order, of chunks of ``ENGINE_CHUNK >> 4`` entries,
+each an (m, m, N) array with its Leibniz determinants and ranks, inverted in
+bulk by ``batch_inv``.
 """
 
 from __future__ import annotations
@@ -603,36 +607,6 @@ def general_linear(tower: FqTower, m: int, special: bool = False) -> Chunks:
         raise ValueError(f"matrix size must be at least 1, got {m}")
     check_matrix_count(tower, m)
     return invertible_matrices(tower, np.arange(tower.size), m, special)
-
-
-def mat_identity(tower: FqTower, m: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-
-
-def mat_mul(tower: FqTower, a: Matrix, b: Matrix) -> Matrix:
-    m, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(cols):
-            acc = 0
-            for t in range(inner):
-                acc = tower.add(acc, tower.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_vec(tower: FqTower, a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(row[0] for row in mat_mul(tower, a, tuple((x,) for x in v)))
-
-
-def mat_frob(tower: FqTower, a: Matrix, j: int = 1) -> Matrix:
-    return tuple(tuple(tower.frob(x, j) for x in row) for row in a)
-
-
-def vec_frob(tower: FqTower, v, j: int = 1) -> tuple[int, ...]:
-    return tuple(tower.frob(x, j) for x in v)
 
 
 def _as_list(chunks) -> list[Matrix]:

@@ -6,6 +6,10 @@ can vanish in characteristic p), exhaustive Hilbert-90 style cocycle scans
 for GL_m and SL_m, and two-route classification of tensor forms. Scans and
 forms make one pass over the chunked GL_m/SL_m stream of ``fields``,
 keeping a dense table of coboundaries by matrix key and each chunk's survivors.
+Every matrix product and Frobenius twist runs on entry-major arrays of
+``fields``; the ``rref`` family reduces one matrix at a time, and tuples stay
+at the API boundary: ``SemilinearAction.mats``, ``TensorOnV.coeffs`` and the
+report fields.
 
 Cyclic cocycles are stored through their generator matrix A: the value at
 frob^j is A * A^frob * ... * A^(frob^(j-1)), the norm condition
@@ -16,8 +20,7 @@ with transporter g is j -> g^-1 * g^(frob^j).
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,15 +46,10 @@ from .fields import (
     check_matrix_count,
     general_linear,
     invertible_matrices,
-    mat_frob,
-    mat_identity,
     mat_inv,
     mat_kernel,
-    mat_mul,
     mat_rank,
-    mat_vec,
     matrices_over,
-    vec_frob,
 )
 from .groups import distinct_sorted, lookup_sorted
 
@@ -63,27 +61,28 @@ def automorphism_independence_check(tower: FqTower) -> bool:
     F_p-spanning set; additionally cross-checked exhaustively over all
     coefficient tuples when the tower is small enough.
     """
-    n = tower.n
-    spanning = [tower.p**i for i in range(tower.degree)]  # encodings of x^i
-    rows = [[tower.frob(b, j) for j in range(n)] for b in spanning]
-    rank = mat_rank(tower, rows)
-    independent = rank == n
+    n, spanning = tower.n, tower.p ** np.arange(tower.degree)  # encodings of x^i
+    rows = np.stack([tower.vfrob(spanning, j) for j in range(n)], axis=1)
+    independent = mat_rank(tower, rows.tolist()) == n
     if tower.size**n <= EXHAUSTIVE_INDEPENDENCE_SIZE:
-        brute = not any(
-            all(_combo_vanishes(tower, coeffs, x) for x in range(tower.size))
-            for coeffs in itertools.product(range(tower.size), repeat=n)
-            if any(coeffs)
-        )
-        if brute != independent:
+        # all nonzero (c_j) as one batch of 1 x n matrices, combos[j] holding
+        # c_j; sum_j c_j x^(q^j) is dropped at the first x where it is nonzero
+        frobs = np.stack([tower.vfrob(np.arange(tower.size), j) for j in range(n)])  # x^(q^j)
+        combos = np.stack(np.unravel_index(np.arange(1, tower.size**n), (tower.size,) * n))
+        for x in range(tower.size):
+            if not combos.shape[1]:
+                break
+            combos = combos[:, batch_mul(tower, combos[None], frobs[:, x, None])[0, 0] == 0]
+        if (combos.shape[1] == 0) != independent:
             raise MatchFailure("rank and exhaustive independence checks disagree")
     return independent
 
 
-def _combo_vanishes(tower: FqTower, coeffs, x: int) -> bool:
-    acc = 0
-    for j, c in enumerate(coeffs):
-        acc = tower.add(acc, tower.mul(c, tower.frob(x, j)))
-    return acc == 0
+def _entry_major(mats, dim: int) -> np.ndarray:
+    """Tuple matrices as one entry-major (dim, dim, len(mats)) array."""
+    if any(len(a) != dim or any(len(row) != dim for row in a) for a in mats):
+        raise ValueError(f"semilinear action matrices must be {dim} x {dim}")
+    return np.array(mats, dtype=np.int64).reshape(len(mats), dim, dim).transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
@@ -102,29 +101,34 @@ class SemilinearAction:
         mats = tuple(tuple(tuple(int(x) for x in row) for row in m) for m in mats)
         if len(mats) != tower.n:
             raise ValueError("one matrix per Galois group element required")
-        if mats[0] != mat_identity(tower, dim):
+        arr = _entry_major(mats, dim)
+        if not np.array_equal(arr[:, :, 0], np.eye(dim)):
             raise ValueError("the identity Galois element must act by the identity matrix")
         for m in mats:
             if mat_inv(tower, m) is None:
                 raise ValueError("semilinear action matrices must be invertible")
-        for i in range(tower.n):
-            for j in range(tower.n):
-                expected = mats[(i + j) % tower.n]
-                got = mat_mul(tower, mats[i], mat_frob(tower, mats[j], i))
-                if got != expected:
-                    raise ValueError(f"composition law fails at Galois pair ({i}, {j})")
+        # got[:, :, i, j] = A_i A_j^(frob^i), to equal A_((i + j) mod n)
+        frobs = np.stack([tower.vfrob(arr, i) for i in range(tower.n)], axis=2)
+        got = batch_mul(tower, arr[:, :, :, None], frobs)
+        expected = arr[:, :, (np.arange(tower.n)[:, None] + np.arange(tower.n)) % tower.n]
+        bad = np.argwhere((got != expected).any(axis=(0, 1)))
+        if len(bad):
+            raise ValueError(f"composition law fails at Galois pair ({bad[0][0]}, {bad[0][1]})")
         return SemilinearAction(tower, dim, mats)
 
     @staticmethod
     def from_generator(tower: FqTower, dim: int, gen: Matrix) -> SemilinearAction:
         """Extend a generator matrix along the cyclic group by the composition law."""
-        mats = [mat_identity(tower, dim)]
+        gen = _entry_major([gen], dim)[:, :, 0]
+        mats = [np.eye(dim, dtype=np.int64)]
         for j in range(1, tower.n):
-            mats.append(mat_mul(tower, mats[-1], mat_frob(tower, gen, j - 1)))
+            mats.append(batch_mul(tower, mats[-1], tower.vfrob(gen, j - 1)))
         return SemilinearAction.make(tower, dim, mats)
 
     def apply(self, j: int, v: tuple[int, ...]) -> tuple[int, ...]:
-        return mat_vec(self.tower, self.mats[j % self.tower.n], vec_frob(self.tower, v, j))
+        a = _entry_major(self.mats, self.dim)[:, :, j % self.tower.n]
+        w = self.tower.vfrob(np.array(v, dtype=np.int64)[:, None], j)
+        return tuple(batch_mul(self.tower, a, w)[:, 0].tolist())
 
 
 def invariant_basis(action: SemilinearAction) -> tuple[tuple[int, ...], ...]:
@@ -135,31 +139,27 @@ def invariant_basis(action: SemilinearAction) -> tuple[tuple[int, ...], ...]:
     every returned vector is re-checked against the definition.
     """
     tower, m, n = action.tower, action.dim, action.tower.n
-    # column i*n + j: k-coordinates of A_1 (b_j e_i)^frob - b_j e_i
-    columns = []
-    for i in range(m):
-        for b in tower.k_basis:
-            image = action.apply(1, tuple(b if r == i else 0 for r in range(m)))
-            columns.append([c for x in image for c in tower.k_coords(x)])
-    rows = [list(row) for row in zip(*columns)]
-    for t in range(m * n):
-        rows[t][t] = tower.sub(rows[t][t], 1)
-    kernel = mat_kernel(tower, rows)
+    mats, basis = _entry_major(action.mats, m), np.array(tower.k_basis)
+    # column i*n + j: k-coordinates of A_1 (b_j e_i)^frob - b_j e_i, where
+    # A_1 (b_j e_i)^frob is column i of A_1 times b_j^frob
+    moved = tower.vmul(mats[:, :, 1 % n, None], tower.vfrob(basis))
+    moved = tower.vadd(moved, tower.vneg(np.eye(m, dtype=np.int64)[:, :, None] * basis))
+    coords = [[tower.k_coords(x) for x in row] for row in moved.reshape(m, m * n).tolist()]
+    kernel = mat_kernel(tower, np.transpose(coords, (0, 2, 1)).reshape(m * n, m * n).tolist())
     if len(kernel) != m:
         raise DimensionFailure(
             f"fixed space has k-dimension {len(kernel)}, expected {m}"
         )
-    vectors = [
-        tuple(tower.from_k_coords(coords[i * n : (i + 1) * n]) for i in range(m))
-        for coords in kernel
-    ]
-    for v in vectors:
-        for j in range(n):
-            if action.apply(j, v) != v:
-                raise MatchFailure("returned vector is not invariant")
+    # column v of vectors: entry i is sum_j kernel[v][i*n + j] b_j
+    kernel = np.array(kernel, dtype=np.int64).reshape(m, m, n).transpose(1, 2, 0)
+    vectors = batch_mul(tower, kernel, basis[:, None])[:, 0]
+    for j in range(n):
+        if (batch_mul(tower, mats[:, :, j], tower.vfrob(vectors, j)) != vectors).any():
+            raise MatchFailure("returned vector is not invariant")
+    vectors = tuple(map(tuple, vectors.T.tolist()))
     if mat_rank(tower, vectors) != m:
         raise DimensionFailure("invariant vectors are not K-linearly independent")
-    return tuple(vectors)
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +266,10 @@ def units_gamma_group(tower: FqTower) -> tuple[GammaGroup, tuple[int, ...]]:
     Cross-check helper: the generic cocycle engine on this action must find a
     single class, matching the m = 1 scan.
     """
-    units = tuple(x for x in range(1, tower.size))
-    pos = {u: i for i, u in enumerate(units)}
-    table = [[pos[tower.mul(a, b)] for b in units] for a in units]
-    group = groups.make_group(table)
-    gamma = groups.cyclic_group(tower.n)
-    action = [[pos[tower.frob(u, j)] for u in units] for j in range(tower.n)]
-    return GammaGroup(gamma, group, action), units
+    units = np.arange(1, tower.size)  # unit u is group element u - 1
+    group = groups.make_group(tower.vmul(units[:, None], units) - 1)
+    action = np.stack([tower.vfrob(units, j) for j in range(tower.n)]) - 1
+    return GammaGroup(groups.cyclic_group(tower.n), group, action), tuple(units.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +294,11 @@ class TensorOnV:
         return TensorOnV(tower, dim, l, r, mat)
 
     def defined_over_base(self) -> bool:
-        return all(self.tower.in_base(x) for row in self.coeffs for x in row)
+        return self.frob().coeffs == self.coeffs
 
     def frob(self, j: int = 1) -> TensorOnV:
-        return TensorOnV(self.tower, self.dim, self.l, self.r, mat_frob(self.tower, self.coeffs, j))
+        coeffs = self.tower.vfrob(np.array(self.coeffs, dtype=np.int64), j)
+        return replace(self, coeffs=as_matrix(coeffs))
 
 
 def quadratic_form_tensor(tower: FqTower, gram: Matrix) -> TensorOnV:

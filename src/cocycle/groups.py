@@ -272,6 +272,8 @@ def _adopt_table(arr: np.ndarray, labels=None, perms=None, copy: bool = False) -
     keeps without a copy when it already has its final dtype."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError(f"table must be a nonempty square array, got shape {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"table entries must be integers, got dtype {arr.dtype}")
     n = arr.shape[0]
     if arr.min() < 0 or arr.max() >= n:
         raise ValueError("table entries must be element indices in range")
@@ -597,13 +599,12 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
         raise SizeLimit(
             f"{n_cand} candidates on {k} generators exceed bound {DEFAULT_MAX_CANDIDATES}"
         )
-    table = base.table.astype(np.intp)
     trivial = action is None or np.all(action == np.arange(base.order))
     act = None if trivial else np.asarray(action, dtype=np.intp)
 
     def law_rhs(cols, x, g):  # alpha(x) * alpha(g)^x
         moved = cols[g] if act is None else act[x][cols[g]]
-        return table[cols[x], moved]
+        return base.table[cols[x], moved]
 
     for j, s in enumerate(gens):
         cols, power = {s: pools[j]}, s  # cols[s^i] = alpha(s^i), one entry per x
@@ -700,7 +701,7 @@ def coboundary_classes(
     keys = gen_vals @ weights
     by_key = np.argsort(keys)
     sorted_keys = keys[by_key]
-    table = base.table.astype(np.intp)
+    table = base.table  # gathers stay in its dtype; @ weights promotes to int64
     # shift[i, j] = t_i^(s_j) and t_inv[i] = t_i^-1 for the move generators t_i
     shift = (np.arange(na)[None] if action is None else np.asarray(action)[gens])[:, moves].T
     t_inv = base._inv.astype(np.intp)[moves][:, None, None]

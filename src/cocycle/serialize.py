@@ -52,7 +52,7 @@ def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
         family = obj["family"]
         if family not in FAMILIES:
             raise ValueError(f"unknown group family {family!r}")
-        n = int(obj["n"])
+        n = _json_int(obj["n"], "group family 'n'")
         check_family_order(family, n, max_order)
         group = FAMILIES[family][0](n)
     else:
@@ -60,7 +60,7 @@ def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
         if table is None:
             raise ValueError("group reference needs a 'table' or a 'family'")
         declared = obj.get("order")
-        if declared is not None and int(declared) != len(table):
+        if declared is not None and _json_int(declared, "group 'order'") != len(table):
             raise ValueError("declared order does not match the table size")
         labels = obj.get("labels")
         group = make_group(table, tuple(labels) if labels is not None else None)
@@ -90,9 +90,12 @@ def load_tensor(obj: Any, max_field: int | None = None) -> tuple[FqTower, Tensor
         if key not in obj:
             raise ValueError(f"tensor file is missing {key!r}")
     kwargs = {} if max_field is None else {"max_field": max_field}
-    tower = make_tower(int(obj["p"]), int(obj["d"]), int(obj["n"]), **kwargs)
-    l, r = (int(x) for x in obj["type"])
-    dim = int(obj["dim"])
+    p, d, n = (_json_int(obj[key], f"tensor {key!r}") for key in ("p", "d", "n"))
+    tower = make_tower(p, d, n, **kwargs)
+    l, r = (_json_int(x, "tensor 'type' entry") for x in obj["type"])
+    if l < 0 or r < 0:
+        raise ValueError(f"tensor 'type' entries must be nonnegative, got {[l, r]}")
+    dim = _json_int(obj["dim"], "tensor 'dim'")
     flat = [_element_from_digits(tower, vec) for vec in obj["coeffs"]]
     if len(flat) != dim**r * dim**l:
         raise ValueError(
@@ -105,6 +108,14 @@ def load_tensor(obj: Any, max_field: int | None = None) -> tuple[FqTower, Tensor
     return tower, TensorOnV.make(tower, dim, l, r, coeffs)
 
 
+def _json_int(value: Any, field: str) -> int:
+    """``value`` if it is a JSON integer, not a float or a boolean, else a
+    ValueError naming the field: ``int()`` would truncate 2.7 or read true as 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _element_from_digits(tower: FqTower, digits: Any) -> int:
     if not isinstance(digits, list) or len(digits) != tower.degree:
         raise ValueError(
@@ -112,8 +123,7 @@ def _element_from_digits(tower: FqTower, digits: Any) -> int:
         )
     value = 0
     for d in reversed(digits):
-        d = int(d)
-        if d < 0 or d >= tower.p:
+        if not 0 <= _json_int(d, "coefficient digit") < tower.p:
             raise ValueError(f"digit {d} out of range for characteristic {tower.p}")
         value = value * tower.p + d
     return value

@@ -17,7 +17,7 @@ import numpy as np
 
 from cocycle.cohomology import GammaGroup, h1
 from cocycle.errors import CounterexampleFound, MatchFailure, SizeLimit
-from cocycle.fields import FqTower, Matrix, mat_frob, mat_identity
+from cocycle.fields import FqTower, Matrix
 from cocycle.galois import CocycleScanReport, FormsReport, TensorOnV
 from cocycle.groups import cyclic_group, make_group
 
@@ -97,6 +97,14 @@ def mat_inv(tower: FqTower, a: Matrix) -> Matrix | None:
                     tower.sub(x, tower.mul(factor, y)) for x, y in zip(aug[r], aug[col])
                 ]
     return tuple(tuple(row[m:]) for row in aug)
+
+
+def mat_identity(tower: FqTower, m: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
+
+
+def mat_frob(tower: FqTower, a: Matrix, j: int = 1) -> Matrix:
+    return tuple(tuple(tower.frob(x, j) for x in row) for row in a)
 
 
 def mat_mul(tower: FqTower, a: Matrix, b: Matrix) -> Matrix:

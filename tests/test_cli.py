@@ -302,6 +302,55 @@ class TestFormsCommand:
         assert "input error" in capsys.readouterr().err
 
 
+def _rejected(argv, capsys, field):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "input error" in captured.err and field in captured.err
+
+
+Z2_TABLE = [[0, 1], [1, 0]]
+
+
+class TestNonIntegralInput:
+    """Each number field needs a JSON integer (int() would truncate 2.7 to 2
+    and read true as 1): every case exits 1 with the field in the message."""
+
+    @pytest.mark.parametrize(
+        "gamma,base,action,field",
+        [
+            ({"family": "cyclic", "n": 2.7}, {"family": "cyclic", "n": 2}, [[0, 1], [0, 1]], "'n'"),
+            ({"family": "cyclic", "n": True}, {"family": "cyclic", "n": 1}, [[0]], "'n'"),
+            ({"order": 2.0, "table": Z2_TABLE}, {"family": "cyclic", "n": 2}, [[0, 1], [0, 1]], "'order'"),
+            ({"family": "cyclic", "n": 2}, {"table": [[0, 1.9], [1, 0]]}, [[0, 1], [0, 1]], "table"),
+            ({"family": "cyclic", "n": 2}, {"family": "cyclic", "n": 2}, [[0, 1.2], [0.5, 1]], "action"),
+        ],
+    )
+    def test_action_file(self, tmp_path, capsys, gamma, base, action, field):
+        path = write(tmp_path, "a.json", {"gamma": gamma, "base": base, "action": action})
+        _rejected(["h1", "--input", path], capsys, field)
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"p": 3.9}, "'p'"),
+            ({"d": True}, "'d'"),
+            ({"n": 2.0}, "'n'"),
+            ({"dim": 2.5}, "'dim'"),
+            ({"type": [2.0, 0]}, "'type'"),
+            ({"type": [-1, 0]}, "'type'"),
+            ({"coeffs": [[1.5, 0], [0, 0], [0, 0], [1, 0.2]]}, "digit"),
+        ],
+    )
+    def test_tensor_file(self, tmp_path, capsys, change, field):
+        obj = {"p": 3, "d": 1, "n": 2, "dim": 2, "type": [2, 0], "coeffs": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+        _rejected(["forms", "--input", write(tmp_path, "t.json", obj | change)], capsys, field)
+
+    @pytest.mark.parametrize("n", [2.7, True, "2"])
+    def test_group_file(self, tmp_path, capsys, n):
+        path = write(tmp_path, "g.json", {"family": "cyclic", "n": n})
+        _rejected(["etale", "--input", path, "--dim", "2"], capsys, "'n'")
+
+
 class TestQuadCommand:
     def test_d5(self, capsys):
         assert main(["quad", "--d", "5"]) == 0
@@ -377,10 +426,12 @@ def sum_of_squares_file(tmp_path):
             0, GALOIS | {"etale"}, True,
         ),
         (lambda tmp: ["verify", "--suite", "units"], 0, EVERY, True),
+        (lambda tmp: ["verify", "--suite", "h2"], 0, EVERY, "no numpy.ma"),
         (lambda tmp: ["--help"], 0, set(), False),
         (lambda tmp: ["h1"], 2, set(), False),  # argparse: --input is required
     ],
-    ids=["h1", "quad", "hilbert90", "hilbert90-sl", "forms", "etale", "verify", "help", "arg-error"],
+    ids=["h1", "quad", "hilbert90", "hilbert90-sl", "forms", "etale", "verify", "verify-h2", "help",
+         "arg-error"],
 )
 def test_a_command_loads_only_its_layers(tmp_path, argv, exit_code, layers, numpy_loaded):
     env = {**os.environ, "PYTHONPATH": str(SRC)}

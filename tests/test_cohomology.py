@@ -51,6 +51,12 @@ class TestGammaGroup:
         with pytest.raises(ValueError):
             GammaGroup(z2, z4, action)
 
+    @pytest.mark.parametrize("action", [[[0, 1], [0.5, 1.2]], np.ones((2, 2), dtype=bool)])
+    def test_rejects_entries_that_are_not_integers(self, action):
+        z2 = cyclic_group(2)
+        with pytest.raises(ValueError, match="^action entries must be integers, got dtype"):
+            GammaGroup(z2, z2, action)
+
     def test_rejects_identity_acting(self):
         z2 = cyclic_group(2)
         with pytest.raises(ValueError):

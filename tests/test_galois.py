@@ -1,22 +1,21 @@
+import itertools
 import random
 import time
 
 import pytest
 
 import matrix_oracle
+from matrix_oracle import mat_frob, mat_identity, mat_mul
 from cocycle import galois
 from cocycle.cohomology import h1
-from cocycle.errors import NotPrime, SizeLimit
+from cocycle.errors import MatchFailure, NotPrime, SizeLimit
 from cocycle.fields import (
     enumerate_gl,
     enumerate_sl,
     least_irreducible,
     make_tower,
     mat_det,
-    mat_frob,
-    mat_identity,
     mat_inv,
-    mat_mul,
 )
 from cocycle.galois import (
     SemilinearAction,
@@ -281,3 +280,92 @@ class TestForms:
             lhs = act(mat_mul(t, g, h), tensor).coeffs
             rhs = act(g, act(h, tensor)).coeffs
             assert lhs == rhs
+
+
+class TestSemilinearAction:
+    """Failure paths and results of the semilinear action, against scalar builds."""
+
+    def test_wrong_number_of_matrices(self):
+        t = make_tower(2, 1, 3)
+        with pytest.raises(ValueError, match="^one matrix per Galois group element required$"):
+            SemilinearAction.make(t, 2, [((1, 0), (0, 1))] * 2)
+
+    def test_identity_element_must_act_trivially(self):
+        t = make_tower(3, 1, 2)
+        swap = ((0, 1), (1, 0))
+        with pytest.raises(ValueError, match="identity Galois element must act by the identity"):
+            SemilinearAction.make(t, 2, [swap, swap])
+
+    def test_singular_matrix(self):
+        t = make_tower(3, 1, 2)
+        with pytest.raises(ValueError, match="^semilinear action matrices must be invertible$"):
+            SemilinearAction.make(t, 2, [((1, 0), (0, 1)), ((1, 1), (1, 1))])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda t: SemilinearAction.make(t, 2, [((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0))]),
+            lambda t: SemilinearAction.make(t, 2, [((1, 0), (0, 1)), ((1,), (0, 1))]),
+            lambda t: SemilinearAction.make(t, 2, [((1, 0, 0), (0, 1, 0), (0, 0, 1))] * 2),
+            lambda t: SemilinearAction.from_generator(t, 2, ((0, 1), (1,))),
+        ],
+    )
+    def test_malformed_matrix_names_the_expected_shape(self, build):
+        with pytest.raises(ValueError, match="^semilinear action matrices must be 2 x 2$"):
+            build(make_tower(3, 1, 2))
+
+    def test_composition_failure_names_the_first_pair(self):
+        # swap^3 = swap != I over F8/F2: A = (I, S, I) first fails at A_1 A_2 = S != A_0
+        t = make_tower(2, 1, 3)
+        with pytest.raises(ValueError, match=r"^composition law fails at Galois pair \(1, 2\)$"):
+            SemilinearAction.from_generator(t, 2, ((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("spec", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (37, 1, 2)])
+    def test_from_generator_matches_the_scalar_extension(self, spec):
+        t = make_tower(*spec)
+        b = 2  # the class of x; b^-1 b^frob has norm one
+        scalar = t.mul(t.inv(b), t.frob(b))
+        gens = [mat_identity(t, 2), ((scalar, 0), (0, 1))]
+        if t.n % 2 == 0:
+            gens.append(((0, 1), (1, 0)))
+        for gen in gens:
+            expected = [mat_identity(t, 2)]
+            for j in range(1, t.n):
+                expected.append(mat_mul(t, expected[-1], mat_frob(t, gen, j - 1)))
+            action = SemilinearAction.from_generator(t, 2, gen)
+            assert action.mats == tuple(expected)
+            assert all(type(x) is int for a in action.mats for row in a for x in row)
+
+    def test_apply_is_the_definition_on_every_vector(self):
+        t = make_tower(2, 1, 2)
+        action = SemilinearAction.from_generator(t, 2, ((0, 1), (1, 0)))
+        for v in itertools.product(range(t.size), repeat=2):
+            for j in range(-1, 2 * t.n):
+                column = tuple((t.frob(x, j),) for x in v)
+                expected = tuple(row[0] for row in mat_mul(t, action.mats[j % t.n], column))
+                got = action.apply(j, v)
+                assert got == expected and all(type(x) is int for x in got)
+
+
+class TestGaloisHelpers:
+    def test_independence_check_detects_a_disagreeing_rank(self, monkeypatch):
+        monkeypatch.setattr(galois, "mat_rank", lambda tower, rows: 0)
+        with pytest.raises(MatchFailure, match="rank and exhaustive independence checks disagree"):
+            automorphism_independence_check(make_tower(2, 1, 2))
+
+    @pytest.mark.parametrize("spec", [(2, 1, 2), (3, 1, 2), (2, 1, 3), (2, 2, 2)])
+    def test_units_gamma_group_matches_scalar_arithmetic(self, spec):
+        t = make_tower(*spec)
+        gamma_group, units = units_gamma_group(t)
+        assert units == tuple(range(1, t.size))
+        table = [[t.mul(a, b) - 1 for b in units] for a in units]
+        action = [[t.frob(u, j) - 1 for u in units] for j in range(t.n)]
+        assert gamma_group.base.table.tolist() == table
+        assert gamma_group.action.tolist() == action
+        assert gamma_group.gamma.order == t.n
+
+    def test_tensor_frob_matches_scalar_frobenius(self):
+        t = make_tower(3, 1, 2)
+        tensor = TensorOnV.make(t, 2, 1, 1, ((2, 5), (1, 7)))
+        for j in range(-1, 3):
+            assert tensor.frob(j).coeffs == mat_frob(t, tensor.coeffs, j)

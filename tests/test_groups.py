@@ -41,6 +41,14 @@ class TestMakeGroup:
         assert g.mul(1, 1) == 0
         assert g.inv(1) == 1
 
+    @pytest.mark.parametrize(
+        "table", [[[0, 1.0], [1, 0]], np.array([[0.0, 1.9], [1.0, 0.0]]), [[True, False], [False, True]]]
+    )
+    def test_rejects_entries_that_are_not_integers(self, table):
+        # the cast to the table dtype would truncate floats and read bools as 0/1
+        with pytest.raises(ValueError, match="^table entries must be integers, got dtype"):
+            make_group(table)
+
     def test_no_inverse(self):
         with pytest.raises(NoInverse) as exc:
             make_group([[0, 1], [1, 1]])
