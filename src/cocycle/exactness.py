@@ -42,7 +42,7 @@ from .errors import (
 )
 from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, first_violation, orbit_members
 from .groups import distinct_sorted, orbit_partition
-from .snf import cokernel_invariant_factors, smith_mod
+from .snf import cokernel_invariant_factors, smith_normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +237,7 @@ class AbelianPresentation:
 
     def __post_init__(self):
         k = len(self.factors)
+        _check_integers("invariant factors", self.factors)
         if any(f <= 1 for f in self.factors):
             raise ValueError("invariant factors must all exceed 1")
         for a, b in zip(self.factors, self.factors[1:]):
@@ -247,6 +248,7 @@ class AbelianPresentation:
         for g, mat in enumerate(self.matrices):
             if len(mat) != k or any(len(row) != k for row in mat):
                 raise ValueError(f"action matrix of gamma element {g} has wrong shape")
+        _check_integers("action matrix entries", [x for m in self.matrices for r in m for x in r])
         mats = np.array(self.matrices, dtype=np.int64).reshape(self.gamma.order, k, k)
         orders = np.array(self.factors, dtype=np.int64)
         row_orders = orders[:, None]
@@ -275,6 +277,13 @@ class AbelianPresentation:
             sum(mat[s][t] * vec[t] for t in range(self.rank)) % self.factors[s]
             for s in range(self.rank)
         )
+
+
+def _check_integers(name: str, values) -> None:
+    """Refuse floats and booleans, which ``np.array(..., dtype=np.int64)`` would truncate."""
+    bad = [x for x in values if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
+    if bad:
+        raise ValueError(f"{name} must be integers, got {bad[0]!r}")
 
 
 def trivial_module(gamma: FiniteGroup, factors: tuple[int, ...]) -> AbelianPresentation:
@@ -310,9 +319,10 @@ def _decompose_abelian(group: FiniteGroup) -> tuple[tuple[int, ...], list[int]]:
     check_buffer(box * len(gens), 8, "relation search")
     exps = np.indices(orders).reshape(len(gens), box).T  # rows in itertools.product order
     kills = exps[_abelian_words(group, gens, exps) == group.identity][1:]  # row 0 is zero
+    # diag(orders) is among the relations, so working mod their lcm loses no relation
     relations = np.concatenate([np.diag(orders), kills]).T.tolist()
-    factors, lifts, _ = cokernel_invariant_factors(relations, len(gens))
-    return tuple(factors), _abelian_words(group, gens, lifts).tolist()
+    factors, lifts, _ = cokernel_invariant_factors(relations, math.lcm(*orders))
+    return tuple(factors.tolist()), _abelian_words(group, gens, lifts).tolist()
 
 
 @dataclass(frozen=True)
@@ -351,8 +361,9 @@ class H2Group:
     (g, h) of non-identity elements, row-major, k coordinates each.
     :meth:`class_of` restricts a 2-cocycle to the fundamental ``cycles`` of
     the Cayley graph over ``gens`` and reads the class of that gamma-map as
-    :func:`h2_central` does: ``v_inv`` and ``scale`` give its lattice
-    coordinates S^-1 V^-1 F, and ``coords`` maps those to the cyclic factors.
+    :func:`h2_central` does: the arrays ``v_inv`` and ``scale``, from its first
+    Smith form over Z/N (N the exponent), give the lattice coordinates S^-1 V^-1 F,
+    and ``coords``, from the second, maps those to the cyclic factors.
     """
 
     gamma: FiniteGroup
@@ -361,9 +372,9 @@ class H2Group:
     generators: tuple[tuple[int, ...], ...]
     gens: tuple[int, ...] = field(default=(), repr=False, compare=False)
     cycles: np.ndarray | None = field(default=None, repr=False, compare=False)
-    v_inv: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
-    scale: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    coords: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    v_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
+    scale: np.ndarray | None = field(default=None, repr=False, compare=False)
+    coords: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -385,25 +396,23 @@ class H2Group:
             raise ValueError("this H2Group carries no class map")
         # f(z_i) = sum of z_i[(y, s)] c(y, s): the A-part of z_i's word in A x_c gamma
         values = np.einsum("iyj,yjt->it", self.cycles, c[:, list(self.gens)])
-        y = _lattice_coords(self.v_inv, self.scale, values.ravel().tolist())
+        exponent = self.presentation.factors[-1]
+        y = _lattice_coords(self.v_inv, self.scale, values.reshape(-1, 1), exponent)
         if y is None:
             raise CounterexampleFound("a 2-cocycle restricted to a non-equivariant map")
-        return tuple(
-            sum(a * b for a, b in zip(row, y)) % f
-            for row, f in zip(self.coords, self.invariant_factors)
-        )
+        return tuple((self.coords @ y[:, 0] % self.invariant_factors).tolist())
 
 
-def _lattice_coords(v_inv, scale, vec) -> list[int] | None:
-    """S^-1 V^-1 vec, or None when vec is off the lattice V S Z^n + N Z^n
-    (V^-1 is exact mod N, so coordinate i is exact mod N / scale[i])."""
-    out = []
-    for row, s in zip(v_inv, scale):
-        t = sum(c * x for c, x in zip(row, vec))
-        if t % s:
-            return None
-        out.append(t // s)
-    return out
+def _lattice_coords(v_inv, scale, vecs, exponent) -> np.ndarray | None:
+    """S^-1 V^-1 vecs mod N for every column of vecs, or None when one is off
+    the lattice V S Z^n + N Z^n (V^-1 is exact mod N, so coordinate i is exact
+    mod N / scale[i]). The product is over Python ints where int64 could overflow."""
+    if int(v_inv.max(initial=0)) * int(np.abs(vecs).sum(axis=0).max(initial=0)) >= 1 << 63:
+        v_inv = v_inv.astype(object)
+    t = v_inv @ vecs
+    if (t % scale[:, None]).any():
+        return None
+    return t // scale[:, None] % exponent
 
 
 def _nonidentity(gamma: FiniteGroup) -> list[int]:
@@ -495,32 +504,31 @@ def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
     eye_k, eye_m = np.eye(k, dtype=np.int64), np.eye(m, dtype=np.int64)
     blocks = [np.kron(cycles[:, moved[x]], eye_k) - np.kron(eye_m, mats[x]) for x in gens]
     scaled = np.concatenate(blocks) * np.tile(exponent // orders, r)[:, None]
-    dec = smith_mod(scaled.tolist(), exponent)
-    scale = [exponent // math.gcd(x, exponent) for x in dec.diagonal()]
+    dec = smith_normal_form(scaled.tolist(), exponent)
+    scale = exponent // np.gcd(dec.d.diagonal(), exponent)
     cycles = cycles.reshape(m, n, r)
     # a in A^X maps to z_i -> sum of z_i[(y, s)] y.a_s; orders below N are relations too
     image = np.einsum("iyj,yut->jtiu", cycles, mats).reshape(-1, cols)
     image = np.concatenate([image, np.diag(orders)[orders < exponent]])
-    columns = [_lattice_coords(dec.v_inv, scale, col) for col in image.tolist()]
-    if None in columns:
+    columns = _lattice_coords(dec.v_inv, scale, image.T, exponent)
+    if columns is None:
         raise CounterexampleFound("a relation escaped the gamma-maps")
     # N Z^mk, inside the relations, is diag(N / S) in lattice coordinates
-    columns += np.diag([exponent // x for x in scale]).tolist()
-    factors, lifts, coords = cokernel_invariant_factors([*zip(*columns)], cols, exponent)
-    generators = []
-    for lift in lifts:
-        values = [sum(map(math.prod, zip(row, scale, lift))) % exponent for row in dec.v]
-        f = np.zeros((n * r, k), dtype=np.int64)  # f on every edge, zero on the tree
-        f[free] = np.reshape(values, (m, k))
-        cochain = np.zeros((n, n, k), dtype=np.int64)
-        for new, prev, e in tree:  # path[ys] = path[y] + (y, s), so c(g, ys) = c(g, y) + f(gy, s)
-            cochain[:, new] = (cochain[:, prev] + f[table[:, prev] * r + e % r]) % pres.factors
-        if not _is_cocycle(gamma, pres, cochain):
-            raise CounterexampleFound("reported H2 generator fails the 2-cocycle identity")
-        generators.append(tuple(cochain[np.ix_(*[_nonidentity(gamma)] * 2)].ravel().tolist()))
+    relations = np.concatenate([columns, np.diag(exponent // scale)], axis=1)
+    factors, lifts, coords = cokernel_invariant_factors(relations.tolist(), exponent)
+    values = dec.v @ (scale[:, None] * lifts.T % exponent) % exponent  # V S lifts mod N
+    f = np.zeros((len(lifts), n * r, k), dtype=np.int64)  # f on every edge, zero on the tree
+    f[:, free] = values.T.reshape(-1, m, k)
+    c = np.zeros((len(lifts), n, n, k), dtype=np.int64)  # one 2-cocycle per generator
+    for new, prev, e in tree:  # path[ys] = path[y] + (y, s), so c(g, ys) = c(g, y) + f(gy, s)
+        c[:, :, new] = (c[:, :, prev] + f[:, table[:, prev] * r + e % r]) % pres.factors
+    if not all(_is_cocycle(gamma, pres, cochain) for cochain in c):
+        raise CounterexampleFound("reported H2 generator fails the 2-cocycle identity")
+    g1 = _nonidentity(gamma)
+    generators = tuple(tuple(cochain.ravel().tolist()) for cochain in c[:, g1][:, :, g1])
     return H2Group(
-        gamma, pres, tuple(factors), tuple(generators), gens, cycles,
-        tuple(map(tuple, dec.v_inv)), tuple(scale), tuple(map(tuple, coords)),
+        gamma, pres, tuple(factors.tolist()), generators, gens, cycles,
+        dec.v_inv, scale, coords,
     )
 
 

@@ -50,7 +50,7 @@ def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
         raise ValueError("group reference must be a JSON object")
     if "family" in obj:
         family = obj["family"]
-        if family not in FAMILIES:
+        if not isinstance(family, str) or family not in FAMILIES:
             raise ValueError(f"unknown group family {family!r}")
         n = _json_int(obj["n"], "group family 'n'")
         check_family_order(family, n, max_order)
@@ -63,6 +63,8 @@ def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
         if declared is not None and _json_int(declared, "group 'order'") != len(table):
             raise ValueError("declared order does not match the table size")
         labels = obj.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValueError(f"group 'labels' must be a list, got {labels!r}")
         group = make_group(table, tuple(labels) if labels is not None else None)
     if max_order is not None and group.order > max_order:
         raise SizeLimit(f"group order {group.order} exceeds bound {max_order}")
@@ -86,9 +88,15 @@ def load_tensor(obj: Any, max_field: int | None = None) -> tuple[FqTower, Tensor
     from .fields import make_tower
     from .galois import TensorOnV
 
+    if not isinstance(obj, dict):
+        raise ValueError("tensor file must be a JSON object")
     for key in ("p", "d", "n", "dim", "type", "coeffs"):
         if key not in obj:
             raise ValueError(f"tensor file is missing {key!r}")
+    if not isinstance(obj["type"], list) or len(obj["type"]) != 2:
+        raise ValueError(f"tensor 'type' must be a list of two integers, got {obj['type']!r}")
+    if not isinstance(obj["coeffs"], list):
+        raise ValueError(f"tensor 'coeffs' must be a list of digit vectors, got {obj['coeffs']!r}")
     kwargs = {} if max_field is None else {"max_field": max_field}
     p, d, n = (_json_int(obj[key], f"tensor {key!r}") for key in ("p", "d", "n"))
     tower = make_tower(p, d, n, **kwargs)

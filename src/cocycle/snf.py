@@ -1,10 +1,11 @@
-"""Exact integer matrix routines: Smith normal form and cokernels.
+"""Smith normal forms over Z/N (N >= 2) and the cokernels they give.
 
-One elimination, :func:`smith_mod`, runs over Z/N, where every entry stays
-below N, and with N = 0 over Z (:func:`smith_normal_form`), on
-arbitrary-precision ints. Each decomposition returns the transforms and is
-self-checked: U*M*V == D and both transforms have inverses (tracked during
-reduction), which certifies unimodularity without determinant computation.
+:func:`smith_normal_form` takes nested lists and returns numpy arrays: int64
+where the products of the elimination fit, Python ints (object) where not, and
+no entry outgrows N. There is no form over Z; a caller that knows a torsion bound
+passes a multiple of it as N. Each decomposition is self-checked: U*M*V == D and
+both transforms have inverses mod N (tracked during reduction), which certifies
+invertibility without determinant computation.
 """
 
 from __future__ import annotations
@@ -16,22 +17,16 @@ import numpy as np
 
 from .errors import MatchFailure
 
-IntMatrix = list[list[int]]
-
 
 @dataclass
 class SmithDecomposition:
-    """D = U * M * V with U, V unimodular; D diagonal with a divisibility chain."""
+    """D = U * M * V mod N with U, V invertible; gcd(D_ii, N) form a divisibility chain."""
 
-    d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
-
-    def diagonal(self) -> list[int]:
-        n = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return [self.d[i][i] for i in range(n)]
+    d: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    u_inv: np.ndarray
+    v_inv: np.ndarray
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -45,24 +40,23 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return r0, x0, y0
 
 
-def smith_mod(m: IntMatrix, modulus: int) -> SmithDecomposition:
-    """Smith form over Z/modulus (over Z when the modulus is 0): U M V = D.
+def smith_normal_form(m: list[list[int]], modulus: int) -> SmithDecomposition:
+    """Smith form over Z/modulus: U M V = D.
 
     The gcds of D's diagonal with the modulus form a divisibility chain; U
     and V are invertible, with inverses ``u_inv`` and ``v_inv``. Every step
-    is a 2 x 2 Bezout operation of determinant one. Reduced mod the modulus,
-    no entry outgrows it; over Z the same eliminations can grow entries to
-    tens of thousands of digits on matrices of a few dozen rows.
+    is a 2 x 2 Bezout operation of determinant one, reduced mod the modulus.
     """
+    if modulus < 2:
+        raise ValueError(f"Smith forms are over Z/N with N >= 2, got N = {modulus}")
     n, rows, cols = modulus, len(m), len(m[0]) if m else 0
-    dtype = np.int64 if 0 < n and n * n * (max(rows, cols) + 1) < 1 << 62 else object
-    red = (lambda a: a % n) if n else (lambda a: a)
-    m0 = np.array([[red(x) for x in row] for row in m], dtype=dtype).reshape(rows, cols)
+    dtype = np.int64 if n * n * (max(rows, cols) + 1) < 1 << 62 else object
+    m0 = np.array([[x % n for x in row] for row in m], dtype=dtype).reshape(rows, cols)
     d = m0.copy()
     u, u_inv, v, v_inv = (np.eye(k, dtype=dtype) for k in (rows, rows, cols, cols))
 
     def combine(a, i, j, x, y, p, q):  # (a_i, a_j) <- (x a_i + y a_j, p a_i + q a_j)
-        a[i], a[j] = red(x * a[i] + y * a[j]), red(p * a[i] + q * a[j])
+        a[i], a[j] = (x * a[i] + y * a[j]) % n, (p * a[i] + q * a[j]) % n
 
     def row_op(i, j, x, y, p, q):
         combine(d, i, j, x, y, p, q)
@@ -78,7 +72,7 @@ def smith_mod(m: IntMatrix, modulus: int) -> SmithDecomposition:
         nonzero = np.argwhere(d[s:, s:] != 0)
         if not len(nonzero):
             break
-        # the pivot generates the largest ideal: least gcd with n, least |entry| over Z
+        # the pivot generates the largest ideal: least gcd with n
         i, j = nonzero[np.argmin(np.gcd(d[s:, s:][tuple(nonzero.T)], n))] + s
         if i != s:
             row_op(s, i, 0, 1, -1, 0)  # swap up to sign
@@ -97,37 +91,24 @@ def smith_mod(m: IntMatrix, modulus: int) -> SmithDecomposition:
             if not len(bad):
                 break
             row_op(s, bad[0][0] + s + 1, 1, 1, 0, 1)  # pull in an entry the pivot does not divide
-        if d[s, s] < 0:
-            d[s], u[s], u_inv[:, s] = -d[s], -u[s], -u_inv[:, s]
-    if (red(red(u @ m0) @ v) != d).any():
+    if ((u @ m0 % n) @ v % n != d).any():
         raise MatchFailure("SNF self-check failed: U*M*V != D")
-    if (red(u @ u_inv) != np.eye(rows)).any() or (red(v @ v_inv) != np.eye(cols)).any():
+    if (u @ u_inv % n != np.eye(rows)).any() or (v @ v_inv % n != np.eye(cols)).any():
         raise MatchFailure("SNF self-check failed: a transform is not invertible")
-    return SmithDecomposition(*(a.tolist() for a in (d, u, v, u_inv, v_inv)))
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Diagonalize an integer matrix by unimodular row and column operations."""
-    return smith_mod(m, 0)
+    return SmithDecomposition(d, u, v, u_inv, v_inv)
 
 
 def cokernel_invariant_factors(
-    relations: IntMatrix, ambient_rank: int, modulus: int = 0
-) -> tuple[list[int], IntMatrix, IntMatrix]:
+    relations: list[list[int]], modulus: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Invariant factors > 1 of Z^a / (col(relations) + modulus Z^a), lifts and coordinates.
 
-    Here a = ambient_rank, the number of rows of ``relations``. Returns
-    (factors, generators, coords): generators[i] is an ambient vector whose
-    class generates the i-th cyclic factor, and an ambient vector y has class
-    (coords[i] . y mod factors[i])_i, so generators[i] maps to the i-th unit
-    vector. Raises if the quotient is infinite.
+    Here a is the number of rows of ``relations``. Returns arrays
+    (factors, lifts, coords): row i of lifts is an ambient vector whose class
+    generates the i-th cyclic factor, and an ambient vector y has class
+    (coords[i] . y mod factors[i])_i, so lifts[i] maps to the i-th unit vector.
     """
-    if ambient_rank == 0:
-        return [], [], []
-    dec = smith_mod(relations, modulus)
-    orders = [math.gcd(x, modulus) for x in (dec.diagonal() + [0] * ambient_rank)[:ambient_rank]]
-    if 0 in orders:
-        raise ValueError("infinite quotient: relation matrix not of full row rank")
-    kept = [i for i, f in enumerate(orders) if f > 1]
-    lifts = [[row[i] for row in dec.u_inv] for i in kept]
-    return [orders[i] for i in kept], lifts, [dec.u[i] for i in kept]
+    dec = smith_normal_form(relations, modulus)
+    orders = np.gcd(np.gcd.reduce(dec.d, axis=1), modulus)  # row i of D holds D_ii, or nothing
+    kept = orders > 1
+    return orders[kept], dec.u_inv[:, kept].T, dec.u[kept]

@@ -21,7 +21,7 @@ import numpy as np
 
 from cocycle.cohomology import Cocycle, GammaGroup, H1Set, restrict_to_subgroup, trivial_action
 from cocycle.groups import FiniteGroup, GroupHom, Subgroup
-from cocycle.snf import cokernel_invariant_factors
+from smith_oracle import cokernel_invariant_factors
 
 
 def _partition(parent: GammaGroup, survivor_keys: set[tuple[int, ...]]) -> H1Set:

@@ -9,7 +9,8 @@ construction. ``is_coboundary`` decides membership in im(d1) + orders by
 one augmented integer solve. ``tests/test_h2.py`` compares the package's
 route against these results. ``h2_brute_force_order`` is the dense brute
 force the package ran before it streamed the cochains in chunks: every raw
-2-cochain in one array, coboundaries counted as a set of tuples.
+2-cochain in one array, coboundaries counted as a set of tuples. Smith
+forms come from ``smith_oracle``, not from the package's ``cocycle.snf``.
 """
 from __future__ import annotations
 
@@ -19,9 +20,9 @@ import math
 import numpy as np
 
 from cocycle.errors import DEFAULT_MAX_SNF_ENTRIES, CounterexampleFound, SizeLimit
-from cocycle.exactness import AbelianPresentation, H2Group, _lattice_coords
+from cocycle.exactness import AbelianPresentation, H2Group
 from cocycle.groups import FiniteGroup
-from cocycle.snf import IntMatrix, cokernel_invariant_factors, smith_mod, smith_normal_form
+from smith_oracle import IntMatrix, cokernel_invariant_factors, smith_mod, smith_normal_form
 
 
 def _nonidentity(gamma: FiniteGroup) -> list[int]:
@@ -157,6 +158,18 @@ def _normalized_differential(gamma: FiniteGroup, pres: AbelianPresentation, n: i
                     block[s][col + s] += (-1) ** (i + 1)
         rows.extend(block)
     return rows
+
+
+def _lattice_coords(v_inv, scale, vec) -> list[int] | None:
+    """S^-1 V^-1 vec, or None when vec is off the lattice V S Z^n + N Z^n
+    (V^-1 is exact mod N, so coordinate i is exact mod N / scale[i])."""
+    out = []
+    for row, s in zip(v_inv, scale):
+        t = sum(c * x for c, x in zip(row, vec))
+        if t % s:
+            return None
+        out.append(t // s)
+    return out
 
 
 def _moduli(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> list[int]:

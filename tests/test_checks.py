@@ -44,7 +44,6 @@ def test_no_assert_statements_in_src():
 KEPT_WITHOUT_CALLER = {
     "enumerate_gl": "bench/tracer.py wraps it by name for fields.gl_enum",
     "enumerate_sl": "bench/tracer.py wraps it by name for fields.gl_enum",
-    "smith_normal_form": "bench/tracer.py wraps it by name for the snf counters",
     "trace_discriminant_matches_sign": "tests check discriminant() against it as a second route",
     "perm_cycle_type": "tests check the etale cycle types against it as a second route",
     "__getattr__": "called by the interpreter (PEP 562)",
@@ -82,6 +81,25 @@ def test_every_src_definition_is_used_exported_or_kept():
     )
     assert dead == []
     assert sorted(KEPT_WITHOUT_CALLER) == sorted(set(KEPT_WITHOUT_CALLER) & set(unused))
+
+
+def test_oracles_share_no_smith_form_with_the_package():
+    # the bar-route and engine oracles take their Smith forms from tests/smith_oracle.py
+    tests = Path(__file__).resolve().parent
+    shared = []
+    for name in ("h2_oracle.py", "engine_oracle.py"):
+        for node in ast.walk(ast.parse((tests / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules, names = [node.module or ""], [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules, names = [alias.name for alias in node.names], []
+            else:
+                continue
+            if any(m == "cocycle.snf" or m.endswith(".snf") for m in modules) or any(
+                n in ("snf", "_lattice_coords") for n in names
+            ):
+                shared.append(f"{name}:{node.lineno}")
+    assert shared == []
 
 
 def test_every_public_method_of_an_exported_class_is_named():

@@ -351,6 +351,28 @@ class TestNonIntegralInput:
         _rejected(["etale", "--input", path, "--dim", "2"], capsys, "'n'")
 
 
+TENSOR = {"p": 3, "d": 1, "n": 2, "dim": 2, "type": [2, 0], "coeffs": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "argv,obj,field",
+    [
+        (["forms"], 5, "tensor file"),
+        (["forms"], TENSOR | {"type": 5}, "'type'"),
+        (["forms"], TENSOR | {"coeffs": 5}, "'coeffs'"),
+        (["etale", "--dim", "2"], {"table": Z2_TABLE, "labels": 5}, "'labels'"),
+        (["etale", "--dim", "2"], {"family": ["cyclic"], "n": 2}, "family"),
+    ],
+)
+def test_malformed_input_file_is_an_input_error(tmp_path, capsys, argv, obj, field):
+    # a field of the wrong JSON type exits 1 naming it, not with a traceback
+    path = write(tmp_path, "in.json", obj)
+    assert main([argv[0], "--input", path, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error") and field in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 class TestQuadCommand:
     def test_d5(self, capsys):
         assert main(["quad", "--d", "5"]) == 0

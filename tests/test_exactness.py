@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 from cocycle import exactness
@@ -36,7 +37,9 @@ from cocycle.groups import (
     trivial_group,
     whole_subgroup,
 )
-from cocycle.snf import smith_mod, smith_normal_form
+from cocycle.snf import cokernel_invariant_factors, smith_normal_form
+
+import smith_oracle
 
 
 def mu4_inversion():
@@ -51,16 +54,31 @@ def s3_conj_by_transposition():
 
 
 class TestSmith:
+    """``cocycle.snf`` works over Z/N only and returns arrays; ``smith_oracle``
+    keeps the integer and modular forms the package ran before."""
+
+    MODULI = (2, 6, 12, 36, 360)
+
     def test_diagonal_chain(self):
-        dec = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-        diag = dec.diagonal()
-        assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1) if diag[i])
+        m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+        integer = smith_oracle.smith_normal_form(m).diagonal()
+        for modulus in self.MODULI:
+            dec = smith_normal_form(m, modulus)
+            diag = [math.gcd(x, modulus) for x in dec.d.diagonal().tolist()]
+            assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+            assert diag == [math.gcd(x, modulus) for x in integer]
 
     def test_zero_matrix(self):
-        dec = smith_normal_form([[0, 0], [0, 0]])
-        assert dec.diagonal() == [0, 0]
+        for modulus in self.MODULI:
+            dec = smith_normal_form([[0, 0], [0, 0]], modulus)
+            assert dec.d.diagonal().tolist() == [0, 0]
 
-    @pytest.mark.parametrize("modulus", [2, 3, 8, 12, 30, 97, (1 << 40) + 15])
+    @pytest.mark.parametrize("modulus", [1, 0, -4])
+    def test_modulus_below_two_is_rejected(self, modulus):
+        with pytest.raises(ValueError, match="N >= 2"):
+            smith_normal_form([[1, 2], [3, 4]], modulus)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 6, 8, 12, 30, 36, 97, 210, 360, (1 << 40) + 15])
     def test_modular_form_matches_the_integer_form(self, modulus):
         # Z^r / (M Z^c + N Z^r) is the sum of Z/gcd(d_i, N) for either form's diagonal
         rng = random.Random(modulus)
@@ -70,12 +88,32 @@ class TestSmith:
                 [rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(cols)]
                 for _ in range(rows)
             ]
-            dec = smith_mod(m, modulus)
-            got = [math.gcd(x, modulus) for x in dec.diagonal()]
-            assert got == [math.gcd(x, modulus) for x in smith_normal_form(m).diagonal()]
+            dec = smith_normal_form(m, modulus)
+            got = [math.gcd(x, modulus) for x in dec.d.diagonal().tolist()]
+            integer = smith_oracle.smith_normal_form(m)
+            assert got == [math.gcd(x, modulus) for x in integer.diagonal()]
             assert all(b % a == 0 for a, b in zip(got, got[1:]))
             transforms = (dec.d, dec.u, dec.v, dec.u_inv, dec.v_inv)
-            assert all(0 <= x < modulus for a in transforms for r in a for x in r)
+            assert all(isinstance(a, np.ndarray) for a in transforms)
+            assert all(0 <= x < modulus for a in transforms for x in a.ravel().tolist())
+
+    @pytest.mark.parametrize("modulus", [2, 12, 360, (1 << 40) + 15])
+    def test_cokernel_matches_the_reference(self, modulus):
+        # random relations on Z^a: the same factors as the reference, and
+        # coords . lifts^T is the identity modulo the factors
+        rng = random.Random(modulus + 1)
+        for _ in range(30):
+            rank, count = rng.randint(1, 6), rng.randint(0, 6)
+            relations = [
+                [rng.randint(-9, 9) if rng.random() < 0.5 else 0 for _ in range(count)]
+                for _ in range(rank)
+            ]
+            factors, lifts, coords = cokernel_invariant_factors(relations, modulus)
+            expected, _, _ = smith_oracle.cokernel_invariant_factors(relations, rank, modulus)
+            assert factors.tolist() == expected
+            assert lifts.shape == (len(expected), rank) and coords.shape == (len(expected), rank)
+            product = (coords @ lifts.T) % factors[:, None]
+            assert (product == np.eye(len(expected), dtype=np.int64)).all()
 
 
 class TestFixedCosets:
@@ -242,6 +280,26 @@ class TestAbelianPresentation:
     def test_rejects_bad_chain(self):
         with pytest.raises(ValueError):
             trivial_module(cyclic_group(2), (3, 2))
+
+    @pytest.mark.parametrize(
+        "factors,entry,field",
+        [((2,), 1.5, "action matrix entries"), ((2,), True, "action matrix entries"),
+         ((2.0,), 1, "invariant factors"), ((True, 2), 1, "invariant factors")],
+    )
+    def test_rejects_non_integers(self, factors, entry, field):
+        # np.array(..., dtype=np.int64) would truncate 1.5 and read True as 1
+        z2 = cyclic_group(2)
+        k = len(factors)
+        ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        moved = ((entry,) + ident[0][1:],) + ident[1:]
+        with pytest.raises(ValueError, match=f"{field} must be integers"):
+            exactness.AbelianPresentation(z2, factors, (ident, moved))
+
+    def test_numpy_integers_are_accepted(self):
+        z2 = cyclic_group(2)
+        one = ((np.int64(1),),)
+        pres = exactness.AbelianPresentation(z2, (np.int32(2),), (one, one))
+        assert h2_central(z2, pres).invariant_factors == (2,)
 
     def test_decomposition_of_v4(self):
         z2 = cyclic_group(2)

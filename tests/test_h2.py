@@ -198,9 +198,9 @@ def test_class_of_checks_every_short_generator(gamma):
     pairs = list(itertools.product(range(gamma.order), repeat=2))
     for x in gamma.short_generators():
         matrix = [[defect(gamma, pres, u, g, h, x)[0] for u in units] for g, h in pairs]
-        dec = snf.smith_mod(matrix, 2)
-        rank = sum(d % 2 for d in dec.diagonal())
-        kernel = [[row[j] for row in dec.v] for j in range(rank, dim)]
+        dec = snf.smith_normal_form(matrix, 2)
+        rank = int(np.count_nonzero(dec.d.diagonal() % 2))
+        kernel = dec.v[:, rank:].T.tolist()
         broken = [vec for vec in kernel if not is_cocycle(gamma, pres, vec)]
         assert broken
         for vec in broken:
@@ -236,7 +236,7 @@ def count_calls(monkeypatch, module, name):
     original = getattr(module, name)
 
     def wrapped(*args, **kwargs):
-        calls.append(args[0] if args else None)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapped)
@@ -245,14 +245,18 @@ def count_calls(monkeypatch, module, name):
 
 def test_two_smith_forms_per_h2(monkeypatch):
     gamma = dihedral_group(4)
-    direct = count_calls(monkeypatch, X, "smith_mod")
-    cokernel = count_calls(monkeypatch, snf, "smith_mod")
-    integer = count_calls(monkeypatch, snf, "smith_normal_form")
+    direct = count_calls(monkeypatch, X, "smith_normal_form")
+    cokernel = count_calls(monkeypatch, snf, "smith_normal_form")
     h2_central(gamma, trivial_module(gamma, (2,)))
-    assert [(len(m), len(m[0])) for m in direct] == [(18, 9)]  # equivariance, |X| m k x m k
+    assert [(len(m), len(m[0])) for m, _ in direct] == [(18, 9)]  # equivariance, |X| m k x m k
     # relations, m k x (|X| k + m k), read by cokernel_invariant_factors
-    assert [(len(m), len(m[0])) for m in cokernel] == [(9, 11)]
-    assert integer == []
+    assert [(len(m), len(m[0])) for m, _ in cokernel] == [(9, 11)]
+    # every Smith form is over Z/N for the module exponent N
+    assert [modulus for _, modulus in direct + cokernel] == [2, 2]
+    direct.clear()
+    cokernel.clear()
+    h2_central(gamma, trivial_module(gamma, (2, 4)))
+    assert [modulus for _, modulus in direct + cokernel] == [4, 4]
 
 
 def test_delta_uses_one_h2_and_no_smith_form_of_its_own(monkeypatch):
@@ -260,10 +264,30 @@ def test_delta_uses_one_h2_and_no_smith_form_of_its_own(monkeypatch):
     quotient, _ = quotient_gamma_group(parent, central)
     cls = h1(quotient).classes[-1]
     h2_calls = count_calls(monkeypatch, X, "h2_central")
-    direct = count_calls(monkeypatch, X, "smith_mod")
+    direct = count_calls(monkeypatch, X, "smith_normal_form")
     connecting_delta(parent, central, cls)
     assert len(h2_calls) == 1
     assert len(direct) == 1  # the equivariance matrix inside h2_central
+
+
+def test_lattice_products_past_int64_stay_exact():
+    # Z/64 on (Z/2p)^2 through a conjugate of diag(u, 1), u of order 64: both Smith
+    # forms fit int64, but V^-1 times a relation column does not (an int64 product
+    # wraps and reports a relation outside the gamma-maps)
+    p, u = 536_871_233, 175_094_775  # p prime, 64 | p - 1; u odd, of order 64 mod p
+    n = 2 * p
+    conj = np.array([[1_063_938_749, 965_274_705], [1_014_138_928, 815_217_483]], dtype=object)
+    det = int(conj[0, 0] * conj[1, 1] - conj[0, 1] * conj[1, 0])
+    inv = np.array([[conj[1, 1], -conj[0, 1]], [-conj[1, 0], conj[0, 0]]]) * pow(det, -1, n) % n
+    a = conj @ np.diag([u, 1]).astype(object) @ inv % n
+    mats, cur = [], np.eye(2, dtype=np.int64).astype(object)
+    for _ in range(64):
+        mats.append(tuple(map(tuple, cur.tolist())))
+        cur = cur @ a % n
+    gamma = cyclic_group(64)
+    engine = h2_central(gamma, AbelianPresentation(gamma, (n, n), tuple(mats)))
+    assert engine.invariant_factors == (2, 2)
+    assert [engine.class_of(gen) for gen in engine.generators] == [(1, 0), (0, 1)]
 
 
 def test_exponent_scaling_on_mixed_factors():
