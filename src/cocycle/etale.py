@@ -178,19 +178,18 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
     action = SemilinearAction.make(tower, m, mats)
     basis = galois.invariant_basis(action)  # DimensionFailure on wrong dimension
 
-    flat_cols = [[coord for x in b for coord in tower.k_coords(x)] for b in basis]
-    flat_rows = [list(row) for row in zip(*flat_cols)]
-
-    def coords_of(vec: Vector) -> Vector | None:
-        flat_rhs = [coord for x in vec for coord in tower.k_coords(x)]
-        return mat_solve(tower, flat_rows, flat_rhs)
-
+    # the k-coordinates of the basis, of each b_i b_j (coordinatewise in K^m)
+    # and of the unit vector, in one gather
     b = np.array(basis)
-    products = tower.vmul(b[:, None], b).tolist()  # b_i b_j, coordinatewise in K^m
-    structure = tuple(tuple(map(coords_of, row)) for row in products)
+    products = tower.vmul(b[:, None], b).reshape(m * m, m)
+    wanted = np.concatenate([b, products, np.ones((1, m), dtype=np.int64)])
+    flat = tower.vk_coords(wanted).reshape(len(wanted), -1).tolist()
+    flat_rows = [list(row) for row in zip(*flat[:m])]
+    solved = [mat_solve(tower, flat_rows, rhs) for rhs in flat[m:]]
+    structure = tuple(tuple(solved[i * m : (i + 1) * m]) for i in range(m))
     if any(None in row for row in structure):
         raise CounterexampleFound("fixed space is not closed under multiplication")
-    one = coords_of((1,) * m)
+    one = solved[-1]
     if one is None:
         raise CounterexampleFound("the unit vector is not in the fixed space")
     algebra = _with_validation(EtaleAlgebra(tower, m, structure, one, tuple(basis), ()))

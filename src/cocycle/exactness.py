@@ -280,10 +280,14 @@ class AbelianPresentation:
 
 
 def _check_integers(name: str, values) -> None:
-    """Refuse floats and booleans, which ``np.array(..., dtype=np.int64)`` would truncate."""
+    """Refuse floats and booleans, which ``np.array(..., dtype=np.int64)`` would
+    truncate, and ints outside int64, on which it would raise OverflowError."""
     bad = [x for x in values if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
     if bad:
         raise ValueError(f"{name} must be integers, got {bad[0]!r}")
+    bad = [x for x in values if not -(1 << 63) <= x < 1 << 63]
+    if bad:
+        raise ValueError(f"{name} must fit in 64 bits, got {bad[0]!r}")
 
 
 def trivial_module(gamma: FiniteGroup, factors: tuple[int, ...]) -> AbelianPresentation:

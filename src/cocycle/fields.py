@@ -4,11 +4,14 @@ Elements are integers in [0, p^(d*n)) encoding polynomial coefficient
 vectors base p (digit i is the coefficient of x^i) modulo a canonical
 irreducible: the one with the smallest integer encoding, i.e. the
 lexicographically least coefficient vector read from the constant term up.
-Small fields get dense lookup tables; larger towers fall back to on-demand
-polynomial arithmetic. The tower alone knows which: its array operations
-(``vadd``, ``vmul``, ...) are table gathers or element-by-element calls of
-the scalar ones. The base field of the tower is the fixed field of
-x -> x^(p^d), verified at construction through the Frobenius matrix.
+The tower has one arithmetic, on arrays of those base-p digit vectors: a
+product is a broadcasting polynomial product folded back through the rows
+x^(deg + j) mod the modulus, and Frobenius is the digit vector times the
+Frobenius matrix. Its array operations (``vadd``, ``vmul``, ``vpow``, ...)
+run that arithmetic on whole arrays, or, in fields small enough for dense
+lookup tables built by it, gather from the tables; the scalar operations
+are the array ones on one element. The base field of the tower is the fixed
+field of x -> x^(p^d), verified at construction through the Frobenius matrix.
 
 Matrices over the tower are entry-major arrays everywhere: a batch of
 r x c matrices is one (r, c, *batch) int array, multiplied by ``batch_mul``
@@ -23,6 +26,7 @@ bulk by ``batch_inv``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 import numpy as np
@@ -66,13 +70,6 @@ def _decode(value: int, p: int, width: int) -> list[int]:
     return digits
 
 
-def _encode(digits, p: int) -> int:
-    value = 0
-    for d in reversed(list(digits)):
-        value = value * p + d
-    return value
-
-
 def _poly_deg(digits) -> int:
     for i in range(len(digits) - 1, -1, -1):
         if digits[i]:
@@ -91,16 +88,6 @@ def _poly_divmod(num, den, p):
         for j in range(dd + 1):
             num[i - dd + j] = (num[i - dd + j] - coef * den[j]) % p
     return num
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return out
 
 
 def _is_irreducible(poly, p) -> bool:
@@ -141,67 +128,47 @@ class FqTower:
         self.size = size
         self.degree = d * n
         self.modulus = least_irreducible(p, self.degree)
-        self._reductions = self._power_reductions()
-        self.frobenius_matrix = self._frobenius_matrix()
+        self._powers = p ** np.arange(self.degree, dtype=np.int64)
+        # row j: the digits of x^(degree + j) mod the modulus, j < degree - 1
+        self._reductions = np.array(
+            [_poly_divmod([0] * (self.degree + j) + [1], self.modulus, p)[: self.degree]
+             for j in range(self.degree - 1)],
+            dtype=np.int64,
+        ).reshape(self.degree - 1, self.degree)
         self._tables_built = False
+        # column i: the digits of (x^i)^q
+        self.frobenius_matrix = self._digits(self.vpow(self._powers, self.q))[0].T.copy()
         self._validate_frobenius()
         self._k_elements: tuple[int, ...] | None = None
         self._k_basis: tuple[int, ...] | None = None
-        self._k_coords: dict[int, tuple[int, ...]] | None = None
+        self._k_coords: np.ndarray | None = None
         if size <= FIELD_TABLE_LIMIT:
             self._build_tables()
 
-    # -- raw polynomial arithmetic -------------------------------------
+    # -- digit-vector arithmetic -------------------------------------------
 
-    def _power_reductions(self) -> list[list[int]]:
-        """x^(degree + j) reduced mod the modulus, for j = 0..degree-2."""
+    def _digits(self, *arrays) -> list[np.ndarray]:
+        """Base-p digit arrays (..., degree) of the given elements, after sizing
+        the digit temporaries of their broadcast shape."""
+        arrays = [np.asarray(a, dtype=np.int64) for a in arrays]
+        check_buffer(np.broadcast(*arrays).size * 2 * self.degree, 8, "field digit arrays")
+        return [a[..., None] // self._powers % self.p for a in arrays]
+
+    def _value(self, digits: np.ndarray) -> np.ndarray:
+        return digits @ self._powers
+
+    def _mul_digits(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Digits of x * y for broadcasting digit arrays: the polynomial product,
+        its terms of degree deg + j folded back through x^(deg + j) mod the modulus."""
         p, deg = self.p, self.degree
-        reductions = []
-        current = [(-c) % p for c in self.modulus[:deg]]  # x^deg
-        reductions.append(current[:])
-        for _ in range(deg - 2):
-            shifted = [0] + current[:-1]
-            top = current[-1]
-            if top:
-                for i in range(deg):
-                    shifted[i] = (shifted[i] + top * reductions[0][i]) % p
-            current = shifted
-            reductions.append(current[:])
-        return reductions
-
-    def _mul_digits(self, a: list[int], b: list[int]) -> list[int]:
-        p, deg = self.p, self.degree
-        prod = _poly_mul(a, b, p)
-        out = prod[:deg] + [0] * max(0, deg - len(prod))
-        for j in range(deg, len(prod)):
-            c = prod[j]
-            if c:
-                red = self._reductions[j - deg]
-                for i in range(deg):
-                    out[i] = (out[i] + c * red[i]) % p
-        return out[:deg]
-
-    def _frobenius_matrix(self) -> np.ndarray:
-        deg = self.degree
-        mat = np.zeros((deg, deg), dtype=np.int64)
+        prod = np.zeros((*np.broadcast(x, y).shape[:-1], 2 * deg - 1), dtype=np.int64)
         for i in range(deg):
-            mat[:, i] = self._pow_digits(self._monomial(i), self.q)
-        return mat
-
-    def _monomial(self, i: int) -> list[int]:
-        digits = [0] * self.degree
-        digits[i] = 1
-        return digits
-
-    def _pow_digits(self, base: list[int], e: int) -> list[int]:
-        result = [1] + [0] * (self.degree - 1)
-        cur = base[:]
-        while e:
-            if e & 1:
-                result = self._mul_digits(result, cur)
-            cur = self._mul_digits(cur, cur)
-            e >>= 1
-        return result
+            prod[..., i : i + deg] += x[..., i, None] * y
+        prod %= p
+        out = prod[..., deg:] @ self._reductions
+        out += prod[..., :deg]
+        out %= p
+        return out
 
     def _validate_frobenius(self) -> None:
         deg, p = self.degree, self.p
@@ -226,110 +193,73 @@ class FqTower:
     # -- dense tables ----------------------------------------------------
 
     def _build_tables(self) -> None:
-        size, p, deg = self.size, self.p, self.degree
+        """The five tables, from the digit-vector operations they then replace.
+
+        Row a = c x^i + a' of add and mul, with 0 < c < p and a' < p^i, is the
+        row of c x^i from ``vadd`` or ``vmul`` combined with the row of a'
+        through the add table: a + b = c x^i + (a' + b), a b = c x^i b + a' b.
+        """
+        size, p = self.size, self.p
         check_buffer(size * size, 8, "field multiplication table")
-        digits = np.array([_decode(v, p, deg) for v in range(size)], dtype=np.int64)
-        powers = p ** np.arange(deg, dtype=np.int64)
-        self.add_table = (
-            ((digits[:, None, :] + digits[None, :, :]) % p) @ powers
-        ).astype(np.int64)
-        self.neg_table = (((-digits) % p) @ powers).astype(np.int64)
-        # shift[i] maps digit vectors b to digits of x^i * b mod modulus
-        shift = np.empty((deg, deg, deg), dtype=np.int64)
-        for i in range(deg):
-            for j in range(deg):
-                shift[i, :, j] = self._mul_digits(self._monomial(i), self._monomial(j))
+        every = np.arange(size, dtype=np.int64)
+        add = np.empty((size, size), dtype=np.int64)
         mul = np.empty((size, size), dtype=np.int64)
-        for a in range(size):
-            op = np.tensordot(digits[a], shift, axes=(0, 0)) % p  # deg x deg
-            mul[a] = (((digits @ op.T) % p) @ powers)
-        self.mul_table = mul
-        frob = ((digits @ self.frobenius_matrix.T) % p) @ powers
-        self.frob_table = frob.astype(np.int64)
+        add[0], mul[0] = every, 0
+        starts = self._powers.tolist()
+        tops = [np.arange(1, p, dtype=np.int64)[:, None] * lo for lo in starts]  # the c x^i
+        for lo, top in zip(starts, tops):
+            add[lo : lo * p] = self.vadd(top, every)[:, add[:lo]].reshape(-1, size)
+        # mul rows read the whole add table
+        for lo, top in zip(starts, tops):
+            mul[lo : lo * p] = add[self.vmul(top, every)[:, None], mul[:lo]].reshape(-1, size)
+        self.add_table, self.mul_table = add, mul
+        self.neg_table = self.vneg(every)
+        self.frob_table = self.vfrob(every)
         # the unique b with a * b = 1; row 0 has no 1, so inv_table[0] = 0
         self.inv_table = np.argmax(mul == 1, axis=1).astype(np.int64)
         self._tables_built = True
 
-    # -- element operations ----------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self._tables_built:
-            return int(self.add_table[a, b])
-        da, db = _decode(a, self.p, self.degree), _decode(b, self.p, self.degree)
-        return _encode([(x + y) % self.p for x, y in zip(da, db)], self.p)
-
-    def neg(self, a: int) -> int:
-        if self._tables_built:
-            return int(self.neg_table[a])
-        return _encode([(-x) % self.p for x in _decode(a, self.p, self.degree)], self.p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self._tables_built:
-            return int(self.mul_table[a, b])
-        da, db = _decode(a, self.p, self.degree), _decode(b, self.p, self.degree)
-        return _encode(self._mul_digits(da, db), self.p)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        if self._tables_built:
-            return int(self.inv_table[a])
-        return self.pow(a, self.size - 2)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        if a == 0:
-            return 0 if e else 1
-        e %= self.size - 1
-        result = 1
-        cur = a
-        while e:
-            if e & 1:
-                result = self.mul(result, cur)
-            cur = self.mul(cur, cur)
-            e >>= 1
-        return result
-
-    def frob(self, a: int, j: int = 1) -> int:
-        j %= self.n
-        if self._tables_built:
-            for _ in range(j):
-                a = int(self.frob_table[a])
-            return a
-        for _ in range(j):
-            a = self.pow(a, self.q)
-        return a
-
-    # -- array operations: table gathers, or the scalar op per element ---
-
-    def _elementwise(self, op, *arrays) -> np.ndarray:
-        return np.asarray(np.frompyfunc(op, len(arrays), 1)(*arrays), dtype=np.int64)
+    # -- array operations: table gathers, or digit-vector arithmetic -------
 
     def vadd(self, a, b) -> np.ndarray:
         """Array counterpart of add, broadcasting like numpy."""
         if self._tables_built:
             return self.add_table[a, b]
-        return self._elementwise(self.add, a, b)
+        da, db = self._digits(a, b)
+        return self._value((da + db) % self.p)
 
     def vneg(self, a) -> np.ndarray:
         if self._tables_built:
             return self.neg_table[a]
-        return self._elementwise(self.neg, a)
+        (da,) = self._digits(a)
+        return self._value(-da % self.p)
 
     def vmul(self, a, b) -> np.ndarray:
         if self._tables_built:
             return self.mul_table[a, b]
-        return self._elementwise(self.mul, a, b)
+        return self._value(self._mul_digits(*self._digits(a, b)))
+
+    def vpow(self, a, e: int) -> np.ndarray:
+        """Array counterpart of pow, by square-and-multiply, with 0^0 = 1."""
+        a = np.asarray(a, dtype=np.int64)
+        if e < 0:
+            a, e = self.vinv(a), -e
+        result = np.ones_like(a)
+        if e:
+            # the same power of every element, 0 included, since e stays positive
+            e = (e - 1) % (self.size - 1) + 1
+        while e:
+            if e & 1:
+                result = self.vmul(result, a)
+            a = self.vmul(a, a)
+            e >>= 1
+        return result
 
     def vinv(self, a) -> np.ndarray:
         """Array counterpart of inv; every entry must be nonzero."""
         if self._tables_built:
             return self.inv_table[a]
-        return self._elementwise(self.inv, a)
+        return self.vpow(a, self.size - 2)
 
     def vfrob(self, a, j: int = 1) -> np.ndarray:
         if self._tables_built:
@@ -337,7 +267,37 @@ class FqTower:
             for _ in range(j % self.n):
                 a = self.frob_table[a]
             return a
-        return self._elementwise(lambda x: self.frob(x, j), a)
+        (da,) = self._digits(a)
+        for _ in range(j % self.n):
+            da = da @ self.frobenius_matrix.T % self.p
+        return self._value(da)
+
+    # -- element operations: the array operations on one element ----------
+
+    def add(self, a: int, b: int) -> int:
+        return int(self.vadd(a, b))
+
+    def neg(self, a: int) -> int:
+        return int(self.vneg(a))
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self.vmul(a, b))
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("zero has no inverse")
+        return int(self.vinv(a))
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            a, e = self.inv(a), -e
+        return int(self.vpow(a, e))
+
+    def frob(self, a: int, j: int = 1) -> int:
+        return int(self.vfrob(a, j))
 
     def norm_to_base(self, a: int) -> int:
         out = 1
@@ -366,27 +326,24 @@ class FqTower:
             raise SizeLimit("tower too large for dense base-field coordinates")
         if self._k_basis is not None:
             return
+        k = np.array(self.k_elements, dtype=np.int64)
+        # greedily the least element outside the k-span of those before it
         basis: list[int] = []
-        span = {0}
-        for e in range(self.size):
-            if len(basis) == self.n:
-                break
-            if e in span:
-                continue
-            basis.append(e)
-            span = {self.add(s, self.mul(c, e)) for s in span for c in self.k_elements}
+        span, in_span = np.zeros(1, dtype=np.int64), np.arange(self.size) == 0
+        while len(basis) < self.n and not in_span.all():
+            basis.append(int(np.argmin(in_span)))
+            span = self.vadd(span[:, None], self.vmul(k, basis[-1])).ravel()
+            in_span[span] = True
         if len(basis) != self.n:
             raise DimensionFailure(f"base-field basis has {len(basis)} elements, expected {self.n}")
-        coords: dict[int, tuple[int, ...]] = {}
-        for combo in itertools.product(self.k_elements, repeat=self.n):
-            val = 0
-            for c, b in zip(combo, basis):
-                val = self.add(val, self.mul(c, b))
-            coords[val] = combo
-        if len(coords) != self.size:
+        # every coefficient tuple, in itertools.product order, and its value
+        combos = k[np.stack(np.unravel_index(np.arange(self.size), (self.q,) * self.n), axis=-1)]
+        values = functools.reduce(self.vadd, self.vmul(combos, np.array(basis)).T)
+        if (np.bincount(values, minlength=self.size) != 1).any():
             raise DimensionFailure("base-field coordinates do not cover the field")
         self._k_basis = tuple(basis)
-        self._k_coords = coords
+        self._k_coords = np.empty_like(combos)
+        self._k_coords[values] = combos
 
     @property
     def k_basis(self) -> tuple[int, ...]:
@@ -395,6 +352,10 @@ class FqTower:
 
     def k_coords(self, a: int) -> tuple[int, ...]:
         """Coordinates of a K-element over the base field, in k_basis."""
+        return tuple(self.vk_coords(a).tolist())
+
+    def vk_coords(self, a) -> np.ndarray:
+        """Array counterpart of k_coords: a (*a.shape, n) array."""
         self._ensure_coords()
         return self._k_coords[a]
 

@@ -144,7 +144,7 @@ def invariant_basis(action: SemilinearAction) -> tuple[tuple[int, ...], ...]:
     # A_1 (b_j e_i)^frob is column i of A_1 times b_j^frob
     moved = tower.vmul(mats[:, :, 1 % n, None], tower.vfrob(basis))
     moved = tower.vadd(moved, tower.vneg(np.eye(m, dtype=np.int64)[:, :, None] * basis))
-    coords = [[tower.k_coords(x) for x in row] for row in moved.reshape(m, m * n).tolist()]
+    coords = tower.vk_coords(moved.reshape(m, m * n))
     kernel = mat_kernel(tower, np.transpose(coords, (0, 2, 1)).reshape(m * n, m * n).tolist())
     if len(kernel) != m:
         raise DimensionFailure(

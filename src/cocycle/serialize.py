@@ -52,6 +52,8 @@ def load_group(obj: Any, max_order: int | None = None) -> FiniteGroup:
         family = obj["family"]
         if not isinstance(family, str) or family not in FAMILIES:
             raise ValueError(f"unknown group family {family!r}")
+        if "n" not in obj:
+            raise ValueError(f"group family {family!r} is missing 'n'")
         n = _json_int(obj["n"], "group family 'n'")
         check_family_order(family, n, max_order)
         group = FAMILIES[family][0](n)

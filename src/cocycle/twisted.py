@@ -86,21 +86,35 @@ def is_twisted_action(
 
 
 def enumerate_twisted_actions(parent: GammaGroup) -> list[TwistedSemiaction]:
-    """Brute-force scan of all semiaction vectors, keeping the genuine actions."""
-    g_n, s_n = parent.base.order, parent.gamma.order
+    """Every semiaction vector that is a twisted action, in ``itertools.product``
+    order over the non-identity gamma elements.
+
+    The vectors are decoded from their ranks in chunks and screened by the
+    identity slice of the law, c(s)^t c(t) = c(ts); only the survivors are
+    built as semiactions and checked on every triple.
+    """
+    base, gamma, action = parent.base, parent.gamma, parent.action
+    g_n, s_n = base.order, gamma.order
     n_vectors = g_n ** (s_n - 1)
     if n_vectors > DEFAULT_MAX_CANDIDATES:
         raise SizeLimit(f"{n_vectors} semiaction vectors exceed bound {DEFAULT_MAX_CANDIDATES}")
-    others = [s for s in range(s_n) if s != parent.gamma.identity]
+    others = [s for s in range(s_n) if s != gamma.identity]
+    place = g_n ** np.arange(len(others) - 1, -1, -1, dtype=np.int64)
+    step = max(1, groups.ENGINE_CHUNK // s_n)
+    check_buffer(min(step, n_vectors) * s_n, 8, "twisted action screen")
     found = []
-    for choice in itertools.product(range(g_n), repeat=len(others)):
-        vec = [parent.base.identity] * s_n
-        for s, v in zip(others, choice):
-            vec[s] = v
-        candidate = TwistedSemiaction.from_vector(parent, vec)
-        ok, _ = is_twisted_action(candidate)
-        if ok:
-            found.append(candidate)
+    for lo in range(0, n_vectors, step):
+        ranks = np.arange(lo, min(lo + step, n_vectors), dtype=np.int64)
+        vecs = np.full((len(ranks), s_n), base.identity, dtype=np.intp)
+        vecs[:, others] = ranks[:, None] // place % g_n
+        # c(s)^t c(t) == c(ts), which holds when s or t is the identity
+        for s, t in itertools.product(others, repeat=2):
+            moved = action[t, vecs[:, s]]
+            vecs = vecs[base.table[moved, vecs[:, t]] == vecs[:, gamma.table[t, s]]]
+        for vec in vecs:
+            candidate = TwistedSemiaction.from_vector(parent, vec)
+            if is_twisted_action(candidate)[0]:
+                found.append(candidate)
     return found
 
 

@@ -102,6 +102,19 @@ def test_oracles_share_no_smith_form_with_the_package():
     assert shared == []
 
 
+def test_field_oracle_shares_no_arithmetic_with_the_package():
+    # tests/field_oracle.py multiplies polynomials itself; it imports no tower arithmetic
+    tree = ast.parse((Path(__file__).resolve().parent / "field_oracle.py").read_text("utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or "."] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported
+    assert [m for m in imported if "cocycle" in m or "fields" in m or m == "."] == []
+
+
 def test_every_public_method_of_an_exported_class_is_named():
     # the public API keeps no method that neither src/, tests/ nor bench/ names
     named = set()

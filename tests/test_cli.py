@@ -350,6 +350,11 @@ class TestNonIntegralInput:
         path = write(tmp_path, "g.json", {"family": "cyclic", "n": n})
         _rejected(["etale", "--input", path, "--dim", "2"], capsys, "'n'")
 
+    def test_group_file_without_n(self, tmp_path, capsys):
+        # a missing field is named as missing, not as a bare KeyError text
+        path = write(tmp_path, "g.json", {"family": "cyclic"})
+        _rejected(["etale", "--input", path, "--dim", "2"], capsys, "'cyclic' is missing 'n'")
+
 
 TENSOR = {"p": 3, "d": 1, "n": 2, "dim": 2, "type": [2, 0], "coeffs": [[1, 0], [0, 0], [0, 0], [1, 0]]}
 

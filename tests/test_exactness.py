@@ -295,6 +295,17 @@ class TestAbelianPresentation:
         with pytest.raises(ValueError, match=f"{field} must be integers"):
             exactness.AbelianPresentation(z2, factors, (ident, moved))
 
+    @pytest.mark.parametrize(
+        "factors,entry,field",
+        [((2**70,), 1, "invariant factors"), ((2,), 2**70 + 1, "action matrix entries"),
+         ((2,), -(2**63) - 1, "action matrix entries")],
+    )
+    def test_rejects_integers_beyond_int64(self, factors, entry, field):
+        # np.array(..., dtype=np.int64) would raise numpy's OverflowError
+        z2 = cyclic_group(2)
+        with pytest.raises(ValueError, match=f"{field} must fit in 64 bits"):
+            exactness.AbelianPresentation(z2, factors, (((1,),), ((entry,),)))
+
     def test_numpy_integers_are_accepted(self):
         z2 = cyclic_group(2)
         one = ((np.int64(1),),)

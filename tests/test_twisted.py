@@ -1,10 +1,12 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from cocycle import twisted
+from cocycle import groups, twisted
 from cocycle.cohomology import (
+    GammaGroup,
     cohomologous,
     h1,
     inversion_action,
@@ -258,3 +260,41 @@ class TestMapGroupAndShapiro:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _scan_every_vector(parent):
+    """The unscreened scan: every vector in product order, built and checked in full."""
+    others = [s for s in range(parent.gamma.order) if s != parent.gamma.identity]
+    found = []
+    for choice in itertools.product(range(parent.base.order), repeat=len(others)):
+        vec = [parent.base.identity] * parent.gamma.order
+        for s, v in zip(others, choice):
+            vec[s] = v
+        if is_twisted_action(TwistedSemiaction.from_vector(parent, vec))[0]:
+            found.append(tuple(vec))
+    return found
+
+
+def _screen_cases():
+    s3, z3 = symmetric_group(3), cyclic_group(3)
+    sign = [z3.inv if perm_sign(s3.perms[g]) < 0 else (lambda a: a) for g in range(6)]
+    inverting = GammaGroup(s3, z3, np.array([[f(a) for a in range(3)] for f in sign]))
+    return [
+        ("trivial gamma on S3", trivial_action(trivial_group(), s3)),
+        ("Z/2 on the trivial group", trivial_action(cyclic_group(2), trivial_group())),
+        ("mu4 inversion", mu4_inversion()),
+        ("S3 inverting Z/3", inverting),
+        ("S3 on S3 by conjugation", GammaGroup(s3, s3, s3.conjugation())),
+        ("Z/3 on Z/2 x Z/4", trivial_action(cyclic_group(3), direct_product(cyclic_group(2), cyclic_group(4)))),
+    ]
+
+
+@pytest.mark.parametrize("name,parent", _screen_cases(), ids=[n for n, _ in _screen_cases()])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_screened_scan_keeps_every_twisted_action_in_order(name, parent, chunk, monkeypatch):
+    if chunk is not None:
+        # chunks of seven vectors
+        monkeypatch.setattr(groups, "ENGINE_CHUNK", chunk * parent.gamma.order)
+    got = [t.vector for t in enumerate_twisted_actions(parent)]
+    assert got == _scan_every_vector(parent)
+    assert len(got) == h1(parent).n_cocycles
