@@ -24,7 +24,7 @@ from .errors import (
     MatchFailure,
     NotAField,
 )
-from .fields import FqTower, as_matrix, mat_det, mat_rank, mat_solve
+from .fields import FqTower, mat_det, mat_rank, mat_solve
 from .galois import SemilinearAction
 from .groups import FiniteGroup, GroupHom, Subgroup, orbit_members, orbit_partition, perm_sign
 
@@ -174,7 +174,7 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
         )
     m, sym = cls.m, cls.psi.target
     # column c of P_psi(j) is the unit vector at psi(j)(c)
-    mats = [as_matrix(np.eye(m, dtype=int)[:, sym.perms[cls.psi(j)]]) for j in range(tower.n)]
+    mats = [np.eye(m, dtype=int)[:, sym.perms[cls.psi(j)]] for j in range(tower.n)]
     action = SemilinearAction.make(tower, m, mats)
     basis = galois.invariant_basis(action)  # DimensionFailure on wrong dimension
 
@@ -183,9 +183,8 @@ def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:
     b = np.array(basis)
     products = tower.vmul(b[:, None], b).reshape(m * m, m)
     wanted = np.concatenate([b, products, np.ones((1, m), dtype=np.int64)])
-    flat = tower.vk_coords(wanted).reshape(len(wanted), -1).tolist()
-    flat_rows = [list(row) for row in zip(*flat[:m])]
-    solved = [mat_solve(tower, flat_rows, rhs) for rhs in flat[m:]]
+    coords = tower.vk_coords(wanted).reshape(len(wanted), -1)
+    solved = [mat_solve(tower, coords[:m].T, rhs) for rhs in coords[m:]]
     structure = tuple(tuple(solved[i * m : (i + 1) * m]) for i in range(m))
     if any(None in row for row in structure):
         raise CounterexampleFound("fixed space is not closed under multiplication")
@@ -221,7 +220,7 @@ def _with_validation(algebra: EtaleAlgebra) -> EtaleAlgebra:
     # e is primitive when no other idempotent f has e f = f
     below = (product(e[:, None], e) == e).all(axis=2) & ~np.eye(len(e), dtype=bool)
     primitive = e[~below.any(axis=1)]
-    degrees = [mat_rank(t, as_matrix(images)) for images in product(primitive[:, None], unit)]
+    degrees = [mat_rank(t, images) for images in product(primitive[:, None], unit)]
     if sum(degrees) != m:
         raise DimensionFailure("primitive idempotent blocks do not fill the algebra")
     return replace(algebra, factor_degrees=tuple(sorted(degrees, reverse=True)))
@@ -233,12 +232,12 @@ def trace_form_determinant(algebra: EtaleAlgebra) -> int:
     t, c, m = algebra.tower, np.array(algebra.structure), algebra.m
     traces = functools.reduce(t.vadd, (c[:, s, s] for s in range(m)))
     gram = functools.reduce(t.vadd, (t.vmul(c[:, :, k], traces[k]) for k in range(m)))
-    return mat_det(t, as_matrix(gram))
+    return mat_det(t, gram)
 
 
 def is_square_in_base(tower: FqTower, x: int) -> bool:
-    squares = {tower.mul(a, a) for a in tower.k_elements}
-    return x in squares
+    k = np.array(tower.k_elements)
+    return x in tower.vmul(k, k)
 
 
 def trace_discriminant_matches_sign(tower: FqTower, cls: EtaleClass) -> bool:

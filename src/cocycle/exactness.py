@@ -248,9 +248,15 @@ class AbelianPresentation:
         for g, mat in enumerate(self.matrices):
             if len(mat) != k or any(len(row) != k for row in mat):
                 raise ValueError(f"action matrix of gamma element {g} has wrong shape")
-        _check_integers("action matrix entries", [x for m in self.matrices for r in m for x in r])
+        entries = [x for m in self.matrices for r in m for x in r]
+        _check_integers("action matrix entries", entries)
         mats = np.array(self.matrices, dtype=np.int64).reshape(self.gamma.order, k, k)
         orders = np.array(self.factors, dtype=np.int64)
+        # Python ints where entry * factor or a k-term sum of entry * entry
+        # could leave int64
+        big = max((abs(int(x)) for x in entries), default=0)
+        if big * int(max([*self.factors, k * big])) >= 1 << 63:
+            mats, orders = mats.astype(object), orders.astype(object)
         row_orders = orders[:, None]
         bad = np.argwhere((mats * orders) % row_orders)
         if len(bad):

@@ -17,11 +17,11 @@ Matrices over the tower are entry-major arrays everywhere: a batch of
 r x c matrices is one (r, c, *batch) int array, multiplied by ``batch_mul``
 and mapped entrywise by ``vfrob``. Tuples (``Matrix``) appear only at the
 API boundary, through ``as_matrix``. The one elimination routine, ``rref``,
-behind rank, kernel, solve, determinant and inverse, reduces one matrix of
-Python ints at a time. GL_m/SL_m have one enumeration, ``general_linear``: a
-stream, in lexicographic order, of chunks of ``ENGINE_CHUNK >> 4`` entries,
-each an (m, m, N) array with its Leibniz determinants and ranks, inverted in
-bulk by ``batch_inv``.
+behind rank, kernel, solve, determinant and inverse, reduces a 2-D array
+with a few whole-array operations per pivot. GL_m/SL_m have one enumeration,
+``general_linear``: a stream, in lexicographic order, of chunks of
+``ENGINE_CHUNK >> 4`` entries, each an (m, m, N) array with its Leibniz
+determinants and ranks, inverted in bulk by ``batch_inv`` (adjugates).
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ class FqTower:
                 raise CounterexampleFound("frobenius has order smaller than n")
         # F_p entries are the tower's constants, so the tower's own
         # elimination computes the rank over F_p
-        nullity = deg - mat_rank(self, ((self.frobenius_matrix - eye) % p).tolist())
+        nullity = deg - mat_rank(self, (self.frobenius_matrix - eye) % p)
         if p**nullity != self.q:
             raise DimensionFailure("fixed field of frobenius is not the base field")
 
@@ -392,33 +392,36 @@ def make_tower(p: int, d: int, n: int, max_field: int = DEFAULT_MAX_FIELD) -> Fq
 # -- matrices over a tower ----------------------------------------------------
 
 
-def rref(tower: FqTower, rows) -> tuple[list[list[int]], list[int], int]:
+def rref(tower: FqTower, rows) -> tuple[np.ndarray, list[int], int]:
     """Reduced row echelon form over the tower by Gauss-Jordan elimination.
 
-    Returns the reduced rows, the pivot columns and the determinant factor:
-    the product of the pivots met, negated once per row swap. A square
-    matrix has determinant equal to the factor when every column has a
-    pivot, and 0 otherwise.
+    Reduces a copy of rows as one 2-D int array: each pivot step is a row
+    swap, the pivot row times the pivot's inverse, and one rank-1 update of
+    every other row. The pivot is the first nonzero row at or below the
+    pivots found, columns in order. Returns the reduced array, the pivot
+    columns and the determinant factor: the product of the pivots met,
+    negated once per row swap. A square matrix has determinant equal to the
+    factor when every column has a pivot, and 0 otherwise.
     """
-    mat = [[int(x) for x in row] for row in rows]
-    n_rows, n_cols = len(mat), (len(mat[0]) if mat else 0)
+    mat = np.array(rows, dtype=np.int64, ndmin=2)
     pivots: list[int] = []
     factor = 1
-    for c in range(n_cols):
+    for c in range(mat.shape[1]):
         top = len(pivots)
-        pivot = next((r for r in range(top, n_rows) if mat[r][c] != 0), None)
-        if pivot is None:
+        below = np.flatnonzero(mat[top:, c])
+        if not below.size:
             continue
-        if pivot != top:
-            mat[top], mat[pivot] = mat[pivot], mat[top]
+        r = top + int(below[0])
+        if r != top:
+            mat[[top, r]] = mat[[r, top]]
             factor = tower.neg(factor)
-        factor = tower.mul(factor, mat[top][c])
-        pinv = tower.inv(mat[top][c])
-        mat[top] = [tower.mul(x, pinv) for x in mat[top]]
-        for r in range(n_rows):
-            if r != top and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [tower.sub(x, tower.mul(f, y)) for x, y in zip(mat[r], mat[top])]
+        pivot = int(mat[top, c])
+        factor = tower.mul(factor, pivot)
+        mat[top] = tower.vmul(mat[top], tower.inv(pivot))
+        # every other row loses its column-c entry times the pivot row
+        scale = tower.vneg(mat[:, c])
+        scale[top] = 0
+        mat = tower.vadd(mat, tower.vmul(scale[:, None], mat[top]))
         pivots.append(c)
     return mat, pivots, factor
 
@@ -430,41 +433,35 @@ def mat_rank(tower: FqTower, rows) -> int:
 def mat_kernel(tower: FqTower, rows) -> list[list[int]]:
     """Kernel basis: one vector per free column, with 1 in that column."""
     reduced, pivots, _ = rref(tower, rows)
-    n_cols = len(rows[0]) if len(rows) else 0
-    basis = []
-    for free in (c for c in range(n_cols) if c not in pivots):
-        vec = [0] * n_cols
-        vec[free] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = tower.neg(reduced[r][free])
-        basis.append(vec)
-    return basis
+    free = np.setdiff1d(np.arange(reduced.shape[1]), pivots)
+    basis = np.zeros((len(free), reduced.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = tower.vneg(reduced[: len(pivots), free].T)
+    return basis.tolist()
 
 
 def mat_solve(tower: FqTower, rows, rhs) -> tuple[int, ...] | None:
     """A solution x of rows . x = rhs (free coordinates 0), or None."""
     n_cols = len(rows[0])
-    reduced, pivots, _ = rref(tower, [list(row) + [b] for row, b in zip(rows, rhs)])
+    reduced, pivots, _ = rref(tower, np.column_stack([rows, rhs]))
     if pivots and pivots[-1] == n_cols:
         return None
-    out = [0] * n_cols
-    for r, c in enumerate(pivots):
-        out[c] = reduced[r][n_cols]
-    return tuple(out)
+    out = np.zeros(n_cols, dtype=np.int64)
+    out[pivots] = reduced[: len(pivots), n_cols]
+    return tuple(out.tolist())
 
 
-def mat_det(tower: FqTower, a: Matrix) -> int:
+def mat_det(tower: FqTower, a) -> int:
     _, pivots, factor = rref(tower, a)
     return factor if len(pivots) == len(a) else 0
 
 
-def mat_inv(tower: FqTower, a: Matrix) -> Matrix | None:
+def mat_inv(tower: FqTower, a) -> Matrix | None:
     m = len(a)
-    augmented = [list(row) + [int(i == j) for j in range(m)] for i, row in enumerate(a)]
-    reduced, pivots, _ = rref(tower, augmented)
+    reduced, pivots, _ = rref(tower, np.column_stack([a, np.eye(m, dtype=np.int64)]))
     if pivots[:m] != list(range(m)):
         return None
-    return tuple(tuple(row[m:]) for row in reduced)
+    return as_matrix(reduced[:, m:])
 
 
 # -- batched matrices: entry-major (rows, cols, *batch) int arrays ---------------

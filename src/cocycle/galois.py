@@ -6,10 +6,9 @@ can vanish in characteristic p), exhaustive Hilbert-90 style cocycle scans
 for GL_m and SL_m, and two-route classification of tensor forms. Scans and
 forms make one pass over the chunked GL_m/SL_m stream of ``fields``,
 keeping a dense table of coboundaries by matrix key and each chunk's survivors.
-Every matrix product and Frobenius twist runs on entry-major arrays of
-``fields``; the ``rref`` family reduces one matrix at a time, and tuples stay
-at the API boundary: ``SemilinearAction.mats``, ``TensorOnV.coeffs`` and the
-report fields.
+Every matrix product, Frobenius twist and elimination runs on arrays of
+``fields``, and tuples stay at the API boundary: ``SemilinearAction.mats``,
+``TensorOnV.coeffs`` and the report fields.
 
 Cyclic cocycles are stored through their generator matrix A: the value at
 frob^j is A * A^frob * ... * A^(frob^(j-1)), the norm condition
@@ -63,7 +62,7 @@ def automorphism_independence_check(tower: FqTower) -> bool:
     """
     n, spanning = tower.n, tower.p ** np.arange(tower.degree)  # encodings of x^i
     rows = np.stack([tower.vfrob(spanning, j) for j in range(n)], axis=1)
-    independent = mat_rank(tower, rows.tolist()) == n
+    independent = mat_rank(tower, rows) == n
     if tower.size**n <= EXHAUSTIVE_INDEPENDENCE_SIZE:
         # all nonzero (c_j) as one batch of 1 x n matrices, combos[j] holding
         # c_j; sum_j c_j x^(q^j) is dropped at the first x where it is nonzero
@@ -104,9 +103,8 @@ class SemilinearAction:
         arr = _entry_major(mats, dim)
         if not np.array_equal(arr[:, :, 0], np.eye(dim)):
             raise ValueError("the identity Galois element must act by the identity matrix")
-        for m in mats:
-            if mat_inv(tower, m) is None:
-                raise ValueError("semilinear action matrices must be invertible")
+        if any(mat_inv(tower, arr[:, :, j]) is None for j in range(tower.n)):
+            raise ValueError("semilinear action matrices must be invertible")
         # got[:, :, i, j] = A_i A_j^(frob^i), to equal A_((i + j) mod n)
         frobs = np.stack([tower.vfrob(arr, i) for i in range(tower.n)], axis=2)
         got = batch_mul(tower, arr[:, :, :, None], frobs)
@@ -145,7 +143,7 @@ def invariant_basis(action: SemilinearAction) -> tuple[tuple[int, ...], ...]:
     moved = tower.vmul(mats[:, :, 1 % n, None], tower.vfrob(basis))
     moved = tower.vadd(moved, tower.vneg(np.eye(m, dtype=np.int64)[:, :, None] * basis))
     coords = tower.vk_coords(moved.reshape(m, m * n))
-    kernel = mat_kernel(tower, np.transpose(coords, (0, 2, 1)).reshape(m * n, m * n).tolist())
+    kernel = mat_kernel(tower, np.transpose(coords, (0, 2, 1)).reshape(m * n, m * n))
     if len(kernel) != m:
         raise DimensionFailure(
             f"fixed space has k-dimension {len(kernel)}, expected {m}"
@@ -156,10 +154,9 @@ def invariant_basis(action: SemilinearAction) -> tuple[tuple[int, ...], ...]:
     for j in range(n):
         if (batch_mul(tower, mats[:, :, j], tower.vfrob(vectors, j)) != vectors).any():
             raise MatchFailure("returned vector is not invariant")
-    vectors = tuple(map(tuple, vectors.T.tolist()))
-    if mat_rank(tower, vectors) != m:
+    if mat_rank(tower, vectors.T) != m:
         raise DimensionFailure("invariant vectors are not K-linearly independent")
-    return vectors
+    return tuple(map(tuple, vectors.T.tolist()))
 
 
 # ---------------------------------------------------------------------------

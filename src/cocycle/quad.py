@@ -180,25 +180,14 @@ def whole_ring(ring: QuadRing) -> QuadIdeal:
 def multiply(i: QuadIdeal, j: QuadIdeal) -> QuadIdeal:
     if i.ring is not j.ring:
         raise ValueError("ideals must share a ring")
-    ring = i.ring
-    products = [ring.mul(u, v) for u in i.basis() for v in j.basis()]
-    vectors = products + [ring.mul_omega(p) for p in products]
-    a, b, c = _hnf_two_rows(vectors)
-    result = QuadIdeal(ring, a, b, c)
+    result = ideal_from_generators(i.ring, [i.ring.mul(u, v) for u in i.basis() for v in j.basis()])
     if result.norm != i.norm * j.norm:
         raise CounterexampleFound("ideal norm is not multiplicative")
     return result
 
 
 def conjugate(i: QuadIdeal) -> QuadIdeal:
-    ring = i.ring
-    vectors = []
-    for v in i.basis():
-        w = ring.conj(v)
-        vectors.append(w)
-        vectors.append(ring.mul_omega(w))
-    a, b, c = _hnf_two_rows(vectors)
-    return QuadIdeal(ring, a, b, c)
+    return ideal_from_generators(i.ring, [i.ring.conj(v) for v in i.basis()])
 
 
 def elements_of_norm(ring: QuadRing, n: int) -> list[Elem]:
@@ -351,14 +340,12 @@ def verify_units_iso(ring: QuadRing) -> UnitsIsoReport:
     units = unit_group(ring)
     h1_set = cohomology.h1(units.gamma_group)
     pos = {u: i for i, u in enumerate(units.elements)}
-    identity = units.gamma_group.base.identity
-    labels = []
-    for _, gen in quotient.principal_subsets:
-        ratio = _unit_quotient(ring, ring.conj(gen), gen)
-        if ratio not in pos:
-            raise CounterexampleFound("conj(lambda)/lambda is not a unit")
-        cocycle = cohomology.make_cocycle(units.gamma_group, (identity, pos[ratio]))
-        labels.append([h1_set.class_index(cocycle)])
+    ratios = [_unit_quotient(ring, ring.conj(gen), gen) for _, gen in quotient.principal_subsets]
+    if any(ratio not in pos for ratio in ratios):
+        raise CounterexampleFound("conj(lambda)/lambda is not a unit")
+    # the cocycle of each subset: identity at the identity, its ratio at conjugation
+    rows = [(units.gamma_group.base.identity, pos[ratio]) for ratio in ratios]
+    labels = [[c] for c in h1_set.class_indices(rows).tolist()]
     classes = match_blocks(labels, range(h1_set.order), "principal subsets -> H1 classes")
     pairs = tuple((s, g, c) for (s, g), c in zip(quotient.principal_subsets, classes))
     return UnitsIsoReport(ring, quotient, h1_set, pairs)

@@ -362,13 +362,12 @@ def shapiro_verify(gamma: FiniteGroup, h_sub: Subgroup, g_action: GammaGroup) ->
     induced = shapiro_induce(gamma, h_sub, g_action)
     h1_big = cohomology.h1(induced.gamma_group)
     h1_small = cohomology.h1(g_action)
-    h_elements = h_sub.members  # embedding order of the canonical relabeling
-
-    def restricted_class(values: tuple[int, ...]) -> int:
-        restricted = tuple(induced.maps[values[m]][gamma.identity] for m in h_elements)
-        return h1_small.class_index(cohomology.make_cocycle(g_action, restricted))
-
-    # two members per class check that restriction is constant on classes
-    labels = [[restricted_class(v) for v in members[:2]] for members in h1_big.members]
+    # two members per class check that restriction is constant on classes;
+    # restricting evaluates a member's maps on H (embedding order) at the identity
+    sampled = [members[:2] for members in h1_big.members]
+    at_identity = np.array([phi[gamma.identity] for phi in induced.maps])
+    rows = at_identity[np.array([v for pair in sampled for v in pair])[:, list(h_sub.members)]]
+    row_class = iter(h1_small.class_indices(rows).tolist())
+    labels = [[next(row_class) for _ in pair] for pair in sampled]
     class_map = match_blocks(labels, range(h1_small.order), "restriction to H -> H1(H, G)")
     return ShapiroReport(induced, h1_big, h1_small, class_map)

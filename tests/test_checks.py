@@ -115,6 +115,21 @@ def test_field_oracle_shares_no_arithmetic_with_the_package():
     assert [m for m in imported if "cocycle" in m or "fields" in m or m == "."] == []
 
 
+def test_matrix_oracle_shares_no_elimination_with_the_package():
+    # tests/matrix_oracle.py eliminates by hand; it takes no rref, mat_* or
+    # batch_det/batch_inv from cocycle, by import or by attribute
+    tree = ast.parse((Path(__file__).resolve().parent / "matrix_oracle.py").read_text("utf-8"))
+    taken = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and "cocycle" in (node.module or ""):
+            taken += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            taken.append(node.attr)
+    assert "FqTower" in taken
+    eliminations = ("rref", "batch_det", "batch_inv")
+    assert [n for n in taken if n in eliminations or n.startswith("mat_")] == []
+
+
 def test_every_public_method_of_an_exported_class_is_named():
     # the public API keeps no method that neither src/, tests/ nor bench/ names
     named = set()

@@ -312,6 +312,13 @@ class TestAbelianPresentation:
         pres = exactness.AbelianPresentation(z2, (np.int32(2),), (one, one))
         assert h2_central(z2, pres).invariant_factors == (2,)
 
+    @pytest.mark.parametrize("negation", [-1, 3 * 2**61 - 1])
+    def test_entries_whose_products_leave_int64(self, negation):
+        # over Z/(3 * 2^61), negation as 3 * 2^61 - 1 squares to past 2^63
+        z2 = cyclic_group(2)
+        pres = exactness.AbelianPresentation(z2, (3 * 2**61,), (((1,),), ((negation,),)))
+        assert h2_central(z2, pres).invariant_factors == (2,)
+
     def test_decomposition_of_v4(self):
         z2 = cyclic_group(2)
         v4 = direct_product(cyclic_group(2), cyclic_group(2))

@@ -87,6 +87,21 @@ def test_enumeration_order_and_det_image(spec, m):
 
 TOWERS = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2)]
 
+#: TOWERS with dense tables, and 3x1x2 once more without them (FIELD_TABLE_LIMIT
+#: patched to 0), so that the digit-vector path of rref meets the oracles too.
+RREF_TOWERS = [pytest.param(spec, True, id=f"spec{i}") for i, spec in enumerate(TOWERS)] + [
+    pytest.param((3, 1, 2), False, id="tableless")
+]
+
+
+def _tower(spec, tables, monkeypatch):
+    if tables:
+        return make_tower(*spec)
+    monkeypatch.setattr(fields, "FIELD_TABLE_LIMIT", 0)
+    tower = fields.FqTower(*spec)
+    assert not tower._tables_built
+    return tower
+
 
 def _random_rows(tower, rng, n_rows, n_cols, values=None):
     """Random rows, made rank-deficient half the time (last row = row0 * c + row1)."""
@@ -105,9 +120,9 @@ def _dot(tower, row, x):
     return acc
 
 
-@pytest.mark.parametrize("spec", TOWERS)
-def test_rank_kernel_solve(spec):
-    tower = make_tower(*spec)
+@pytest.mark.parametrize("spec,tables", RREF_TOWERS)
+def test_rank_kernel_solve(spec, tables, monkeypatch):
+    tower = _tower(spec, tables, monkeypatch)
     rng = random.Random(sum(spec))
     k = list(tower.k_elements)
     for _ in range(60):
@@ -124,9 +139,9 @@ def test_rank_kernel_solve(spec):
             assert mat_solve(tower, base_rows, rhs) == oracle._field_solve(tower, columns, rhs)
 
 
-@pytest.mark.parametrize("spec", TOWERS)
-def test_det_and_inverse(spec):
-    tower = make_tower(*spec)
+@pytest.mark.parametrize("spec,tables", RREF_TOWERS)
+def test_det_and_inverse(spec, tables, monkeypatch):
+    tower = _tower(spec, tables, monkeypatch)
     rng = random.Random(10 * sum(spec))
     for _ in range(60):
         m = rng.randrange(1, 5)
@@ -136,9 +151,9 @@ def test_det_and_inverse(spec):
         assert mat_inv(tower, a) == oracle.mat_inv(tower, a)
 
 
-@pytest.mark.parametrize("spec", TOWERS)
-def test_fp_rank_through_tower_constants(spec):
-    tower = make_tower(*spec)
+@pytest.mark.parametrize("spec,tables", RREF_TOWERS)
+def test_fp_rank_through_tower_constants(spec, tables, monkeypatch):
+    tower = _tower(spec, tables, monkeypatch)
     rng = random.Random(100 + sum(spec))
     for _ in range(30):
         rows = _random_rows(tower, rng, rng.randrange(1, 6), rng.randrange(1, 6), range(tower.p))
