@@ -18,12 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import galois, groups
-from .errors import (
-    CounterexampleFound,
-    DimensionFailure,
-    MatchFailure,
-    NotAField,
-)
+from .errors import DEFAULT_MAX_CANDIDATES, CounterexampleFound, DimensionFailure, MatchFailure
+from .errors import NotAField, SizeLimit
 from .fields import FqTower, mat_det, mat_rank, mat_solve
 from .galois import SemilinearAction
 from .groups import FiniteGroup, GroupHom, Subgroup, orbit_members, orbit_partition, perm_sign
@@ -151,13 +147,14 @@ class EtaleAlgebra:
         return tuple(self._product(np.array(x), np.array(y)).tolist())
 
     def elements(self):
-        """Every coordinate vector in ``itertools.product`` order, as (rows, m)
-        arrays of at most ``ENGINE_CHUNK`` entries each."""
+        """Every coordinate vector in ``itertools.product`` order, as the (rows, m)
+        chunks of :func:`groups.product_chunks`; more than DEFAULT_MAX_CANDIDATES
+        vectors raise SizeLimit before the first."""
         k = np.array(self.tower.k_elements)
-        total, step = len(k) ** self.m, max(1, groups.ENGINE_CHUNK // self.m)
-        for lo in range(0, total, step):
-            index = np.unravel_index(np.arange(lo, min(lo + step, total)), (len(k),) * self.m)
-            yield k[np.stack(index, axis=-1)]
+        if (total := len(k) ** self.m) > DEFAULT_MAX_CANDIDATES:
+            raise SizeLimit(f"{total} algebra elements exceed bound {DEFAULT_MAX_CANDIDATES}")
+        for _, digits in groups.product_chunks((len(k),) * self.m, self.m, "algebra element chunk"):
+            yield k[digits]
 
 
 def realize_over_fq(tower: FqTower, cls: EtaleClass) -> EtaleAlgebra:

@@ -40,8 +40,8 @@ from .errors import (
     SizeLimit,
     check_buffer,
 )
-from .groups import ENGINE_CHUNK, FiniteGroup, Subgroup, _word_tree, first_violation, orbit_members
-from .groups import distinct_sorted, orbit_partition
+from .groups import FiniteGroup, Subgroup, _word_tree, first_violation, orbit_members
+from .groups import distinct_sorted, orbit_partition, product_chunks
 from .snf import cokernel_invariant_factors, smith_normal_form
 
 
@@ -542,15 +542,6 @@ def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
     )
 
 
-def _digit_rows(moduli: np.ndarray, width: int):
-    """Every vector with entries below moduli, in itertools.product order, in
-    row chunks of ``ENGINE_CHUNK >> 4`` entries of a width-wide array each."""
-    total, rows = math.prod(moduli.tolist()), max(1, (ENGINE_CHUNK >> 4) // width)
-    for start in range(0, total, rows):
-        index = np.arange(start, min(start + rows, total))
-        yield np.stack(np.unravel_index(index, moduli), axis=1)
-
-
 def _raw_differential(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> np.ndarray:
     """Dense d_n on raw cochains (every argument tuple, row-major) by the face formula."""
     ng, k = gamma.order, pres.rank
@@ -585,12 +576,13 @@ def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation) -> int:
     d1, d2 = _raw_differential(gamma, pres, 1), _raw_differential(gamma, pres, 2)
     moduli1, moduli2, moduli3 = (np.tile(pres.factors, ng**n) for n in (1, 2, 3))
     cocycle_count = 0
-    for cochains in _digit_rows(moduli2, len(moduli3)):
+    # 16 times the row width, as the GL scan: each chunk holds several arrays of its size
+    for _, cochains in product_chunks(moduli2.tolist(), 16 * len(moduli3), "raw 2-cochain chunk"):
         defects = (cochains @ d2.T) % moduli3
         cocycle_count += int(np.count_nonzero(~defects.any(axis=1)))
     keys = [
         np.ravel_multi_index(tuple(((fs @ d1.T) % moduli2).T), moduli2)
-        for fs in _digit_rows(moduli1, len(moduli2))
+        for _, fs in product_chunks(moduli1.tolist(), 16 * len(moduli2), "raw 1-cochain chunk")
     ]
     coboundary_count = len(distinct_sorted(np.concatenate(keys)))
     if cocycle_count % coboundary_count:

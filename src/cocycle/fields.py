@@ -19,9 +19,9 @@ and mapped entrywise by ``vfrob``. Tuples (``Matrix``) appear only at the
 API boundary, through ``as_matrix``. The one elimination routine, ``rref``,
 behind rank, kernel, solve, determinant and inverse, reduces a 2-D array
 with a few whole-array operations per pivot. GL_m/SL_m have one enumeration,
-``general_linear``: a stream, in lexicographic order, of chunks of
-``ENGINE_CHUNK >> 4`` entries, each an (m, m, N) array with its Leibniz
-determinants and ranks, inverted in bulk by ``batch_inv`` (adjugates).
+``general_linear``: a stream, in lexicographic order, of the chunks of
+``groups.product_chunks`` at 16 m^2 entries a row, each an (m, m, N) array with
+its Leibniz determinants and ranks, inverted in bulk by ``batch_inv`` (adjugates).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .errors import (
     SizeLimit,
     check_buffer,
 )
-from .groups import ENGINE_CHUNK
+from .groups import product_chunks
 
 Matrix = tuple[tuple[int, ...], ...]
 Chunks = Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (mats, det, keys) per chunk
@@ -538,12 +538,12 @@ def batch_inv(tower: FqTower, a: np.ndarray, det: np.ndarray) -> np.ndarray:
 
 
 def invertible_matrices(tower: FqTower, values: np.ndarray, m: int, special: bool) -> Chunks:
-    """(mats, det, ranks) chunks of the invertible (det 1 if special) matrices_over values."""
-    total = len(values) ** (m * m)
-    step = max(1, (ENGINE_CHUNK >> 4) // (m * m))
-    for start in range(0, total, step):
-        keys = np.arange(start, min(start + step, total), dtype=np.int64)
-        mats = matrices_over(values, m, keys)
+    """(mats, det, ranks) chunks of the invertible (det 1 if special) matrices_over values.
+
+    The ranks come from :func:`product_chunks` at 16 times the m * m row width:
+    each chunk's Leibniz terms and adjugates hold several arrays of its size."""
+    for keys, digits in product_chunks((len(values),) * m * m, 16 * m * m, "matrix scan chunk"):
+        mats = values[digits.T].reshape(m, m, len(keys))
         det = batch_det(tower, mats)
         keep = det == 1 if special else det != 0
         yield mats[:, :, keep], det[keep], keys[keep]

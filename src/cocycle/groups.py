@@ -29,8 +29,8 @@ from .errors import (
     check_buffer,
 )
 
-#: Array entries held by one chunk of the crossed-hom engine, a group table
-#: build or the associativity check; GL/SL scans and the H2 oracle take >> 4.
+#: Array entries held by one chunk of an enumeration, a group table build or
+#: the associativity check; :func:`product_chunks` sizes every product-order stream by it.
 ENGINE_CHUNK = 1 << 20
 
 Perm = tuple[int, ...]
@@ -572,6 +572,23 @@ def identity_hom(g: FiniteGroup) -> GroupHom:
     return GroupHom(g, g, tuple(range(g.order)))
 
 
+def product_chunks(radices, width: int, what: str):
+    """``itertools.product(*map(range, radices))`` in (ranks, digits) chunks:
+    ranks a slice of ``arange(prod(radices))`` and digits its (rows,
+    len(radices)) decode, the last digit fastest. A chunk holds
+    ``max(1, ENGINE_CHUNK // width)`` rows, the last one fewer, and one chunk's
+    rows * width entries pass :func:`check_buffer` as ``what`` before anything
+    is allocated. No radices give one row of width 0; a zero radix, no rows."""
+    total, rows = math.prod(radices), max(1, ENGINE_CHUNK // width)
+    check_buffer(min(rows, total) * width, 8, what)
+    for lo in range(0, total, rows):
+        ranks = np.arange(lo, min(lo + rows, total))
+        digits, rest = np.empty((len(ranks), len(radices)), dtype=np.intp), ranks
+        for j in reversed(range(len(radices))):
+            rest, digits[:, j] = np.divmod(rest, radices[j])
+        yield ranks, digits
+
+
 def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None) -> np.ndarray:
     """Every crossed hom gamma -> base, as value rows in lexicographic order.
 
@@ -586,8 +603,8 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
     order n, with alpha(s^n) = e, where alpha(s) = x and alpha(s^(j+1)) =
     alpha(s^j) * x^(s^j): every crossed hom satisfies this cyclic relation,
     so the survivors do not change. The candidate bound counts the pools as
-    given, before this filter. Chunks hold ``ENGINE_CHUNK`` values; each
-    check compresses its chunk.
+    given, before this filter. Candidates come from :func:`product_chunks`,
+    ``ENGINE_CHUNK`` values a chunk; each check compresses its chunk.
     """
     gens = gamma.short_generators()
     ng, k = gamma.order, len(gens)
@@ -612,7 +629,6 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
             cols[gamma.mul(power, s)] = law_rhs(cols, power, s)
             power = gamma.mul(power, s)
         pools[j] = pools[j][cols[gamma.identity] == base.identity]
-    n_cand = math.prod(len(p) for p in pools)
 
     tree = _word_tree(gamma, gens)
     steps = [t for t in tree if t[1] != gamma.identity]  # level one holds the generators
@@ -626,15 +642,10 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
             xs = gamma.mul(x, s)
             checks[max(ready[x], ready[xs])].append((x, s, xs))
 
-    rows = max(1, ENGINE_CHUNK // ng)
     found = [np.empty((0, ng), dtype=np.intp)]
-    for start in range(0, n_cand, rows):
-        idx = np.arange(start, min(start + rows, n_cand))
-        check_buffer(idx.size * ng, 8, "crossed-hom candidate chunk")
-        cols = {gamma.identity: np.full(idx.size, base.identity, dtype=np.intp)}
-        for s, pool in zip(gens[::-1], pools[::-1]):
-            idx, digit = np.divmod(idx, len(pool))
-            cols[s] = pool[digit]
+    for _, digits in product_chunks([len(p) for p in pools], ng, "crossed-hom candidate chunk"):
+        cols = {gamma.identity: np.full(len(digits), base.identity, dtype=np.intp)}
+        cols.update((s, pool[digits[:, j]]) for j, (s, pool) in enumerate(zip(gens, pools)))
         for i in range(len(steps) + 1):
             if i:
                 new, prev, gen = steps[i - 1]

@@ -89,9 +89,9 @@ def enumerate_twisted_actions(parent: GammaGroup) -> list[TwistedSemiaction]:
     """Every semiaction vector that is a twisted action, in ``itertools.product``
     order over the non-identity gamma elements.
 
-    The vectors are decoded from their ranks in chunks and screened by the
-    identity slice of the law, c(s)^t c(t) = c(ts); only the survivors are
-    built as semiactions and checked on every triple.
+    The vectors come in the chunks of :func:`groups.product_chunks` and are
+    screened by the identity slice of the law, c(s)^t c(t) = c(ts); only the
+    survivors are built as semiactions and checked on every triple.
     """
     base, gamma, action = parent.base, parent.gamma, parent.action
     g_n, s_n = base.order, gamma.order
@@ -99,14 +99,10 @@ def enumerate_twisted_actions(parent: GammaGroup) -> list[TwistedSemiaction]:
     if n_vectors > DEFAULT_MAX_CANDIDATES:
         raise SizeLimit(f"{n_vectors} semiaction vectors exceed bound {DEFAULT_MAX_CANDIDATES}")
     others = [s for s in range(s_n) if s != gamma.identity]
-    place = g_n ** np.arange(len(others) - 1, -1, -1, dtype=np.int64)
-    step = max(1, groups.ENGINE_CHUNK // s_n)
-    check_buffer(min(step, n_vectors) * s_n, 8, "twisted action screen")
     found = []
-    for lo in range(0, n_vectors, step):
-        ranks = np.arange(lo, min(lo + step, n_vectors), dtype=np.int64)
-        vecs = np.full((len(ranks), s_n), base.identity, dtype=np.intp)
-        vecs[:, others] = ranks[:, None] // place % g_n
+    for _, digits in groups.product_chunks((g_n,) * len(others), s_n, "twisted action screen"):
+        vecs = np.full((len(digits), s_n), base.identity, dtype=np.intp)
+        vecs[:, others] = digits
         # c(s)^t c(t) == c(ts), which holds when s or t is the identity
         for s, t in itertools.product(others, repeat=2):
             moved = action[t, vecs[:, s]]

@@ -10,7 +10,8 @@ exported in ``cocycle.__all__``, or kept for a reason stated below; so is
 every method of a class outside ``cocycle.__all__``; every public method of
 an exported class is named in ``src/``, ``tests/`` or ``bench/``. No
 function takes a bound parameter except the five that the CLI's bound flags
-set.
+set. Only ``groups``, where ``product_chunks`` sizes every product-order
+stream, names ``ENGINE_CHUNK``.
 """
 
 import ast
@@ -38,6 +39,24 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_groups_names_the_chunk_constant():
+    # a module that read ENGINE_CHUNK would size its own chunks, past product_chunks
+    readers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "ENGINE_CHUNK" in names and path.name != "groups.py":
+                readers.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert readers == []
 
 
 #: Module-level names that nothing in ``src/`` uses, and why each stays.

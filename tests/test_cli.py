@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cocycle import serialize
+from cocycle import etale, serialize
 from cocycle.cli import main
 from cocycle.fields import make_tower
 from cocycle.serialize import load_group
@@ -160,6 +160,15 @@ class TestEtaleCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and peak < 1 << 20
         assert "resource bound exceeded: group multiplication table needs" in captured.err
+
+    def test_realization_over_the_element_bound_exit_2(self, tmp_path, capsys, monkeypatch):
+        # validating a 4-dimensional algebra over F_3 walks its 81 elements
+        monkeypatch.setattr(etale, "DEFAULT_MAX_CANDIDATES", 80)
+        path = write(tmp_path, "z2.json", {"family": "cyclic", "n": 2})
+        assert main(["etale", "--input", path, "--dim", "4", "--tower", "3x1x2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resource bound exceeded: 81 algebra elements exceed bound 80" in captured.err
 
     def test_with_tower_realization(self, tmp_path, capsys):
         path = write(tmp_path, "z4.json", {"family": "cyclic", "n": 4})

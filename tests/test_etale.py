@@ -6,7 +6,7 @@ import re
 import pytest
 
 from cocycle import etale, groups
-from cocycle.errors import CounterexampleFound, NotAField
+from cocycle.errors import CounterexampleFound, NotAField, SizeLimit
 from cocycle.etale import (
     EtaleAlgebra,
     classify_etale,
@@ -238,6 +238,18 @@ class TestRealize:
         cls = classify_etale(cyclic_group(3), 2)[0]
         with pytest.raises(ValueError):
             realize_over_fq(t, cls)
+
+    def test_element_count_is_bounded_before_the_first_chunk(self, monkeypatch):
+        # validation walks the 3^3 elements of an algebra over F_3
+        t, cls = make_tower(3, 1, 2), classify_etale(cyclic_group(2), 3)[0]
+        monkeypatch.setattr(etale, "DEFAULT_MAX_CANDIDATES", 27)
+        assert realize_over_fq(t, cls).factor_degrees == (1, 1, 1)
+        monkeypatch.setattr(etale, "DEFAULT_MAX_CANDIDATES", 26)
+        streams = []
+        monkeypatch.setattr(groups, "product_chunks", lambda *args: streams.append(args))
+        with pytest.raises(SizeLimit, match="^27 algebra elements exceed bound 26$"):
+            realize_over_fq(t, cls)
+        assert streams == []
 
     def test_trace_form_nondegenerate(self):
         t = make_tower(3, 1, 2)

@@ -580,3 +580,93 @@ class TestStructure:
             for a in v4.elements():
                 for b in v4.elements():
                     assert perm[v4.mul(a, b)] == v4.mul(perm[a], perm[b])
+
+
+def _gl_first_chunk():
+    from cocycle.fields import general_linear, make_tower
+
+    tower = make_tower(5, 1, 2)  # GL_2(F_25): 16,384 matrices of 16 * 4 entries a chunk
+    return lambda: next(general_linear(tower, 2))
+
+
+def _h2_oracle():
+    from cocycle import exactness, trivial_module
+
+    gamma = cyclic_group(4)  # chunks of 1,024 of the 65,536 raw 2-cochains, 16 * 64 entries each
+    pres = trivial_module(gamma, (2,))
+    return lambda: exactness.h2_brute_force_order(gamma, pres)
+
+
+def _etale_validation():
+    from cocycle import etale
+    from cocycle.fields import make_tower
+
+    # the split algebra k^4 over F_16: 65,536 elements of 4 coordinates
+    unit = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    structure = tuple(tuple(unit[i] if i == j else (0,) * 4 for j in range(4)) for i in range(4))
+    algebra = etale.EtaleAlgebra(make_tower(2, 4, 2), 4, structure, (1,) * 4, unit, ())
+    return lambda: etale._with_validation(algebra)
+
+
+class TestProductChunks:
+    """``groups.product_chunks``, the one product-order stream of the package."""
+
+    RADICES = [(), (1,), (0,), (6,), (3, 0, 2), (1, 1, 1), (2, 3, 4), (5, 1, 3, 2)]
+    RADICES += [tuple(np.random.default_rng(s).integers(1, 5, s % 5 + 1).tolist()) for s in range(6)]
+
+    @pytest.mark.parametrize("radices", RADICES, ids=str)
+    @pytest.mark.parametrize("chunk", [1, 10, 37, 1 << 20])
+    @pytest.mark.parametrize("width", [1, 3, 8])
+    def test_product_order_in_equal_chunks(self, monkeypatch, radices, chunk, width):
+        monkeypatch.setattr(groups, "ENGINE_CHUNK", chunk)
+        chunks = list(groups.product_chunks(radices, width, "probe"))
+        want = list(itertools.product(*map(range, radices)))
+        rows = max(1, chunk // width)
+        assert [len(ranks) for ranks, _ in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        assert all(len(ranks) == len(digits) and 0 < len(ranks) <= rows for ranks, digits in chunks)
+        ranks = [int(r) for ranks, _ in chunks for r in ranks]
+        assert ranks == list(range(len(want)))
+        assert [tuple(row) for _, digits in chunks for row in digits.tolist()] == want
+        assert all(digits.shape[1] == len(radices) for _, digits in chunks)
+
+    def test_empty_product_is_one_row_and_a_zero_radix_none(self):
+        [(ranks, digits)] = groups.product_chunks((), 4, "probe")
+        assert ranks.tolist() == [0] and digits.shape == (1, 0)
+        assert list(groups.product_chunks((4, 0), 4, "probe")) == []
+
+    def test_chunk_is_sized_before_it_is_allocated(self, monkeypatch):
+        # 1,024 rows of width 1,024 are 8 MiB, over a 1 MiB budget
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "1")
+        stream = groups.product_chunks((2,) * 30, 1024, "probe stream")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match="^probe stream needs 8388608 bytes"):
+                next(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "8")
+        assert next(groups.product_chunks((2,) * 30, 1024, "probe"))[1].shape == (1024, 30)
+
+    @pytest.mark.parametrize(
+        "build,budget_mb,what",
+        [
+            (_gl_first_chunk, 4, "matrix scan chunk"),
+            (_h2_oracle, 4, "raw 2-cochain chunk"),
+            (_etale_validation, 1, "algebra element chunk"),
+        ],
+        ids=["general_linear", "h2_brute_force_order", "etale validation"],
+    )
+    def test_sites_check_their_chunk_before_allocating(self, monkeypatch, build, budget_mb, what):
+        # each site's first chunk is over the budget
+        call = build()
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", str(budget_mb))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match=f"^{what} needs"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -1,9 +1,10 @@
 """The exhaustive checks stream in fixed chunks: same answers, bounded memory.
 
-``fields.general_linear`` yields GL_m/SL_m in chunks of ``ENGINE_CHUNK >> 4``
-matrix entries and ``exactness.h2_brute_force_order`` walks the raw cochains
-the same way; ``groups.coboundary_classes`` moves its rows ``ENGINE_CHUNK``
-entries at a time. Shrinking the chunk constant where each stream reads it
+``fields.general_linear`` yields GL_m/SL_m and ``exactness.h2_brute_force_order``
+walks the raw cochains in the chunks of ``groups.product_chunks``, each of
+``ENGINE_CHUNK >> 4`` entries (16 times the row width);
+``groups.coboundary_classes`` moves its rows ``ENGINE_CHUNK`` entries at a
+time. Shrinking ``groups.ENGINE_CHUNK``, the one constant that sizes them,
 must leave every report unchanged (witness samples included), the streamed H2
 oracle must agree with the dense one in ``tests/h2_oracle.py``, and the
 traced peak of each check must stay under a fixed bound.
@@ -49,7 +50,7 @@ def _chunk_constant(entries_per_chunk: int) -> int:
 def _seven_chunks(monkeypatch, tower, m):
     """Cut the |K|^(m^2) matrices into about seven chunks, seams inside the group."""
     step = tower.size ** (m * m) // 7 + 3
-    monkeypatch.setattr(fields, "ENGINE_CHUNK", _chunk_constant(step * m * m))
+    monkeypatch.setattr(groups, "ENGINE_CHUNK", _chunk_constant(step * m * m))
 
 
 # (tower, m, special): GL2(F9), SL2(F25), GL3(F4)
@@ -59,7 +60,7 @@ SEAM_SCANS = [((3, 1, 2), 2, False), ((5, 1, 2), 2, True), ((2, 1, 2), 3, False)
 @pytest.mark.parametrize("spec,m,special", SEAM_SCANS)
 def test_scan_is_the_same_across_chunk_seams(spec, m, special, monkeypatch):
     tower = make_tower(*spec)
-    monkeypatch.setattr(fields, "ENGINE_CHUNK", ONE_CHUNK)
+    monkeypatch.setattr(groups, "ENGINE_CHUNK", ONE_CHUNK)
     assert len(list(general_linear(tower, m, special))) == 1
     whole = hilbert90_verify(tower, m, special)
     _seven_chunks(monkeypatch, tower, m)
@@ -137,23 +138,23 @@ def test_oracle_corpus_covers_the_required_modules():
 )
 def test_oracle_is_the_same_across_chunk_seams(gamma, factors, monkeypatch):
     pres = trivial_module(gamma, factors)
-    monkeypatch.setattr(exactness, "ENGINE_CHUNK", ONE_CHUNK)
+    monkeypatch.setattr(groups, "ENGINE_CHUNK", ONE_CHUNK)
     whole = exactness.h2_brute_force_order(gamma, pres)
-    chunks = []  # (width, rows) of every chunk of either pass
-    digit_rows = exactness._digit_rows
+    chunks = []  # (what, rows) of every chunk of either pass
+    stream = exactness.product_chunks
 
-    def counted(moduli, width):
-        for chunk in digit_rows(moduli, width):
-            chunks.append((width, len(chunk)))
-            yield chunk
+    def counted(radices, width, what):
+        for ranks, digits in stream(radices, width, what):
+            chunks.append((what, len(digits)))
+            yield ranks, digits
 
-    monkeypatch.setattr(exactness, "_digit_rows", counted)
+    monkeypatch.setattr(exactness, "product_chunks", counted)
     n_cochains = pres.module_order ** (gamma.order**2)
     width = gamma.order**3 * pres.rank  # d2 defects per 2-cochain
-    monkeypatch.setattr(exactness, "ENGINE_CHUNK", _chunk_constant((n_cochains // 7 + 3) * width))
+    monkeypatch.setattr(groups, "ENGINE_CHUNK", _chunk_constant((n_cochains // 7 + 3) * width))
     assert exactness.h2_brute_force_order(gamma, pres) == whole
     assert whole == h2_oracle.h2_brute_force_order(gamma, pres)
-    cocycle_pass = [rows for w, rows in chunks if w == width]
+    cocycle_pass = [rows for what, rows in chunks if what == "raw 2-cochain chunk"]
     assert len(cocycle_pass) >= 5 and sum(cocycle_pass) == n_cochains
 
 
@@ -239,10 +240,10 @@ def _counted_chunks(monkeypatch):
 def test_forms_are_the_same_across_chunk_seams(spec, dim, l, r, coeffs, monkeypatch):
     tower = make_tower(*spec)
     tensor = TensorOnV.make(tower, dim, l, r, coeffs)
-    monkeypatch.setattr(fields, "ENGINE_CHUNK", ONE_CHUNK)
+    monkeypatch.setattr(groups, "ENGINE_CHUNK", ONE_CHUNK)
     whole = classify_forms(tower, tensor)
     total = tower.size ** (dim * dim)
-    monkeypatch.setattr(fields, "ENGINE_CHUNK", _chunk_constant(max(1, total // 7) * dim * dim))
+    monkeypatch.setattr(groups, "ENGINE_CHUNK", _chunk_constant(max(1, total // 7) * dim * dim))
     chunks = _counted_chunks(monkeypatch)
     streamed = classify_forms(tower, tensor)
     assert sum(n > 0 for n in chunks) >= 5
