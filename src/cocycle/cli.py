@@ -187,36 +187,23 @@ def cmd_quad(args) -> int:
 def cmd_verify(args) -> int:
     from .suites import run_suite
 
-    results = run_suite(args.suite)
     rows = []
-    any_failed = False
-    for suite in results:
-        for case in suite.cases:
-            rows.append(
-                {
-                    "suite": suite.suite,
-                    "case": case.name,
-                    "passed": case.passed,
-                    "details": case.details,
-                }
-            )
-            status = "pass" if case.passed else "FAIL"
-            print(
-                f"[{suite.suite}] {status} {case.name} ({case.seconds:.3f}s)",
-                file=sys.stderr,
-            )
-            if not case.passed:
-                any_failed = True
-                print(f"    counterexample: {case.details}", file=sys.stderr)
+    for row, seconds in run_suite(args.suite):
+        rows.append(row)
+        status = "pass" if row["passed"] else "FAIL"
+        print(f"[{row['suite']}] {status} {row['case']} ({seconds:.3f}s)", file=sys.stderr)
+        if not row["passed"]:
+            print(f"    counterexample: {row['details']}", file=sys.stderr)
+    failed = sum(not row["passed"] for row in rows)
     payload = {
-        "suites": sorted({s.suite for s in results}),
+        "suites": sorted({row["suite"] for row in rows}),
         "cases": len(rows),
-        "failed": sum(1 for r in rows if not r["passed"]),
+        "failed": failed,
         "rows": rows,
         "seed": args.seed,
     }
     _emit(payload, args)
-    return EXIT_VERIFY if any_failed else EXIT_OK
+    return EXIT_VERIFY if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         required=True,
-        help="hilbert90 | kernel-bijection | shapiro | twisted | units | forms | h2 | all",
+        help="forms | h2 | hilbert90 | kernel-bijection | shapiro | twisted | units | all",
     )
     p_verify.set_defaults(func=cmd_verify)
     return parser

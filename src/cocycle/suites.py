@@ -1,17 +1,24 @@
-"""Named verification suites over fixed corpora.
+"""Named verification suites over fixed corpora, as one table of checks.
 
-Each suite runs a battery of theorem checks and returns per-case results;
-a theorem-violating counterexample marks the case failed and carries the
-error text. Corpora are fixed in code so runs are reproducible; case
-details hold only deterministic counts (timing lives with the caller).
+``SUITES`` maps each suite name to a case builder. A builder builds its
+corpus and yields ``(label, check, args)``; a check is a plain function
+whose ``check(*args)`` returns the case's details (deterministic counts
+only) and raises a verification error on a counterexample. Corpora are
+fixed in code so runs are reproducible.
+
+:func:`run_suite` is the one loop. It times each check alone, so corpus
+building stays outside the timer; it turns a theorem-violating error into a
+failed row carrying the error text; and it yields each row as its case
+finishes. A ``SizeLimit`` is a resource bound, not a counterexample, and
+propagates. Checks read the routes they compare from this module's globals
+when they run, so patching ``suites.h2_brute_force_order`` reaches them.
 """
 
 from __future__ import annotations
 
-import itertools as _it
-import math
 import time
-from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cohomology import (
     GammaGroup,
@@ -22,7 +29,7 @@ from .cohomology import (
     inversion_action,
     trivial_action,
 )
-from .errors import CocycleError, CounterexampleFound, MatchFailure
+from .errors import CocycleError, CounterexampleFound, MatchFailure, SizeLimit
 from .exactness import (
     connecting_delta,
     h2_brute_force_order,
@@ -46,13 +53,14 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _cycles,
     all_subgroups,
     automorphism_group,
+    crossed_homs,
     cyclic_group,
     dihedral_group,
     direct_product,
     identity_hom,
+    make_group,
     perm_sign,
     quaternion_group,
     subgroup_as_group,
@@ -68,37 +76,6 @@ from .twisted import (
     shapiro_verify,
     twisted_space,
 )
-
-
-@dataclass(frozen=True)
-class CaseResult:
-    name: str
-    passed: bool
-    details: dict
-    seconds: float
-
-
-@dataclass
-class SuiteResult:
-    suite: str
-    cases: list[CaseResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-
-def _run_case(result: SuiteResult, name: str, thunk) -> None:
-    start = time.perf_counter()
-    try:
-        details = thunk()
-        result.cases.append(
-            CaseResult(name, True, details or {}, time.perf_counter() - start)
-        )
-    except (CocycleError, AssertionError) as exc:
-        result.cases.append(
-            CaseResult(name, False, {"error": str(exc)}, time.perf_counter() - start)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +97,43 @@ def _s3_transposition() -> tuple[FiniteGroup, int]:
 
 
 def _faithful_action_of(gamma: FiniteGroup, base: FiniteGroup) -> GammaGroup:
-    """First action of gamma on base by automorphisms matching the generator
-    orders; searched deterministically over the automorphism group."""
-    autos = automorphism_group(base)
-    gens = gamma.generators()
-    pools = [
-        [a for a in autos if math.lcm(*map(len, _cycles(a))) == gamma.element_order(g)]
-        for g in gens
-    ]
-    for assignment in _it.product(*pools):
-        try:
-            candidate = action_from_gen_images(gamma, base, dict(zip(gens, assignment)))
-        except ValueError:
-            continue
-        rows = {tuple(int(x) for x in row) for row in candidate.action}
-        if len(rows) == gamma.order:
-            return candidate
+    """The least injective hom gamma -> Aut(base), as an action. The homs come
+    in lexicographic order over gamma, which is product order over the images
+    of ``gamma.generators()``, each automorphism taken in sorted order."""
+    autos = np.array(automorphism_group(base))
+    weights = base.order ** np.arange(base.order - 1, -1, -1)  # int64 keys for |base| <= 15
+    keys = autos @ weights  # increasing, as the automorphisms are sorted
+    # entry [i, j] is autos[i] after autos[j], the way GammaGroup rows compose
+    aut = make_group(np.searchsorted(keys, autos[:, autos] @ weights))
+    for row in crossed_homs(gamma, aut):
+        if len(set(row.tolist())) == gamma.order:
+            return GammaGroup(gamma, base, autos[row])
     raise ValueError("no faithful action with matching generator orders")
+
+
+def _scan_check(tower, m: int, special: bool) -> dict:
+    report = (sl_h1_verify if special else hilbert90_verify)(tower, m)
+    return {"group_size": report.group_size, "cocycles": report.n_cocycles}
+
+
+def _unit_groups_check() -> dict:
+    counts = {}
+    for q, n in [(2, 2), (3, 2), (2, 3), (5, 2)]:
+        gamma_group, _ = units_gamma_group(make_tower(q, 1, n))
+        res = h1(gamma_group)
+        if res.order != 1:
+            raise CounterexampleFound(f"H1 of units over q={q}, n={n} is not trivial")
+        counts[f"q={q},n={n}"] = res.order
+    return counts
+
+
+def _hilbert90_cases():
+    corpus = [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2), (2, 3, 1), (2, 3, 2), (5, 2, 1), (5, 2, 2)]
+    for q, n, m in corpus:
+        tower = make_tower(q, 1, n)
+        yield f"gl q={q} n={n} m={m}", _scan_check, (tower, m, False)
+        yield f"sl q={q} n={n} m={m}", _scan_check, (tower, m, True)
+    yield "generic engine on unit groups", _unit_groups_check, ()
 
 
 def kernel_bijection_corpus() -> list[tuple[str, GammaGroup]]:
@@ -163,66 +160,27 @@ def _stable_subgroups(parent: GammaGroup) -> list[Subgroup]:
     return [s for s in all_subgroups(parent.base) if s.stray(parent.action) is None]
 
 
-# ---------------------------------------------------------------------------
-# suites
+def _bijection_check(parent: GammaGroup, sub: Subgroup) -> dict:
+    report = orbit_kernel_bijection(parent, sub)
+    details = {
+        "orbits": report.n_orbits,
+        "kernel_classes": len(report.kernel_classes),
+    }
+    if sub.is_normal():
+        st = six_term_check(parent, sub)
+        if not st.exact:
+            raise CounterexampleFound(f"six-term exactness fails at {st.first_failure}")
+        details["six_term"] = "exact"
+    return details
 
 
-def suite_hilbert90() -> SuiteResult:
-    result = SuiteResult("hilbert90")
-    corpus = [(2, 2, 1), (2, 2, 2), (3, 2, 1), (3, 2, 2), (2, 3, 1), (2, 3, 2), (5, 2, 1), (5, 2, 2)]
-    for q, n, m in corpus:
-        tower = make_tower(q, 1, n)
-
-        def gl_case(tower=tower, m=m):
-            report = hilbert90_verify(tower, m)
-            return {"group_size": report.group_size, "cocycles": report.n_cocycles}
-
-        def sl_case(tower=tower, m=m):
-            report = sl_h1_verify(tower, m)
-            return {"group_size": report.group_size, "cocycles": report.n_cocycles}
-
-        _run_case(result, f"gl q={q} n={n} m={m}", gl_case)
-        _run_case(result, f"sl q={q} n={n} m={m}", sl_case)
-
-    def engine_cross_check():
-        counts = {}
-        for q, n in [(2, 2), (3, 2), (2, 3), (5, 2)]:
-            gamma_group, _ = units_gamma_group(make_tower(q, 1, n))
-            res = h1(gamma_group)
-            if res.order != 1:
-                raise CounterexampleFound(f"H1 of units over q={q}, n={n} is not trivial")
-            counts[f"q={q},n={n}"] = res.order
-        return counts
-
-    _run_case(result, "generic engine on unit groups", engine_cross_check)
-    return result
-
-
-def suite_kernel_bijection() -> SuiteResult:
-    result = SuiteResult("kernel-bijection")
-    n_triples = 0
-    for name, parent in kernel_bijection_corpus():
-        for sub in _stable_subgroups(parent):
-            n_triples += 1
-            label = f"{name}, |A|={sub.order}"
-
-            def case(parent=parent, sub=sub):
-                report = orbit_kernel_bijection(parent, sub)
-                details = {
-                    "orbits": report.n_orbits,
-                    "kernel_classes": len(report.kernel_classes),
-                }
-                if sub.is_normal():
-                    st = six_term_check(parent, sub)
-                    if not st.exact:
-                        raise CounterexampleFound(f"six-term exactness fails at {st.first_failure}")
-                    details["six_term"] = "exact"
-                return details
-
-            _run_case(result, label, case)
-    if n_triples < 25:
-        raise MatchFailure(f"bijection corpus has only {n_triples} triples")
-    return result
+def _kernel_bijection_cases():
+    triples = [(name, parent, sub) for name, parent in kernel_bijection_corpus()
+               for sub in _stable_subgroups(parent)]
+    if len(triples) < 25:
+        raise MatchFailure(f"bijection corpus has only {len(triples)} triples")
+    for name, parent, sub in triples:
+        yield f"{name}, |A|={sub.order}", _bijection_check, (parent, sub)
 
 
 def twisted_corpus() -> list[tuple[str, GammaGroup]]:
@@ -268,34 +226,27 @@ def twisted_corpus() -> list[tuple[str, GammaGroup]]:
     return cases
 
 
-def suite_twisted() -> SuiteResult:
-    result = SuiteResult("twisted")
-    for name, parent in twisted_corpus():
-
-        def case(parent=parent):
-            corr = cocycle_twist_correspondence(parent)
-            phs = classify_phs(parent)
-            n_actions = len(corr.pairs)
-            if phs.n_classes != phs.h1.order:
-                raise MatchFailure(f"{phs.n_classes} PHS classes vs {phs.h1.order} H1 classes")
-            if n_actions != corr.h1.n_cocycles:
-                raise MatchFailure(f"{n_actions} twisted actions vs {corr.h1.n_cocycles} cocycles")
-            # cohomologous cocycles <=> isomorphic twisted spaces, all pairs
-            spaces = [twisted_space(t) for t, _ in corr.pairs]
-            classes = corr.h1.class_indices([alpha.values for _, alpha in corr.pairs]).tolist()
-            for i in range(len(corr.pairs)):
-                for j in range(i + 1, len(corr.pairs)):
-                    iso = phs_isomorphism(spaces[i], spaces[j]) is not None
-                    if iso != (classes[i] == classes[j]):
-                        raise MatchFailure("iso/cohomologous equivalence broke")
-            return {
-                "twisted_actions": n_actions,
-                "h1_classes": phs.h1.order,
-                "spaces": phs.n_classes,
-            }
-
-        _run_case(result, name, case)
-    return result
+def _twist_check(parent: GammaGroup) -> dict:
+    corr = cocycle_twist_correspondence(parent)
+    phs = classify_phs(parent)
+    n_actions = len(corr.pairs)
+    if phs.n_classes != phs.h1.order:
+        raise MatchFailure(f"{phs.n_classes} PHS classes vs {phs.h1.order} H1 classes")
+    if n_actions != corr.h1.n_cocycles:
+        raise MatchFailure(f"{n_actions} twisted actions vs {corr.h1.n_cocycles} cocycles")
+    # cohomologous cocycles <=> isomorphic twisted spaces, all pairs
+    spaces = [twisted_space(t) for t, _ in corr.pairs]
+    classes = corr.h1.class_indices([alpha.values for _, alpha in corr.pairs]).tolist()
+    for i in range(len(corr.pairs)):
+        for j in range(i + 1, len(corr.pairs)):
+            iso = phs_isomorphism(spaces[i], spaces[j]) is not None
+            if iso != (classes[i] == classes[j]):
+                raise MatchFailure("iso/cohomologous equivalence broke")
+    return {
+        "twisted_actions": n_actions,
+        "h1_classes": phs.h1.order,
+        "spaces": phs.n_classes,
+    }
 
 
 def shapiro_corpus() -> list[tuple[str, FiniteGroup, Subgroup, GammaGroup]]:
@@ -338,18 +289,25 @@ def shapiro_corpus() -> list[tuple[str, FiniteGroup, Subgroup, GammaGroup]]:
     return cases
 
 
-def suite_shapiro() -> SuiteResult:
-    result = SuiteResult("shapiro")
+def _shapiro_check(gamma: FiniteGroup, h_sub: Subgroup, action: GammaGroup) -> dict:
+    report = shapiro_verify(gamma, h_sub, action)
+    return {
+        "induced_order": report.induced.gamma_group.base.order,
+        "h1_both_sides": report.h1_subgroup.order,
+    }
+
+
+def _map_group_check(gamma: FiniteGroup, g: FiniteGroup) -> dict:
+    induced = map_group(gamma, g)
+    res = h1(induced.gamma_group)
+    if res.order != 1:
+        raise CounterexampleFound("H1 of the full map group is not trivial")
+    return {"map_group_order": induced.gamma_group.base.order}
+
+
+def _shapiro_cases():
     for name, gamma, h_sub, action in shapiro_corpus():
-
-        def case(gamma=gamma, h_sub=h_sub, action=action):
-            report = shapiro_verify(gamma, h_sub, action)
-            return {
-                "induced_order": report.induced.gamma_group.base.order,
-                "h1_both_sides": report.h1_subgroup.order,
-            }
-
-        _run_case(result, name, case)
+        yield name, _shapiro_check, (gamma, h_sub, action)
     corl = [
         ("Z/2", cyclic_group(2), cyclic_group(2)),
         ("Z/2", cyclic_group(2), cyclic_group(3)),
@@ -363,73 +321,51 @@ def suite_shapiro() -> SuiteResult:
         ("S3", symmetric_group(3), cyclic_group(2)),
     ]
     for label, gamma, g in corl:
-
-        def case(gamma=gamma, g=g):
-            induced = map_group(gamma, g)
-            res = h1(induced.gamma_group)
-            if res.order != 1:
-                raise CounterexampleFound("H1 of the full map group is not trivial")
-            return {"map_group_order": induced.gamma_group.base.order}
-
-        _run_case(result, f"map group, gamma={label}, |G|={g.order}", case)
-    return result
+        yield f"map group, gamma={label}, |G|={g.order}", _map_group_check, (gamma, g)
 
 
-def suite_units() -> SuiteResult:
-    result = SuiteResult("units")
-    for d in [1, 2, 3, 5, 6, 7, 10, 13, 15]:
-
-        def case(d=d):
-            report = verify_units_iso(make_ring(d))
-            if report.h1.order != report.quotient.order:
-                raise MatchFailure(
-                    f"H1 order {report.h1.order} vs quotient order {report.quotient.order}"
-                )
-            if d in (1, 5) and report.h1.order != 2:
-                raise MatchFailure(f"H1 of the units for d={d} has order {report.h1.order}, not 2")
-            return {
-                "h1_order": report.h1.order,
-                "quotient_order": report.quotient.order,
-                "ramified": len(report.quotient.ramified),
-            }
-
-        _run_case(result, f"d={d}", case)
-    return result
+def _units_check(d: int) -> dict:
+    report = verify_units_iso(make_ring(d))
+    if report.h1.order != report.quotient.order:
+        raise MatchFailure(
+            f"H1 order {report.h1.order} vs quotient order {report.quotient.order}"
+        )
+    if d in (1, 5) and report.h1.order != 2:
+        raise MatchFailure(f"H1 of the units for d={d} has order {report.h1.order}, not 2")
+    return {
+        "h1_order": report.h1.order,
+        "quotient_order": report.quotient.order,
+        "ramified": len(report.quotient.ramified),
+    }
 
 
-def suite_forms() -> SuiteResult:
-    result = SuiteResult("forms")
+def _sum_of_squares_check() -> dict:
+    tower = make_tower(3, 1, 2)
+    report = classify_forms(tower, quadratic_form_tensor(tower, ((1, 0), (0, 1))))
+    if report.n_classes != 2:
+        raise MatchFailure(f"x^2 + y^2 over F3 has {report.n_classes} classes, not 2")
+    return {
+        "direct_classes": report.n_classes,
+        "cohomology_classes": report.h1_stabilizer.order,
+        "stabilizer": report.stabilizer_size,
+    }
 
-    def sum_of_squares():
-        tower = make_tower(3, 1, 2)
-        report = classify_forms(tower, quadratic_form_tensor(tower, ((1, 0), (0, 1))))
-        if report.n_classes != 2:
-            raise MatchFailure(f"x^2 + y^2 over F3 has {report.n_classes} classes, not 2")
-        return {
-            "direct_classes": report.n_classes,
-            "cohomology_classes": report.h1_stabilizer.order,
-            "stabilizer": report.stabilizer_size,
-        }
 
-    def zero_tensor():
-        tower = make_tower(2, 1, 2)
-        report = classify_forms(tower, TensorOnV.make(tower, 2, 2, 0, ((0, 0, 0, 0),)))
-        if report.n_classes != 1:
-            raise MatchFailure(f"the zero tensor has {report.n_classes} classes, not 1")
-        return {"direct_classes": 1, "stabilizer": report.stabilizer_size}
+def _zero_tensor_check() -> dict:
+    tower = make_tower(2, 1, 2)
+    report = classify_forms(tower, TensorOnV.make(tower, 2, 2, 0, ((0, 0, 0, 0),)))
+    if report.n_classes != 1:
+        raise MatchFailure(f"the zero tensor has {report.n_classes} classes, not 1")
+    return {"direct_classes": 1, "stabilizer": report.stabilizer_size}
 
-    def scalar_form():
-        tower = make_tower(3, 1, 2)
-        report = classify_forms(tower, TensorOnV.make(tower, 1, 2, 0, ((1,),)))
-        return {
-            "direct_classes": report.n_classes,
-            "cohomology_classes": report.h1_stabilizer.order,
-        }
 
-    _run_case(result, "x^2 + y^2 over F3 split by F9", sum_of_squares)
-    _run_case(result, "zero tensor over F4", zero_tensor)
-    _run_case(result, "scalar form over F9/F3", scalar_form)
-    return result
+def _scalar_form_check() -> dict:
+    tower = make_tower(3, 1, 2)
+    report = classify_forms(tower, TensorOnV.make(tower, 1, 2, 0, ((1,),)))
+    return {
+        "direct_classes": report.n_classes,
+        "cohomology_classes": report.h1_stabilizer.order,
+    }
 
 
 def h2_corpus() -> list[tuple[str, FiniteGroup, object]]:
@@ -447,38 +383,6 @@ def h2_corpus() -> list[tuple[str, FiniteGroup, object]]:
         ("H2(V4, Z/2)", v4, trivial_module(v4, (2,))),
         ("H2(Z/2, Z/4 inverted)", z2, inv_pres),
     ]
-
-
-def suite_h2() -> SuiteResult:
-    result = SuiteResult("h2")
-    for name, gamma, pres in h2_corpus():
-
-        def case(gamma=gamma, pres=pres):
-            engine = h2_central(gamma, pres)
-            oracle = h2_brute_force_order(gamma, pres)
-            if engine.order != oracle:
-                raise MatchFailure(f"engine {engine.order} != oracle {oracle}")
-            return {"order": engine.order, "factors": list(engine.invariant_factors)}
-
-        _run_case(result, name, case)
-
-    extensions = central_extension_corpus()
-    for name, parent, central in extensions:
-
-        def case(parent=parent, central=central):
-            quotient, proj = quotient_gamma_group(parent, central)
-            h1_b, h1_c = h1(parent), h1(quotient)
-            image = set(induced_map(proj, h1_b, h1_c))
-            n_trivial = 0
-            for i, cls in enumerate(h1_c.classes):
-                res = connecting_delta(parent, central, cls)
-                if res.trivial != (i in image):
-                    raise CounterexampleFound(f"exactness at H1(B/A) fails for class {i}")
-                n_trivial += res.trivial
-            return {"quotient_classes": h1_c.order, "delta_trivial": n_trivial}
-
-        _run_case(result, name, case)
-    return result
 
 
 def central_extension_corpus() -> list[tuple[str, GammaGroup, Subgroup]]:
@@ -502,20 +406,67 @@ def central_extension_corpus() -> list[tuple[str, GammaGroup, Subgroup]]:
     return cases
 
 
+def _h2_check(gamma: FiniteGroup, pres) -> dict:
+    engine = h2_central(gamma, pres)
+    oracle = h2_brute_force_order(gamma, pres)
+    if engine.order != oracle:
+        raise MatchFailure(f"engine {engine.order} != oracle {oracle}")
+    return {"order": engine.order, "factors": list(engine.invariant_factors)}
+
+
+def _delta_check(parent: GammaGroup, central: Subgroup) -> dict:
+    quotient, proj = quotient_gamma_group(parent, central)
+    h1_b, h1_c = h1(parent), h1(quotient)
+    image = set(induced_map(proj, h1_b, h1_c))
+    n_trivial = 0
+    for i, cls in enumerate(h1_c.classes):
+        res = connecting_delta(parent, central, cls)
+        if res.trivial != (i in image):
+            raise CounterexampleFound(f"exactness at H1(B/A) fails for class {i}")
+        n_trivial += res.trivial
+    return {"quotient_classes": h1_c.order, "delta_trivial": n_trivial}
+
+
+def _h2_cases():
+    for name, gamma, pres in h2_corpus():
+        yield name, _h2_check, (gamma, pres)
+    for name, parent, central in central_extension_corpus():
+        yield name, _delta_check, (parent, central)
+
+
+# ---------------------------------------------------------------------------
+# the table and its loop
+
+
 SUITES = {
-    "hilbert90": suite_hilbert90,
-    "kernel-bijection": suite_kernel_bijection,
-    "shapiro": suite_shapiro,
-    "twisted": suite_twisted,
-    "units": suite_units,
-    "forms": suite_forms,
-    "h2": suite_h2,
+    "forms": lambda: [
+        ("x^2 + y^2 over F3 split by F9", _sum_of_squares_check, ()),
+        ("zero tensor over F4", _zero_tensor_check, ()),
+        ("scalar form over F9/F3", _scalar_form_check, ()),
+    ],
+    "h2": _h2_cases,
+    "hilbert90": _hilbert90_cases,
+    "kernel-bijection": _kernel_bijection_cases,
+    "shapiro": _shapiro_cases,
+    "twisted": lambda: ((name, _twist_check, (parent,)) for name, parent in twisted_corpus()),
+    "units": lambda: ((f"d={d}", _units_check, (d,)) for d in [1, 2, 3, 5, 6, 7, 10, 13, 15]),
 }
 
 
-def run_suite(name: str) -> list[SuiteResult]:
-    if name == "all":
-        return [SUITES[key]() for key in sorted(SUITES)]
-    if name not in SUITES:
+def run_suite(name: str):
+    """Run suite ``name``, or every suite in sorted order for ``"all"``, and
+    yield ``(row, seconds)`` as each case finishes: row is the case's
+    ``{"suite", "case", "passed", "details"}`` and seconds times its check."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return [SUITES[name]()]
+    for suite in sorted(SUITES) if name == "all" else [name]:
+        for label, check, args in SUITES[suite]():
+            start = time.perf_counter()
+            try:
+                details, passed = check(*args), True
+            except SizeLimit:
+                raise
+            except (CocycleError, AssertionError) as exc:
+                details, passed = {"error": str(exc)}, False
+            row = {"suite": suite, "case": label, "passed": passed, "details": details}
+            yield row, time.perf_counter() - start

@@ -424,6 +424,70 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert "seconds" not in json.dumps(payload)
 
+    def test_every_suite(self, capsys):
+        from cocycle.suites import SUITES
+
+        assert main(["verify", "--suite", "all"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        counts = {"forms": 3, "h2": 14, "hilbert90": 17, "kernel-bijection": 46, "shapiro": 21,
+                  "twisted": 17, "units": 9}
+        assert payload["suites"] == sorted(SUITES) == list(counts)
+        assert [r["suite"] for r in payload["rows"]] == [s for s, n in counts.items() for _ in range(n)]
+        assert payload["cases"] == 127 and payload["failed"] == 0
+        distinct = {s: len({r["case"] for r in payload["rows"] if r["suite"] == s}) for s in counts}
+        # kernel-bijection labels name the ambient and |A| only, so two stable
+        # subgroups of one order share a label (D4 and Q8 have several)
+        assert distinct == {**counts, "kernel-bijection": 36}
+
+    def test_resource_bound_is_not_a_counterexample(self, monkeypatch, capsys):
+        # the GL scan's chunk needs more than 1 MiB: a bound, so exit 2 and no rows
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "1")
+        assert main(["verify", "--suite", "hilbert90"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resource bound exceeded: matrix scan chunk needs" in captured.err
+        assert "FAIL" not in captured.err
+
+    def test_each_row_reaches_stderr_when_its_case_finishes(self, monkeypatch, capsys):
+        from cocycle import suites
+        from cocycle.errors import SizeLimit
+
+        real, calls = suites.verify_units_iso, []
+
+        def third_call_hits_a_bound(ring):
+            calls.append(ring)
+            if len(calls) == 3:
+                raise SizeLimit("third ring")
+            return real(ring)
+
+        monkeypatch.setattr(suites, "verify_units_iso", third_call_hits_a_bound)
+        assert main(["verify", "--suite", "units"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert [line.split(" (")[0] for line in err[:2]] == ["[units] pass d=1", "[units] pass d=2"]
+        assert err[2:] == ["resource bound exceeded: third ring"]
+
+    def test_small_bijection_corpus_fails_before_any_case(self, monkeypatch, capsys):
+        from cocycle import suites
+
+        real = suites.kernel_bijection_corpus
+        monkeypatch.setattr(suites, "kernel_bijection_corpus", lambda: real()[:2])
+        assert main(["verify", "--suite", "kernel-bijection"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verification failure: bijection corpus has only 6 triples\n"
+
+    def test_help_names_every_suite(self):
+        import argparse
+
+        from cocycle.cli import build_parser
+        from cocycle.suites import SUITES
+
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in commands.choices["verify"]._actions if a.dest == "suite")
+        assert suite.help.split(" | ") == sorted(SUITES) + ["all"]
+
 
 FOOTPRINT = """
 import json, sys
