@@ -373,7 +373,7 @@ class H2Group:
     the Cayley graph over ``gens`` and reads the class of that gamma-map as
     :func:`h2_central` does: the arrays ``v_inv`` and ``scale``, from its first
     Smith form over Z/N (N the exponent), give the lattice coordinates S^-1 V^-1 F,
-    and ``coords``, from the second, maps those to the cyclic factors.
+    and ``coords``, from the second, maps those with S < N to the cyclic factors.
     """
 
     gamma: FiniteGroup
@@ -410,7 +410,7 @@ class H2Group:
         y = _lattice_coords(self.v_inv, self.scale, values.reshape(-1, 1), exponent)
         if y is None:
             raise CounterexampleFound("a 2-cocycle restricted to a non-equivariant map")
-        return tuple((self.coords @ y[:, 0] % self.invariant_factors).tolist())
+        return tuple((self.coords @ y[self.scale < exponent, 0] % self.invariant_factors).tolist())
 
 
 def _lattice_coords(v_inv, scale, vecs, exponent) -> np.ndarray | None:
@@ -465,6 +465,7 @@ def _cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
     coordinates in the basis ``cycles``.
     """
     n, r = gamma.order, len(gens)
+    check_buffer((2 * n * r - n + 2) * n * r, 8, "Cayley cycle basis")  # paths, 2 x cycles
     table = gamma.table.astype(np.intp)
     paths = np.zeros((n, n * r), dtype=np.int64)
     tree = [(new, prev, prev * r + gens.index(s)) for new, prev, s in _word_tree(gamma, gens)]
@@ -475,7 +476,8 @@ def _cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
     is_free[[e for _, _, e in tree]] = False
     free = np.flatnonzero(is_free)
     ys, js = np.divmod(free, r)
-    cycles = paths[ys] - paths[table[ys, np.array(gens)[js]]]
+    cycles = paths[ys]
+    cycles -= paths[table[ys, np.array(gens)[js]]]
     cycles[np.arange(len(free)), free] += 1
     inverses = np.array([gamma.inv(x) for x in range(n)])
     return tree, free, cycles, table[inverses[:, None], ys[None, :]] * r + js
@@ -491,10 +493,10 @@ def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
     each equation by N over its modulus (N the exponent) gives E F = 0 mod N;
     one Smith form U E V = D over Z/N gives the gamma-maps as V S Z^mk + N Z^mk,
     with S = diag(N / gcd(D_ii, N)). The image of A^X and orders * Z^mk, in
-    that basis, are the relations; a second Smith form over Z/N reads off the
-    invariant factors, the generator lifts and the class map. Generators are
-    pulled back to 2-cocycles c(g, h) = f(path[g] + g.path[h] - path[gh]), the
-    sum of f over the non-tree edges of g.path[h], built along the tree.
+    that basis, are the relations; a second Smith form over Z/N, on the coordinates
+    with S < N, reads off the invariant factors, the generator lifts and the class
+    map. Generators are pulled back to 2-cocycles c(g, h) = f(path[g] + g.path[h] -
+    path[gh]), the sum of f over the non-tree edges of g.path[h], built along the tree.
     """
     if not np.array_equal(gamma.table, pres.gamma.table):
         raise ValueError("the presentation is over a different group")
@@ -514,19 +516,20 @@ def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
     eye_k, eye_m = np.eye(k, dtype=np.int64), np.eye(m, dtype=np.int64)
     blocks = [np.kron(cycles[:, moved[x]], eye_k) - np.kron(eye_m, mats[x]) for x in gens]
     scaled = np.concatenate(blocks) * np.tile(exponent // orders, r)[:, None]
-    dec = smith_normal_form(scaled.tolist(), exponent)
-    scale = exponent // np.gcd(dec.d.diagonal(), exponent)
+    diag, v, v_inv = smith_normal_form(scaled.tolist(), exponent)
+    scale = exponent // np.gcd(diag, exponent)
     cycles = cycles.reshape(m, n, r)
     # a in A^X maps to z_i -> sum of z_i[(y, s)] y.a_s; orders below N are relations too
     image = np.einsum("iyj,yut->jtiu", cycles, mats).reshape(-1, cols)
     image = np.concatenate([image, np.diag(orders)[orders < exponent]])
-    columns = _lattice_coords(dec.v_inv, scale, image.T, exponent)
+    columns = _lattice_coords(v_inv, scale, image.T, exponent)
     if columns is None:
         raise CounterexampleFound("a relation escaped the gamma-maps")
-    # N Z^mk, inside the relations, is diag(N / S) in lattice coordinates
-    relations = np.concatenate([columns, np.diag(exponent // scale)], axis=1)
+    # N Z^mk is diag(N / S) in lattice coordinates, which kills each one with S = N
+    live = scale < exponent
+    relations = np.concatenate([columns[live], np.diag(exponent // scale[live])], axis=1)
     factors, lifts, coords = cokernel_invariant_factors(relations.tolist(), exponent)
-    values = dec.v @ (scale[:, None] * lifts.T % exponent) % exponent  # V S lifts mod N
+    values = v[:, live] @ (scale[live, None] * lifts.T % exponent) % exponent  # V S lifts mod N
     f = np.zeros((len(lifts), n * r, k), dtype=np.int64)  # f on every edge, zero on the tree
     f[:, free] = values.T.reshape(-1, m, k)
     c = np.zeros((len(lifts), n, n, k), dtype=np.int64)  # one 2-cocycle per generator
@@ -538,7 +541,7 @@ def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
     generators = tuple(tuple(cochain.ravel().tolist()) for cochain in c[:, g1][:, :, g1])
     return H2Group(
         gamma, pres, tuple(factors.tolist()), generators, gens, cycles,
-        dec.v_inv, scale, coords,
+        v_inv, scale, coords,
     )
 
 

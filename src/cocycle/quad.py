@@ -31,7 +31,6 @@ from .errors import (
     SizeLimit,
 )
 from .fields import is_prime
-from .snf import _bezout
 
 Elem = tuple[int, int]  # x + y*omega
 
@@ -117,6 +116,17 @@ class QuadIdeal:
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}+{self.c}w)"
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g, |g| = gcd(a, b), for a != 0; (a, 1, 0) when a divides b."""
+    if b % a == 0:
+        return a, 1, 0
+    x0, y0, x1, y1, r0, r1 = 1, 0, 0, 1, a, b
+    while r1:
+        q = r0 // r1
+        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
+    return r0, x0, y0
 
 
 def _hnf_two_rows(vectors: list[Elem]) -> tuple[int, int, int]:

@@ -3,112 +3,98 @@
 :func:`smith_normal_form` takes nested lists and returns numpy arrays: int64
 where the products of the elimination fit, Python ints (object) where not, and
 no entry outgrows N. There is no form over Z; a caller that knows a torsion bound
-passes a multiple of it as N. Each decomposition is self-checked: U*M*V == D and
-both transforms have inverses mod N (tracked during reduction), which certifies
-invertibility without determinant computation.
+passes a multiple of it as N. N splits into prime powers q joined by CRT; over Z/q
+an entry of least valuation divides every other, so one elimination building only
+V and V^-1 gives the form. Its self-check, P M V == L D and V V^-1 == I mod q with
+L unit lower triangular, certifies U M V = D for U = L^-1 P, so ker M = V ker D.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MatchFailure
 
 
-@dataclass
-class SmithDecomposition:
-    """D = U * M * V mod N with U, V invertible; gcd(D_ii, N) form a divisibility chain."""
-
-    d: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    u_inv: np.ndarray
-    v_inv: np.ndarray
+@functools.cache
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, p^e) with p^e exactly dividing n > 1, by trial division."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)  # least prime factor
+    q = math.gcd(n, p ** n.bit_length())
+    return ((p, q), *(_prime_powers(n // q) if q < n else ()))
 
 
-def _bezout(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x a + y b = g, |g| = gcd(a, b), for a != 0; (a, 1, 0) when a divides b."""
-    if b % a == 0:
-        return a, 1, 0
-    x0, y0, x1, y1, r0, r1 = 1, 0, 0, 1, a, b
-    while r1:
-        q = r0 // r1
-        r0, r1, x0, x1, y0, y1 = r1, r0 - q * r1, x1, x0 - q * x1, y1, y0 - q * y1
-    return r0, x0, y0
+def _dtype(q: int, rows: int, cols: int):
+    """int64 while every sum of products of entries below q fits, else object."""
+    return np.int64 if q * q * (max(rows, cols) + 1) < 1 << 62 else object
 
 
-def smith_normal_form(m: list[list[int]], modulus: int) -> SmithDecomposition:
-    """Smith form over Z/modulus: U M V = D.
+def _eliminate(m: list[list[int]], p: int, q: int):
+    """(perm, a, v, v_inv) over Z/q, q a power of the prime p: rows perm of m are
+    L D V^-1, with D a's diagonal, gcd(D_ii, q) nondecreasing, and L's multipliers below it."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    a = np.array(m, dtype=_dtype(q, rows, cols)).reshape(rows, cols) % q
+    perm, v, v_inv = np.arange(rows), np.eye(cols, dtype=a.dtype), np.eye(cols, dtype=a.dtype)
+    for s in range(min(rows, cols)):
+        width = 1 if (a[s:, s] % p).any() else cols - s  # a unit in column s: no search
+        g = np.gcd(a[s:, s : s + width], q)
+        if (pivot := int(g.min())) == q:  # pivot = p^k for the least valuation k
+            break
+        i, j = (s + x for x in np.unravel_index(np.argmin(g), g.shape))
+        a[[s, i]], perm[[s, i]] = a[[i, s]], perm[[i, s]]
+        a[:, [s, j]], v[:, [s, j]], v_inv[[s, j]] = a[:, [j, s]], v[:, [j, s]], v_inv[[j, s]]
+        inv = pow(int(a[s, s]) // pivot, -1, q)  # of the pivot's unit part
+        a[s + 1 :, s] = a[s + 1 :, s] // pivot * inv % q  # the multipliers
+        below = s + 1 + np.flatnonzero(a[s + 1 :, s])  # the rows the update changes
+        a[below, s + 1 :] = (a[below, s + 1 :] - np.outer(a[below, s], a[s, s + 1 :])) % q
+        right = s + 1 + np.flatnonzero(a[s, s + 1 :])  # the columns clearing row s changes
+        w, a[s, right] = a[s, right] // pivot * inv % q, 0
+        v[:, right] = (v[:, right] - np.outer(v[:, s], w)) % q
+        v_inv[s] = (v_inv[s] + w @ v_inv[right]) % q
+    return perm, a, v, v_inv
 
-    The gcds of D's diagonal with the modulus form a divisibility chain; U
-    and V are invertible, with inverses ``u_inv`` and ``v_inv``. Every step
-    is a 2 x 2 Bezout operation of determinant one, reduced mod the modulus.
-    """
+
+def _certify(m, q: int, perm, a, v, v_inv) -> None:
+    """Raise MatchFailure unless P m V == L D, gcd(D_ii, q) nondecreasing, and V V^-1 == I mod q."""
+    d = np.concatenate([a.diagonal(), np.zeros(a.shape[1] - len(a.diagonal()), dtype=a.dtype)])
+    lower = np.tril(a, -1) + np.eye(*a.shape, dtype=a.dtype)
+    mv = np.array(m, dtype=a.dtype).reshape(a.shape)[perm] % q @ v % q
+    if (mv != lower * d % q).any() or (np.diff(np.gcd(d, q)) < 0).any():
+        raise MatchFailure("SNF self-check failed: P*M*V != L*D")
+    if (v @ v_inv % q != np.eye(len(v), dtype=a.dtype)).any():
+        raise MatchFailure("SNF self-check failed: V*V^-1 != I")
+
+
+def smith_normal_form(m: list[list[int]], modulus: int) -> tuple[np.ndarray, ...]:
+    """Smith form over Z/modulus: (diag, v, v_inv) with U M V = diag for some invertible U;
+    diag's min(rows, cols) entries divide the modulus (0 for itself) and each the next."""
     if modulus < 2:
         raise ValueError(f"Smith forms are over Z/N with N >= 2, got N = {modulus}")
-    n, rows, cols = modulus, len(m), len(m[0]) if m else 0
-    dtype = np.int64 if n * n * (max(rows, cols) + 1) < 1 << 62 else object
-    m0 = np.array([[x % n for x in row] for row in m], dtype=dtype).reshape(rows, cols)
-    d = m0.copy()
-    u, u_inv, v, v_inv = (np.eye(k, dtype=dtype) for k in (rows, rows, cols, cols))
-
-    def combine(a, i, j, x, y, p, q):  # (a_i, a_j) <- (x a_i + y a_j, p a_i + q a_j)
-        a[i], a[j] = (x * a[i] + y * a[j]) % n, (p * a[i] + q * a[j]) % n
-
-    def row_op(i, j, x, y, p, q):
-        combine(d, i, j, x, y, p, q)
-        combine(u, i, j, x, y, p, q)
-        combine(u_inv.T, i, j, q, -p, -y, x)
-
-    def col_op(i, j, x, y, p, q):
-        combine(d.T, i, j, x, y, p, q)
-        combine(v.T, i, j, x, y, p, q)
-        combine(v_inv, i, j, q, -p, -y, x)
-
-    for s in range(min(rows, cols)):
-        nonzero = np.argwhere(d[s:, s:] != 0)
-        if not len(nonzero):
-            break
-        # the pivot generates the largest ideal: least gcd with n
-        i, j = nonzero[np.argmin(np.gcd(d[s:, s:][tuple(nonzero.T)], n))] + s
-        if i != s:
-            row_op(s, i, 0, 1, -1, 0)  # swap up to sign
-        if j != s:
-            col_op(s, j, 0, 1, -1, 0)
-        while True:  # each pass that fills the pivot's row or column lowers |pivot|
-            for i in np.flatnonzero(d[s + 1 :, s]) + s + 1:
-                g, x, y = _bezout(int(d[s, s]), int(d[i, s]))
-                row_op(s, i, x, y, -int(d[i, s]) // g, int(d[s, s]) // g)
-            for j in np.flatnonzero(d[s, s + 1 :]) + s + 1:
-                g, x, y = _bezout(int(d[s, s]), int(d[s, j]))
-                col_op(s, j, x, y, -int(d[s, j]) // g, int(d[s, s]) // g)
-            if d[s + 1 :, s].any():
-                continue
-            bad = np.argwhere(d[s + 1 :, s + 1 :] % math.gcd(int(d[s, s]), n) != 0)
-            if not len(bad):
-                break
-            row_op(s, bad[0][0] + s + 1, 1, 1, 0, 1)  # pull in an entry the pivot does not divide
-    if ((u @ m0 % n) @ v % n != d).any():
-        raise MatchFailure("SNF self-check failed: U*M*V != D")
-    if (u @ u_inv % n != np.eye(rows)).any() or (v @ v_inv % n != np.eye(cols)).any():
-        raise MatchFailure("SNF self-check failed: a transform is not invertible")
-    return SmithDecomposition(d, u, v, u_inv, v_inv)
+    n, rows, cols = int(modulus), len(m), len(m[0]) if m else 0
+    dtype = _dtype(n, rows, cols)
+    diag, v, v_inv = np.ones(min(rows, cols), dtype=dtype), 0, 0
+    for p, q in _prime_powers(n):
+        perm, a, vq, vq_inv = _eliminate(m, p, q)
+        _certify(m, q, perm, a, vq, vq_inv)
+        diag *= np.gcd(a.diagonal(), q).astype(dtype)
+        crt = n // q * pow(n // q, -1, q)  # 1 mod q and 0 mod the other prime powers
+        v, v_inv = v + vq.astype(dtype) * crt, v_inv + vq_inv.astype(dtype) * crt
+    return diag % n, v % n, v_inv % n
 
 
-def cokernel_invariant_factors(
-    relations: list[list[int]], modulus: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cokernel_invariant_factors(relations: list[list[int]], modulus: int) -> tuple[np.ndarray, ...]:
     """Invariant factors > 1 of Z^a / (col(relations) + modulus Z^a), lifts and coordinates.
 
-    Here a is the number of rows of ``relations``. Returns arrays
-    (factors, lifts, coords): row i of lifts is an ambient vector whose class
-    generates the i-th cyclic factor, and an ambient vector y has class
-    (coords[i] . y mod factors[i])_i, so lifts[i] maps to the i-th unit vector.
+    Here a is the number of rows of ``relations``; V^T, from the Smith form of their
+    transpose, is their row transform. Returns arrays (factors, lifts, coords): row i of
+    lifts is an ambient vector whose class generates the i-th cyclic factor, and an ambient
+    vector y has class (coords[i] . y mod factors[i])_i, so lifts[i] maps to the i-th unit vector.
     """
-    dec = smith_normal_form(relations, modulus)
-    orders = np.gcd(np.gcd.reduce(dec.d, axis=1), modulus)  # row i of D holds D_ii, or nothing
+    a = len(relations)
+    diag, v, v_inv = smith_normal_form([*map(list, zip(*relations))] or [[0] * a], modulus)
+    orders = np.gcd(np.concatenate([diag, np.zeros(a - len(diag), dtype=diag.dtype)]), modulus)
     kept = orders > 1
-    return orders[kept], dec.u_inv[:, kept].T, dec.u[kept]
+    return orders[kept], v_inv[kept], v[:, kept].T

@@ -279,10 +279,18 @@ def etale_orbits(sym: FiniteGroup, image: Subgroup, m: int) -> tuple[tuple[int, 
     return tuple(orbits)
 
 
-def module_bridge(parent: GammaGroup, sub: Subgroup):
-    """(factors, matrices, to_coords, from_coords) of ``exactness.presentation_of_subgroup``."""
+def module_bridge(parent: GammaGroup, sub: Subgroup, generators: list[int]):
+    """(factors, matrices, to_coords, from_coords) of ``exactness.presentation_of_subgroup``
+    on the given generator elements of ``sub``, as parent element indices.
+
+    The factors come from a Smith form of the relations among ``generators()``;
+    the generators are checked to have those orders and to reach every member
+    exactly once over the exponent box, so any valid choice is accepted.
+    """
     restricted, inclusion = restrict_to_subgroup(parent, sub)
     group = restricted.base
+    embed = inclusion.hom.image
+    local_of = {x: i for i, x in enumerate(embed)}
 
     def image_of(gens, exps) -> int:
         x = group.identity
@@ -291,7 +299,6 @@ def module_bridge(parent: GammaGroup, sub: Subgroup):
         return x
 
     factors: list[int] = []
-    gen_elements: list[int] = []
     if group.order > 1:
         gens = list(group.generators())
         orders = [group.element_order(g) for g in gens]
@@ -301,18 +308,21 @@ def module_bridge(parent: GammaGroup, sub: Subgroup):
             if any(exps) and image_of(gens, exps) == group.identity:
                 relations.append(list(exps))
         rel_matrix = [[rel[i] for rel in relations] for i in range(r)]
-        factors, lifts, _ = cokernel_invariant_factors(rel_matrix, r)
-        gen_elements = [image_of(gens, lift) for lift in lifts]
+        factors, _, _ = cokernel_invariant_factors(rel_matrix, r)
+    gen_elements = [local_of[x] for x in generators]
+    if [group.element_order(g) for g in gen_elements] != list(factors):
+        raise ValueError("a generator's order differs from its invariant factor")
     from_local = {
         vec: image_of(gen_elements, vec) for vec in itertools.product(*[range(f) for f in factors])
     }
+    if len(set(from_local.values())) != group.order:
+        raise ValueError("the generators do not reach each member of the subgroup once")
     to_local = {x: vec for vec, x in from_local.items()}
     k = len(factors)
     matrices = []
     for g in range(parent.gamma.order):
         cols = [to_local[restricted.act(g, gen)] for gen in gen_elements]
         matrices.append(tuple(tuple(cols[t][s] for t in range(k)) for s in range(k)))
-    embed = inclusion.hom.image
     to_coords = {embed[x]: vec for x, vec in to_local.items()}
     from_coords = {vec: embed[x] for vec, x in from_local.items()}
     return tuple(factors), tuple(matrices), to_coords, from_coords

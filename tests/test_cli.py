@@ -516,7 +516,7 @@ def sum_of_squares_file(tmp_path):
     "argv,exit_code,layers,numpy_loaded",
     [
         (lambda tmp: ["h1", "--input", mu4_action_file(tmp)], 0, BASE, True),
-        (lambda tmp: ["quad", "--d", "5"], 0, BASE | {"quad", "fields", "snf"}, True),
+        (lambda tmp: ["quad", "--d", "5"], 0, BASE | {"quad", "fields"}, True),
         (lambda tmp: ["hilbert90", "--tower", "3x1x2", "--dim", "2"], 0, GALOIS, True),
         (lambda tmp: ["hilbert90", "--tower", "2x1x2", "--dim", "2", "--sl"], 0, GALOIS, "no numpy.ma"),
         (lambda tmp: ["forms", "--input", sum_of_squares_file(tmp)], 0, GALOIS, "no numpy.ma"),

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from cocycle import exactness
+from cocycle import exactness, snf
 from cocycle.cohomology import (
     conjugation_action,
     h1,
@@ -13,7 +13,7 @@ from cocycle.cohomology import (
     make_cocycle,
     trivial_action,
 )
-from cocycle.errors import CounterexampleFound, NotStable, SizeLimit
+from cocycle.errors import CounterexampleFound, MatchFailure, NotStable, SizeLimit
 from cocycle.exactness import (
     connecting_delta,
     coset_to_cocycle,
@@ -63,39 +63,59 @@ class TestSmith:
         m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
         integer = smith_oracle.smith_normal_form(m).diagonal()
         for modulus in self.MODULI:
-            dec = smith_normal_form(m, modulus)
-            diag = [math.gcd(x, modulus) for x in dec.d.diagonal().tolist()]
+            diag, _, _ = smith_normal_form(m, modulus)
+            diag = [math.gcd(x, modulus) for x in diag.tolist()]
             assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
             assert diag == [math.gcd(x, modulus) for x in integer]
 
     def test_zero_matrix(self):
         for modulus in self.MODULI:
-            dec = smith_normal_form([[0, 0], [0, 0]], modulus)
-            assert dec.d.diagonal().tolist() == [0, 0]
+            diag, _, _ = smith_normal_form([[0, 0], [0, 0]], modulus)
+            assert diag.tolist() == [0, 0]
 
     @pytest.mark.parametrize("modulus", [1, 0, -4])
     def test_modulus_below_two_is_rejected(self, modulus):
         with pytest.raises(ValueError, match="N >= 2"):
             smith_normal_form([[1, 2], [3, 4]], modulus)
 
-    @pytest.mark.parametrize("modulus", [2, 3, 6, 8, 12, 30, 36, 97, 210, 360, (1 << 40) + 15])
+    @pytest.mark.parametrize(
+        "modulus", [2, 3, 4, 6, 8, 9, 12, 27, 30, 36, 97, 125, 210, 360, (1 << 40) + 15]
+    )
     def test_modular_form_matches_the_integer_form(self, modulus):
-        # Z^r / (M Z^c + N Z^r) is the sum of Z/gcd(d_i, N) for either form's diagonal
+        # Z^r / (M Z^c + N Z^r) is the sum of Z/gcd(d_i, N) for either form's diagonal,
+        # and the kernel of M is V diag(N / gcd(d_i, N)) Z^c + N Z^c
         rng = random.Random(modulus)
-        for _ in range(40):
-            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)] + [(30, 2), (2, 30)]
+        for rows, cols in shapes:
             m = [
                 [rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(cols)]
                 for _ in range(rows)
             ]
-            dec = smith_normal_form(m, modulus)
-            got = [math.gcd(x, modulus) for x in dec.d.diagonal().tolist()]
+            diag, v, v_inv = smith_normal_form(m, modulus)
+            got = [math.gcd(x, modulus) for x in diag.tolist()]
             integer = smith_oracle.smith_normal_form(m)
             assert got == [math.gcd(x, modulus) for x in integer.diagonal()]
             assert all(b % a == 0 for a, b in zip(got, got[1:]))
-            transforms = (dec.d, dec.u, dec.v, dec.u_inv, dec.v_inv)
-            assert all(isinstance(a, np.ndarray) for a in transforms)
-            assert all(0 <= x < modulus for a in transforms for x in a.ravel().tolist())
+            assert all(isinstance(a, np.ndarray) for a in (diag, v, v_inv))
+            assert all(0 <= x < modulus for a in (diag, v, v_inv) for x in a.ravel().tolist())
+            scale = [modulus // g for g in got] + [1] * (cols - len(got))
+            kernel = np.array(m, dtype=object) @ v.astype(object) * scale
+            assert not (kernel % modulus).any()
+            assert (v.astype(object) @ v_inv % modulus == np.eye(cols, dtype=int)).all()
+
+    @pytest.mark.parametrize("modulus", [4, 12, 27])
+    def test_a_corrupted_elimination_fails_its_certificate(self, modulus):
+        # the check raises, so it holds under python -O; a stored multiplier and
+        # an entry of V are each one changed value away from a wrong kernel
+        m = [[2, 4, 4, 1], [-6, 6, 12, 3], [10, 4, 16, 0], [1, 1, 1, 1], [5, 0, 2, 2]]
+        for p, q in snf._prime_powers(modulus):
+            perm, a, v, v_inv = snf._eliminate(m, p, q)
+            snf._certify(m, q, perm, a, v, v_inv)
+            for array, index in ((a, (len(m) - 1, 0)), (v, (0, 1))):
+                array[index] = (array[index] + 1) % q
+                with pytest.raises(MatchFailure, match="SNF self-check failed"):
+                    snf._certify(m, q, perm, a, v, v_inv)
+                array[index] = (array[index] - 1) % q
 
     @pytest.mark.parametrize("modulus", [2, 12, 360, (1 << 40) + 15])
     def test_cokernel_matches_the_reference(self, modulus):

@@ -198,9 +198,9 @@ def test_class_of_checks_every_short_generator(gamma):
     pairs = list(itertools.product(range(gamma.order), repeat=2))
     for x in gamma.short_generators():
         matrix = [[defect(gamma, pres, u, g, h, x)[0] for u in units] for g, h in pairs]
-        dec = snf.smith_normal_form(matrix, 2)
-        rank = int(np.count_nonzero(dec.d.diagonal() % 2))
-        kernel = dec.v[:, rank:].T.tolist()
+        diag, v, _ = snf.smith_normal_form(matrix, 2)
+        rank = int(np.count_nonzero(diag % 2))
+        kernel = v[:, rank:].T.tolist()
         broken = [vec for vec in kernel if not is_cocycle(gamma, pres, vec)]
         assert broken
         for vec in broken:
@@ -249,8 +249,9 @@ def test_two_smith_forms_per_h2(monkeypatch):
     cokernel = count_calls(monkeypatch, snf, "smith_normal_form")
     h2_central(gamma, trivial_module(gamma, (2,)))
     assert [(len(m), len(m[0])) for m, _ in direct] == [(18, 9)]  # equivariance, |X| m k x m k
-    # relations, m k x (|X| k + m k), read by cokernel_invariant_factors
-    assert [(len(m), len(m[0])) for m, _ in cokernel] == [(9, 11)]
+    # the transposed relations on the l = 3 live coordinates, (|X| k + l) x l, read by
+    # cokernel_invariant_factors: the other 6 of the m k = 9 have a unit pivot
+    assert [(len(m), len(m[0])) for m, _ in cokernel] == [(5, 3)]
     # every Smith form is over Z/N for the module exponent N
     assert [modulus for _, modulus in direct + cokernel] == [2, 2]
     direct.clear()
@@ -377,6 +378,20 @@ def test_long_cycle_stays_in_quadratic_memory():
         tracemalloc.stop()
     assert engine.invariant_factors == (2,)
     assert peak < 8 << 20
+
+
+def test_cayley_cycles_are_sized_before_they_are_allocated(monkeypatch):
+    # S6's 720 x 1440 int64 tree paths alone take 8.3 MB
+    gamma = symmetric_group(6)
+    monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "4")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="Cayley cycle basis"):
+            X._cayley_cycles(gamma, gamma.short_generators())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def center_extension(special):

@@ -148,7 +148,9 @@ def test_module_bridges_equal_the_loops():
             if not subgroup_as_group(sub)[0].is_abelian():
                 continue
             bridge = presentation_of_subgroup(parent, sub)
-            factors, matrices, to_coords, from_coords = oracle.module_bridge(parent, sub)
+            k = bridge.presentation.rank
+            generators = [bridge.from_coords[tuple(int(i == j) for j in range(k))] for i in range(k)]
+            factors, matrices, to_coords, from_coords = oracle.module_bridge(parent, sub, generators)
             assert bridge.presentation.factors == factors
             assert bridge.presentation.matrices == matrices
             assert list(bridge.to_coords.items()) == list(to_coords.items())
