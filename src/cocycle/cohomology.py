@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BijectionFailure, MatchFailure, NotStable, check_buffer
-from .groups import FiniteGroup, GroupHom, Subgroup, subgroup_as_group
+from .groups import FiniteGroup, GroupHom, Subgroup, element_indices, subgroup_as_group
 from .groups import coboundary_classes, crossed_homs, first_violation
 
 
@@ -97,7 +97,7 @@ def action_from_gen_images(
     action = np.empty((gamma.order, base.order), dtype=np.int64)
     action[gamma.identity] = np.arange(base.order)
     for g in gens:
-        action[g] = np.asarray(gen_images[g])
+        action[g] = element_indices(gen_images[g], base.order, f"generator {g}'s image entry")
     for new, prev, gen in gamma.word_tree():
         action[new] = action[prev][action[gen]]
     return GammaGroup(gamma, base, action)
@@ -135,7 +135,7 @@ class Cocycle:
 
 def is_cocycle(parent: GammaGroup, values) -> tuple[bool, tuple[int, int] | None]:
     """Check the law on all pairs; returns (ok, first violating pair)."""
-    values = np.array([int(v) for v in values], dtype=np.intp)
+    values = np.array(element_indices(values, parent.base.order, "cocycle value"), dtype=np.intp)
     if len(values) != parent.gamma.order:
         raise ValueError("values must be defined on all of gamma")
     check_buffer(parent.gamma.order**2, 8, "cocycle law")

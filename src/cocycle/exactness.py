@@ -40,7 +40,7 @@ from .errors import (
     SizeLimit,
     check_buffer,
 )
-from .groups import FiniteGroup, Subgroup, _word_tree, first_violation, orbit_members
+from .groups import FiniteGroup, Subgroup, _powers, _word_tree, first_violation, orbit_members
 from .groups import distinct_sorted, orbit_partition, product_chunks
 from .snf import cokernel_invariant_factors, smith_normal_form
 
@@ -308,10 +308,8 @@ def _abelian_words(group: FiniteGroup, gens, exps) -> np.ndarray:
     exps = np.asarray(exps, dtype=np.int64)
     out = np.full(len(exps), group.identity, dtype=np.intp)
     for g, column in zip(gens, exps.T):
-        powers = [group.identity]
-        while (nxt := group.mul(powers[-1], g)) != group.identity:
-            powers.append(nxt)
-        out = group.table[out, np.array(powers)[column % len(powers)]]
+        powers = np.array(_powers(group, g))
+        out = group.table[out, powers[column % len(powers)]]
     return out
 
 
@@ -468,7 +466,8 @@ def _cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
     check_buffer((2 * n * r - n + 2) * n * r, 8, "Cayley cycle basis")  # paths, 2 x cycles
     table = gamma.table.astype(np.intp)
     paths = np.zeros((n, n * r), dtype=np.int64)
-    tree = [(new, prev, prev * r + gens.index(s)) for new, prev, s in _word_tree(gamma, gens)]
+    walk = _word_tree(table, gamma.identity, gens)
+    tree = [(new, prev, prev * r + gens.index(s)) for new, prev, s in walk]
     for new, prev, e in tree:
         paths[new] = paths[prev]
         paths[new, e] += 1

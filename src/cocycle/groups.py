@@ -6,7 +6,9 @@ test over a generating set, in O(n^2) per generator. Named constructions
 order so downstream fixtures are stable. Hom, automorphism and isomorphism
 search and :func:`cocycle.cohomology.h1` run on one engine, :func:`crossed_homs`.
 Orbits of a group acting on a finite set, and with them coset representatives,
-come from one owner, :func:`orbit_partition`.
+come from one owner, :func:`orbit_partition`; closures from generators (generated
+subgroups, word trees) from one, :func:`_word_tree`; power lists and element
+orders from one, :func:`_powers`.
 """
 
 from __future__ import annotations
@@ -86,23 +88,11 @@ class FiniteGroup:
         return self.table[self.table, self._inv[:, None]]
 
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        result = self.identity
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        powers = _powers(self, a)
+        return powers[k % len(powers)]
 
     def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return len(_powers(self, a))
 
     def elements(self) -> range:
         return range(self.order)
@@ -115,19 +105,8 @@ class FiniteGroup:
 
     def generated_subgroup(self, seeds) -> tuple[int, ...]:
         """Sorted element indices of the subgroup generated by ``seeds``."""
-        members = {self.identity}
-        frontier = [self.identity]
-        seeds = list(seeds)
-        while frontier:
-            new = []
-            for x in frontier:
-                for s in seeds:
-                    y = self.mul(x, s)
-                    if y not in members:
-                        members.add(y)
-                        new.append(y)
-            frontier = new
-        return tuple(sorted(members))
+        tree = _word_tree(self.table, self.identity, seeds)
+        return tuple(sorted([self.identity, *(new for new, _, _ in tree)]))
 
     def generators(self) -> tuple[int, ...]:
         """Greedy generating set: repeatedly add the smallest index outside the
@@ -153,9 +132,7 @@ class FiniteGroup:
                         if gens:
                             join = self.generated_subgroup(gens + [x])
                         else:  # the first step tries every element: join = <x>
-                            powers = [self.identity, x]
-                            while (nxt := self.mul(powers[-1], x)) != self.identity:
-                                powers.append(nxt)
+                            powers = _powers(self, x)
                             join, k = tuple(sorted(powers)), len(powers)
                             if k < self.order:  # else x generates everything and the loop ends
                                 redundant.update(powers[j] for j in range(2, k) if math.gcd(j, k) == 1)
@@ -173,28 +150,48 @@ class FiniteGroup:
         Every non-identity element appears exactly once as ``new``; ``prev``
         always appears earlier (or is the identity). Deterministic.
         """
-        return _word_tree(self, self.generators())
+        return _word_tree(self.table, self.identity, self.generators())
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
 
 
-def _word_tree(group: FiniteGroup, gens) -> list[tuple[int, int, int]]:
-    """BFS decomposition of ``group`` over ``gens``; see :meth:`FiniteGroup.word_tree`."""
-    seen = {group.identity}
+def _word_tree(table, identity: int, gens) -> list[tuple[int, int, int]]:
+    """The breadth-first walk from ``identity`` by right multiplication by
+    ``gens``, each column x -> x * g of ``table`` read as a list: triples
+    (new, prev, gen) with new = prev * gen, each element reached once, in the
+    order reached. The one closure of the package: :meth:`FiniteGroup.word_tree`,
+    :meth:`FiniteGroup.generated_subgroup` and Light's test read it."""
+    columns = [(g, table[:, g].tolist()) for g in gens]
+    seen, queue = {identity}, [identity]
     tree: list[tuple[int, int, int]] = []
-    frontier = [group.identity]
-    while frontier:
-        nxt: list[int] = []
-        for prev in frontier:
-            for g in gens:
-                new = group.mul(prev, g)
-                if new not in seen:
-                    seen.add(new)
-                    tree.append((new, prev, g))
-                    nxt.append(new)
-        frontier = nxt
+    for prev in queue:  # the queue grows while it is read
+        for g, column in columns:
+            if (new := column[prev]) not in seen:
+                seen.add(new)
+                tree.append((new, prev, g))
+                queue.append(new)
     return tree
+
+
+def _powers(group: FiniteGroup, x: int) -> list[int]:
+    """e, x, x^2, ..., x^(n-1) for x of order n, by n - 1 products: the one
+    power list of the package."""
+    powers, nxt = [group.identity], x
+    while nxt != group.identity:
+        powers.append(nxt)
+        nxt = group.mul(nxt, x)
+    return powers
+
+
+def element_indices(values, order: int, what: str) -> tuple[int, ...]:
+    """``values`` as ints, checked before they index anything: ValueError
+    naming the first one outside range(order)."""
+    ints = tuple(int(v) for v in values)
+    bad = next((v for v in ints if not 0 <= v < order), None)
+    if bad is not None:
+        raise ValueError(f"{what} {bad} is not an element index in range({order})")
+    return ints
 
 
 def first_violation(holds: np.ndarray) -> tuple[int, ...] | None:
@@ -235,17 +232,10 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     """
     n = table.shape[0]
     gens: list[int] = []
-    columns: list[list[int]] = []  # columns[j][x] = x * gens[j]
     seen = {identity}
     while len(seen) < n:
         gens.append(min(set(range(n)) - seen))
-        columns.append(table[:, gens[-1]].tolist())
-        todo = list(seen)
-        while todo:
-            x = todo.pop()
-            new = {col[x] for col in columns} - seen
-            seen |= new
-            todo += new
+        seen = {identity, *(new for new, _, _ in _word_tree(table, identity, gens))}
     rows = max(1, ENGINE_CHUNK // (n * max(len(gens), 1)))
     for lo in range(0, n, rows):
         block = table[lo : lo + rows]
@@ -442,7 +432,8 @@ class Subgroup:
 
     @staticmethod
     def from_members(parent: FiniteGroup, members) -> Subgroup:
-        sub = Subgroup(parent, tuple(sorted(set(int(x) for x in members))))
+        members = element_indices(members, parent.order, "subgroup member")
+        sub = Subgroup(parent, tuple(sorted(set(members))))
         if parent.identity not in sub.members:
             raise ValueError("subgroup must contain the identity")
         m = list(sub.members)
@@ -532,7 +523,7 @@ class GroupHom:
         ``source.generators()``: a map with e -> e and f(at) = f(a) f(t) for
         every such t has f(ab) = f(a) f(b), by induction on b's word length.
         A map that fails is checked on all pairs to name the first failing one."""
-        img = tuple(int(x) for x in image)
+        img = element_indices(image, target.order, "hom image entry")
         if len(img) != source.order:
             raise ValueError("image length must match source order")
         if img[source.identity] != target.identity:
@@ -624,13 +615,12 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
         return base.table[cols[x], moved]
 
     for j, s in enumerate(gens):
-        cols, power = {s: pools[j]}, s  # cols[s^i] = alpha(s^i), one entry per x
-        while power != gamma.identity:
-            cols[gamma.mul(power, s)] = law_rhs(cols, power, s)
-            power = gamma.mul(power, s)
+        powers, cols = _powers(gamma, s), {s: pools[j]}  # cols[s^i] = alpha(s^i), one entry per x
+        for x, xs in zip(powers[1:], powers[2:] + powers[:1]):
+            cols[xs] = law_rhs(cols, x, s)
         pools[j] = pools[j][cols[gamma.identity] == base.identity]
 
-    tree = _word_tree(gamma, gens)
+    tree = _word_tree(gamma.table, gamma.identity, gens)
     steps = [t for t in tree if t[1] != gamma.identity]  # level one holds the generators
     ready = dict.fromkeys((gamma.identity, *gens), 0)
     ready.update((new, i + 1) for i, (new, _, _) in enumerate(steps))

@@ -180,7 +180,8 @@ def _kernel_bijection_cases():
     if len(triples) < 25:
         raise MatchFailure(f"bijection corpus has only {len(triples)} triples")
     for name, parent, sub in triples:
-        yield f"{name}, |A|={sub.order}", _bijection_check, (parent, sub)
+        members = ", ".join(map(str, sub.members))
+        yield f"{name}, |A|={sub.order}, A={{{members}}}", _bijection_check, (parent, sub)
 
 
 def twisted_corpus() -> list[tuple[str, GammaGroup]]:

@@ -11,6 +11,11 @@ fixed-coset orbits, Shapiro cosets, quotient sections, principal-space
 isomorphisms, étale orbits and abelian coordinates used to run before
 ``groups.orbit_partition`` and one-gather coordinates replaced them;
 ``tests/test_orbits.py`` compares the package against them field by field.
+
+The walks at the very end build closures, generating sets, word trees,
+element orders and powers one ``group.mul`` product at a time, as the
+package did before one breadth-first walk and one power list replaced its
+loops; ``tests/test_groups.py::TestWalk`` compares the package against them.
 """
 
 from __future__ import annotations
@@ -326,3 +331,72 @@ def module_bridge(parent: GammaGroup, sub: Subgroup, generators: list[int]):
     to_coords = {embed[x]: vec for x, vec in to_local.items()}
     from_coords = {vec: embed[x] for vec, x in from_local.items()}
     return tuple(factors), tuple(matrices), to_coords, from_coords
+
+
+# ---------------------------------------------------------------------------
+# generator walks, one group.mul product at a time
+
+
+def closure(group: FiniteGroup, seeds) -> tuple[int, ...]:
+    """Sorted members of the subgroup generated by ``seeds``: everything the
+    identity reaches by right multiplication by seeds."""
+    members, todo = {group.identity}, [group.identity]
+    while todo:
+        x = todo.pop()
+        for s in seeds:
+            y = group.mul(x, s)
+            if y not in members:
+                members.add(y)
+                todo.append(y)
+    return tuple(sorted(members))
+
+
+def greedy_generators(group: FiniteGroup) -> tuple[int, ...]:
+    """Each generator the least element outside the span of those before it."""
+    gens: list[int] = []
+    while len(span := closure(group, gens)) < group.order:
+        gens.append(min(set(group.elements()) - set(span)))
+    return tuple(gens)
+
+
+def max_span_generators(group: FiniteGroup) -> tuple[int, ...]:
+    """Each generator the element whose join with those before it is largest,
+    the least such element on ties."""
+    gens: list[int] = []
+    while len(closure(group, gens)) < group.order:
+        gens.append(max(group.elements(), key=lambda x: (len(closure(group, gens + [x])), -x)))
+    return tuple(gens)
+
+
+def word_tree(group: FiniteGroup, gens) -> list[tuple[int, int, int]]:
+    """(new, prev, gen) with new = prev * gen, level by level from the identity,
+    each level's elements in the order found, generators in the given order."""
+    seen, level, tree = {group.identity}, [group.identity], []
+    while level:
+        found = []
+        for prev in level:
+            for g in gens:
+                new = group.mul(prev, g)
+                if new not in seen:
+                    seen.add(new)
+                    tree.append((new, prev, g))
+                    found.append(new)
+        level = found
+    return tree
+
+
+def element_order(group: FiniteGroup, a: int) -> int:
+    k, x = 1, a
+    while x != group.identity:
+        k, x = k + 1, group.mul(x, a)
+    return k
+
+
+def power(group: FiniteGroup, a: int, k: int) -> int:
+    """a^k by |k| products; a^-1 is the element b with a * b = e."""
+    if k < 0:
+        a, k = next(b for b in group.elements() if group.mul(a, b) == group.identity), -k
+    x = group.identity
+    for _ in range(k):
+        x = group.mul(x, a)
+    return x

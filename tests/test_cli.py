@@ -435,9 +435,9 @@ class TestVerifyCommand:
         assert [r["suite"] for r in payload["rows"]] == [s for s, n in counts.items() for _ in range(n)]
         assert payload["cases"] == 127 and payload["failed"] == 0
         distinct = {s: len({r["case"] for r in payload["rows"] if r["suite"] == s}) for s in counts}
-        # kernel-bijection labels name the ambient and |A| only, so two stable
-        # subgroups of one order share a label (D4 and Q8 have several)
-        assert distinct == {**counts, "kernel-bijection": 36}
+        # kernel-bijection labels name the stable subgroup's members, so two
+        # subgroups of one order (D4 and Q8 have several) get distinct labels
+        assert distinct == {**counts, "kernel-bijection": 46}
 
     def test_resource_bound_is_not_a_counterexample(self, monkeypatch, capsys):
         # the GL scan's chunk needs more than 1 MiB: a bound, so exit 2 and no rows

@@ -78,6 +78,13 @@ class TestGammaGroup:
         assert gg.act(2, 1) == 4
         assert gg.act(3, 1) == 3
 
+    @pytest.mark.parametrize("image, bad", [((0, -1, -2), -1), ((0, 3, 1), 3), ((0, 2, 5), 5)])
+    def test_action_from_gen_images_names_the_first_index_out_of_range(self, image, bad):
+        # (0, -1, -2) read through the identity's row used to give the inversion action
+        message = rf"generator 1's image entry {bad} is not .* range\(3\)"
+        with pytest.raises(ValueError, match=message):
+            action_from_gen_images(cyclic_group(2), cyclic_group(3), {1: image})
+
     def test_conjugation_action(self):
         s3 = symmetric_group(3)
         gg = conjugation_action(s3, s3, identity_hom(s3))
@@ -107,6 +114,11 @@ class TestIsCocycle:
         gg = mu4_inversion()
         with pytest.raises(ValueError):
             make_cocycle(gg, (1, 1))
+
+    @pytest.mark.parametrize("values, bad", [((0, 4), 4), ((0, -1), -1), ((9, -1), 9)])
+    def test_make_cocycle_names_the_first_index_out_of_range(self, values, bad):
+        with pytest.raises(ValueError, match=rf"cocycle value {bad} is not .* range\(4\)"):
+            make_cocycle(mu4_inversion(), values)
 
 
 class TestCohomologous:

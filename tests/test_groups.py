@@ -274,6 +274,12 @@ class TestSubgroups:
         sub = Subgroup.from_members(g, [0, 2])
         assert sub.order == 2
 
+    @pytest.mark.parametrize("members, bad", [([0, -1], -1), ([0, 1, 2], 2), ([3, 0, -5], 3)])
+    def test_from_members_names_the_first_index_out_of_range(self, members, bad):
+        # numpy would wrap -1 to the last element and raise IndexError at 2
+        with pytest.raises(ValueError, match=rf"subgroup member {bad} is not .* range\(2\)"):
+            Subgroup.from_members(cyclic_group(2), members)
+
     def test_all_subgroups_s3(self):
         g = symmetric_group(3)
         subs = all_subgroups(g)
@@ -333,6 +339,11 @@ class TestHoms:
         assert hom.kernel().order == 1
         with pytest.raises(ValueError):
             GroupHom.make(z2, z4, (0, 1))
+
+    @pytest.mark.parametrize("image, bad", [((0, 4), 4), ((0, -2), -2), ((7, -1), 7)])
+    def test_make_names_the_first_index_out_of_range(self, image, bad):
+        with pytest.raises(ValueError, match=rf"hom image entry {bad} is not .* range\(4\)"):
+            GroupHom.make(cyclic_group(2), cyclic_group(4), image)
 
     def test_coprime_orders(self):
         homs = enumerate_homs(cyclic_group(2), cyclic_group(3))
@@ -670,3 +681,94 @@ class TestProductChunks:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def _relabelled(group, seed):
+    """An isomorphic copy whose element x is renumbered p[x], the identity off 0."""
+    p = np.random.default_rng(seed).permutation(group.order)
+    inv = np.argsort(p)
+    return make_group(p[group.table[np.ix_(inv, inv)].astype(np.int64)])
+
+
+def _in_s4(select):
+    s4 = symmetric_group(4)
+    return subgroup_as_group(Subgroup.from_members(s4, select(s4)))[0]
+
+
+def _quotient(g, members):
+    return quotient_group(g, Subgroup.from_members(g, members))[0]
+
+
+_S4_PERM = symmetric_group(4).perms.index  # the index of a permutation tuple in S4
+WALK_GROUPS = {
+    **{f"Z{n}": lambda n=n: cyclic_group(n) for n in (1, 2, 3, 6, 12, 255, 256, 300, 1000)},
+    **{f"D{n}": lambda n=n: dihedral_group(n) for n in (1, 2, 3, 4, 5, 8)},
+    **{f"S{m}": lambda m=m: symmetric_group(m) for m in (1, 2, 3, 4, 5)},
+    "Q8": quaternion_group,
+    "Z2xZ2": lambda: direct_product(cyclic_group(2), cyclic_group(2)),
+    "D4xZ3": lambda: direct_product(dihedral_group(4), cyclic_group(3)),
+    "S3xQ8": lambda: direct_product(symmetric_group(3), quaternion_group()),
+    "A4 in S4": lambda: _in_s4(lambda s4: [g for g in s4.elements() if perm_sign(s4.perms[g]) == 1]),
+    "D4 in S4": lambda: _in_s4(
+        lambda s4: oracle.closure(s4, [_S4_PERM((1, 2, 3, 0)), _S4_PERM((2, 1, 0, 3))])
+    ),
+    "S4/V4": lambda: _quotient(
+        symmetric_group(4),
+        [g for g, p in enumerate(symmetric_group(4).perms) if perm_cycle_type(p) in {(1,) * 4, (2, 2)}],
+    ),
+    "D4/Z2": lambda: _quotient(dihedral_group(4), [0, 2]),
+    "Z7 from a list": lambda: make_group([[(a + b) % 7 for b in range(7)] for a in range(7)]),
+    "S5 relabelled": lambda: _relabelled(symmetric_group(5), 5),
+    "D4xZ3 relabelled": lambda: _relabelled(direct_product(dihedral_group(4), cyclic_group(3)), 12),
+}
+
+
+@pytest.fixture(scope="module", params=list(WALK_GROUPS), ids=list(WALK_GROUPS))
+def walk_group(request):
+    return WALK_GROUPS[request.param]()
+
+
+class TestWalk:
+    """Generating sets, word trees, closures, orders and powers against the
+    scalar walks of ``engine_oracle``, on 29 groups from every constructor
+    (cyclic, dihedral, symmetric, quaternion, products, subgroups, quotients,
+    a list table) and two relabelled copies with the identity off index 0."""
+
+    def test_corpus(self):
+        assert len(WALK_GROUPS) == 31
+        assert WALK_GROUPS["S5 relabelled"]().identity != 0
+        assert WALK_GROUPS["D4xZ3 relabelled"]().identity != 0
+
+    def test_generators(self, walk_group):
+        assert walk_group.generators() == oracle.greedy_generators(walk_group)
+
+    def test_short_generators(self, walk_group):
+        assert walk_group.short_generators() == oracle.max_span_generators(walk_group)
+
+    def test_word_tree(self, walk_group):
+        assert walk_group.word_tree() == oracle.word_tree(walk_group, walk_group.generators())
+
+    @staticmethod
+    def probes(g):
+        """Every element of a group of order <= 128, else the generators and 24 others."""
+        if g.order <= 128:
+            return list(g.elements())
+        rng = np.random.default_rng(g.order)
+        return sorted({*g.generators(), *rng.choice(g.order, 24, replace=False).tolist()})
+
+    def test_generated_subgroup(self, walk_group):
+        g = walk_group
+        for x in self.probes(g):
+            assert g.generated_subgroup([x]) == oracle.closure(g, [x])
+        rng = np.random.default_rng(g.order + 1)
+        pairs = list(zip(g.generators(), g.generators()[1:])) + rng.integers(g.order, size=(24, 2)).tolist()
+        for pair in pairs:
+            assert g.generated_subgroup(pair) == oracle.closure(g, pair)
+
+    def test_element_order_and_power(self, walk_group):
+        g = walk_group
+        for a in self.probes(g):
+            n = oracle.element_order(g, a)
+            assert g.element_order(a) == n
+            for k in (-1, 0, n, n + 1, g.order, g.order + 1):
+                assert g.power(a, k) == oracle.power(g, a, k), (a, k)
