@@ -97,7 +97,10 @@ def action_from_gen_images(
     action = np.empty((gamma.order, base.order), dtype=np.int64)
     action[gamma.identity] = np.arange(base.order)
     for g in gens:
-        action[g] = element_indices(gen_images[g], base.order, f"generator {g}'s image entry")
+        image = element_indices(gen_images[g], base.order, f"generator {g}'s image entry")
+        if len(image) != base.order:
+            raise ValueError(f"generator {g}'s image has {len(image)} entries, not {base.order}")
+        action[g] = image
     for new, prev, gen in gamma.word_tree():
         action[new] = action[prev][action[gen]]
     return GammaGroup(gamma, base, action)
@@ -157,14 +160,10 @@ def trivial_cocycle(parent: GammaGroup) -> Cocycle:
 
 def coboundary_transform(alpha: Cocycle, a: int) -> Cocycle:
     """The equivalent cocycle g -> a^-1 * alpha(g) * a^g."""
-    parent = alpha.parent
-    base = parent.base
-    ainv = base.inv(a)
-    values = tuple(
-        base.mul(base.mul(ainv, alpha.values[g]), parent.act(g, a))
-        for g in range(parent.gamma.order)
-    )
-    return Cocycle(parent, values)
+    parent, base = alpha.parent, alpha.parent.base
+    (a,) = element_indices([a], base.order, "coboundary element")
+    moved = base.table[base.table[base._inv[a], list(alpha.values)], parent.action[:, a]]
+    return Cocycle(parent, tuple(moved.tolist()))
 
 
 def cohomologous(alpha: Cocycle, beta: Cocycle) -> int | None:
@@ -348,6 +347,15 @@ class EquivariantHom:
         return EquivariantHom(source, target, hom)
 
 
+def check_stable(parent: GammaGroup, sub: Subgroup) -> None:
+    """Raise NotStable with a witness unless gamma maps the subgroup into itself."""
+    if sub.parent is not parent.base:
+        raise ValueError("subgroup must live in the parent's base group")
+    bad = sub.stray(parent.action)
+    if bad is not None:
+        raise NotStable(bad[1], bad[0])
+
+
 def restrict_to_subgroup(
     parent: GammaGroup, sub: Subgroup
 ) -> tuple[GammaGroup, EquivariantHom]:
@@ -356,11 +364,7 @@ def restrict_to_subgroup(
     Returns the restricted GammaGroup plus the inclusion as an equivariant
     hom. Raises NotStable with a witness when the subgroup is not preserved.
     """
-    if sub.parent is not parent.base:
-        raise ValueError("subgroup must live in the parent's base group")
-    bad = sub.stray(parent.action)
-    if bad is not None:
-        raise NotStable(bad[1], bad[0])
+    check_stable(parent, sub)
     sub_group, embed = subgroup_as_group(sub)
     action = sub.position()[parent.action[:, list(embed)]]
     restricted = GammaGroup(parent.gamma, sub_group, action)

@@ -22,12 +22,6 @@ DEFAULT_MAX_MATRICES = 1 << 20
 #: Default ceiling on squarefree d for imaginary quadratic rings.
 DEFAULT_MAX_QUAD_D = 200
 
-#: Ceiling on the GL_m(K)-stabilizer of the reference tensor in ``classify_forms``.
-MAX_STABILIZER = 512
-
-#: Ceiling on the exponent box (product of generator orders) searched for relations.
-MAX_RELATION_BOX = 1_000_000
-
 #: Ceiling on the raw 2-cochains |A|^(|gamma|^2) of the brute-force H2 oracle.
 MAX_ORACLE_COCHAINS = 1 << 16
 
@@ -39,11 +33,6 @@ MAX_RAMIFIED_PRIMES = 20
 
 #: Towers with |K|^n up to this also brute-force Frobenius independence.
 EXHAUSTIVE_INDEPENDENCE_SIZE = 10_000
-
-#: Default ceiling on rows*cols of the |X| m k x m k equivariance matrix that
-#: ``h2_central`` factors (X the short generators, m = |gamma|(|X| - 1) + 1,
-#: k the module rank): S5 on a rank-one module is 242 x 121.
-DEFAULT_MAX_SNF_ENTRIES = 1 << 19
 
 ENV_MAX_MEM = "COCYCLE_MAX_MEM_MB"
 

@@ -31,9 +31,7 @@ import numpy as np
 from . import cohomology, groups
 from .cohomology import Cocycle, EquivariantHom, GammaGroup, H1Set, match_blocks
 from .errors import (
-    DEFAULT_MAX_SNF_ENTRIES,
     MAX_ORACLE_COCHAINS,
-    MAX_RELATION_BOX,
     CounterexampleFound,
     DimensionFailure,
     MatchFailure,
@@ -146,7 +144,7 @@ def quotient_gamma_group(
     parent: GammaGroup, sub: Subgroup
 ) -> tuple[GammaGroup, EquivariantHom]:
     """B/A with the induced action (bA)^g = b^g A; A must be normal and stable."""
-    cohomology.restrict_to_subgroup(parent, sub)  # stability check (NotStable)
+    cohomology.check_stable(parent, sub)
     quot, proj = groups.quotient_group(parent.base, sub)  # normality check (NotNormal)
     _, reps = np.unique(proj.image, return_index=True)  # each coset's least element
     quotient = GammaGroup(parent.gamma, quot, np.asarray(proj.image)[parent.action[:, reps]])
@@ -322,9 +320,8 @@ def _decompose_abelian(group: FiniteGroup) -> tuple[tuple[int, ...], list[int]]:
     gens = list(group.generators())
     orders = [group.element_order(g) for g in gens]
     box = math.prod(orders)
-    if box > MAX_RELATION_BOX:
-        raise SizeLimit(f"relation search space {box} exceeds bound {MAX_RELATION_BOX}")
-    check_buffer(box * len(gens), 8, "relation search")
+    # per box entry: np.indices and kills (len(gens) each) and three _abelian_words gathers
+    check_buffer(box * (2 * len(gens) + 3), 8, "relation search")
     exps = np.indices(orders).reshape(len(gens), box).T  # rows in itertools.product order
     kills = exps[_abelian_words(group, gens, exps) == group.identity][1:]  # row 0 is zero
     # diag(orders) is among the relations, so working mod their lcm loses no relation
@@ -502,14 +499,16 @@ def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
     k, n = pres.rank, gamma.order
     if k == 0 or n == 1:
         return H2Group(gamma, pres, (), ())
-    gens, table = gamma.short_generators(), gamma.table.astype(np.intp)
+    gens = gamma.short_generators()
     r, m = len(gens), n * (len(gens) - 1) + 1
     rows, cols = r * m * k, m * k
-    if rows * cols > DEFAULT_MAX_SNF_ENTRIES:
-        raise SizeLimit(
-            f"H2 matrix of {rows}x{cols} entries exceeds bound {DEFAULT_MAX_SNF_ENTRIES}"
-        )
+    # held at once, rows x cols each: the blocks, the scaled E, the nested list given to
+    # smith_normal_form, _eliminate's working copy and one pivot's update (2), _certify's
+    # reconversion and its row permutation, P M V, L (2 with its temporaries) and L D;
+    # cols x cols: V and V^-1 of one prime power and their CRT sums; and the cycle basis
+    check_buffer((12 * rows + 4 * cols) * cols + (r + 1) * n * m, 8, "H2 Smith system")
     tree, free, cycles, moved = _cayley_cycles(gamma, gens)
+    table = gamma.table.astype(np.intp)
     mats = np.array(pres.matrices, dtype=np.int64).reshape(n, k, k)
     orders, exponent = np.tile(pres.factors, m), pres.factors[-1]
     eye_k, eye_m = np.eye(k, dtype=np.int64), np.eye(m, dtype=np.int64)

@@ -433,7 +433,9 @@ def mat_rank(tower: FqTower, rows) -> int:
 def mat_kernel(tower: FqTower, rows) -> list[list[int]]:
     """Kernel basis: one vector per free column, with 1 in that column."""
     reduced, pivots, _ = rref(tower, rows)
-    free = np.setdiff1d(np.arange(reduced.shape[1]), pivots)
+    is_free = np.ones(reduced.shape[1], dtype=bool)  # a mask: np.setdiff1d would import numpy.ma
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), reduced.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = tower.vneg(reduced[: len(pivots), free].T)

@@ -27,11 +27,10 @@ from . import cohomology, groups
 from .cohomology import GammaGroup, H1Set, match_blocks
 from .errors import (
     EXHAUSTIVE_INDEPENDENCE_SIZE,
-    MAX_STABILIZER,
+    FIELD_TABLE_LIMIT,
     CounterexampleFound,
     DimensionFailure,
     MatchFailure,
-    SizeLimit,
     check_buffer,
 )
 from .fields import (
@@ -365,8 +364,11 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
         orbit = dict(zip(map(tuple, rows.tolist()), keys[invariant][first].tolist())) | orbit
         rational_keys.append(keys[(tower.vfrob(g) == g).all(axis=(0, 1))])
     stab_keys = np.concatenate(stab_keys)
-    if len(stab_keys) > MAX_STABILIZER:
-        raise SizeLimit(f"stabilizer of size {len(stab_keys)} exceeds bound {MAX_STABILIZER}")
+    # per pair of the s^2 stabilizer products: the m x m product, batch_mul's accumulator,
+    # product and sum, stab_index's keys and lookups; an untabled tower's products are
+    # formed in digit arrays about 4 * degree wide
+    digits = 4 * tower.degree if tower.size > FIELD_TABLE_LIMIT else 0
+    check_buffer(len(stab_keys) ** 2 * (m * m + 4 + digits), 8, "stabilizer products")
     k_gl = matrices_over(np.arange(tower.size), m, np.concatenate(rational_keys))
     k_gl_inv = batch_inv(tower, k_gl, batch_det(tower, k_gl))
     remaining = set(orbit)

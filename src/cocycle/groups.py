@@ -73,6 +73,8 @@ class FiniteGroup:
         self._short: tuple[int, ...] | None = None
 
     def mul(self, a: int, b: int) -> int:
+        if not (0 <= a < self.order and 0 <= b < self.order):  # 5x cheaper than element_indices
+            element_indices((a, b), self.order, "element")  # raises, naming the first
         return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
@@ -88,11 +90,11 @@ class FiniteGroup:
         return self.table[self.table, self._inv[:, None]]
 
     def power(self, a: int, k: int) -> int:
-        powers = _powers(self, a)
+        powers = _powers(self, *element_indices([a], self.order, "element"))
         return powers[k % len(powers)]
 
     def element_order(self, a: int) -> int:
-        return len(_powers(self, a))
+        return len(_powers(self, *element_indices([a], self.order, "element")))
 
     def elements(self) -> range:
         return range(self.order)
@@ -105,6 +107,7 @@ class FiniteGroup:
 
     def generated_subgroup(self, seeds) -> tuple[int, ...]:
         """Sorted element indices of the subgroup generated by ``seeds``."""
+        seeds = element_indices(seeds, self.order, "subgroup seed")
         tree = _word_tree(self.table, self.identity, seeds)
         return tuple(sorted([self.identity, *(new for new, _, _ in tree)]))
 
@@ -177,10 +180,10 @@ def _word_tree(table, identity: int, gens) -> list[tuple[int, int, int]]:
 def _powers(group: FiniteGroup, x: int) -> list[int]:
     """e, x, x^2, ..., x^(n-1) for x of order n, by n - 1 products: the one
     power list of the package."""
-    powers, nxt = [group.identity], x
+    powers, nxt, column = [group.identity], x, group.table[:, x]
     while nxt != group.identity:
         powers.append(nxt)
-        nxt = group.mul(nxt, x)
+        nxt = int(column[nxt])
     return powers
 
 
@@ -629,7 +632,7 @@ def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None)
     checks: list[list[tuple[int, int, int]]] = [[] for _ in range(len(steps) + 1)]
     for x, s in itertools.product(gamma.elements(), gens):
         if (x, s) not in edges:
-            xs = gamma.mul(x, s)
+            xs = int(gamma.table[x, s])
             checks[max(ready[x], ready[xs])].append((x, s, xs))
 
     found = [np.empty((0, ng), dtype=np.intp)]

@@ -19,10 +19,14 @@ import math
 
 import numpy as np
 
-from cocycle.errors import DEFAULT_MAX_SNF_ENTRIES, CounterexampleFound, SizeLimit
+from cocycle.errors import CounterexampleFound, SizeLimit
 from cocycle.exactness import AbelianPresentation, H2Group
 from cocycle.groups import FiniteGroup
 from smith_oracle import IntMatrix, cokernel_invariant_factors, smith_mod, smith_normal_form
+
+#: Ceiling on rows * cols of the order-scaled d2 that the bar route factors: Z/9 on a
+#: rank-one module is 512 x 576, and Z/10 is past it, so larger groups run on the package only.
+MAX_ORACLE_ENTRIES = 1 << 19
 
 
 def _nonidentity(gamma: FiniteGroup) -> list[int]:
@@ -180,7 +184,7 @@ def _moduli(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> list[int]:
 def h2_central(
     gamma: FiniteGroup,
     pres: AbelianPresentation,
-    max_entries: int = DEFAULT_MAX_SNF_ENTRIES,
+    max_entries: int = MAX_ORACLE_ENTRIES,
 ) -> H2Group:
     """H2 by integer linear algebra on the normalized bar complex.
 

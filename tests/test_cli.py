@@ -523,7 +523,7 @@ def sum_of_squares_file(tmp_path):
         (
             lambda tmp: ["etale", "--input", write(tmp, "z2.json", {"family": "cyclic", "n": 2}),
                          "--dim", "2", "--tower", "3x1x2"],
-            0, GALOIS | {"etale"}, True,
+            0, GALOIS | {"etale"}, "no numpy.ma",
         ),
         (lambda tmp: ["verify", "--suite", "units"], 0, EVERY, True),
         (lambda tmp: ["verify", "--suite", "h2"], 0, EVERY, "no numpy.ma"),

@@ -85,6 +85,13 @@ class TestGammaGroup:
         with pytest.raises(ValueError, match=message):
             action_from_gen_images(cyclic_group(2), cyclic_group(3), {1: image})
 
+    @pytest.mark.parametrize("image", [(0, 1), (0, 2, 1, 0)])
+    def test_action_from_gen_images_names_a_wrong_length(self, image):
+        # numpy said only "could not broadcast input array from shape (2,) into shape (3,)"
+        message = rf"generator 1's image has {len(image)} entries, not 3"
+        with pytest.raises(ValueError, match=message):
+            action_from_gen_images(cyclic_group(2), cyclic_group(3), {1: image})
+
     def test_conjugation_action(self):
         s3 = symmetric_group(3)
         gg = conjugation_action(s3, s3, identity_hom(s3))
@@ -119,6 +126,14 @@ class TestIsCocycle:
     def test_make_cocycle_names_the_first_index_out_of_range(self, values, bad):
         with pytest.raises(ValueError, match=rf"cocycle value {bad} is not .* range\(4\)"):
             make_cocycle(mu4_inversion(), values)
+
+
+@pytest.mark.parametrize("a", [-1, 3, -4])
+def test_coboundary_transform_names_an_index_out_of_range(a):
+    # -1 used to run as the element 2
+    gg = inversion_action(cyclic_group(2), cyclic_group(3))
+    with pytest.raises(ValueError, match=rf"coboundary element {a} is not .* range\(3\)"):
+        coboundary_transform(trivial_cocycle(gg), a)
 
 
 class TestCohomologous:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cocycle.cohomology import (
     h1,
     inversion_action,
     make_cocycle,
+    restrict_to_subgroup,
     trivial_action,
 )
 from cocycle.errors import CounterexampleFound, MatchFailure, NotStable, SizeLimit
@@ -32,6 +34,7 @@ from cocycle.groups import (
     cyclic_group,
     direct_product,
     identity_hom,
+    make_group,
     perm_sign,
     symmetric_group,
     trivial_group,
@@ -265,6 +268,23 @@ class TestQuotientGammaGroup:
             for b in range(4):
                 assert proj.hom(gg.act(g, b)) == quot.act(g, proj.hom(b))
 
+    def test_stability_is_checked_before_normality(self):
+        # <(2 3)> in S3 is neither stable under conjugation by (1 2) nor normal
+        gg = s3_conj_by_transposition()
+        s3 = gg.base
+        other = next(a for a in s3.elements() if s3.perms[a] == (0, 2, 1))
+        bad = Subgroup.from_members(s3, s3.generated_subgroup([other]))
+        with pytest.raises(NotStable) as restricted:
+            restrict_to_subgroup(gg, bad)
+        with pytest.raises(NotStable) as quotient:
+            quotient_gamma_group(gg, bad)
+        assert quotient.value.witness == restricted.value.witness
+
+    def test_subgroup_of_another_group(self):
+        gg = mu4_inversion()
+        with pytest.raises(ValueError, match="parent's base group"):
+            quotient_gamma_group(gg, Subgroup.from_members(cyclic_group(4), [0, 2]))
+
 
 class TestSixTerm:
     def test_trivial_subgroup(self):
@@ -290,6 +310,33 @@ class TestSixTerm:
         )
         report = six_term_check(gg, a3)
         assert report.exact, report.details
+
+
+def cyclic_by_element_order(n):
+    """Z/n, n a power of 2, with its elements listed by increasing order: its greedy
+    generators have orders 2, 4, ..., n, each a power of the next."""
+    z = cyclic_group(n)
+    listed = sorted(z.elements(), key=lambda x: (z.element_order(x), x))
+    at = np.argsort(listed)
+    return make_group(at[z.table[np.ix_(listed, listed)]])
+
+
+class TestRelationSearch:
+    def test_the_box_is_sized_before_it_is_allocated(self, monkeypatch):
+        # a box of 2 * 4 * 8 * 16 * 32 = 2^15 exponent vectors over 32 elements, counted
+        # at 3.4 MB; the count bound of 10^6 would have passed it at any budget
+        group = cyclic_by_element_order(32)
+        assert [group.element_order(g) for g in group.generators()] == [2, 4, 8, 16, 32]
+        assert exactness._decompose_abelian(group)[0] == (32,)
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "1")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match="relation search"):
+                exactness._decompose_abelian(group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestAbelianPresentation:
@@ -425,10 +472,10 @@ class TestH2:
         assert res.invariant_factors == (2, 2, 2)
 
     def test_size_limit(self, monkeypatch):
-        # V4 factors a 10 x 5 equivariance matrix: 50 entries exceed the bound of 10
-        gamma = direct_product(cyclic_group(2), cyclic_group(2))
-        monkeypatch.setattr(exactness, "DEFAULT_MAX_SNF_ENTRIES", 10)
-        with pytest.raises(SizeLimit, match="10x5"):
+        # S5 factors a 242 x 121 equivariance matrix, counted at 3.6 MB
+        gamma = symmetric_group(5)
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "1")
+        with pytest.raises(SizeLimit, match="H2 Smith system needs 3628064 bytes"):
             h2_central(gamma, trivial_module(gamma, (2,)))
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -246,13 +247,24 @@ class TestForms:
         assert report.n_classes == 1
 
     def test_oversized_stabilizer_rejected(self, monkeypatch):
-        from cocycle.errors import SizeLimit
-
-        t = make_tower(3, 1, 2)
+        # GL_2(F_4) stabilizes the zero tensor: 180^2 products, counted at 2.1 MB
+        t = make_tower(2, 1, 2)
         tensor = TensorOnV.make(t, 2, 2, 0, ((0, 0, 0, 0),))
-        monkeypatch.setattr(galois, "MAX_STABILIZER", 100)
-        with pytest.raises(SizeLimit):
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "1")
+        with pytest.raises(SizeLimit, match="stabilizer products needs 2073600 bytes"):
             classify_forms(t, tensor)
+
+    def test_the_stabilizer_byte_count_bounds_the_peak(self, budget_requests):
+        t = make_tower(2, 1, 2)
+        tensor = TensorOnV.make(t, 2, 2, 0, ((0, 0, 0, 0),))
+        asked = budget_requests(galois)
+        tracemalloc.start()
+        try:
+            classify_forms(t, tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= asked["stabilizer products"] < 2 * peak
 
     def test_scalar_form(self):
         # m = 1, tau = x^2: classes are the square classes of k* meeting the orbit

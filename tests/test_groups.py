@@ -266,6 +266,30 @@ class TestFamilies:
         assert group.table.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
+class TestScalarMethodsCheckIndices:
+    # numpy wraps a negative index to an element from the end of the table
+
+    @pytest.mark.parametrize("a, b, bad", [(-1, 0, -1), (0, 6, 6), (2, -3, -3)])
+    def test_mul(self, a, b, bad):
+        with pytest.raises(ValueError, match=rf"element {bad} is not .* range\(6\)"):
+            cyclic_group(6).mul(a, b)
+
+    @pytest.mark.parametrize("a", [-2, 6])
+    def test_power(self, a):
+        with pytest.raises(ValueError, match=rf"element {a} is not .* range\(6\)"):
+            cyclic_group(6).power(a, 1)
+
+    @pytest.mark.parametrize("a", [-1, 6])
+    def test_element_order(self, a):
+        with pytest.raises(ValueError, match=rf"element {a} is not .* range\(6\)"):
+            cyclic_group(6).element_order(a)
+
+    @pytest.mark.parametrize("seeds, bad", [([-1], -1), ([2, 6], 6), ([7, -1], 7)])
+    def test_generated_subgroup(self, seeds, bad):
+        with pytest.raises(ValueError, match=rf"subgroup seed {bad} is not .* range\(6\)"):
+            cyclic_group(6).generated_subgroup(seeds)
+
+
 class TestSubgroups:
     def test_from_members_validates(self):
         g = cyclic_group(4)
@@ -480,16 +504,16 @@ class TestStructure:
 
     def test_short_generators_stop_at_a_generating_element(self, monkeypatch):
         g = cyclic_group(1000)
-        calls, products = [], []
-        join, mul = FiniteGroup.generated_subgroup, FiniteGroup.mul
+        calls, listed = [], []
+        join, powers = FiniteGroup.generated_subgroup, groups._powers
         monkeypatch.setattr(
             FiniteGroup, "generated_subgroup", lambda self, seeds: calls.append(1) or join(self, seeds)
         )
-        monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: products.append(1) or mul(self, a, b))
+        monkeypatch.setattr(groups, "_powers", lambda group, x: listed.append(x) or powers(group, x))
         assert g.short_generators() == (1,)
-        # the first step's join is <1>, its 999 powers; trying the 14 other
+        # the first step's join is <1>, the power list of 1; trying the 14 other
         # nontrivial cyclic subgroups would take 1,325 more products
-        assert len(calls) == 0 and len(products) == 999
+        assert len(calls) == 0 and listed == [1]
 
     def test_short_generators_max_span(self):
         # the largest join wins each step, the least index on ties

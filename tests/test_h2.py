@@ -324,10 +324,10 @@ def test_bar_generators_map_onto_the_classes(name, gamma, pres):
         assert (engine.class_of(vec) == zero) == h2_oracle.is_coboundary(gamma, pres, vec)
 
 
-def alternating_group_4():
-    s4 = symmetric_group(4)
-    even = [g for g in s4.elements() if perm_sign(s4.perms[g]) == 1]
-    return subgroup_as_group(Subgroup.from_members(s4, even))[0]
+def alternating_group(n):
+    sn = symmetric_group(n)
+    even = [g for g in sn.elements() if perm_sign(sn.perms[g]) == 1]
+    return subgroup_as_group(Subgroup.from_members(sn, even))[0]
 
 
 def z2_power(n):
@@ -342,8 +342,8 @@ def z2_power(n):
     [
         (lambda: cyclic_group(10), 2, (2,)),
         (lambda: cyclic_group(12), 4, (4,)),
-        (alternating_group_4, 2, (2,)),  # M(A4) = Z/2, A4^ab = Z/3
-        (alternating_group_4, 6, (6,)),
+        (lambda: alternating_group(4), 2, (2,)),  # M(A4) = Z/2, A4^ab = Z/3
+        (lambda: alternating_group(4), 6, (6,)),
         (lambda: symmetric_group(4), 2, (2, 2)),  # M = Z/2, ab = Z/2
         (lambda: dihedral_group(6), 2, (2, 2, 2)),  # M = Z/2, ab = (Z/2)^2
         (lambda: z2_power(4), 2, (2,) * 10),  # M = (Z/2)^6, ab = (Z/2)^4
@@ -365,7 +365,7 @@ def test_values_past_the_bar_bound(make, m, factors):
 
 
 def test_long_cycle_stays_in_quadratic_memory():
-    # one generator, so the factored matrix is 1 x 1 and DEFAULT_MAX_SNF_ENTRIES bounds nothing;
+    # one generator, so the factored matrix is 1 x 1 and its byte count bounds nothing;
     # the cocycle checks and the pull-back hold |gamma|^2 |X| k values, where one
     # |gamma|^3 int64 array alone would take 16 MiB
     gamma = cyclic_group(128)
@@ -392,6 +392,54 @@ def test_cayley_cycles_are_sized_before_they_are_allocated(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize(
+    "make,m", [(lambda: symmetric_group(5), 2), (lambda: alternating_group(6), 6)],
+    ids=["S5 on Z/2", "A6 on Z/6"],
+)
+def test_the_h2_byte_count_bounds_the_peak(budget_requests, make, m):
+    # 242 x 121 and 722 x 361: the count may overshoot the traced peak, but not twice over
+    gamma = make()
+    pres = trivial_module(gamma, (m,))
+    asked = budget_requests(X)
+    tracemalloc.start()
+    try:
+        h2_central(gamma, pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= asked["H2 Smith system"] < 2 * peak
+
+
+class SmithReached(Exception):
+    pass
+
+
+def test_s6_passes_the_byte_check_at_the_default_budget(monkeypatch):
+    # 1442 x 721 entries, which the entry bound of 2^19 refused; the Smith form
+    # itself takes seconds, so the run stops at its call
+    def smith(m, modulus):
+        raise SmithReached(len(m), len(m[0]), modulus)
+
+    monkeypatch.delenv("COCYCLE_MAX_MEM_MB", raising=False)
+    monkeypatch.setattr(X, "smith_normal_form", smith)
+    gamma = symmetric_group(6)
+    with pytest.raises(SmithReached) as reached:
+        h2_central(gamma, trivial_module(gamma, (2,)))
+    assert reached.value.args == (1442, 721, 2)
+
+
+def test_s6_is_refused_before_its_first_buffer_under_64_mib(monkeypatch):
+    # about 129 MB are counted; the cycle basis, the first dense buffer, is never built
+    def cycles(gamma, gens):
+        raise AssertionError("the cycle basis was built before the byte check")
+
+    monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "64")
+    monkeypatch.setattr(X, "_cayley_cycles", cycles)
+    gamma = symmetric_group(6)
+    with pytest.raises(SizeLimit, match="H2 Smith system"):
+        h2_central(gamma, trivial_module(gamma, (2,)))
 
 
 def center_extension(special):

@@ -262,8 +262,9 @@ def test_oversized_stabilizer_reports_its_full_size(monkeypatch):
     zero = TensorOnV.make(tower, 2, 2, 0, ((0, 0, 0, 0),))
     _seven_chunks(monkeypatch, tower, 2)
     chunks = _counted_chunks(monkeypatch)
-    with pytest.raises(SizeLimit, match=r"^stabilizer of size 5760 exceeds bound 512$"):
-        classify_forms(tower, zero)  # all of GL_2(F_9), counted after the last chunk
+    # 5760^2 products of 64 bytes: all of GL_2(F_9), counted after the last chunk
+    with pytest.raises(SizeLimit, match=r"^stabilizer products needs 2123366400 bytes"):
+        classify_forms(tower, zero)
     assert len(chunks) >= 5
 
 
