@@ -20,7 +20,7 @@ enumerated cocycle set, so any convention drift fails loudly.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +76,9 @@ class GammaGroup:
 
     def act(self, g: int, a: int) -> int:
         """a^g."""
+        if not (0 <= g < self.gamma.order and 0 <= a < self.base.order):
+            element_indices((g,), self.gamma.order, "gamma element")
+            element_indices((a,), self.base.order, "base element")
         return int(self.action[g, a])
 
     def __repr__(self) -> str:
@@ -233,11 +236,44 @@ class ClassMap(Mapping):
         return len(self.rows)
 
 
+class CocycleRows(Sequence):
+    """Read-only sequence of cocycles backed by ``rows``, their value rows
+    (read-only, n x |gamma|). Reading element i builds
+    ``Cocycle(parent, tuple(rows[i]))``; a slice is a tuple of cocycles, and
+    so is ``self + a_tuple``.
+    """
+
+    __slots__ = ("rows", "_parent")
+
+    def __init__(self, parent: GammaGroup, rows: np.ndarray):
+        rows.setflags(write=False)
+        self.rows, self._parent = rows, parent
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(CocycleRows(self._parent, self.rows[i]))
+        return Cocycle(self._parent, tuple(self.rows[i].tolist()))
+
+    def __iter__(self):
+        step = max(1, (1 << 16) // self.rows.shape[1])  # one list of every row raises the peak
+        for lo in range(0, len(self.rows), step):
+            for values in map(tuple, self.rows[lo : lo + step].tolist()):
+                yield Cocycle(self._parent, values)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __add__(self, other: tuple) -> tuple:
+        return tuple(self) + other
+
+
 class H1Set:
     """Pointed set of cocycle classes.
 
-    ``classes`` holds the lexicographically least cocycle of each class, in
-    lexicographic order; ``class_of`` is a :class:`ClassMap` from every
+    ``classes`` is a :class:`CocycleRows` of the lexicographically least
+    cocycle of each class, in lexicographic order, over the array
+    ``classes.rows`` (a sequence of cocycles passed in is converted to it);
+    ``class_of`` is a :class:`ClassMap` from every
     enumerated cocycle's value tuple to its class index, over the arrays
     ``class_of.rows`` and ``class_of.index`` (a dict passed in is converted
     to them); :meth:`class_indices` looks up many value rows at once;
@@ -250,10 +286,13 @@ class H1Set:
     def __init__(
         self,
         parent: GammaGroup,
-        classes: tuple[Cocycle, ...],
+        classes: Sequence[Cocycle],
         class_of: Mapping[tuple[int, ...], int],
         distinguished: int,
     ):
+        if not isinstance(classes, CocycleRows):
+            rows = np.array([c.values for c in classes], dtype=np.intp)
+            classes = CocycleRows(parent, rows.reshape(len(classes), parent.gamma.order))
         if not isinstance(class_of, ClassMap):
             keys = sorted(class_of)
             rows = np.array(keys, dtype=np.intp).reshape(len(keys), parent.gamma.order)
@@ -309,12 +348,8 @@ def h1(parent: GammaGroup) -> H1Set:
     reps, class_index = coboundary_classes(gamma, base, parent.action, vals)
     trivial = (base.identity,) * gamma.order
     at = bisect.bisect_left(vals, trivial, key=lambda row: tuple(row.tolist()))  # rows are sorted
-    step = max(1, (1 << 16) // gamma.order)  # one list of every rep's values raises the peak
-    classes = tuple(
-        Cocycle(parent, values)
-        for lo in range(0, len(reps), step)
-        for values in map(tuple, vals[reps[lo : lo + step]].tolist())
-    )
+    # reps are increasing, so when every row is its own class they are all of vals
+    classes = CocycleRows(parent, vals if len(reps) == len(vals) else vals[reps])
     return H1Set(parent, classes, ClassMap(parent, vals, class_index), int(class_index[at]))
 
 

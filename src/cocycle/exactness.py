@@ -225,7 +225,8 @@ class AbelianPresentation:
     The module is Z/n_1 + ... + Z/n_k with n_1 | n_2 | ... | n_k (all > 1);
     ``matrices[g]`` acts on coordinate columns. Validated: the identity acts
     as the identity matrix, matrices compose with the group table modulo the
-    factors, and each matrix respects coordinate orders
+    factors (checked on the pairs (d, s) with s in ``gamma.short_generators()``,
+    which implies every pair), and each matrix respects coordinate orders
     (n_t * M[s][t] == 0 mod n_s).
     """
 
@@ -262,10 +263,16 @@ class AbelianPresentation:
             raise ValueError(f"matrix of gamma element {g} does not respect orders at ({s},{t})")
         if np.any((mats[self.gamma.identity] - np.eye(k, dtype=np.int64)) % row_orders):
             raise ValueError("identity of gamma must act as the identity matrix")
-        products = np.einsum("dst,gtu->dgsu", mats, mats) % row_orders
-        bad = np.argwhere(np.any(products != mats[self.gamma.table] % row_orders, axis=(2, 3)))
+        # M(d*s) = M(d) M(s) for every d and generator s gives M(d*w) = M(d) M(w)
+        # for every word w, by induction on its length
+        gens = list(self.gamma.short_generators())
+        check_buffer(2 * self.gamma.order * len(gens) * k * k, 8, "module composition check")
+        products = np.einsum("dst,gtu->dgsu", mats, mats[gens]) % row_orders
+        moved = mats[self.gamma.table[:, gens]] % row_orders
+        bad = np.argwhere(np.any(products != moved, axis=(2, 3)))
         if len(bad):
-            raise ValueError(f"matrices do not compose at gamma pair ({bad[0][0]},{bad[0][1]})")
+            d, j = bad[0]
+            raise ValueError(f"matrices do not compose at gamma pair ({d},{gens[j]})")
 
     @property
     def rank(self) -> int:

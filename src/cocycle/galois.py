@@ -403,7 +403,7 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
 
     # Hilbert 90 on the ambient group: every class dies in GL
     if n > 1:
-        gens = [rep.values[1] for rep in h1_stab.classes]
+        gens = h1_stab.classes.rows[:, 1]
         if (cob_table[stab_keys[gens]] == len(cob_table)).any():
             raise CounterexampleFound(
                 "stabilizer cocycle is not a GL coboundary (Hilbert 90 violation)"

@@ -78,10 +78,14 @@ class FiniteGroup:
         return int(self.table[a, b])
 
     def inv(self, a: int) -> int:
+        if not 0 <= a < self.order:
+            element_indices((a,), self.order, "element")
         return int(self._inv[a])
 
     def conj(self, g: int, a: int) -> int:
         """g * a * g^-1."""
+        if not (0 <= g < self.order and 0 <= a < self.order):
+            element_indices((g, a), self.order, "element")
         return int(self.table[self.table[g, a], self._inv[g]])
 
     def conjugation(self) -> np.ndarray:

@@ -147,7 +147,7 @@ def h1_payload(h1_set: H1Set) -> dict:
     return {
         "classes": h1_set.order,
         "cocycles": h1_set.n_cocycles,
-        "representatives": [list(c.values) for c in h1_set.classes],
+        "representatives": h1_set.classes.rows.tolist(),
         "distinguished": h1_set.distinguished,
     }
 

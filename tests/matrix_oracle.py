@@ -315,9 +315,8 @@ def _scan_scalar(
             )
         if len(sample) < _WITNESS_SAMPLE_SIZE:
             sample.append((a, witness))
-    assert len(witnesses_by_cocycle) == n_cocycles, (
-        "coboundaries produced a non-cocycle (norm condition bug)"
-    )
+    if len(witnesses_by_cocycle) != n_cocycles:
+        raise CounterexampleFound("coboundaries produced a non-cocycle (norm condition bug)")
     return CocycleScanReport(
         tower, m, special, len(group), n_cocycles, len(witnesses_by_cocycle), tuple(sample)
     )
@@ -355,7 +354,8 @@ def _scan_vectorized(tower: FqTower, m: int, special: bool) -> CocycleScanReport
             if len(sample) < _WITNESS_SAMPLE_SIZE:
                 b = int(keep[int(np.flatnonzero(cobs == value)[0])])
                 sample.append((((int(value),),), ((b,),)))
-        assert len(cob_set) == len(cocycles)
+        if len(cob_set) != len(cocycles):
+            raise CounterexampleFound("coboundaries produced a non-cocycle (norm condition bug)")
         return CocycleScanReport(
             tower, 1, special, len(keep), len(cocycles), len(cob_set), tuple(sample)
         )
@@ -408,9 +408,8 @@ def _scan_vectorized(tower: FqTower, m: int, special: bool) -> CocycleScanReport
             a = ((int(e00[pos]), int(e01[pos])), (int(e10[pos]), int(e11[pos])))
             b = ((int(e00[hit]), int(e01[hit])), (int(e10[hit]), int(e11[hit])))
             sample.append((a, b))
-    assert len(cob_index) == len(cocycle_pos), (
-        "coboundaries produced a non-cocycle (norm condition bug)"
-    )
+    if len(cob_index) != len(cocycle_pos):
+        raise CounterexampleFound("coboundaries produced a non-cocycle (norm condition bug)")
     return CocycleScanReport(
         tower, 2, special, group_size, len(cocycle_pos), len(cob_index), tuple(sample)
     )
@@ -429,7 +428,8 @@ def det_image_on_rational_points(
         a = tuple(tuple(flat[i * m + j] for j in range(m)) for i in range(m))
         det = mat_det(tower, a)
         if det != 0:
-            assert det in k_set
+            if det not in k_set:
+                raise CounterexampleFound("determinant left the base field")
             image.add(det)
     return image
 
@@ -474,7 +474,7 @@ def classify_forms(
 
     Direct route: Galois-invariant tensors in the GL_m(K)-orbit, partitioned
     into GL_m(k)-orbits. Cohomological route: classes of stabilizer-valued
-    cocycles (their images in GL are all coboundaries; asserted). The
+    cocycles (their images in GL are all coboundaries; checked). The
     transport map orbit -> class must be a bijection, else MatchFailure.
     """
     if not tensor.defined_over_base():
@@ -503,9 +503,11 @@ def classify_forms(
         members = set()
         for g in k_rational:
             moved = apply_to_tensor(g, seed_tensor).coeffs
-            assert moved in orbit, "rational transport left the orbit"
+            if moved not in orbit:
+                raise CounterexampleFound("rational transport left the orbit")
             members.add(moved)
-        assert members <= remaining, "rational orbits do not partition the invariants"
+        if not members <= remaining:
+            raise CounterexampleFound("rational orbits do not partition the invariants")
         direct_orbits.append(tuple(sorted(members)))
         remaining -= members
 
@@ -521,7 +523,8 @@ def classify_forms(
         row = []
         for g in stabilizer:
             moved = mat_frob(tower, g, j)
-            assert moved in stab_index, "stabilizer is not Frobenius-stable"
+            if moved not in stab_index:
+                raise CounterexampleFound("stabilizer is not Frobenius-stable")
             row.append(stab_index[moved])
         action.append(row)
     stab_gamma = GammaGroup(gamma, stab_group, action)
@@ -551,7 +554,8 @@ def classify_forms(
             values = []
             for j in range(gamma.order):
                 c = mat_mul(tower, g_inv, mat_frob(tower, g, j))
-                assert c in stab_index, "transport cocycle left the stabilizer"
+                if c not in stab_index:
+                    raise CounterexampleFound("transport cocycle left the stabilizer")
                 values.append(stab_index[c])
             classes.add(h1_stab.class_of[tuple(values)])
         if len(classes) != 1:

@@ -1,8 +1,9 @@
 """Checks that survive ``python -O``, report fields derived from the work done,
 and no dead code in ``src/``.
 
-``assert`` statements vanish under ``-O``, so no file in ``src/`` may hold one:
-every load-bearing check raises a dedicated exception instead. The boolean
+``assert`` statements vanish under ``-O``, so no file in ``src/`` may hold one,
+nor any helper module under ``tests/`` that pytest does not rewrite: every
+load-bearing check raises an exception instead. The boolean
 report fields that the CLI prints (``all_coboundaries``, ``matched``) are
 computed from the report, so a report that does not satisfy them prints
 ``false``. Every module-level function and class in ``src/``, and every
@@ -30,16 +31,28 @@ from cocycle.quad import make_ring, verify_units_iso
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_no_assert_statements_in_src():
-    files = sorted(SRC.rglob("*.py"))
-    assert files
-    found = [
-        f"{path.relative_to(SRC)}:{node.lineno}"
+def assert_statements(files) -> list[str]:
+    return [
+        f"{path.name}:{node.lineno}"
         for path in files
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
-    assert found == []
+
+
+def test_no_assert_statements_in_src():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    assert assert_statements(files) == []
+
+
+def test_no_assert_statements_in_test_helpers():
+    # pytest rewrites asserts only in test modules and conftest; an oracle's
+    # own checks would vanish under -O
+    tests = Path(__file__).parent
+    helpers = sorted(p for p in tests.glob("*.py") if not p.name.startswith("test_"))
+    assert "matrix_oracle.py" in [p.name for p in helpers]
+    assert assert_statements(helpers) == []
 
 
 def test_only_groups_names_the_chunk_constant():

@@ -97,7 +97,9 @@ ACTIONS = [
 
 
 def same_h1(got, want):
-    assert [c.values for c in got.classes] == [c.values for c in want.classes]
+    values = [c.values for c in got.classes]
+    assert values == [c.values for c in want.classes]
+    assert values == list(map(tuple, got.classes.rows.tolist()))
     assert got.class_of == want.class_of
     assert got.distinguished == want.distinguished
 

@@ -386,6 +386,27 @@ class TestAbelianPresentation:
         pres = exactness.AbelianPresentation(z2, (3 * 2**61,), (((1,),), ((negation,),)))
         assert h2_central(z2, pres).invariant_factors == (2,)
 
+    @pytest.mark.parametrize(
+        "gamma",
+        [cyclic_group(6), direct_product(cyclic_group(2), cyclic_group(2)), symmetric_group(3)],
+        ids=["Z6", "V4", "S3"],
+    )
+    def test_composition_broken_off_the_generators_is_refused(self, gamma):
+        # negation over Z/3 at one element outside the generators, identity elsewhere
+        gens = gamma.short_generators()
+        c = max(g for g in gamma.elements() if g not in gens and g != gamma.identity)
+        mats = tuple(((2 if g == c else 1,),) for g in gamma.elements())
+        with pytest.raises(ValueError, match=r"do not compose at gamma pair \(\d+,(\d+)\)") as exc:
+            exactness.AbelianPresentation(gamma, (3,), mats)
+        named = int(str(exc.value).rstrip(")").rsplit(",", 1)[1])
+        assert named in gens
+
+    def test_composition_check_is_sized_before_it_allocates(self, monkeypatch):
+        z1000 = cyclic_group(1000)
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "1")
+        with pytest.raises(SizeLimit, match="module composition check"):
+            trivial_module(z1000, (2,) * 10)  # 2 * 1000 * 1 generator * 10^2 int64
+
     def test_decomposition_of_v4(self):
         z2 = cyclic_group(2)
         v4 = direct_product(cyclic_group(2), cyclic_group(2))

@@ -7,6 +7,7 @@ import pytest
 import engine_oracle as oracle
 
 from cocycle import groups
+from cocycle.cohomology import inversion_action
 from cocycle.errors import NoIdentity, NoInverse, NotAssociative, NotNormal, SizeLimit
 from cocycle.groups import (
     FiniteGroup,
@@ -288,6 +289,32 @@ class TestScalarMethodsCheckIndices:
     def test_generated_subgroup(self, seeds, bad):
         with pytest.raises(ValueError, match=rf"subgroup seed {bad} is not .* range\(6\)"):
             cyclic_group(6).generated_subgroup(seeds)
+
+    @pytest.mark.parametrize("a", [-1, 6])
+    def test_inv(self, a):
+        with pytest.raises(ValueError, match=rf"element {a} is not .* range\(6\)"):
+            cyclic_group(6).inv(a)
+
+    @pytest.mark.parametrize("g, a, bad", [(-1, 1, -1), (1, 6, 6), (7, -2, 7)])
+    def test_conj(self, g, a, bad):
+        with pytest.raises(ValueError, match=rf"element {bad} is not .* range\(6\)"):
+            cyclic_group(6).conj(g, a)
+
+    @pytest.mark.parametrize(
+        "g, a, bad",
+        [
+            (-1, 1, "gamma element -1"),
+            (2, 0, "gamma element 2"),
+            (1, -1, "base element -1"),
+            (0, 3, "base element 3"),
+        ],
+    )
+    def test_act(self, g, a, bad):
+        # Z/2 inverting Z/3: act(-1, 1) would read the generator's row
+        parent = inversion_action(cyclic_group(2), cyclic_group(3))
+        order = 2 if bad.startswith("gamma") else 3
+        with pytest.raises(ValueError, match=rf"^{bad} is not .* range\({order}\)"):
+            parent.act(g, a)
 
 
 class TestSubgroups:

@@ -1,5 +1,6 @@
-"""H1Set over arrays: batch class lookup, the one-gather induced map, the packed
-row sort of the engine, and the twisted-action count against the cocycle count."""
+"""H1Set over arrays: the class representatives as rows, batch class lookup, the
+one-gather induced map, the packed row sort of the engine, and the
+twisted-action count against the cocycle count."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import engine_oracle as oracle
+from cocycle import cohomology
 from cocycle.cohomology import (
     Cocycle,
     EquivariantHom,
@@ -30,13 +32,69 @@ from cocycle.groups import (
     symmetric_group,
 )
 from cocycle.twisted import enumerate_twisted_actions
-from test_engine import drawn_actions
+from test_engine import drawn_actions, e
 
 
 def transpositions_of_s3():
     """Z/2 acting trivially on S3: the three transpositions form one class of three."""
     parent = trivial_action(cyclic_group(2), symmetric_group(3))
     return parent, h1(parent)
+
+
+class TestClassesAreRows:
+    def test_h1_builds_no_cocycle(self, monkeypatch):
+        made = []
+
+        class Counting(Cocycle):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cohomology, "Cocycle", Counting)
+        res = h1(trivial_action(e(3), e(4)))
+        assert res.order == 4096 and made == []
+        assert res.classes[5].values == tuple(res.classes.rows[5].tolist())
+        assert len(made) == 1  # the patch is the class that reading an element builds
+
+    def test_behaves_like_the_tuple_it_replaces(self):
+        parent = trivial_action(e(2), e(2))
+        res = h1(parent)
+        classes, rows = res.classes, res.classes.rows.tolist()
+        as_tuple = tuple(Cocycle(parent, tuple(r)) for r in rows)
+        assert len(classes) == len(as_tuple) == res.order == 16
+        assert tuple(classes) == as_tuple  # iteration order
+        assert classes[0] == as_tuple[0] and classes[-1] == as_tuple[-1]
+        assert classes[0] is not classes[0]  # built on each read
+        with pytest.raises(IndexError):
+            classes[16]
+        for part in (slice(1, 3), slice(None, -1), slice(None, None, -3), slice(20, None)):
+            assert type(classes[part]) is tuple and classes[part] == as_tuple[part]
+        extra = (Cocycle(parent, tuple(rows[0])),)
+        assert classes + extra == as_tuple + extra
+
+    def test_rows_are_read_only_and_lexicographic(self):
+        _, res = transpositions_of_s3()
+        rows = res.classes.rows
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+        assert rows.tolist() == sorted(rows.tolist())
+        assert [members[0] for members in res.members] == list(map(tuple, rows.tolist()))
+
+    def test_a_tuple_passed_in_is_converted_to_rows(self):
+        parent, res = transpositions_of_s3()
+        rebuilt = H1Set(parent, tuple(res.classes)[:-1], res.class_of, res.distinguished)
+        assert rebuilt.order == res.order - 1
+        assert np.array_equal(rebuilt.classes.rows, res.classes.rows[:-1])
+        assert not rebuilt.classes.rows.flags.writeable
+        empty = H1Set(parent, (), res.class_of, res.distinguished)
+        assert empty.classes.rows.shape == (0, parent.gamma.order)
+
+    def test_every_class_of_e4_on_itself(self):
+        # (Z/2)^4 acting trivially on itself: every hom is its own class
+        res = h1(trivial_action(e(4), e(4)))
+        assert res.order == res.n_cocycles == 2**16
+        assert res.classes.rows.shape == (2**16, 16)
 
 
 class TestClassIndices:
