@@ -7,9 +7,9 @@ invariant factors. With the action convention of :mod:`cocycle.cohomology`
 
     g.c(h, k) - c(gh, k) + c(g, hk) - c(g, h) = 0   for all g, h, k.
 
-H2 comes from the cycle lattice of a Cayley graph, not from the bar
-complex: a 2-cocycle restricts to a gamma-map on the graph's cycles, and
-every such map pulls back to a 2-cocycle (:func:`h2_central`). A
+H2 comes from the cycles of a Cayley graph, not from the bar complex: a
+2-cocycle restricts to a gamma-map on them, fixed by its values on a few
+relators, and every such map pulls back to a 2-cocycle (:func:`h2_central`). A
 set-theoretic section beta of a central quotient B -> B/A with beta(e) = e
 turns a quotient 1-cocycle gamma into
 
@@ -371,11 +371,10 @@ class H2Group:
 
     Generators are normalized 2-cochains: flat integer vectors over the pairs
     (g, h) of non-identity elements, row-major, k coordinates each.
-    :meth:`class_of` restricts a 2-cocycle to the fundamental ``cycles`` of
-    the Cayley graph over ``gens`` and reads the class of that gamma-map as
-    :func:`h2_central` does: the arrays ``v_inv`` and ``scale``, from its first
-    Smith form over Z/N (N the exponent), give the lattice coordinates S^-1 V^-1 F,
-    and ``coords``, from the second, maps those with S < N to the cyclic factors.
+    :meth:`class_of` restricts a 2-cocycle to the relator ``cycles`` (relators x |gamma| x
+    |gens| signed edge counts on the Cayley graph over ``gens``) and reads its class as
+    :func:`h2_central` does: with N the exponent, ``v_inv`` and ``scale`` = diag(N / gcd(D_ii, N))
+    of its last Smith form give S^-1 V^-1 F, and ``coords`` maps those with S < N to the factors.
     """
 
     gamma: FiniteGroup
@@ -436,6 +435,7 @@ def _full_cochain(gamma: FiniteGroup, k: int, vec) -> np.ndarray:
     g1, n = _nonidentity(gamma), gamma.order
     if len(vec) != len(g1) ** 2 * k:
         raise ValueError(f"expected a 2-cochain of length {len(g1) ** 2 * k}")
+    check_buffer(2 * n * n * k, 8, "2-cochain")  # the array and the flat vector's copy
     c = np.zeros((n, n, k), dtype=np.int64)
     c[np.ix_(g1, g1)] = np.asarray(vec, dtype=np.int64).reshape(len(g1), len(g1), k)
     return c
@@ -447,107 +447,112 @@ def _is_cocycle(gamma: FiniteGroup, pres: AbelianPresentation, c: np.ndarray) ->
     It is checked for x in ``short_generators()`` only, on |gamma|^2 |X| k
     values: since d(dc) = 0, D(g,h,xy) = g.D(h,x,y) - D(gh,x,y) + D(g,hx,y) + D(g,h,x),
     so by induction on word length D vanishes at every x once it does on X.
+    Rows g come in :func:`~cocycle.groups.product_chunks`, each row D(g) and three terms.
     """
-    table, n, xs = gamma.table.astype(np.intp), gamma.order, list(gamma.short_generators())
-    mats = np.array(pres.matrices, dtype=np.int64).reshape(n, pres.rank, pres.rank)
-    cx = c[:, xs]  # c(h, x)
-    c_hx = c[np.arange(n)[:, None, None], table[:, xs]]  # c(g, hx)
-    defect = np.einsum("gst,hxt->ghxs", mats, cx) - cx[table] + c_hx - c[:, :, None]
-    return not (defect % pres.factors).any()
-
-
-def _cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
-    """BFS tree, non-tree edges, fundamental cycles and their translates in the Cayley graph.
-
-    Edge (y, s) runs from y to ys and has index y * |gens| + j for s = gens[j].
-    ``tree`` lists (y, parent, edge) with parents first; path[y] is y's tree
-    path as an edge vector. ``cycles[i]`` is path[y] + (y, s) - path[ys] for
-    the i-th non-tree edge (y, s) = ``free[i]``, and x . z has entry
-    z[moved[x, i]] on it. A cycle's entries on the non-tree edges are its
-    coordinates in the basis ``cycles``.
-    """
-    n, r = gamma.order, len(gens)
-    check_buffer((2 * n * r - n + 2) * n * r, 8, "Cayley cycle basis")  # paths, 2 x cycles
-    table = gamma.table.astype(np.intp)
-    paths = np.zeros((n, n * r), dtype=np.int64)
-    walk = _word_tree(table, gamma.identity, gens)
-    tree = [(new, prev, prev * r + gens.index(s)) for new, prev, s in walk]
-    for new, prev, e in tree:
-        paths[new] = paths[prev]
-        paths[new, e] += 1
-    is_free = np.ones(n * r, dtype=bool)  # a mask: np.setdiff1d would import numpy.ma
-    is_free[[e for _, _, e in tree]] = False
-    free = np.flatnonzero(is_free)
-    ys, js = np.divmod(free, r)
-    cycles = paths[ys]
-    cycles -= paths[table[ys, np.array(gens)[js]]]
-    cycles[np.arange(len(free)), free] += 1
-    inverses = np.array([gamma.inv(x) for x in range(n)])
-    return tree, free, cycles, table[inverses[:, None], ys[None, :]] * r + js
+    n, k, xs = gamma.order, pres.rank, list(gamma.short_generators())
+    mats = np.array(pres.matrices, dtype=np.int64).reshape(n, k, k)
+    cx, hx = c[:, xs], gamma.table[:, xs]  # c(h, x) and hx
+    for g, _ in product_chunks((n,), max(4 * n * len(xs) * k, 1), "2-cocycle identity"):
+        defect = np.einsum("gst,hxt->ghxs", mats[g], cx) - cx[gamma.table[g]]  # - c(gh, x)
+        defect += c[g[:, None, None], hx] - c[g, :, None]  # c(g, hx) - c(g, h)
+        if (defect % pres.factors).any():
+            return False
+    return True
 
 
 def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
-    """H2 of the abelian module from the cycle lattice Z1 of a Cayley graph.
+    """H2 = Hom_gamma(Z1, A) / im A^X, Z1 the Cayley graph's cycles over X = short_generators().
 
-    Over X = ``short_generators()``, 0 -> Z1 -> Z[gamma]^X -> Z[gamma] -> Z
-    is exact, so H2 is Hom_gamma(Z1, A) modulo the image of A^X. A map f is
-    its values F_i on the m = |gamma|(|X| - 1) + 1 fundamental cycles z_i,
-    and it is a gamma-map when f(x.z_i) = x.f(z_i) for every x in X. Scaling
-    each equation by N over its modulus (N the exponent) gives E F = 0 mod N;
-    one Smith form U E V = D over Z/N gives the gamma-maps as V S Z^mk + N Z^mk,
-    with S = diag(N / gcd(D_ii, N)). The image of A^X and orders * Z^mk, in
-    that basis, are the relations; a second Smith form over Z/N, on the coordinates
-    with S < N, reads off the invariant factors, the generator lifts and the class
-    map. Generators are pulled back to 2-cocycles c(g, h) = f(path[g] + g.path[h] -
-    path[gh]), the sum of f over the non-tree edges of g.path[h], built along the tree.
+    Relators come by deduction (Holt, J. Symbolic Comput. 1, 1985; Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 5, 7.6): tree edges carry 0; a scan f(y.r_i) = M(y)
+    tau_i with one unknown letter deduces its edge's tail phi(e), linear in the relator values tau;
+    with none, the least unknown edge's cycle is a relator. The y.r_i span Z1, so the scans over
+    Z/N (N the exponent), reduced by Smith forms, give the gamma-maps as V S Z^tk + N Z^tk.
     """
     if not np.array_equal(gamma.table, pres.gamma.table):
         raise ValueError("the presentation is over a different group")
-    k, n = pres.rank, gamma.order
+    k, n, e = pres.rank, gamma.order, gamma.identity
     if k == 0 or n == 1:
         return H2Group(gamma, pres, (), ())
-    gens = gamma.short_generators()
-    r, m = len(gens), n * (len(gens) - 1) + 1
-    rows, cols = r * m * k, m * k
-    # held at once, rows x cols each: the blocks, the scaled E, the nested list given to
-    # smith_normal_form, _eliminate's working copy and one pivot's update (2), _certify's
-    # reconversion and its row permutation, P M V, L (2 with its temporaries) and L D;
-    # cols x cols: V and V^-1 of one prime power and their CRT sums; and the cycle basis
-    check_buffer((12 * rows + 4 * cols) * cols + (r + 1) * n * m, 8, "H2 Smith system")
-    tree, free, cycles, moved = _cayley_cycles(gamma, gens)
-    table = gamma.table.astype(np.intp)
-    mats = np.array(pres.matrices, dtype=np.int64).reshape(n, k, k)
-    orders, exponent = np.tile(pres.factors, m), pres.factors[-1]
-    eye_k, eye_m = np.eye(k, dtype=np.int64), np.eye(m, dtype=np.int64)
-    blocks = [np.kron(cycles[:, moved[x]], eye_k) - np.kron(eye_m, mats[x]) for x in gens]
-    scaled = np.concatenate(blocks) * np.tile(exponent // orders, r)[:, None]
-    diag, v, v_inv = smith_normal_form(scaled.tolist(), exponent)
+    gens, exponent = gamma.short_generators(), pres.factors[-1]
+    r, orders = len(gens), np.array(pres.factors, dtype=np.int64)[:, None]
+    # letter j < r: y -> y x_j along edge (y, x_j) = y r + j; r + j: back along (y x_j^-1, x_j)
+    moves = gamma.table[:, [*gens, *gamma._inv[list(gens)]]].astype(np.intp)
+    crossed = np.concatenate([np.arange(n * r).reshape(n, r), moves[:, r:] * r + range(r)], 1)
+    parent = {new: (prev, gens.index(s)) for new, prev, s in _word_tree(gamma.table, e, gens)}
+    known = np.isin(np.arange(n * r), [prev * r + j for prev, j in parent.values()])  # the tree
+
+    def climb(y):  # the letters of y's tree path, from y back to e
+        while y != e:
+            y, j = parent[y]
+            yield j
+
+    dtype = np.int64 if (2 * n + 2) * exponent < 1 << 63 else object  # a sum along a relator
+    mats = (np.array(pres.matrices, dtype=np.int64).reshape(n, k, k) % orders).astype(dtype)
+    words, walks, scans, cycles, phi = [], [], [], [], np.zeros((n * r, k, 0), dtype=dtype)
+
+    def scan(i, ys):  # M(y) tau_i minus the tails along y.r_i, mod the orders
+        out = np.zeros((len(ys), k, phi.shape[2]), dtype=dtype)
+        out[:, :, i * k : i * k + k] = mats[ys]
+        for j, column in zip(words[i], walks[i][ys].T):
+            out += phi[column] if j >= r else -phi[column]
+        return out % orders
+
+    while not known.all():
+        found = np.count_nonzero(known)
+        for i, ys in enumerate(scans):  # the starts of r_i with two or more unknown letters
+            unknown = ~known[walks[i][ys]]
+            count = unknown.sum(axis=1)
+            hit = np.flatnonzero(count == 1)
+            pos = unknown[hit].argmax(axis=1)
+            deduced, first = np.unique(walks[i][ys[hit], pos], return_index=True)
+            hit, pos = ys[hit[first]], pos[first]  # each deduced tail is still zero in its scan
+            phi[deduced] = np.where(words[i][pos] < r, 1, -1)[:, None, None] * scan(i, hit) % orders
+            known[deduced], scans[i] = True, ys[count > 1]
+        if np.count_nonzero(known) == found:  # the least unknown edge's cycle is a new relator
+            y, j = divmod(int(np.argmin(known)), r)
+            words.append(np.array([*climb(y)][::-1] + [j] + [x + r for x in climb(moves[y, j])]))
+            check_buffer(n * (sum(map(len, words)) + r * k * k * len(words)), 8, "H2 relator tails")
+            nodes = itertools.accumulate(words[-1][:-1], lambda y, j: moves[y, j], initial=range(n))
+            walks.append(crossed[np.stack([*nodes], axis=1), words[-1]])
+            scans.append(np.arange(n))  # every start is open; then r_i's signed edge counts
+            cycles.append(np.bincount(walks[-1][e], np.where(words[-1] < r, 1, -1), n * r))
+            phi = np.concatenate([phi, np.zeros((n * r, k, k), dtype=dtype)], axis=2)
+    t, tk, moduli = len(words), phi.shape[2], np.tile(pres.factors, len(words))
+    held = np.zeros((tk, tk), dtype=dtype)  # tk rows or more, so that D has tk entries
+    for i in range(t):  # one relator's scans, scaled, a term, and the Smith form of 12 copies
+        check_buffer((3 * n * k + 12 * (len(held) + n * k)) * tk, 8, "H2 relator scans")
+        rows = (scan(i, range(n)) * (exponent // orders)).reshape(-1, tk)
+        held = np.concatenate([held, rows[rows.any(axis=1)]])
+        if len(held) > n * k or i == t - 1:  # the rows of D V^-1 span the block's
+            diag, v, v_inv = smith_normal_form(held.tolist(), exponent)
+            held = (diag[:, None] * v_inv % exponent).astype(dtype)
     scale = exponent // np.gcd(diag, exponent)
-    cycles = cycles.reshape(m, n, r)
-    # a in A^X maps to z_i -> sum of z_i[(y, s)] y.a_s; orders below N are relations too
-    image = np.einsum("iyj,yut->jtiu", cycles, mats).reshape(-1, cols)
-    image = np.concatenate([image, np.diag(orders)[orders < exponent]])
+    cycles = np.array(cycles, dtype=np.int64).reshape(t, n, r)
+    # a in A^X maps to r_i -> sum of r_i[(y, s)] y.a_s; orders below N are relations too
+    image = np.einsum("iyj,yut->jtiu", cycles, mats).reshape(-1, tk)
+    image = np.concatenate([image, np.diag(moduli)[moduli < exponent]])
     columns = _lattice_coords(v_inv, scale, image.T, exponent)
     if columns is None:
         raise CounterexampleFound("a relation escaped the gamma-maps")
-    # N Z^mk is diag(N / S) in lattice coordinates, which kills each one with S = N
+    # N Z^tk is diag(N / S) in lattice coordinates, which kills each one with S = N
     live = scale < exponent
     relations = np.concatenate([columns[live], np.diag(exponent // scale[live])], axis=1)
     factors, lifts, coords = cokernel_invariant_factors(relations.tolist(), exponent)
     values = v[:, live] @ (scale[live, None] * lifts.T % exponent) % exponent  # V S lifts mod N
-    f = np.zeros((len(lifts), n * r, k), dtype=np.int64)  # f on every edge, zero on the tree
-    f[:, free] = values.T.reshape(-1, m, k)
-    c = np.zeros((len(lifts), n, n, k), dtype=np.int64)  # one 2-cocycle per generator
-    for new, prev, e in tree:  # path[ys] = path[y] + (y, s), so c(g, ys) = c(g, y) + f(gy, s)
-        c[:, :, new] = (c[:, :, prev] + f[:, table[:, prev] * r + e % r]) % pres.factors
-    if not all(_is_cocycle(gamma, pres, cochain) for cochain in c):
-        raise CounterexampleFound("reported H2 generator fails the 2-cocycle identity")
-    g1 = _nonidentity(gamma)
-    generators = tuple(tuple(cochain.ravel().tolist()) for cochain in c[:, g1][:, :, g1])
-    return H2Group(
-        gamma, pres, tuple(factors.tolist()), generators, gens, cycles,
-        v_inv, scale, coords,
-    )
+    wide = int(phi.max(initial=0)) * int(values.sum(axis=0).max(initial=0)) >= 1 << 63
+    tails = ((phi.astype(object) if wide else phi) @ values % orders).astype(np.int64)
+    generators, g1 = (), _nonidentity(gamma)
+    for f in tails.transpose(2, 0, 1):  # f on every edge, zero on the tree
+        check_buffer((4 + len(generators)) * n * n * k, 8, "H2 pull-back")  # c, copy, list, tuples
+        c = np.zeros((n, n, k), dtype=np.int64)  # c[h, g] = c(g, h)
+        for new, (prev, j) in parent.items():  # c(g, ys) = c(g, y) + f(gy, s) on a tree edge
+            c[new] = (c[prev] + f[gamma.table[:, prev].astype(np.intp) * r + j]) % orders[:, 0]
+        if not _is_cocycle(gamma, pres, c.transpose(1, 0, 2)):
+            raise CounterexampleFound("reported H2 generator fails the 2-cocycle identity")
+        generators += (tuple(c.transpose(1, 0, 2)[np.ix_(g1, g1)].ravel().tolist()),)
+    factors = tuple(factors.tolist())
+    return H2Group(gamma, pres, factors, generators, gens, cycles, v_inv, scale, coords)
 
 
 def _raw_differential(gamma: FiniteGroup, pres: AbelianPresentation, n: int) -> np.ndarray:

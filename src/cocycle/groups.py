@@ -279,12 +279,12 @@ def _adopt_table(arr: np.ndarray, labels=None, perms=None, copy: bool = False) -
     arr.setflags(write=False)
     identity = _find_identity(arr)
     gens = _check_associativity(arr, identity)
-    inverses = np.empty(n, dtype=arr.dtype)
-    for a in range(n):
-        hits = np.flatnonzero(arr[a] == identity)
-        if hits.size == 0 or arr[int(hits[0]), a] != identity:
-            raise NoInverse(a)
-        inverses[a] = hits[0]
+    step, every = max(1, ENGINE_CHUNK // n), np.arange(n)  # the least b with a b = e, if any
+    rows = [(arr[lo : lo + step] == identity).argmax(axis=1) for lo in range(0, n, step)]
+    inverses = np.concatenate(rows).astype(arr.dtype)
+    bad = np.flatnonzero((arr[every, inverses] != identity) | (arr[inverses, every] != identity))
+    if bad.size:
+        raise NoInverse(int(bad[0]))
     if labels is not None and len(labels) != n:
         raise ValueError("labels length must match group order")
     group = FiniteGroup(arr, identity, inverses, labels, perms)

@@ -12,19 +12,35 @@ L unit lower triangular, certifies U M V = D for U = L^-1 P, so ker M = V ker D.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from .errors import MatchFailure
+from .fields import is_prime
+
+
+def _rho(n: int) -> int:
+    """A proper factor of an odd composite n, by Pollard's rho with Brent's cycle search."""
+    for c in itertools.count(1):
+        x = y = power = steps = g = 1
+        while g == 1:
+            if steps == power:  # Brent: restart the tortoise at each power of two
+                x, power, steps = y, 2 * power, 0
+            y, steps = (y * y + c) % n, steps + 1
+            g = math.gcd(x - y, n)
+        if g < n:
+            return g
 
 
 @functools.cache
 def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (p, p^e) with p^e exactly dividing n > 1, by trial division."""
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)  # least prime factor
+    """The pairs (p, p^e) with p^e exactly dividing n > 1, ascending in p; Miller-Rabin tells
+    primes, and Pollard's rho splits an odd composite."""
+    p = n if is_prime(n) else _prime_powers(2 if n % 2 == 0 else _rho(n))[0][0]  # a prime factor
     q = math.gcd(n, p ** n.bit_length())
-    return ((p, q), *(_prime_powers(n // q) if q < n else ()))
+    return tuple(sorted(((p, q), *(_prime_powers(n // q) if q < n else ()))))
 
 
 def _dtype(q: int, rows: int, cols: int):

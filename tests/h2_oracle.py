@@ -1,4 +1,4 @@
-"""Reference H2 routes on the normalized bar complex.
+"""Reference H2 routes: the normalized bar complex and the Cayley graph's cycles.
 
 ``h2_central`` is the route the package ran before it used the Cayley
 graph's cycle lattice: one Smith form of the order-scaled d2 gives the
@@ -6,11 +6,15 @@ graph's cycle lattice: one Smith form of the order-scaled d2 gives the
 from ``_normalized_differential`` and its moduli from ``_moduli``; the
 suite checks both against ``normalized_d_sparse``, a pair-by-pair
 construction. ``is_coboundary`` decides membership in im(d1) + orders by
-one augmented integer solve. ``tests/test_h2.py`` compares the package's
-route against these results. ``h2_brute_force_order`` is the dense brute
-force the package ran before it streamed the cochains in chunks: every raw
-2-cochain in one array, coboundaries counted as a set of tuples. Smith
-forms come from ``smith_oracle``, not from the package's ``cocycle.snf``.
+one augmented integer solve. ``cayley_h2_central`` is the route the package
+ran before it found relators: a Gamma-map on all m = |Gamma|(|X| - 1) + 1
+fundamental cycles of the Cayley graph, from one dense |X| m k x m k
+equivariance system; its ``H2Group`` carries a class map over those cycles.
+``tests/test_h2.py`` compares the package's route against these results.
+``h2_brute_force_order`` is the dense brute force the package ran before it
+streamed the cochains in chunks: every raw 2-cochain in one array,
+coboundaries counted as a set of tuples. Smith forms come from
+``smith_oracle``, not from the package's ``cocycle.snf``.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import numpy as np
 
 from cocycle.errors import CounterexampleFound, SizeLimit
 from cocycle.exactness import AbelianPresentation, H2Group
-from cocycle.groups import FiniteGroup
+from cocycle.groups import FiniteGroup, _word_tree
 from smith_oracle import IntMatrix, cokernel_invariant_factors, smith_mod, smith_normal_form
 
 #: Ceiling on rows * cols of the order-scaled d2 that the bar route factors: Z/9 on a
@@ -297,3 +301,87 @@ def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation, limit: i
     if cocycle_count % coboundary_count:
         raise CounterexampleFound("coboundary count does not divide the cocycle count")
     return cocycle_count // coboundary_count
+
+
+def cayley_cycles(gamma: FiniteGroup, gens: tuple[int, ...]):
+    """BFS tree, non-tree edges, fundamental cycles and their translates in the Cayley graph.
+
+    Edge (y, s) runs from y to ys and has index y * |gens| + j for s = gens[j].
+    ``tree`` lists (y, parent, edge) with parents first. ``cycles[i]`` is
+    path[y] + (y, s) - path[ys] for the i-th non-tree edge (y, s) = ``free[i]``,
+    path[y] being y's tree path as an edge vector, and x . z has entry
+    z[moved[x, i]] on it. A cycle's entries on the non-tree edges are its
+    coordinates in the basis ``cycles``.
+    """
+    n, r = gamma.order, len(gens)
+    table = gamma.table.astype(np.intp)
+    paths = np.zeros((n, n * r), dtype=np.int64)
+    walk = _word_tree(table, gamma.identity, gens)
+    tree = [(new, prev, prev * r + gens.index(s)) for new, prev, s in walk]
+    for new, prev, e in tree:
+        paths[new] = paths[prev]
+        paths[new, e] += 1
+    is_free = np.ones(n * r, dtype=bool)
+    is_free[[e for _, _, e in tree]] = False
+    free = np.flatnonzero(is_free)
+    ys, js = np.divmod(free, r)
+    cycles = paths[ys] - paths[table[ys, np.array(gens)[js]]]
+    cycles[np.arange(len(free)), free] += 1
+    inverses = np.array([gamma.inv(x) for x in range(n)])
+    return tree, free, cycles, table[inverses[:, None], ys[None, :]] * r + js
+
+
+def cayley_h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
+    """H2 as Hom_gamma(Z1, A) modulo the image of A^X, on all fundamental cycles.
+
+    A map f is its values F_i on the m fundamental cycles z_i, and it is a
+    gamma-map when f(x.z_i) = x.f(z_i) for every x in X. Scaled by N over the
+    moduli, one Smith form U E V = D over Z/N gives the gamma-maps as
+    V S Z^mk + N Z^mk, S = diag(N / gcd(D_ii, N)); the image of A^X and the
+    orders, in that basis, are the relations of a second Smith form. Generators
+    pull back along the tree: c(g, h) is f summed over the edges of
+    path[g] + g.path[h] - path[gh].
+    """
+    k, n = pres.rank, gamma.order
+    if k == 0 or n == 1:
+        return H2Group(gamma, pres, (), ())
+    gens = gamma.short_generators()
+    r, m = len(gens), n * (len(gens) - 1) + 1
+    tree, free, cycles, moved = cayley_cycles(gamma, gens)
+    table = gamma.table.astype(np.intp)
+    mats = np.array(pres.matrices, dtype=np.int64).reshape(n, k, k)
+    orders, exponent = np.tile(pres.factors, m), pres.factors[-1]
+    eye_k, eye_m = np.eye(k, dtype=np.int64), np.eye(m, dtype=np.int64)
+    blocks = [np.kron(cycles[:, moved[x]], eye_k) - np.kron(eye_m, mats[x]) for x in gens]
+    scaled = np.concatenate(blocks) * np.tile(exponent // orders, r)[:, None]
+    dec = smith_mod(scaled.tolist(), exponent)
+    scale = [exponent // math.gcd(x, exponent) for x in dec.diagonal()]
+    cycles = cycles.reshape(m, n, r)
+    image = np.einsum("iyj,yut->jtiu", cycles, mats).reshape(-1, m * k).tolist()
+    # and the orders: those below N are relations, and N Z^mk lies in the lattice
+    image += [[int(f) * (i == j) for i in range(m * k)] for j, f in enumerate(orders)]
+    columns = [_lattice_coords(dec.v_inv, scale, col) for col in image]
+    if any(col is None for col in columns):
+        raise CounterexampleFound("a relation escaped the gamma-maps")
+    live = [i for i, s in enumerate(scale) if s < exponent]
+    relations = [[col[i] for col in columns] for i in live]
+    for row, i in zip(relations, live):
+        row += [exponent // scale[i] if i == j else 0 for j in live]
+    factors, lifts, coords = cokernel_invariant_factors(relations, len(live), exponent)
+    v_live = [[row[i] * scale[i] for i in live] for row in dec.v]
+    f = np.zeros((len(lifts), n * r, k), dtype=np.int64)  # f on every edge, zero on the tree
+    f[:, free] = np.array(
+        [[sum(a * b for a, b in zip(row, lift)) % exponent for row in v_live] for lift in lifts],
+        dtype=np.int64,
+    ).reshape(-1, m, k)
+    c = np.zeros((len(lifts), n, n, k), dtype=np.int64)
+    for new, prev, e in tree:  # path[ys] = path[y] + (y, s), so c(g, ys) = c(g, y) + f(gy, s)
+        c[:, :, new] = (c[:, :, prev] + f[:, table[:, prev] * r + e % r]) % pres.factors
+    g1 = _nonidentity(gamma)
+    generators = tuple(tuple(cochain.ravel().tolist()) for cochain in c[:, g1][:, :, g1])
+    v_inv = np.array(dec.v_inv, dtype=object).reshape(m * k, m * k)
+    coords = np.array(coords, dtype=object).reshape(len(coords), len(live))
+    return H2Group(
+        gamma, pres, tuple(factors), generators, gens, cycles,
+        v_inv, np.array(scale, dtype=object), coords,
+    )

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,31 @@ class TestSmith:
             assert lifts.shape == (len(expected), rank) and coords.shape == (len(expected), rank)
             product = (coords @ lifts.T) % factors[:, None]
             assert (product == np.eye(len(expected), dtype=np.int64)).all()
+
+    def test_prime_powers_match_trial_division(self):
+        for n in range(2, 5000):
+            expected, m, p = [], n, 2
+            while m > 1:
+                p = m if p * p > m else p  # no factor up to sqrt(m) is left: m is prime
+                if m % p == 0:
+                    expected.append((p, math.gcd(m, p**13)))  # 2^13 > 5000
+                    m //= expected[-1][1]
+                p += 1
+            assert snf._prime_powers(n) == tuple(expected)
+
+    def test_large_prime_factors_split_at_once(self):
+        # trial division takes minutes on the prime 2^61 - 1 and seconds on a product of two
+        # 31-bit primes; the H2 below is the first Smith form of such a modulus
+        code = """if True:
+            from cocycle import cyclic_group, h2_central, snf, trivial_module
+            assert snf._prime_powers(2**61 - 1) == ((2**61 - 1, 2**61 - 1),)
+            assert snf._prime_powers(2147483629 * 2147483647) == (
+                (2147483629, 2147483629), (2147483647, 2147483647))
+            z2 = cyclic_group(2)
+            assert h2_central(z2, trivial_module(z2, (2**61 - 1,))).invariant_factors == ()
+            """
+        env = {**os.environ, "PYTHONPATH": str(Path(snf.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=30, check=True)
 
 
 class TestFixedCosets:
@@ -493,11 +522,14 @@ class TestH2:
         assert res.invariant_factors == (2, 2, 2)
 
     def test_size_limit(self, monkeypatch):
-        # S5 factors a 242 x 121 equivariance matrix, counted at 3.6 MB
-        gamma = symmetric_group(5)
+        # S6's relator walks and tails pass 1 MiB at its sixth relator, before its walks
+        # are built; S5's largest buffer, the cocycle check of a generator, stays below
+        gamma = symmetric_group(6)
         monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "1")
-        with pytest.raises(SizeLimit, match="H2 Smith system needs 3628064 bytes"):
+        with pytest.raises(SizeLimit, match="H2 relator tails needs 1175040 bytes"):
             h2_central(gamma, trivial_module(gamma, (2,)))
+        s5 = symmetric_group(5)
+        assert h2_central(s5, trivial_module(s5, (2,))).invariant_factors == (2, 2)
 
 
 class TestConnectingDelta:

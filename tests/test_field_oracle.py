@@ -5,6 +5,8 @@ tables. Towers too large for tables: sampled array operations, which then run
 the digit-array arithmetic itself rather than gathers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,8 +89,24 @@ def test_digit_arrays_are_sized_before_allocation(monkeypatch):
     tower = fields.FqTower(2, 1, 16)  # uncached: k_elements not yet found
     assert not tower._tables_built
     monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "4")
-    # 65,536 elements x 32 digits x 8 bytes = 16 MiB of digit temporaries
+    # 65,536 elements x 3 x 16 digits x 8 bytes = 24 MiB of digit temporaries
     with pytest.raises(SizeLimit, match="field digit arrays"):
         tower.k_elements
     monkeypatch.delenv("COCYCLE_MAX_MEM_MB")
     assert len(tower.k_elements) == 2
+
+
+def test_a_product_stays_within_its_digit_count(budget_requests):
+    # a 512 x 512 broadcast over 2x1x11 holds 21 product digits and an 11-digit term
+    # per entry; a count of 2 x 11 digits fell a third short of the traced peak
+    tower = fields.FqTower(2, 1, 11)
+    assert not tower._tables_built
+    asked = budget_requests(fields)
+    a, b = np.arange(512)[:, None], np.arange(512, 1024)[None, :]
+    tracemalloc.start()
+    try:
+        tower.vmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= asked["field digit arrays"]

@@ -55,6 +55,14 @@ class TestMakeGroup:
             make_group([[0, 1], [1, 1]])
         assert exc.value.element == 1
 
+    def test_no_inverse_names_the_least_element(self):
+        # products mod 4 listed as 1, 2, 3, 0: elements 1 (for 2) and 3 (for 0) have no inverse
+        values = [1, 2, 3, 0]
+        table = [[values.index(a * b % 4) for b in values] for a in values]
+        with pytest.raises(NoInverse) as exc:
+            make_group(table)
+        assert exc.value.element == 1
+
     def test_no_identity(self):
         with pytest.raises(NoIdentity):
             make_group([[1, 0], [1, 0]])

@@ -1,8 +1,9 @@
-"""H2 from the Cayley graph's cycle lattice, against the bar-complex routes.
+"""H2 from relator tails on the Cayley graph, against the bar-complex and dense routes.
 
-``tests/h2_oracle.py`` keeps the bar-complex route the package used to run;
-these tests compare invariant factors and coboundary decisions with it and
-with the brute-force order, also on random modules, check classical values
+``tests/h2_oracle.py`` keeps the bar-complex route and the dense Cayley-cycle
+route the package used to run; these tests compare invariant factors, classes
+and coboundary decisions with them and with the brute-force order, also on
+random modules, check classical values
 (some only this route reaches under the default bound), check
 ``H2Group.class_of`` on generators, coboundaries, bar-route generators and
 non-cocycles, and run the connecting map on GL(2,3) over S4 and SL(2,3)
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocycle.exactness as X
+import cocycle.groups as groups
 import cocycle.snf as snf
 from cocycle import (
     AbelianPresentation,
@@ -247,16 +249,22 @@ def test_two_smith_forms_per_h2(monkeypatch):
     gamma = dihedral_group(4)
     direct = count_calls(monkeypatch, X, "smith_normal_form")
     cokernel = count_calls(monkeypatch, snf, "smith_normal_form")
-    h2_central(gamma, trivial_module(gamma, (2,)))
-    assert [(len(m), len(m[0])) for m, _ in direct] == [(18, 9)]  # equivariance, |X| m k x m k
+    engine = h2_central(gamma, trivial_module(gamma, (2,)))
+    # one form of the relator scans, t k = 3 columns for t = 3 relators: tk zero rows and the
+    # nonzero scans, of which trivial Z/2 has none
+    assert len(engine.cycles) == 3
+    assert [(len(m), len(m[0])) for m, _ in direct] == [(3, 3)]
     # the transposed relations on the l = 3 live coordinates, (|X| k + l) x l, read by
-    # cokernel_invariant_factors: the other 6 of the m k = 9 have a unit pivot
+    # cokernel_invariant_factors
     assert [(len(m), len(m[0])) for m, _ in cokernel] == [(5, 3)]
     # every Smith form is over Z/N for the module exponent N
     assert [modulus for _, modulus in direct + cokernel] == [2, 2]
     direct.clear()
     cokernel.clear()
-    h2_central(gamma, trivial_module(gamma, (2, 4)))
+    engine = h2_central(gamma, trivial_module(gamma, (2, 4)))
+    # Z/2 x Z/4: 6 columns, and 2 nonzero scans beside the 6 held zero rows
+    assert [(len(m), len(m[0])) for m, _ in direct] == [(8, 6)]
+    assert len(engine.cycles) * 2 == 6
     assert [modulus for _, modulus in direct + cokernel] == [4, 4]
 
 
@@ -268,7 +276,7 @@ def test_delta_uses_one_h2_and_no_smith_form_of_its_own(monkeypatch):
     direct = count_calls(monkeypatch, X, "smith_normal_form")
     connecting_delta(parent, central, cls)
     assert len(h2_calls) == 1
-    assert len(direct) == 1  # the equivariance matrix inside h2_central
+    assert len(direct) == 1  # the relator scans inside h2_central
 
 
 def test_lattice_products_past_int64_stay_exact():
@@ -381,17 +389,19 @@ def test_long_cycle_stays_in_quadratic_memory():
 
 
 def test_cayley_cycles_are_sized_before_they_are_allocated(monkeypatch):
-    # S6's 720 x 1440 int64 tree paths alone take 8.3 MB
-    gamma = symmetric_group(6)
-    monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "4")
+    # Z/2048 has one relator, x^2048, a Cayley cycle whose walks from every start take
+    # 2048 x 2048 int64, 33.6 MB; the count refuses them before the first is built
+    gamma = cyclic_group(2048)
+    pres = trivial_module(gamma, (2,))
+    monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "16")
     tracemalloc.start()
     try:
-        with pytest.raises(SizeLimit, match="Cayley cycle basis"):
-            X._cayley_cycles(gamma, gamma.short_generators())
+        with pytest.raises(SizeLimit, match="H2 relator tails needs 33570816 bytes"):
+            h2_central(gamma, pres)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize(
@@ -399,47 +409,82 @@ def test_cayley_cycles_are_sized_before_they_are_allocated(monkeypatch):
     ids=["S5 on Z/2", "A6 on Z/6"],
 )
 def test_the_h2_byte_count_bounds_the_peak(budget_requests, make, m):
-    # 242 x 121 and 722 x 361: the count may overshoot the traced peak, but not twice over
+    # the walks and tails are held to the end; beside them come first the scans and their
+    # Smith form, then the pull-back with the cocycle check inside it. The counts may
+    # overshoot the traced peak, but not twice over
     gamma = make()
     pres = trivial_module(gamma, (m,))
-    asked = budget_requests(X)
+    asked, chunks = budget_requests(X), budget_requests(groups)
     tracemalloc.start()
     try:
         h2_central(gamma, pres)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= asked["H2 Smith system"] < 2 * peak
+    pull_back = asked["H2 pull-back"] + chunks["2-cocycle identity"]
+    bound = asked["H2 relator tails"] + max(asked["H2 relator scans"], pull_back)
+    assert peak <= bound < 2 * peak
 
 
-class SmithReached(Exception):
-    pass
-
-
-def test_s6_passes_the_byte_check_at_the_default_budget(monkeypatch):
-    # 1442 x 721 entries, which the entry bound of 2^19 refused; the Smith form
-    # itself takes seconds, so the run stops at its call
-    def smith(m, modulus):
-        raise SmithReached(len(m), len(m[0]), modulus)
-
+def test_s6_passes_the_byte_check_at_the_default_budget(budget_requests, monkeypatch):
+    # 28 relators; the largest count is the pull-back of the second generator, 20.7 MB
     monkeypatch.delenv("COCYCLE_MAX_MEM_MB", raising=False)
-    monkeypatch.setattr(X, "smith_normal_form", smith)
+    asked = budget_requests(X)
     gamma = symmetric_group(6)
-    with pytest.raises(SmithReached) as reached:
-        h2_central(gamma, trivial_module(gamma, (2,)))
-    assert reached.value.args == (1442, 721, 2)
+    engine = h2_central(gamma, trivial_module(gamma, (2,)))
+    assert engine.invariant_factors == (2, 2)
+    assert len(engine.cycles) == 28
+    assert max(asked.values()) == asked["H2 pull-back"] == 20_736_000
 
 
-def test_s6_is_refused_before_its_first_buffer_under_64_mib(monkeypatch):
-    # about 129 MB are counted; the cycle basis, the first dense buffer, is never built
-    def cycles(gamma, gens):
-        raise AssertionError("the cycle basis was built before the byte check")
+def test_s6_is_refused_before_its_pull_back_under_12_mib(monkeypatch):
+    # the walks, tails and scans fit; the first generator's cochain is never built
+    def check(gamma, pres, c):
+        raise AssertionError("a generator was pulled back before the byte check")
 
-    monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "64")
-    monkeypatch.setattr(X, "_cayley_cycles", cycles)
+    monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "12")
+    monkeypatch.setattr(X, "_is_cocycle", check)
     gamma = symmetric_group(6)
-    with pytest.raises(SizeLimit, match="H2 Smith system"):
-        h2_central(gamma, trivial_module(gamma, (2,)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit, match="H2 pull-back needs 16588800 bytes"):
+            h2_central(gamma, trivial_module(gamma, (2,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
+
+
+@pytest.mark.parametrize("mb,refused", [(4, True), (16, False)], ids=["4 MiB", "16 MiB"])
+def test_the_cocycle_check_stays_in_its_budget(monkeypatch, mb, refused):
+    # S6 on Z/2 takes rows g 182 at a time: D(g, h, x) and three terms of
+    # 182 x 720 x 2 values each, counted at 8.4 MB
+    gamma = symmetric_group(6)
+    pres = trivial_module(gamma, (2,))
+    c = np.zeros((gamma.order, gamma.order, 1), dtype=np.int64)
+    monkeypatch.setenv("COCYCLE_MAX_MEM_MB", str(mb))
+    tracemalloc.start()
+    try:
+        if refused:
+            with pytest.raises(SizeLimit, match="2-cocycle identity needs 8386560 bytes"):
+                X._is_cocycle(gamma, pres, c)
+        else:
+            assert X._is_cocycle(gamma, pres, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 20 if refused else mb << 20)
+
+
+def test_a_cochain_is_sized_before_it_is_unpacked(monkeypatch):
+    # S6's full 720 x 720 cochain and the copy of the flat vector take 8.3 MB
+    gamma = symmetric_group(6)
+    engine = h2_central(gamma, trivial_module(gamma, (2,)))
+    monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "4")
+    with pytest.raises(SizeLimit, match="2-cochain needs 8294400 bytes"):
+        engine.class_of(engine.generators[0])
+    monkeypatch.delenv("COCYCLE_MAX_MEM_MB")
+    assert engine.class_of(engine.generators[0]) == (1, 0)
 
 
 def center_extension(special):
@@ -526,7 +571,11 @@ def test_random_modules_match_the_bar_routes(case):
     gamma, pres = case
     engine = h2_central(gamma, pres)
     bar = h2_oracle.h2_central(gamma, pres, max_entries=1 << 20)
-    assert engine.invariant_factors == bar.invariant_factors
+    dense = h2_oracle.cayley_h2_central(gamma, pres)
+    assert engine.invariant_factors == bar.invariant_factors == dense.invariant_factors
+    # a generator of a cyclic factor has a nonzero class under every other route's map
+    for one, other in ((engine, dense), (dense, engine), (bar, engine), (bar, dense)):
+        assert all(any(other.class_of(gen)) for gen in one.generators)
     try:
         assert engine.order == h2_brute_force_order(gamma, pres)
     except SizeLimit:
