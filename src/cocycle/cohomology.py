@@ -192,17 +192,16 @@ class ClassMap(Mapping):
     Backed by ``rows``, the value rows (read-only, n x |gamma|, lexicographic),
     and ``index``, each row's class. A cocycle is determined by its values on
     ``gamma.short_generators()``, so :meth:`positions` finds rows in bulk by
-    the key ``sum_j alpha(s_j) |base|^j``; the sorted keys, and the dict that
-    a scalar lookup reads, are built on first use.
+    the key ``sum_j alpha(s_j) |base|^j``, and a scalar lookup is a batch of
+    one; the sorted keys are built on first use.
     """
 
-    __slots__ = ("rows", "index", "_parent", "_sorted", "_dict")
+    __slots__ = ("rows", "index", "_parent", "_sorted")
 
     def __init__(self, parent: GammaGroup, rows: np.ndarray, index: np.ndarray):
         rows.setflags(write=False)
         self.rows, self.index, self._parent = rows, index, parent
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
-        self._dict: dict[tuple[int, ...], int] | None = None
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
         gens = list(self._parent.gamma.short_generators())
@@ -225,12 +224,16 @@ class ClassMap(Mapping):
         return at
 
     def __getitem__(self, key: tuple[int, ...]) -> int:
-        if self._dict is None:
-            self._dict = dict(zip(self, self.index.tolist()))
-        return self._dict[key]
+        try:
+            return int(self.index[self.positions([key])[0]])
+        except (TypeError, ValueError):  # absent or malformed, as for a dict
+            raise KeyError(key) from None
 
     def __iter__(self):
         return map(tuple, self.rows.tolist())
+
+    def items(self):
+        return zip(self, self.index.tolist())
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -321,10 +324,7 @@ class H1Set:
         return len(self.class_of)
 
     def class_index(self, cocycle: Cocycle) -> int:
-        try:
-            return self.class_of[cocycle.values]
-        except KeyError:
-            raise ValueError("cocycle not in the enumerated set") from None
+        return int(self.class_indices([cocycle.values])[0])
 
     def class_indices(self, rows) -> np.ndarray:
         """The class of each value row (m x |gamma|); ValueError on a row not enumerated."""

@@ -460,6 +460,14 @@ def _is_cocycle(gamma: FiniteGroup, pres: AbelianPresentation, c: np.ndarray) ->
     return True
 
 
+def _check_same_group(gamma: FiniteGroup, pres: AbelianPresentation) -> None:
+    """ValueError unless the presentation is over gamma, or over an equal table."""
+    if gamma is not pres.gamma:
+        check_buffer(gamma.order**2, 1, "group table comparison")
+        if not np.array_equal(gamma.table, pres.gamma.table):
+            raise ValueError("the presentation is over a different group")
+
+
 def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
     """H2 = Hom_gamma(Z1, A) / im A^X, Z1 the Cayley graph's cycles over X = short_generators().
 
@@ -469,8 +477,7 @@ def h2_central(gamma: FiniteGroup, pres: AbelianPresentation) -> H2Group:
     with none, the least unknown edge's cycle is a relator. The y.r_i span Z1, so the scans over
     Z/N (N the exponent), reduced by Smith forms, give the gamma-maps as V S Z^tk + N Z^tk.
     """
-    if not np.array_equal(gamma.table, pres.gamma.table):
-        raise ValueError("the presentation is over a different group")
+    _check_same_group(gamma, pres)
     k, n, e = pres.rank, gamma.order, gamma.identity
     if k == 0 or n == 1:
         return H2Group(gamma, pres, (), ())
@@ -578,8 +585,7 @@ def h2_brute_force_order(gamma: FiniteGroup, pres: AbelianPresentation) -> int:
     Every raw 2-cochain is tested against d2 and every raw 1-cochain mapped
     by d1, chunk by chunk; coboundaries are counted as distinct mixed-radix keys.
     """
-    if not np.array_equal(gamma.table, pres.gamma.table):
-        raise ValueError("the presentation is over a different group")
+    _check_same_group(gamma, pres)
     ng, k = gamma.order, pres.rank
     if k == 0 or ng == 1:
         return 1

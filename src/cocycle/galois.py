@@ -27,7 +27,6 @@ from . import cohomology, groups
 from .cohomology import GammaGroup, H1Set, match_blocks
 from .errors import (
     EXHAUSTIVE_INDEPENDENCE_SIZE,
-    FIELD_TABLE_LIMIT,
     CounterexampleFound,
     DimensionFailure,
     MatchFailure,
@@ -263,7 +262,7 @@ def units_gamma_group(tower: FqTower) -> tuple[GammaGroup, tuple[int, ...]]:
     single class, matching the m = 1 scan.
     """
     units = np.arange(1, tower.size)  # unit u is group element u - 1
-    group = groups.make_group(tower.vmul(units[:, None], units) - 1)
+    group = groups.group_table(len(units), lambda r: tower.vmul(units[r, None], units) - 1, 1)
     action = np.stack([tower.vfrob(units, j) for j in range(tower.n)]) - 1
     return GammaGroup(groups.cyclic_group(tower.n), group, action), tuple(units.tolist())
 
@@ -314,14 +313,9 @@ def _transport(tensor: TensorOnV, g: np.ndarray, g_inv: np.ndarray) -> np.ndarra
     coeffs = np.array(tensor.coeffs, dtype=np.int64).reshape((m,) * (r + l) + (1,))
     for axis in range(r + l):
         front = np.moveaxis(coeffs, axis, 0)
-        out = []
-        for i in range(m):
-            acc = None
-            for k in range(m):
-                term = tower.vmul(g[i, k] if axis < r else g_inv[k, i], front[k])
-                acc = term if acc is None else tower.vadd(acc, term)
-            out.append(acc)
-        coeffs = np.moveaxis(np.array(out), 0, axis)
+        rest = front.reshape(m, 1, m ** (r + l - 1), front.shape[-1])  # a chunk may be empty
+        out = batch_mul(tower, (g if axis < r else g_inv.transpose(1, 0, 2))[:, :, None], rest)
+        coeffs = np.moveaxis(out.reshape(front.shape[:-1] + out.shape[-1:]), 0, axis)
     coeffs = np.broadcast_to(coeffs, (m,) * (r + l) + (g.shape[2],))
     return coeffs.reshape(m ** (r + l), -1).T
 
@@ -364,11 +358,6 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
         orbit = dict(zip(map(tuple, rows.tolist()), keys[invariant][first].tolist())) | orbit
         rational_keys.append(keys[(tower.vfrob(g) == g).all(axis=(0, 1))])
     stab_keys = np.concatenate(stab_keys)
-    # per pair of the s^2 stabilizer products: the m x m product, batch_mul's accumulator,
-    # product and sum, stab_index's keys and lookups; an untabled tower's products are
-    # formed in digit arrays about 4 * degree wide
-    digits = 4 * tower.degree if tower.size > FIELD_TABLE_LIMIT else 0
-    check_buffer(len(stab_keys) ** 2 * (m * m + 4 + digits), 8, "stabilizer products")
     k_gl = matrices_over(np.arange(tower.size), m, np.concatenate(rational_keys))
     k_gl_inv = batch_inv(tower, k_gl, batch_det(tower, k_gl))
     remaining = set(orbit)
@@ -394,12 +383,14 @@ def classify_forms(tower: FqTower, tensor: TensorOnV) -> FormsReport:
             raise CounterexampleFound(failure)
         return at
 
-    products = batch_mul(tower, stab[:, :, :, None], stab[:, :, None, :])
-    table = stab_index(products, "stabilizer is not closed under multiplication")
+    def products(r):  # per pair an m x m product, batch_mul's 3 temporaries and a key
+        block = batch_mul(tower, stab[:, :, r, None], stab[:, :, None, :])
+        return stab_index(block, "stabilizer is not closed under multiplication")
+
+    group = groups.group_table(len(stab_keys), products, m * m + 4)
     frobs = np.stack([tower.vfrob(stab, j) for j in range(n)], axis=2)
     action = stab_index(frobs, "stabilizer is not Frobenius-stable")
-    gamma = groups.cyclic_group(n)
-    h1_stab = cohomology.h1(GammaGroup(gamma, groups.make_group(table), action.tolist()))
+    h1_stab = cohomology.h1(GammaGroup(groups.cyclic_group(n), group, action.tolist()))
 
     # Hilbert 90 on the ambient group: every class dies in GL
     if n > 1:

@@ -1,14 +1,14 @@
 """Finite groups as multiplication tables, with 0-based element indices.
 
-Construction validates the group axioms exactly; associativity by Light's
-test over a generating set, in O(n^2) per generator. Named constructions
-(cyclic, symmetric, dihedral) emit elements in a documented deterministic
-order so downstream fixtures are stable. Hom, automorphism and isomorphism
-search and :func:`cocycle.cohomology.h1` run on one engine, :func:`crossed_homs`.
-Orbits of a group acting on a finite set, and with them coset representatives,
-come from one owner, :func:`orbit_partition`; closures from generators (generated
-subgroups, word trees) from one, :func:`_word_tree`; power lists and element
-orders from one, :func:`_powers`.
+Every table the package derives is sized and filled by :func:`group_table`, and
+construction validates the group axioms exactly; associativity by Light's test
+over a generating set, in O(n^2) per generator. Named constructions (cyclic,
+symmetric, dihedral) emit elements in a documented deterministic order so
+downstream fixtures are stable. Hom, automorphism and isomorphism search and
+:func:`cocycle.cohomology.h1` run on one engine, :func:`crossed_homs`. Orbits of
+a group acting on a finite set, and with them coset representatives, come from one
+owner, :func:`orbit_partition`; closures from generators (generated subgroups, word
+trees) from one, :func:`_word_tree`; power lists and element orders from one, :func:`_powers`.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class FiniteGroup:
 
     def generators(self) -> tuple[int, ...]:
         """Greedy generating set: repeatedly add the smallest index outside the
-        span; :func:`make_group` records the one its associativity check builds."""
+        span; validating the table records the one its associativity check builds."""
         return self._gens
 
     def short_generators(self) -> tuple[int, ...]:
@@ -292,17 +292,17 @@ def _adopt_table(arr: np.ndarray, labels=None, perms=None, copy: bool = False) -
     return group
 
 
-def group_table(n: int, rows_of, width: int = 1) -> np.ndarray:
-    """An n x n multiplication table in its final dtype: sized by
-    :func:`check_buffer` before allocation, then filled by ``rows_of(r)`` on
-    blocks r of row indices, each ``ENGINE_CHUNK`` entries of width ``width``."""
-    dtype = _table_dtype(n)
+def group_table(n: int, rows_of, width: int, labels=None, perms=None) -> FiniteGroup:
+    """The group of the n x n table that ``rows_of(r)`` fills on blocks r of row indices,
+    ``ENGINE_CHUNK`` entries of width ``width`` each. The table in its final dtype and one
+    block's rows x n x width int64 entries pass :func:`check_buffer` before either exists."""
+    dtype, rows = _table_dtype(n), max(1, ENGINE_CHUNK // (n * width))
     check_buffer(n * n, dtype.itemsize, "group multiplication table")
+    check_buffer(min(rows, n) * n * width, 8, "group table rows")
     table = np.empty((n, n), dtype=dtype)
-    step = max(1, ENGINE_CHUNK // (n * width))
-    for lo in range(0, n, step):
-        table[lo : lo + step] = rows_of(np.arange(lo, min(lo + step, n)))
-    return table
+    for lo in range(0, n, rows):
+        table[lo : lo + rows] = rows_of(np.arange(lo, min(lo + rows, n)))
+    return _adopt_table(table, labels, perms)
 
 
 def trivial_group() -> FiniteGroup:
@@ -313,9 +313,9 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Z/n with elements 0..n-1 (rotation k has index k) and rotation labels."""
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
+    # row k of rotations is (k + j) mod n over j
     rotations = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n - 1) % n, n)
-    table = group_table(n, lambda r: rotations[r])  # row k is (k + j) mod n over j
-    return _adopt_table(table, tuple(f"r{k}" for k in range(n)))
+    return group_table(n, lambda r: rotations[r], 1, tuple(f"r{k}" for k in range(n)))
 
 
 def _cycles(p: Perm) -> list[list[int]]:
@@ -361,9 +361,10 @@ def symmetric_group(m: int) -> FiniteGroup:
     # arr[r][:, arr][i, j, k] = p_i[p_j[k]]: the product p_i * p_j applies p_j first
     weights = m ** np.arange(m - 1, -1, -1, dtype=np.int64)
     codes = arr @ weights
-    table = group_table(fact, lambda r: np.searchsorted(codes, arr[r][:, arr] @ weights), m)
     labels = tuple(_perm_label(p) for p in perms)
-    return _adopt_table(table, labels, perms)
+    return group_table(
+        fact, lambda r: np.searchsorted(codes, arr[r][:, arr] @ weights), m, labels, perms
+    )
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -381,9 +382,8 @@ def dihedral_group(n: int) -> FiniteGroup:
     def rows_of(r):  # s^e1 r^i1 s^e2 r^i2 = s^(e1 ^ e2) r^(i2 + (-1)^e2 i1)
         return np.concatenate((rotations[e[r], i[r]], rotations[1 - e[r], -i[r]]), axis=1)
 
-    table = group_table(2 * n, rows_of)
     labels = tuple(f"r{i}" for i in range(n)) + tuple(f"sr{i}" for i in range(n))
-    return _adopt_table(table, labels)
+    return group_table(2 * n, rows_of, 1, labels)
 
 
 def quaternion_group() -> FiniteGroup:
@@ -423,11 +423,10 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         block += h.table[np.ix_(bi[r], bi)]
         return block
 
-    table = group_table(ng * nh, rows_of)
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = tuple(f"({g.labels[a]},{h.labels[b]})" for a, b in zip(ai, bi))
-    return _adopt_table(table, labels)
+    return group_table(ng * nh, rows_of, 1, labels)
 
 
 @dataclass(frozen=True)
@@ -486,12 +485,11 @@ def subgroup_as_group(sub: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
     ``embedding[i]`` is the parent index of the relabeled element i; elements
     keep the sorted-parent-index order.
     """
-    members = sub.members
-    table = sub.position()[sub.parent.table[list(members)][:, members]]
-    labels = None
-    if sub.parent.labels is not None:
-        labels = tuple(sub.parent.labels[m] for m in members)
-    return _adopt_table(table, labels), members
+    members, position, parent = sub.members, sub.position(), sub.parent
+    at = np.array(members, dtype=np.intp)
+    labels = None if parent.labels is None else tuple(parent.labels[m] for m in members)
+    group = group_table(len(at), lambda r: position[parent.table[np.ix_(at[r], at)]], 1, labels)
+    return group, members
 
 
 def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
@@ -788,7 +786,7 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, GroupHom]:
         raise NotNormal(*bad)
     reps, coset_of = orbit_partition(g.table[:, list(n.members)].T)  # column x is xN
     labels = tuple(f"[{g.label(x)}]" for x in reps.tolist())
-    quot = _adopt_table(coset_of[g.table[reps][:, reps]], labels)
+    quot = group_table(len(reps), lambda r: coset_of[g.table[np.ix_(reps[r], reps)]], 1, labels)
     return quot, GroupHom.make(g, quot, coset_of)
 
 

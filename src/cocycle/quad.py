@@ -305,8 +305,11 @@ class UnitGroup:
 def unit_group(ring: QuadRing) -> UnitGroup:
     units = elements_of_norm(ring, 1)
     pos = {u: i for i, u in enumerate(units)}
-    table = [[pos[ring.mul(u, v)] for v in units] for u in units]
-    group = groups.make_group(table, tuple(f"{x}+{y}w" for x, y in units))
+
+    def rows_of(r):
+        return [[pos[ring.mul(units[i], v)] for v in units] for i in r]
+
+    group = groups.group_table(len(units), rows_of, 1, tuple(f"{x}+{y}w" for x, y in units))
     gamma = groups.cyclic_group(2)
     action = [list(range(len(units))), [pos[ring.conj(u)] for u in units]]
     return UnitGroup(ring, tuple(units), GammaGroup(gamma, group, action))

@@ -59,8 +59,8 @@ from .groups import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    group_table,
     identity_hom,
-    make_group,
     perm_sign,
     quaternion_group,
     subgroup_as_group,
@@ -104,7 +104,9 @@ def _faithful_action_of(gamma: FiniteGroup, base: FiniteGroup) -> GammaGroup:
     weights = base.order ** np.arange(base.order - 1, -1, -1)  # int64 keys for |base| <= 15
     keys = autos @ weights  # increasing, as the automorphisms are sorted
     # entry [i, j] is autos[i] after autos[j], the way GammaGroup rows compose
-    aut = make_group(np.searchsorted(keys, autos[:, autos] @ weights))
+    aut = group_table(
+        len(autos), lambda r: np.searchsorted(keys, autos[r][:, autos] @ weights), base.order
+    )
     for row in crossed_homs(gamma, aut):
         if len(set(row.tolist())) == gamma.order:
             return GammaGroup(gamma, base, autos[row])

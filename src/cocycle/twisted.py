@@ -328,8 +328,7 @@ def shapiro_induce(gamma: FiniteGroup, h_sub: Subgroup, g_action: GammaGroup) ->
         return pos
 
     # row i: the pointwise products maps[i] * maps[j] for every j
-    table = group_table(n_maps, lambda r: locate(g.table[maps_arr[r][:, None], maps_arr]), ng)
-    group = groups.make_group(table)
+    group = group_table(n_maps, lambda r: locate(g.table[maps_arr[r][:, None], maps_arr]), ng)
     check_buffer(n_maps * ng * ng, 8, "induced action")
     action = locate(maps_arr[:, gamma.table.T]).T  # phi^s(t) = phi(ts)
     gamma_group = GammaGroup(gamma, group, action)

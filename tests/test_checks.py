@@ -13,7 +13,8 @@ every method of a class outside ``cocycle.__all__``; every public method of
 an exported class is named in ``src/``, ``tests/`` or ``bench/``. No
 function takes a bound parameter except the five that the CLI's bound flags
 set. Only ``groups``, where ``product_chunks`` sizes every product-order
-stream, names ``ENGINE_CHUNK``.
+stream, names ``ENGINE_CHUNK``; ``make_group`` is called only on tables handed
+over whole, every derived table coming from ``group_table``.
 """
 
 import ast
@@ -71,6 +72,21 @@ def test_only_groups_names_the_chunk_constant():
             if "ENGINE_CHUNK" in names and path.name != "groups.py":
                 readers.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert readers == []
+
+
+def test_make_group_takes_only_tables_handed_over_whole():
+    # every table the package derives is sized and filled by groups.group_table;
+    # make_group copies a table that exists before it, from a file or a literal
+    callers = []
+    for path in sorted(SRC.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "make_group":
+                        callers.append(f"{path.stem}.{getattr(top, 'name', node.lineno)}")
+    assert sorted(callers) == ["groups.quaternion_group", "serialize.load_group"]
 
 
 #: Module-level names that nothing in ``src/`` uses, and why each stays.

@@ -7,7 +7,7 @@ import pytest
 
 import matrix_oracle
 from matrix_oracle import mat_frob, mat_identity, mat_mul
-from cocycle import galois
+from cocycle import galois, groups
 from cocycle.cohomology import h1
 from cocycle.errors import MatchFailure, NotPrime, SizeLimit
 from cocycle.fields import (
@@ -247,24 +247,34 @@ class TestForms:
         assert report.n_classes == 1
 
     def test_oversized_stabilizer_rejected(self, monkeypatch):
-        # GL_2(F_4) stabilizes the zero tensor: 180^2 products, counted at 2.1 MB
+        # GL_2(F_4) stabilizes the zero tensor: its 180 x 180 table is filled in one block
+        # of 180^2 products, 8 int64 each, 2.1 MB, refused before the block is allocated
         t = make_tower(2, 1, 2)
         tensor = TensorOnV.make(t, 2, 2, 0, ((0, 0, 0, 0),))
         monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "1")
-        with pytest.raises(SizeLimit, match="stabilizer products needs 2073600 bytes"):
+        with pytest.raises(SizeLimit, match="group table rows needs 2073600 bytes"):
             classify_forms(t, tensor)
 
-    def test_the_stabilizer_byte_count_bounds_the_peak(self, budget_requests):
+    def test_the_stabilizer_byte_count_bounds_the_peak(self, monkeypatch):
+        # groups sizes the stabilizer's table, 32,400 bytes, and one block of its rows,
+        # 2,073,600; Z/2 is built after it, so each name keeps its largest request
         t = make_tower(2, 1, 2)
         tensor = TensorOnV.make(t, 2, 2, 0, ((0, 0, 0, 0),))
-        asked = budget_requests(galois)
+        asked, check = {}, groups.check_buffer
+
+        def largest(n_items, item_bytes, what):
+            asked[what] = max(asked.get(what, 0), n_items * item_bytes)
+            check(n_items, item_bytes, what)
+
+        monkeypatch.setattr(groups, "check_buffer", largest)
         tracemalloc.start()
         try:
             classify_forms(t, tensor)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= asked["stabilizer products"] < 2 * peak
+        bound = asked["group multiplication table"] + asked["group table rows"]
+        assert peak <= bound < 2 * peak
 
     def test_scalar_form(self):
         # m = 1, tau = x^2: classes are the square classes of k* meeting the orbit

@@ -390,6 +390,20 @@ class TestSubgroups:
             for j in range(3):
                 assert embed[h.mul(i, j)] == g.mul(embed[i], embed[j])
 
+    def test_subgroup_table_is_sized_before_it_is_gathered(self, monkeypatch):
+        # A7's uint16 table is 12.7 MB, over 8 MiB; no gather of S7's rows comes first
+        s7 = symmetric_group(7)
+        a7 = Subgroup(s7, tuple(a for a in s7.elements() if perm_sign(s7.perms[a]) == 1))
+        monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimit, match="group multiplication table needs 12700800 bytes"):
+                subgroup_as_group(a7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestHoms:
     def test_hom_validation(self):

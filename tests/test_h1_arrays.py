@@ -2,6 +2,8 @@
 one-gather induced map, the packed row sort of the engine, and the
 twisted-action count against the cocycle count."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -104,6 +106,28 @@ class TestClassIndices:
         assert res.class_indices(rows).tolist() == [res.class_of[m] for m in rows]
         assert res.class_indices(res.class_of.rows).tolist() == res.class_of.index.tolist()
         assert dict(res.class_of) == {m: i for i, ms in enumerate(res.members) for m in ms}
+
+    def test_one_lookup_builds_nothing_per_row(self):
+        # (Z/2)^4 trivial on itself: 2^16 cocycles; one lookup sorts their keys, a
+        # dict of every row would hold 27.5 MiB
+        res = h1(trivial_action(e(4), e(4)))
+        alpha = res.classes[12345]
+        tracemalloc.start()
+        try:
+            assert res.class_index(alpha) == 12345
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_absent_and_malformed_keys_are_missing_as_from_a_dict(self):
+        _, res = transpositions_of_s3()
+        for key in [(0, 9), (0, 0, 0), (), "ab", None, 5, ((0, 1), 0)]:
+            assert key not in res.class_of
+            assert res.class_of.get(key, -1) == -1
+            with pytest.raises(KeyError):
+                res.class_of[key]
+        assert list(res.class_of.items()) == [(k, res.class_of[k]) for k in res.class_of]
 
     def test_arrays_are_read_only(self):
         _, res = transpositions_of_s3()

@@ -390,7 +390,8 @@ def test_long_cycle_stays_in_quadratic_memory():
 
 def test_cayley_cycles_are_sized_before_they_are_allocated(monkeypatch):
     # Z/2048 has one relator, x^2048, a Cayley cycle whose walks from every start take
-    # 2048 x 2048 int64, 33.6 MB; the count refuses them before the first is built
+    # 2048 x 2048 int64, 33.6 MB; the count refuses them before the first is built, and
+    # the group's table is not compared with itself in a 4 MB temporary before that
     gamma = cyclic_group(2048)
     pres = trivial_module(gamma, (2,))
     monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "16")
@@ -401,7 +402,7 @@ def test_cayley_cycles_are_sized_before_they_are_allocated(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 << 20
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -528,6 +529,18 @@ def test_presentation_over_another_group_is_refused():
             h2_brute_force_order(gamma, pres)
     # equal tables built twice are the same group
     assert h2_central(cyclic_group(4), trivial_module(cyclic_group(4), (2,))).order == 2
+
+
+def test_tables_of_two_groups_are_compared_within_the_budget(monkeypatch):
+    # a presentation over the group itself skips the comparison; over an equal group
+    # built twice it holds a 2048 x 2048 bool temporary, sized first
+    gamma, twin = cyclic_group(2048), cyclic_group(2048)
+    pres = trivial_module(twin, (2,))
+    monkeypatch.setenv("COCYCLE_MAX_MEM_MB", "2")
+    with pytest.raises(SizeLimit, match="group table comparison needs 4194304 bytes"):
+        h2_central(gamma, pres)
+    with pytest.raises(SizeLimit, match="H2 relator tails"):
+        h2_central(twin, pres)
 
 
 def aut_group(base):

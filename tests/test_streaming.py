@@ -258,12 +258,12 @@ def test_forms_are_the_same_across_chunk_seams(spec, dim, l, r, coeffs, monkeypa
 
 
 def test_oversized_stabilizer_reports_its_full_size(monkeypatch):
-    tower = make_tower(3, 1, 2)
+    tower = make_tower(2, 1, 4)
     zero = TensorOnV.make(tower, 2, 2, 0, ((0, 0, 0, 0),))
     _seven_chunks(monkeypatch, tower, 2)
     chunks = _counted_chunks(monkeypatch)
-    # 5760^2 products of 64 bytes: all of GL_2(F_9), counted after the last chunk
-    with pytest.raises(SizeLimit, match=r"^stabilizer products needs 2123366400 bytes"):
+    # a 61200^2 uint16 table: all of GL_2(F_16), counted after the last chunk
+    with pytest.raises(SizeLimit, match=r"^group multiplication table needs 7490880000 bytes"):
         classify_forms(tower, zero)
     assert len(chunks) >= 5
 
