@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BijectionFailure, MatchFailure, NotStable, check_buffer
 from .groups import FiniteGroup, GroupHom, Subgroup, element_indices, subgroup_as_group
-from .groups import coboundary_classes, crossed_homs, first_violation
+from .groups import _horner, coboundary_classes, crossed_homs, first_violation
 
 
 class GammaGroup:
@@ -192,8 +192,8 @@ class ClassMap(Mapping):
     Backed by ``rows``, the value rows (read-only, n x |gamma|, lexicographic),
     and ``index``, each row's class. A cocycle is determined by its values on
     ``gamma.short_generators()``, so :meth:`positions` finds rows in bulk by
-    the key ``sum_j alpha(s_j) |base|^j``, and a scalar lookup is a batch of
-    one; the sorted keys are built on first use.
+    the key ``sum_j alpha(s_j) |base|^j`` (``groups._horner``), and a scalar
+    lookup is a batch of one; the sorted keys are built on first use.
     """
 
     __slots__ = ("rows", "index", "_parent", "_sorted")
@@ -204,8 +204,7 @@ class ClassMap(Mapping):
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
-        gens = list(self._parent.gamma.short_generators())
-        return rows[:, gens] @ self._parent.base.order ** np.arange(len(gens), dtype=np.int64)
+        return _horner(rows.T[list(self._parent.gamma.short_generators())], self._parent.base.order)
 
     def positions(self, rows) -> np.ndarray:
         """Position in ``self.rows`` of each of ``rows``; ValueError if one is absent."""

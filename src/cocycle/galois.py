@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cohomology, groups
+from . import cohomology, fields, groups
 from .cohomology import GammaGroup, H1Set, match_blocks
 from .errors import (
     EXHAUSTIVE_INDEPENDENCE_SIZE,
@@ -258,11 +258,21 @@ def sl_h1_verify(tower: FqTower, m: int) -> CocycleScanReport:
 def units_gamma_group(tower: FqTower) -> tuple[GammaGroup, tuple[int, ...]]:
     """K* as a finite group with the Frobenius action; returns (action, unit list).
 
-    Cross-check helper: the generic cocycle engine on this action must find a
-    single class, matching the m = 1 scan.
+    K* is cyclic: with pw the powers of its least generator g, made by doubling in about
+    log2 q batched products, ``table[a, b] = pw[(log a + log b) mod (q - 1)]``; powers
+    that are not all of K* raise CounterexampleFound. Cross-check helper: the generic
+    cocycle engine on this action must find a single class, matching the m = 1 scan.
     """
-    units = np.arange(1, tower.size)  # unit u is group element u - 1
-    group = groups.group_table(len(units), lambda r: tower.vmul(units[r, None], units) - 1, 1)
+    n, units = tower.size - 1, np.arange(1, tower.size)  # unit u is group element u - 1
+    primes = (f for f in range(2, n + 1) if n % f == 0 and fields.is_prime(f))
+    g = units[np.all([tower.vpow(units, n // ell) != 1 for ell in primes], axis=0).argmax()]
+    pw, step = np.ones(1, dtype=np.int64), g  # g: no g^(n / l) = 1 for a prime l dividing n
+    while len(pw) < n:  # g^(k + i) = g^k g^i
+        pw, step = np.concatenate([pw, tower.vmul(pw, step)]), tower.vmul(step, step)
+    pw, log = pw[:n], np.argsort(pw[:n])  # log[u - 1] is the exponent of unit u
+    if not np.array_equal(pw[log], units):
+        raise CounterexampleFound(f"the powers of unit {g} are not all of K*")
+    group = groups.group_table(n, lambda r: pw[(log[r, None] + log) % n] - 1, 2)
     action = np.stack([tower.vfrob(units, j) for j in range(tower.n)]) - 1
     return GammaGroup(groups.cyclic_group(tower.n), group, action), tuple(units.tolist())
 

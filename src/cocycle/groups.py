@@ -13,6 +13,7 @@ trees) from one, :func:`_word_tree`; power lists and element orders from one, :f
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,7 +55,7 @@ class FiniteGroup:
     permutation array per element (populated for symmetric groups).
     """
 
-    __slots__ = ("order", "table", "identity", "labels", "perms", "_inv", "_gens", "_short")
+    __slots__ = ("order", "table", "identity", "labels", "perms", "_inv", "_gens", "_short", "_plan")
 
     def __init__(
         self,
@@ -70,7 +71,7 @@ class FiniteGroup:
         self.labels = labels
         self.perms = perms
         self._inv = inverses
-        self._short: tuple[int, ...] | None = None
+        self._short = self._plan = None  # short generators and extension plan, on first use
 
     def mul(self, a: int, b: int) -> int:
         if not (0 <= a < self.order and 0 <= b < self.order):  # 5x cheaper than element_indices
@@ -194,6 +195,9 @@ def _powers(group: FiniteGroup, x: int) -> list[int]:
 def element_indices(values, order: int, what: str) -> tuple[int, ...]:
     """``values`` as ints, checked before they index anything: ValueError
     naming the first one outside range(order)."""
+    vector = isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu"
+    if vector and not ((values < 0) | (values >= order)).any():  # one vectorized pass
+        return tuple(values.tolist())
     ints = tuple(int(v) for v in values)
     bad = next((v for v in ints if not 0 <= v < order), None)
     if bad is not None:
@@ -417,16 +421,14 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     ng, nh = g.order, h.order
     ai, bi = np.divmod(np.arange(ng * nh), nh)
 
-    def rows_of(r):  # (a, b) * (a', b') = (a a', b b')
-        block = g.table[np.ix_(ai[r], ai)].astype(_table_dtype(ng * nh))
-        block *= nh
-        block += h.table[np.ix_(bi[r], bi)]
-        return block
+    def rows_of(r):  # (a, b) * (a', b') = (a a', b b'), at index (a a') |H| + b b'
+        left = np.multiply(_product(g.table, ai[r, None], ai), nh, dtype=np.intp)
+        return left + _product(h.table, bi[r, None], bi)
 
     labels = None
     if g.labels is not None and h.labels is not None:
         labels = tuple(f"({g.labels[a]},{h.labels[b]})" for a, b in zip(ai, bi))
-    return group_table(ng * nh, rows_of, 1, labels)
+    return group_table(ng * nh, rows_of, 3, labels)
 
 
 @dataclass(frozen=True)
@@ -585,71 +587,90 @@ def product_chunks(radices, width: int, what: str):
         yield ranks, digits
 
 
+def _product(table: np.ndarray, a, b) -> np.ndarray:
+    """``table[a, b]`` for index arrays that broadcast: one gather from the raveled table at
+    intp offsets a * width + b, ``a`` widened first (NEP 50 keeps uint8 * int in uint8)."""
+    return table.ravel()[np.multiply(a, table.shape[1], dtype=np.intp) + b]
+
+
+def _extension_plan(gamma: FiniteGroup) -> tuple:
+    """(at, levels, powers, width): the crossed-hom schedule of ``gamma``, kept on it. Row
+    ``at[g]`` holds alpha(g), rows in the order the short generators' word tree reaches them.
+    A breadth-first level is (end row, fills, checks) of the pairs (x, s) whose rows then exist,
+    fills on the tree, checks off it: each None or (x elements, rows x, s (and xs) stacked for
+    one gather, rows xs). ``powers`` lists s, ..., s^(n - 1) per generator s of order n; ``width``
+    counts a candidate's intp entries: rows, compressed copy, five temporaries of a level."""
+    if gamma._plan is None:
+        tree = _word_tree(gamma.table, gamma.identity, gens := gamma.short_generators())
+        reached = [new for new, _, _ in tree]  # every element but e
+        at, depth = np.argsort([gamma.identity, *reached]), [0] * gamma.order
+        for new, prev, _ in tree:
+            depth[new] = depth[prev] + 1
+        steps = [([], []) for _ in range(max(depth) + 1)]  # each level's fills and checks
+        edges = {(prev, gen) for _, prev, gen in tree}
+        for x, s in itertools.product(reached, gens):  # alpha(e * s) comes from the pools
+            xs = int(gamma.table[x, s])
+            steps[max(depth[x], depth[xs])][(x, s) not in edges].append((x, at[x], at[s], at[xs]))
+
+        def batch(pairs, stacked):  # x elements, the rows x, s (and xs) stacked, the rows xs
+            arr = np.array(pairs, dtype=np.intp).reshape(-1, 4).T
+            return (arr[0], arr[1:stacked].ravel(), arr[3]) if pairs else None
+
+        ends = np.cumsum(np.bincount(depth))[1:]
+        levels = [(end, batch(f, 3), batch(c, 4)) for end, (f, c) in zip(ends, steps[1:])]
+        powers = [np.array(_powers(gamma, s)[1:], dtype=np.intp) for s in gens]
+        gamma._plan = (at, levels, powers, 2 * gamma.order + 5 * max(map(len, sum(steps, ()))))
+    return gamma._plan
+
+
 def crossed_homs(gamma: FiniteGroup, base: FiniteGroup, action=None, pools=None) -> np.ndarray:
     """Every crossed hom gamma -> base, as value rows in lexicographic order.
 
-    The law is ``alpha(hg) = alpha(h) * alpha(g)^h`` with ``a^g = action[g, a]``
-    (see :mod:`cocycle.cohomology`); with no action the rows are the homs.
-    Candidates give each of ``gamma.short_generators()`` a value (from
-    ``pools[j]``, default all of base) and extend along its word tree. The
-    survivors of the law on every other pair (x, s), s a generator, satisfy
-    it on all pairs, by induction on word length under ``(a^g)^h = a^(hg)``.
+    The law is ``alpha(hg) = alpha(h) * alpha(g)^h`` with ``a^g = action[g, a]`` (see
+    :mod:`cocycle.cohomology`); with no action the rows are the homs. Candidates give each
+    of ``gamma.short_generators()`` a value (from ``pools[j]``, default all of base) and
+    extend along its word tree. The survivors of the law on every other pair (x, s), s a
+    generator, satisfy it on all pairs, by induction on word length under ``(a^g)^h = a^(hg)``.
 
-    Before that, each pool keeps only the values x of its generator s, of
-    order n, with alpha(s^n) = e, where alpha(s) = x and alpha(s^(j+1)) =
-    alpha(s^j) * x^(s^j): every crossed hom satisfies this cyclic relation,
-    so the survivors do not change. The candidate bound counts the pools as
-    given, before this filter. Candidates come from :func:`product_chunks`,
-    ``ENGINE_CHUNK`` values a chunk; each check compresses its chunk.
+    Before that, each pool keeps only the values x of its generator s, of order n, with
+    alpha(s^n) = e, where alpha(s) = x and alpha(s^(j+1)) = alpha(s^j) * x^(s^j): every crossed
+    hom satisfies this cyclic relation, so the survivors do not change. The candidate bound
+    counts the pools as given, before this filter; :func:`_extension_plan` lays out a chunk.
     """
-    gens = gamma.short_generators()
-    ng, k = gamma.order, len(gens)
-    if pools is None:
-        pools = [np.arange(base.order)] * k
+    gens, (at, levels, powers, width) = gamma.short_generators(), _extension_plan(gamma)
+    pools = [np.arange(base.order)] * len(gens) if pools is None else pools
     pools = [np.asarray(p, dtype=np.intp) for p in pools]
-    n_cand = math.prod(len(p) for p in pools)
-    if n_cand > DEFAULT_MAX_CANDIDATES:
+    if (n_cand := math.prod(len(p) for p in pools)) > DEFAULT_MAX_CANDIDATES:
         raise SizeLimit(
-            f"{n_cand} candidates on {k} generators exceed bound {DEFAULT_MAX_CANDIDATES}"
+            f"{n_cand} candidates on {len(gens)} generators exceed bound {DEFAULT_MAX_CANDIDATES}"
         )
-    trivial = action is None or np.all(action == np.arange(base.order))
-    act = None if trivial else np.asarray(action, dtype=np.intp)
+    act = None if action is None or np.all(action == np.arange(base.order)) else np.asarray(action)
 
-    def law_rhs(cols, x, g):  # alpha(x) * alpha(g)^x
-        moved = cols[g] if act is None else act[x][cols[g]]
-        return base.table[cols[x], moved]
+    def law_rhs(block, x_el):  # alpha(x) * alpha(s)^x from the rows [alpha(x); alpha(s)]
+        x, s = block[: len(x_el)], block[len(x_el) : 2 * len(x_el)]
+        return _product(base.table, x, s if act is None else _product(act, x_el[:, None], s))
 
-    for j, s in enumerate(gens):
-        powers, cols = _powers(gamma, s), {s: pools[j]}  # cols[s^i] = alpha(s^i), one entry per x
-        for x, xs in zip(powers[1:], powers[2:] + powers[:1]):
-            cols[xs] = law_rhs(cols, x, s)
-        pools[j] = pools[j][cols[gamma.identity] == base.identity]
+    for j, xs in enumerate(powers):  # y runs through alpha(s^2), ..., alpha(s^n)
+        y = pool = pools[j]
+        for moved in [pool] * len(xs) if act is None else _product(act, xs[:, None], pool):
+            y = _product(base.table, y, moved)
+        pools[j] = pool[y == base.identity]
 
-    tree = _word_tree(gamma.table, gamma.identity, gens)
-    steps = [t for t in tree if t[1] != gamma.identity]  # level one holds the generators
-    ready = dict.fromkeys((gamma.identity, *gens), 0)
-    ready.update((new, i + 1) for i, (new, _, _) in enumerate(steps))
-    edges = {(prev, gen) for _, prev, gen in tree}
-    # each check runs once its three columns exist, so later columns see survivors only
-    checks: list[list[tuple[int, int, int]]] = [[] for _ in range(len(steps) + 1)]
-    for x, s in itertools.product(gamma.elements(), gens):
-        if (x, s) not in edges:
-            xs = int(gamma.table[x, s])
-            checks[max(ready[x], ready[xs])].append((x, s, xs))
-
-    found = [np.empty((0, ng), dtype=np.intp)]
-    for _, digits in product_chunks([len(p) for p in pools], ng, "crossed-hom candidate chunk"):
-        cols = {gamma.identity: np.full(len(digits), base.identity, dtype=np.intp)}
-        cols.update((s, pool[digits[:, j]]) for j, (s, pool) in enumerate(zip(gens, pools)))
-        for i in range(len(steps) + 1):
-            if i:
-                new, prev, gen = steps[i - 1]
-                cols[new] = law_rhs(cols, prev, gen)
-            for x, s, xs in checks[i]:
-                keep = cols[xs] == law_rhs(cols, x, s)
+    found = [np.empty((0, gamma.order), dtype=np.intp)]
+    for _, digits in product_chunks([len(p) for p in pools], width, "crossed-hom candidate chunk"):
+        vals = np.full((gamma.order, len(digits)), base.identity, dtype=np.intp)
+        for j, pool in enumerate(pools):
+            vals[j + 1] = pool[digits[:, j]]
+        for hi, fill, check in levels:  # one gather of the rows each batch reads
+            if fill:
+                vals[fill[2]] = law_rhs(vals[fill[1]], fill[0])
+            if check:
+                block = vals[check[1]]
+                keep = (law_rhs(block, check[0]) == block[2 * len(check[0]) :]).all(axis=0)
                 if not keep.all():
-                    cols = {g: c[keep] for g, c in cols.items()}
-        found.append(np.stack([cols[g] for g in gamma.elements()], axis=1))
+                    vals, filled = np.empty((gamma.order, np.count_nonzero(keep)), np.intp), vals
+                    np.compress(keep, filled[:hi], axis=1, out=vals[:hi])
+        found.append(vals[at].T)
     vals = np.concatenate(found)
     return vals[lex_order(vals, base.order)]
 
@@ -684,40 +705,40 @@ def lookup_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return at
 
 
+def _horner(digits: np.ndarray, radix: int) -> np.ndarray:
+    """``sum_j digits[j] radix^j`` over the first axis, by Horner's rule in int64."""
+    start = digits[-1].astype(np.int64) if len(digits) else np.zeros(digits.shape[1:], np.int64)
+    return functools.reduce(lambda key, d: key * radix + d, digits[-2::-1], start)
+
+
 def coboundary_classes(
     gamma: FiniteGroup, base: FiniteGroup, action, vals: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classes of the rows of :func:`crossed_homs` under ``alpha(g) -> a^-1 alpha(g) a^g``.
 
-    The transform is an action of base, so the classes are the connected
-    components of the graph joining each row to its move by each t of
-    ``base.generators()``: words in them reach every a. For the same reason
-    the rows are closed under all of base if and only if they are closed
-    under the generators; a move leaving the rows (a convention bug) raises
-    MatchFailure. Rows are keyed by ``sum_j alpha(s_j) |base|^j`` over the
-    short generators, so a move is one gather and one lookup, taken
-    ``ENGINE_CHUNK`` entries at a time. Returns each class's least row,
-    increasing, and the class of every row.
+    The transform is an action of base, so the classes are the connected components of the
+    graph joining each row to its move by each t of ``base.generators()``: words in them
+    reach every a. For the same reason the rows are closed under all of base if and only if
+    they are closed under the generators; a move leaving the rows (a convention bug) raises
+    MatchFailure. Rows are keyed by ``sum_j alpha(s_j) |base|^j`` over the short generators
+    (:func:`_horner`), so a move is two :func:`_product` gathers and one lookup, taken
+    ``ENGINE_CHUNK`` entries at a time. Returns each class's least row, increasing, and the
+    class of every row.
     """
-    gens = list(gamma.short_generators())
-    moves = list(base.generators())
-    n, na = len(vals), base.order
-    weights = na ** np.arange(len(gens), dtype=np.int64)
-    gen_vals = vals[:, gens]
-    keys = gen_vals @ weights
-    by_key = np.argsort(keys)
+    n, na, gens, moves = len(vals), base.order, [*gamma.short_generators()], [*base.generators()]
+    gen_vals = np.asarray(vals).T[gens]  # [j, r] = alpha_r(s_j)
+    by_key = np.argsort(keys := _horner(gen_vals, na))
     sorted_keys = keys[by_key]
-    table = base.table  # gathers stay in its dtype; @ weights promotes to int64
-    # shift[i, j] = t_i^(s_j) and t_inv[i] = t_i^-1 for the move generators t_i
     shift = (np.arange(na)[None] if action is None else np.asarray(action)[gens])[:, moves].T
-    t_inv = base._inv.astype(np.intp)[moves][:, None, None]
+    t_inv = base._inv[moves][:, None, None]  # t_i^-1, and shift[i, j] = t_i^(s_j), t_i a move
     rows = max(1, ENGINE_CHUNK // max(len(moves) * len(gens), 1))
     check_buffer(min(rows, n) * len(moves) * max(len(gens), 1), 8, "coboundary move chunk")
     heads, tails = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for lo in range(0, n, rows):
-        moved = table[table[t_inv, gen_vals[None, lo : lo + rows]], shift[:, None]] @ weights
-        edge = moved != keys[lo : lo + rows]  # [i, r]: t_i moves row lo + r off itself
-        pos = lookup_sorted(sorted_keys, moved[edge])
+        inner = _product(base.table, t_inv, gen_vals[:, lo : lo + rows])  # [i, j, r]
+        moved_keys = _horner(_product(base.table, inner, shift[:, :, None]).transpose(1, 0, 2), na)
+        edge = moved_keys != keys[lo : lo + rows]  # [i, r]: t_i moves row lo + r off itself
+        pos = lookup_sorted(sorted_keys, moved_keys[edge])
         if (pos < 0).any():
             raise MatchFailure("coboundary transform left the cocycle set; action convention bug")
         heads.append(np.nonzero(edge)[1] + lo)
@@ -744,7 +765,7 @@ def _least_in_component(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndar
             return root
         heads, tails, a, b = heads[cross], tails[cross], a[cross], b[cross]
         np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        while not np.array_equal(up := root[root], root):
+        while ((up := root[root]) != root).any():
             root = up
 
 

@@ -14,7 +14,8 @@ an exported class is named in ``src/``, ``tests/`` or ``bench/``. No
 function takes a bound parameter except the five that the CLI's bound flags
 set. Only ``groups``, where ``product_chunks`` sizes every product-order
 stream, names ``ENGINE_CHUNK``; ``make_group`` is called only on tables handed
-over whole, every derived table coming from ``group_table``.
+over whole, every derived table coming from ``group_table``. Inside the
+crossed-hom engine a group table is read only through ``groups._product``.
 """
 
 import ast
@@ -87,6 +88,33 @@ def test_make_group_takes_only_tables_handed_over_whole():
                     if name == "make_group":
                         callers.append(f"{path.stem}.{getattr(top, 'name', node.lineno)}")
     assert sorted(callers) == ["groups.quaternion_group", "serialize.load_group"]
+
+
+def test_engine_reads_tables_only_through_the_product_kernel():
+    # groups._product reads a raveled table once at intp offsets a * width + b; a
+    # table[x, y] gather of two index arrays converts both and walks two strides
+    tree = ast.parse((SRC / "cocycle" / "groups.py").read_text(encoding="utf-8"))
+    engine = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("crossed_homs", "coboundary_classes")
+    ]
+    assert len(engine) == 2
+    reads = []
+    for node in (n for function in engine for line in function.body for n in ast.walk(line)):
+        if not isinstance(node, ast.Subscript):
+            continue
+        value, index = node.value, node.slice
+        names_table = isinstance(value, ast.Attribute) and value.attr == "table" or (
+            isinstance(value, ast.Name) and value.id == "table"
+        )
+        entries = index.elts if isinstance(index, ast.Tuple) else [index]
+        arrays = [
+            e for e in entries
+            if not isinstance(e, ast.Slice) and not (isinstance(e, ast.Constant) and e.value is None)
+        ]
+        if names_table or len(arrays) > 1:
+            reads.append(f"groups.py:{node.lineno}: {ast.unparse(node)}")
+    assert reads == []
 
 
 #: Module-level names that nothing in ``src/`` uses, and why each stays.

@@ -7,9 +7,9 @@ import pytest
 
 import matrix_oracle
 from matrix_oracle import mat_frob, mat_identity, mat_mul
-from cocycle import galois, groups
+from cocycle import fields, galois, groups
 from cocycle.cohomology import h1
-from cocycle.errors import MatchFailure, NotPrime, SizeLimit
+from cocycle.errors import CounterexampleFound, MatchFailure, NotPrime, SizeLimit
 from cocycle.fields import (
     enumerate_gl,
     enumerate_sl,
@@ -385,6 +385,23 @@ class TestGaloisHelpers:
         assert gamma_group.base.table.tolist() == table
         assert gamma_group.action.tolist() == action
         assert gamma_group.gamma.order == t.n
+
+    @pytest.mark.parametrize("spec", [(2, 1, 6), (3, 1, 3), (5, 1, 2)])
+    def test_untabled_units_table_matches_scalar_arithmetic(self, spec, monkeypatch):
+        # the powers of a generator, made by digit-array products
+        monkeypatch.setattr(fields, "FIELD_TABLE_LIMIT", 0)
+        t = fields.FqTower(*spec)
+        assert not t._tables_built
+        gamma_group, units = units_gamma_group(t)
+        table = [[t.mul(a, b) - 1 for b in units] for a in units]
+        assert gamma_group.base.table.tolist() == table
+
+    def test_units_whose_powers_miss_a_unit_raise(self, monkeypatch):
+        t = fields.FqTower(3, 1, 2)
+        square = t.vmul
+        monkeypatch.setattr(t, "vmul", lambda a, b: square(a, a))  # a * b read as a * a
+        with pytest.raises(CounterexampleFound, match="are not all of K"):
+            units_gamma_group(t)
 
     def test_tensor_frob_matches_scalar_frobenius(self):
         t = make_tower(3, 1, 2)

@@ -325,6 +325,29 @@ class TestScalarMethodsCheckIndices:
             parent.act(g, a)
 
 
+class TestElementIndices:
+    """An integer array is range-checked in one pass; the message is the scalar path's."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.int64])
+    def test_an_array_gives_the_ints_of_its_list(self, dtype):
+        values = np.array([3, 0, 5, 5], dtype=dtype)
+        got = groups.element_indices(values, 6, "entry")
+        assert got == groups.element_indices(values.tolist(), 6, "entry") == (3, 0, 5, 5)
+        assert all(type(v) is int for v in got)
+
+    @pytest.mark.parametrize(
+        "values, bad", [([1, 7, -1, 9], 7), ([0, -2, 8], -2), ([300, 1], 300), ([5, 5, 6], 6)]
+    )
+    def test_an_array_names_its_first_bad_value(self, values, bad):
+        for arr in (np.array(values, dtype=np.int64), np.array(values, dtype=np.int16)):
+            with pytest.raises(ValueError, match=rf"^entry {bad} is not an element index in"):
+                groups.element_indices(arr, 6, "entry")
+
+    def test_unsigned_values_past_the_order(self):
+        with pytest.raises(ValueError, match=r"^entry 255 is not an element index in range"):
+            groups.element_indices(np.array([199, 255, 0], dtype=np.uint8), 200, "entry")
+
+
 class TestSubgroups:
     def test_from_members_validates(self):
         g = cyclic_group(4)
